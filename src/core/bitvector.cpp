@@ -16,52 +16,15 @@ bool BitVector::get(int64_t i) const {
 
 void BitVector::set(int64_t i, bool value) {
   TINCY_CHECK_MSG(i >= 0 && i < size_, "bit index " << i << " of " << size_);
-  const uint64_t mask = 1ull << (i & 63);
+  // Branch-free: binarizing random weights would mispredict half the time.
   auto& w = words_[static_cast<size_t>(i >> 6)];
-  w = value ? (w | mask) : (w & ~mask);
+  w = (w & ~(1ull << (i & 63))) | (static_cast<uint64_t>(value) << (i & 63));
 }
 
 int64_t BitVector::popcount() const {
   int64_t n = 0;
   for (uint64_t w : words_) n += std::popcount(w);
   return n;
-}
-
-int64_t popcount_and(const BitVector& a, const BitVector& b) {
-  TINCY_CHECK(a.size_ == b.size_);
-  int64_t n = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i)
-    n += std::popcount(a.words_[i] & b.words_[i]);
-  return n;
-}
-
-int64_t popcount_andnot(const BitVector& a, const BitVector& b) {
-  TINCY_CHECK(a.size_ == b.size_);
-  int64_t n = 0;
-  for (size_t i = 0; i < a.words_.size(); ++i)
-    n += std::popcount(~a.words_[i] & b.words_[i]);
-  return n;
-}
-
-int64_t xnor_popcount(const BitVector& a, const BitVector& b) {
-  TINCY_CHECK(a.size_ == b.size_);
-  if (a.size_ == 0) return 0;
-  int64_t n = 0;
-  const size_t last = a.words_.size() - 1;
-  for (size_t i = 0; i < last; ++i)
-    n += std::popcount(~(a.words_[i] ^ b.words_[i]));
-  // Mask the tail of the final word so the padding bits do not count.
-  const int tail_bits = static_cast<int>(a.size_ - static_cast<int64_t>(last) * 64);
-  const uint64_t mask =
-      tail_bits == 64 ? ~0ull : ((1ull << tail_bits) - 1);
-  n += std::popcount(~(a.words_[last] ^ b.words_[last]) & mask);
-  return n;
-}
-
-int64_t signed_binary_dot(const BitVector& sign_bits,
-                          const BitVector& activation_plane) {
-  return popcount_and(sign_bits, activation_plane) -
-         popcount_andnot(sign_bits, activation_plane);
 }
 
 }  // namespace tincy

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file bitvector.hpp
-/// Bit-packed vectors with population-count kernels. These model the
-/// on-fabric storage of binarized weights and activation bit-planes inside
-/// the FINN-style accelerator: a binary dot product becomes an XNOR +
-/// popcount over 64-bit words.
+/// Bit-packed vectors: the storage of binarized and ternarized weight
+/// rows. Dot products over them run in gemm/bitserial.hpp, which packs
+/// the rows into its own contiguous layout.
 
 #include <cstdint>
 #include <vector>
@@ -37,27 +36,8 @@ class BitVector {
   }
 
  private:
-  friend int64_t popcount_and(const BitVector&, const BitVector&);
-  friend int64_t popcount_andnot(const BitVector&, const BitVector&);
-  friend int64_t xnor_popcount(const BitVector&, const BitVector&);
-
   int64_t size_ = 0;
   std::vector<uint64_t> words_;
 };
-
-/// popcount(a & b) — bits set in both vectors. Sizes must match.
-int64_t popcount_and(const BitVector& a, const BitVector& b);
-
-/// popcount(~a & b) — bits set in b but not a. Sizes must match.
-int64_t popcount_andnot(const BitVector& a, const BitVector& b);
-
-/// popcount(~(a ^ b)) over the first size() bits — the agreement count used
-/// by fully binarized (W1A1) dot products. Sizes must match.
-int64_t xnor_popcount(const BitVector& a, const BitVector& b);
-
-/// Signed binary dot product of ±1 weights (bit=1 means +1, bit=0 means −1)
-/// with a {0,1} activation bit-plane: Σ w_i·a_i = popcount(w∧a) − popcount(¬w∧a).
-int64_t signed_binary_dot(const BitVector& sign_bits,
-                          const BitVector& activation_plane);
 
 }  // namespace tincy

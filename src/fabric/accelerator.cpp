@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 
 #include "core/errors.hpp"
 #include "quant/thresholds.hpp"
@@ -45,7 +46,7 @@ void QnnAccelerator::set_metrics(telemetry::MetricsRegistry* metrics) {
 }
 
 void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
-                               quant::BinaryMatrix weights,
+                               const quant::BinaryMatrix& weights,
                                std::vector<ThresholdChannel> thresholds) {
   const auto g = spec.conv_geometry();
   TINCY_CHECK_MSG(weights.rows == spec.filters &&
@@ -72,10 +73,11 @@ void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
   if (spec.bipolar)
     TINCY_CHECK_MSG(spec.pad == 0, "bipolar conv cannot zero-pad");
   layers_.push_back(Stage{spec,
-                          Mvtu(std::move(weights), std::move(thresholds),
+                          Mvtu(weights, std::move(thresholds),
                                spec.act_bits_in,
                                spec.bipolar ? ActEncoding::kBipolar
-                                            : ActEncoding::kUnsigned),
+                                            : ActEncoding::kUnsigned,
+                               spec.kernel),
                           SlidingWindowUnit(g)});
 }
 
@@ -139,32 +141,29 @@ void QnnAccelerator::run_layer_batched(int64_t i,
     trace_span.set_args(args);
   }
 
+  // One weight-streaming phase covers the whole batch: the SWU streams
+  // every frame's footprints as bit-plane columns and the MVTU applies
+  // the resident weights to all of them. Layer-at-a-time semantics per
+  // frame are unchanged (no cross-layer concurrency).
+  const gemm::ConvGeometry& g = stage.swu.geometry();
   const int64_t n = stage.swu.num_columns();
-  const int64_t rows = stage.mvtu.rows();
-  const int64_t conv_h = s.conv_out_height(), conv_w = s.conv_out_width();
-
-  // One weight-streaming phase covers the whole batch: for every output
-  // position the SWU emits each frame's footprint and the MVTU applies
-  // the resident weights to all of them before moving on. Layer-at-a-time
-  // semantics per frame are unchanged (no cross-layer concurrency).
-  std::vector<uint8_t> columns(
-      static_cast<size_t>(batch * stage.swu.column_size()));
-  std::vector<uint8_t> out_cols(static_cast<size_t>(batch * rows));
-  std::vector<uint8_t> conv_out(static_cast<size_t>(batch * rows * n));
-  for (int64_t j = 0; j < n; ++j) {
-    stage.swu.emit_column_batch(inputs, batch, j, columns);
-    stage.mvtu.compute_batch(columns, batch, out_cols);
-    for (int64_t f = 0; f < batch; ++f)
-      for (int64_t r = 0; r < rows; ++r)
-        conv_out[static_cast<size_t>((f * rows + r) * n + j)] =
-            out_cols[static_cast<size_t>(f * rows + r)];
-  }
+  const int64_t col_words =
+      s.act_bits_in * gemm::bitplane_words(g.patch_size());
+  const auto planes = std::make_unique_for_overwrite<uint64_t[]>(
+      static_cast<size_t>(batch * n * col_words));
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::im2col_bitplanes(inputs.data() + f * in_numel, g, s.act_bits_in,
+                           planes.get() + f * n * col_words);
 
   if (s.pool_after) {
-    const PoolSpec p{rows, conv_h, conv_w, s.pool_size, s.pool_stride};
+    std::vector<uint8_t> conv_out(
+        static_cast<size_t>(batch * stage.mvtu.rows() * n));
+    stage.mvtu.compute_planes(planes.get(), batch, n, conv_out);
+    const PoolSpec p{s.filters, s.conv_out_height(), s.conv_out_width(),
+                     s.pool_size, s.pool_stride};
     max_pool_codes_batch(p, conv_out, outputs, batch);
   } else {
-    std::copy(conv_out.begin(), conv_out.end(), outputs.begin());
+    stage.mvtu.compute_planes(planes.get(), batch, n, outputs);
   }
 
   if (batch > 1) {

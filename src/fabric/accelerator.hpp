@@ -97,7 +97,7 @@ class QnnAccelerator {
 
   /// Appends an offloaded stage. The weight matrix must be filters ×
   /// (in_channels·K²); thresholds one per filter. Layer shapes must chain.
-  void add_layer(const QnnLayerSpec& spec, quant::BinaryMatrix weights,
+  void add_layer(const QnnLayerSpec& spec, const quant::BinaryMatrix& weights,
                  std::vector<ThresholdChannel> thresholds);
 
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }

@@ -160,7 +160,7 @@ QnnAccelerator load_accelerator(const std::string& dir, CycleModel model,
                                 Device device) {
   QnnAccelerator acc(model, device);
   for (auto& l : load_binparams(dir))
-    acc.add_layer(l.spec, std::move(l.weights), std::move(l.thresholds));
+    acc.add_layer(l.spec, l.weights, std::move(l.thresholds));
   return acc;
 }
 

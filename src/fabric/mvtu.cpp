@@ -1,108 +1,108 @@
 #include "fabric/mvtu.hpp"
 
+#include <algorithm>
+
 #include "core/errors.hpp"
-#include "quant/thresholds.hpp"
 
 namespace tincy::fabric {
 
-Mvtu::Mvtu(quant::BinaryMatrix weights,
-           std::vector<ThresholdChannel> thresholds, int act_bits_in,
-           ActEncoding encoding)
-    : weights_(std::move(weights)),
-      thresholds_(std::move(thresholds)),
-      act_bits_in_(act_bits_in),
-      encoding_(encoding) {
-  TINCY_CHECK_MSG(static_cast<int64_t>(thresholds_.size()) == weights_.rows,
-                  thresholds_.size() << " thresholds for " << weights_.rows
-                                     << " rows");
+namespace {
+
+void check_config(int64_t rows, size_t thresholds, int act_bits_in) {
+  TINCY_CHECK_MSG(static_cast<int64_t>(thresholds) == rows,
+                  thresholds << " thresholds for " << rows << " rows");
   TINCY_CHECK_MSG(act_bits_in >= 1 && act_bits_in <= 8,
                   "act_bits " << act_bits_in);
+}
+
+}  // namespace
+
+Mvtu::Mvtu(const quant::BinaryMatrix& weights,
+           std::vector<ThresholdChannel> thresholds, int act_bits_in,
+           ActEncoding encoding, int64_t kernel)
+    : weights_(gemm::pack_bitserial(weights, kernel)),
+      thresholds_(std::move(thresholds)),
+      act_bits_in_(act_bits_in),
+      encoding_(encoding),
+      kernel_(kernel) {
+  check_config(weights.rows, thresholds_.size(), act_bits_in);
   TINCY_CHECK_MSG(encoding == ActEncoding::kUnsigned || act_bits_in == 1,
                   "bipolar encoding requires 1-bit activations");
 }
 
+Mvtu::Mvtu(const quant::TernaryMatrix& weights,
+           std::vector<ThresholdChannel> thresholds, int act_bits_in,
+           int64_t kernel)
+    : weights_(gemm::pack_bitserial(weights, kernel)),
+      thresholds_(std::move(thresholds)),
+      act_bits_in_(act_bits_in),
+      encoding_(ActEncoding::kUnsigned),
+      kernel_(kernel) {
+  check_config(weights.rows, thresholds_.size(), act_bits_in);
+}
+
+std::vector<uint64_t> Mvtu::pack_columns(std::span<const uint8_t> columns,
+                                         int64_t batch) const {
+  TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
+  TINCY_CHECK(static_cast<int64_t>(columns.size()) == batch * cols());
+  // One column is the single K×K footprint of a K×K, C-channel image.
+  gemm::ConvGeometry g;
+  g.in_channels = cols() / (kernel_ * kernel_);
+  g.in_height = g.in_width = g.kernel = kernel_;
+  const int64_t col_words = act_bits_in_ * weights_.words;
+  std::vector<uint64_t> planes(static_cast<size_t>(batch * col_words));
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::im2col_bitplanes(columns.data() + f * cols(), g, act_bits_in_,
+                           planes.data() + f * col_words);
+  return planes;
+}
+
 void Mvtu::accumulate(std::span<const uint8_t> column,
                       std::span<int32_t> acc) const {
-  TINCY_CHECK(static_cast<int64_t>(column.size()) == cols());
-  TINCY_CHECK(static_cast<int64_t>(acc.size()) == rows());
-  // Decompose the column into bit-planes once; each plane contributes a
-  // signed XNOR-popcount term weighted by 2^bit. Fully binarized inputs
-  // use the classic single-popcount identity instead.
-  const std::vector<BitVector> planes =
-      quant::to_bitplanes(column.data(), cols(), act_bits_in_);
-  if (encoding_ == ActEncoding::kBipolar) {
-    for (int64_t r = 0; r < rows(); ++r)
-      acc[static_cast<size_t>(r)] = static_cast<int32_t>(
-          2 * xnor_popcount(weights_.row_bits[static_cast<size_t>(r)],
-                            planes[0]) -
-          cols());
-    return;
-  }
-  for (int64_t r = 0; r < rows(); ++r) {
-    int64_t sum = 0;
-    for (int b = 0; b < act_bits_in_; ++b)
-      sum += static_cast<int64_t>(
-                 quant::dot_bitplane(weights_, r, planes[static_cast<size_t>(b)]))
-             << b;
-    acc[static_cast<size_t>(r)] = static_cast<int32_t>(sum);
-  }
+  accumulate_batch(column, 1, acc);
 }
 
 void Mvtu::compute(std::span<const uint8_t> column,
                    std::span<uint8_t> out) const {
-  TINCY_CHECK(static_cast<int64_t>(out.size()) == rows());
-  std::vector<int32_t> acc(static_cast<size_t>(rows()));
-  accumulate(column, acc);
-  for (int64_t r = 0; r < rows(); ++r)
-    out[static_cast<size_t>(r)] =
-        thresholds_[static_cast<size_t>(r)].apply(acc[static_cast<size_t>(r)]);
+  compute_batch(column, 1, out);
 }
 
 void Mvtu::accumulate_batch(std::span<const uint8_t> columns, int64_t batch,
                             std::span<int32_t> acc) const {
-  TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
-  TINCY_CHECK(static_cast<int64_t>(columns.size()) == batch * cols());
   TINCY_CHECK(static_cast<int64_t>(acc.size()) == batch * rows());
-  // Decompose every frame's column up front; the row loops below then
-  // model the weights staying resident while the whole batch streams
-  // through (row outer, frame inner).
-  std::vector<std::vector<BitVector>> planes;
-  planes.reserve(static_cast<size_t>(batch));
-  for (int64_t f = 0; f < batch; ++f)
-    planes.push_back(quant::to_bitplanes(columns.data() + f * cols(), cols(),
-                                         act_bits_in_));
-  if (encoding_ == ActEncoding::kBipolar) {
-    for (int64_t r = 0; r < rows(); ++r)
-      for (int64_t f = 0; f < batch; ++f)
-        acc[static_cast<size_t>(f * rows() + r)] = static_cast<int32_t>(
-            2 * xnor_popcount(weights_.row_bits[static_cast<size_t>(r)],
-                              planes[static_cast<size_t>(f)][0]) -
-            cols());
-    return;
-  }
-  for (int64_t r = 0; r < rows(); ++r) {
-    for (int64_t f = 0; f < batch; ++f) {
-      int64_t sum = 0;
-      for (int b = 0; b < act_bits_in_; ++b)
-        sum += static_cast<int64_t>(quant::dot_bitplane(
-                   weights_, r,
-                   planes[static_cast<size_t>(f)][static_cast<size_t>(b)]))
-               << b;
-      acc[static_cast<size_t>(f * rows() + r)] = static_cast<int32_t>(sum);
-    }
-  }
+  const std::vector<uint64_t> planes = pack_columns(columns, batch);
+  gemm::bitserial_gemm(
+      weights_, planes.data(), batch, act_bits_in_,
+      encoding_ == ActEncoding::kBipolar,
+      [&](int64_t j0, int64_t count, const int32_t* block) {
+        std::copy(block, block + count * rows(), acc.begin() + j0 * rows());
+      });
 }
 
 void Mvtu::compute_batch(std::span<const uint8_t> columns, int64_t batch,
                          std::span<uint8_t> out) const {
-  TINCY_CHECK(static_cast<int64_t>(out.size()) == batch * rows());
-  std::vector<int32_t> acc(static_cast<size_t>(batch * rows()));
-  accumulate_batch(columns, batch, acc);
-  for (int64_t f = 0; f < batch; ++f)
-    for (int64_t r = 0; r < rows(); ++r)
-      out[static_cast<size_t>(f * rows() + r)] =
-          thresholds_[static_cast<size_t>(r)].apply(
-              acc[static_cast<size_t>(f * rows() + r)]);
+  const std::vector<uint64_t> planes = pack_columns(columns, batch);
+  compute_planes(planes.data(), batch, 1, out);
+}
+
+void Mvtu::compute_planes(const uint64_t* planes, int64_t frames,
+                          int64_t positions, std::span<uint8_t> out) const {
+  TINCY_CHECK(static_cast<int64_t>(out.size()) ==
+              frames * rows() * positions);
+  const int64_t r_count = rows();
+  gemm::bitserial_gemm(
+      weights_, planes, frames * positions, act_bits_in_,
+      encoding_ == ActEncoding::kBipolar,
+      [&](int64_t j0, int64_t count, const int32_t* block) {
+        for (int64_t jj = 0; jj < count; ++jj) {
+          const int64_t f = (j0 + jj) / positions, p = (j0 + jj) % positions;
+          uint8_t* dst = out.data() + f * r_count * positions + p;
+          const int32_t* acc = block + jj * r_count;
+          for (int64_t r = 0; r < r_count; ++r)
+            dst[r * positions] =
+                thresholds_[static_cast<size_t>(r)].apply(acc[r]);
+        }
+      });
 }
 
 }  // namespace tincy::fabric

@@ -8,47 +8,4 @@ SlidingWindowUnit::SlidingWindowUnit(const gemm::ConvGeometry& g) : geom_(g) {
   TINCY_CHECK_MSG(g.out_height() > 0 && g.out_width() > 0, "degenerate SWU");
 }
 
-void SlidingWindowUnit::emit_column(std::span<const uint8_t> image,
-                                    int64_t index,
-                                    std::span<uint8_t> column) const {
-  TINCY_CHECK(static_cast<int64_t>(image.size()) ==
-              geom_.in_channels * geom_.in_height * geom_.in_width);
-  TINCY_CHECK(static_cast<int64_t>(column.size()) == column_size());
-  TINCY_CHECK_MSG(index >= 0 && index < num_columns(), "column " << index);
-
-  const int64_t oh = index / geom_.out_width();
-  const int64_t ow = index % geom_.out_width();
-  int64_t k = 0;
-  for (int64_t c = 0; c < geom_.in_channels; ++c) {
-    const uint8_t* plane =
-        image.data() + c * geom_.in_height * geom_.in_width;
-    for (int64_t kh = 0; kh < geom_.kernel; ++kh) {
-      const int64_t ih = oh * geom_.stride - geom_.pad + kh;
-      for (int64_t kw = 0; kw < geom_.kernel; ++kw, ++k) {
-        const int64_t iw = ow * geom_.stride - geom_.pad + kw;
-        column[static_cast<size_t>(k)] =
-            (ih < 0 || ih >= geom_.in_height || iw < 0 || iw >= geom_.in_width)
-                ? 0
-                : plane[ih * geom_.in_width + iw];
-      }
-    }
-  }
-}
-
-void SlidingWindowUnit::emit_column_batch(std::span<const uint8_t> images,
-                                          int64_t batch, int64_t index,
-                                          std::span<uint8_t> columns) const {
-  TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
-  const int64_t image_size =
-      geom_.in_channels * geom_.in_height * geom_.in_width;
-  TINCY_CHECK(static_cast<int64_t>(images.size()) == batch * image_size);
-  TINCY_CHECK(static_cast<int64_t>(columns.size()) == batch * column_size());
-  for (int64_t f = 0; f < batch; ++f)
-    emit_column(images.subspan(static_cast<size_t>(f * image_size),
-                               static_cast<size_t>(image_size)),
-                index,
-                columns.subspan(static_cast<size_t>(f * column_size()),
-                                static_cast<size_t>(column_size())));
-}
-
 }  // namespace tincy::fabric

@@ -3,13 +3,11 @@
 /// \file sliding_window.hpp
 /// Sliding Window Unit (SWU): streams the kernel-application footprints of
 /// a CHW code tensor to the MVTU — the hardware realization of im2col.
-/// Functionally it emits exactly the column matrix gemm::im2col produces;
-/// the generator form keeps only one column live, matching the streaming
-/// hardware rather than materializing the K²-inflated matrix.
+/// Functionally the footprints are packed as bit-plane columns by
+/// gemm::im2col_bitplanes; this unit carries the geometry and the cost of
+/// streaming them.
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "gemm/im2col.hpp"
 
@@ -23,16 +21,6 @@ class SlidingWindowUnit {
 
   int64_t num_columns() const { return geom_.num_patches(); }
   int64_t column_size() const { return geom_.patch_size(); }
-
-  /// Writes column `index` (0-based over outH·outW, row-major) of the
-  /// im2col matrix for `image` into `column`.
-  void emit_column(std::span<const uint8_t> image, int64_t index,
-                   std::span<uint8_t> column) const;
-
-  /// Batched form: `images` holds `batch` stacked CHW code maps; column
-  /// `index` of frame f lands at `columns.subspan(f * column_size())`.
-  void emit_column_batch(std::span<const uint8_t> images, int64_t batch,
-                         int64_t index, std::span<uint8_t> columns) const;
 
   /// Cycles to stream one column at `simd` codes per cycle.
   int64_t cycles_per_column(int64_t simd) const {

@@ -1,5 +1,6 @@
 #include "gemm/kernels.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -174,6 +175,23 @@ constexpr MicroKernels kScalarKernels{scalar_i32, scalar_i16shift4,
                                       scalar_gemv};
 constexpr MicroKernels kLanesKernels{lanes_i32, lanes_i16shift4, lanes_gemv};
 
+/// kPortable bit-serial kernel: each weight word is reused for every
+/// activation plane while it sits in a register.
+void portable_bitserial(const uint64_t* w, int64_t rows, int64_t words,
+                        const uint64_t* a, int bits, int64_t* out) {
+  for (int64_t r = 0; r < rows; ++r) {
+    const uint64_t* wr = w + r * words;
+    int64_t sum = 0;
+    for (int b = 0; b < bits; ++b) {
+      const uint64_t* ab = a + b * words;
+      int64_t plane = 0;
+      for (int64_t i = 0; i < words; ++i) plane += std::popcount(wr[i] & ab[i]);
+      sum += plane << b;
+    }
+    out[r] = sum;
+  }
+}
+
 }  // namespace
 
 const char* kernel_name(Kernel k) {
@@ -234,6 +252,43 @@ const MicroKernels& micro_kernels(Kernel resolved) {
     default: break;
   }
   return kLanesKernels;
+}
+
+const char* kernel_name(PopcountKernel k) {
+  switch (k) {
+    case PopcountKernel::kAuto: return "auto";
+    case PopcountKernel::kPortable: return "portable";
+    case PopcountKernel::kPopcnt: return "popcnt";
+    case PopcountKernel::kAvx2: return "avx2";
+    case PopcountKernel::kAvx512: return "avx512";
+  }
+  return "?";
+}
+
+bool kernel_supported(PopcountKernel k) {
+  if (k == PopcountKernel::kAuto) return false;
+  return k == PopcountKernel::kPortable || x86_bitserial_kernel(k) != nullptr;
+}
+
+std::vector<PopcountKernel> dispatchable_popcount_kernels() {
+  std::vector<PopcountKernel> v;
+  for (const PopcountKernel k :
+       {PopcountKernel::kPortable, PopcountKernel::kPopcnt,
+        PopcountKernel::kAvx2, PopcountKernel::kAvx512})
+    if (kernel_supported(k)) v.push_back(k);
+  return v;
+}
+
+PopcountKernel resolve_kernel(PopcountKernel requested) {
+  if (kernel_supported(requested)) return requested;
+  static const PopcountKernel widest = dispatchable_popcount_kernels().back();
+  return widest;
+}
+
+BitSerialFn bitserial_kernel(PopcountKernel resolved) {
+  if (resolved != PopcountKernel::kPortable)
+    if (const BitSerialFn fn = x86_bitserial_kernel(resolved)) return fn;
+  return portable_bitserial;
 }
 
 }  // namespace tincy::gemm

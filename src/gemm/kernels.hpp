@@ -97,4 +97,49 @@ const MicroKernels& micro_kernels(Kernel resolved);
 /// Defined in kernels_avx2.cpp; exposed for the dispatch table only.
 const MicroKernels* avx2_micro_kernels();
 
+// --- Bit-serial popcount variants (gemm/bitserial.hpp) ------------------
+//
+// The W1A<bits> dot product reduces to masked popcounts over 64-bit
+// words. kAuto picks the widest variant the machine runs, as does an
+// explicit request for an unsupported one; tests and benches name a
+// variant explicitly. Every variant returns identical sums —
+// tests/test_bitserial_conformance.cpp.
+
+/// Popcount variant of one bit-serial call.
+enum class PopcountKernel : int {
+  kAuto = 0,  ///< widest supported
+  kPortable,  ///< std::popcount as the baseline ISA compiles it (no POPCNT
+              ///< on x86-64: a bit-twiddling sequence) — the baseline
+  kPopcnt,    ///< scalar POPCNT, cpuid-gated (x86 only)
+  kAvx2,      ///< VPSHUFB nibble table + VPSADBW, 4 words per step
+  kAvx512,    ///< AVX-512 VPOPCNTDQ, 8 words per step
+};
+
+/// Masked-popcount micro-kernel: one packed activation column (`bits`
+/// planes of `words` words, plane b at a + b·words) against `rows`
+/// packed weight rows (row r at w + r·words):
+///   out[r] = Σ_b 2^b · Σ_i popcount(w[r·words + i] & a[b·words + i]).
+using BitSerialFn = void (*)(const uint64_t* w, int64_t rows, int64_t words,
+                             const uint64_t* a, int bits, int64_t* out);
+
+/// Variant name ("auto", "portable", "popcnt", "avx2", "avx512").
+const char* kernel_name(PopcountKernel k);
+
+/// True when the variant runs on this machine (kPortable always).
+bool kernel_supported(PopcountKernel k);
+
+/// The variant a request runs: itself when supported, else (and for
+/// kAuto) the widest supported one.
+PopcountKernel resolve_kernel(PopcountKernel requested);
+
+/// All runnable popcount variants, narrowest first.
+std::vector<PopcountKernel> dispatchable_popcount_kernels();
+
+/// Entry point of a concrete (resolved) popcount variant.
+BitSerialFn bitserial_kernel(PopcountKernel resolved);
+
+/// x86 entry point of kPopcnt / kAvx2 / kAvx512, or nullptr when the
+/// build or machine lacks it. Defined in kernels_popcount_x86.cpp.
+BitSerialFn x86_bitserial_kernel(PopcountKernel k);
+
 }  // namespace tincy::gemm

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_ref.hpp"
@@ -43,6 +44,7 @@ Shape ConvLayer::output_shape() const {
 
 void ConvLayer::invalidate_cached_quantization() {
   binary_cache_.reset();
+  bitserial_cache_.reset();
   binary_float_cache_.reset();
   threshold_cache_.reset();
   lowp_codes_.reset();
@@ -56,21 +58,12 @@ const quant::BinaryMatrix& ConvLayer::binary_weights() const {
   return *binary_cache_;
 }
 
-uint8_t ConvLayer::ChannelThresholds::apply(int32_t acc) const {
-  // At most 2^A − 1 (= 7 for A3) comparators, evaluated in parallel by the
-  // fabric; a scan is exact and fast enough for the golden model.
-  int level = 0;
-  for (const int32_t t : set.thresholds)
-    level += ascending ? (acc >= t) : (acc <= t);
-  return static_cast<uint8_t>(level);
-}
-
-const std::vector<ConvLayer::ChannelThresholds>& ConvLayer::quant_thresholds()
+const std::vector<quant::ThresholdChannel>& ConvLayer::quant_thresholds()
     const {
   if (threshold_cache_) return *threshold_cache_;
   TINCY_CHECK_MSG(cfg_.act_bits < 8,
                   "thresholds requested for non-quantized layer");
-  std::vector<ChannelThresholds> all;
+  std::vector<quant::ThresholdChannel> all;
   all.reserve(static_cast<size_t>(cfg_.filters));
   const int levels = cfg_.bipolar ? 1 : (1 << cfg_.act_bits) - 1;
   for (int64_t c = 0; c < cfg_.filters; ++c) {
@@ -84,8 +77,8 @@ const std::vector<ConvLayer::ChannelThresholds>& ConvLayer::quant_thresholds()
       slope *= bn_scales_[c] * inv_sigma;
       intercept -= bn_scales_[c] * inv_sigma * bn_mean_[c];
     }
-    ChannelThresholds ct;
-    ct.set.thresholds.reserve(static_cast<size_t>(levels));
+    quant::ThresholdChannel ct;
+    ct.thresholds.reserve(static_cast<size_t>(levels));
     for (int k = 1; k <= levels; ++k) {
       // Bipolar output: the single comparator is the sign of z; unsigned
       // grids place a comparator at every half-step.
@@ -93,16 +86,16 @@ const std::vector<ConvLayer::ChannelThresholds>& ConvLayer::quant_thresholds()
           cfg_.bipolar ? 0.0 : static_cast<double>(cfg_.out_scale) * (k - 0.5);
       if (slope > 0.0) {
         ct.ascending = true;
-        ct.set.thresholds.push_back(static_cast<int32_t>(
+        ct.thresholds.push_back(static_cast<int32_t>(
             std::ceil((target - intercept) / slope - 1e-9)));
       } else if (slope < 0.0) {
         ct.ascending = false;
-        ct.set.thresholds.push_back(static_cast<int32_t>(
+        ct.thresholds.push_back(static_cast<int32_t>(
             std::floor((target - intercept) / slope + 1e-9)));
       } else {
         // Degenerate zero slope: the level is constant in acc.
         ct.ascending = true;
-        ct.set.thresholds.push_back(intercept >= target
+        ct.thresholds.push_back(intercept >= target
                                         ? std::numeric_limits<int32_t>::min()
                                         : std::numeric_limits<int32_t>::max());
       }
@@ -230,29 +223,30 @@ void ConvLayer::forward_quant_reference(const Tensor& in, Tensor& out) {
     codes = quant::quantize_activations(in, in_q);
   }
   // Zero padding is exact on the unsigned grid: real 0.0 is code 0.
-  TensorU8 columns = gemm::im2col(codes, geom_, 0);
+  const int bits = cfg_.act_bits;  // 1 for bipolar layers
+  const int64_t n = geom_.num_patches();
+  const auto planes = std::make_unique_for_overwrite<uint64_t[]>(
+      static_cast<size_t>(n * bits * gemm::bitplane_words(geom_.patch_size())));
+  gemm::im2col_bitplanes(codes.data(), geom_, bits, planes.get());
 
-  const quant::BinaryMatrix& bw = binary_weights();
+  if (!bitserial_cache_)
+    bitserial_cache_ = gemm::pack_bitserial(binary_weights(), geom_.kernel);
   const auto& thresholds = quant_thresholds();
-  const int64_t patch = geom_.patch_size(), n = geom_.num_patches();
+  const int64_t filters = cfg_.filters;
   const quant::BipolarActQuant out_bq{cfg_.out_scale};
-  for (int64_t c = 0; c < cfg_.filters; ++c) {
-    const auto& row = bw.row_bits[static_cast<size_t>(c)];
-    for (int64_t j = 0; j < n; ++j) {
-      int32_t acc = 0;
-      for (int64_t k = 0; k < patch; ++k) {
-        // Bipolar codes decode to ±1; unsigned codes are their own value.
-        const int32_t a = cfg_.bipolar
-                              ? (columns[k * n + j] ? 1 : -1)
-                              : static_cast<int32_t>(columns[k * n + j]);
-        acc += row.get(k) ? a : -a;
-      }
-      const uint8_t level = thresholds[static_cast<size_t>(c)].apply(acc);
-      out[c * n + j] = cfg_.bipolar
-                           ? out_bq.dequantize(level)
-                           : cfg_.out_scale * static_cast<float>(level);
-    }
-  }
+  gemm::bitserial_gemm(
+      *bitserial_cache_, planes.get(), n, bits, cfg_.bipolar,
+      [&](int64_t j0, int64_t count, const int32_t* acc) {
+        for (int64_t c = 0; c < filters; ++c) {
+          const auto& th = thresholds[static_cast<size_t>(c)];
+          float* row = out.data() + c * n + j0;
+          for (int64_t jj = 0; jj < count; ++jj) {
+            const uint8_t level = th.apply(acc[jj * filters + c]);
+            row[jj] = cfg_.bipolar ? out_bq.dequantize(level)
+                                   : cfg_.out_scale * static_cast<float>(level);
+          }
+        }
+      });
 }
 
 void ConvLayer::forward(const Tensor& in, Tensor& out) {

@@ -10,8 +10,9 @@
 ///  * kFirstLayerF32 / kFirstLayerAcc32 / kFirstLayerAcc16
 ///                    — the fully specialized 16×27 kernels,
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
-///    weights, thresholded activations); this is the golden model the
-///    fabric accelerator must reproduce exactly.
+///    weights, thresholded activations) on the bit-serial kernel
+///    (gemm/bitserial.hpp); this is the golden model the fabric
+///    accelerator must reproduce exactly.
 ///
 /// Batch normalization is applied inference-style from stored statistics;
 /// in the quantized path it folds into the activation thresholds just as
@@ -20,6 +21,7 @@
 #include <optional>
 #include <vector>
 
+#include "gemm/bitserial.hpp"
 #include "gemm/first_layer.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
@@ -91,16 +93,10 @@ class ConvLayer final : public Layer {
   const Tensor& bn_var() const { return bn_var_; }
 
   /// Per-output-channel activation thresholds of the quantized path, as the
-  /// fabric consumes them. Channel c compares the raw ±1/A-bit accumulator:
-  /// with positive batch-norm slope the level is |{k : acc >= T_k}|, with
-  /// negative slope the comparison flips. Only valid for quantized layers.
-  struct ChannelThresholds {
-    quant::ThresholdSet set;
-    bool ascending = true;  ///< false when the BN slope is negative.
-    uint8_t apply(int32_t acc) const;
-  };
-  /// Derives (and caches) the fold of bias/BN/activation into thresholds.
-  const std::vector<ChannelThresholds>& quant_thresholds() const;
+  /// fabric consumes them: the fold of bias/BN/activation over the raw
+  /// ±1/A-bit accumulator (derived once and cached). Only valid for
+  /// quantized layers.
+  const std::vector<quant::ThresholdChannel>& quant_thresholds() const;
 
   /// Binarized weight matrix of the quantized path (bit = sign).
   const quant::BinaryMatrix& binary_weights() const;
@@ -125,8 +121,9 @@ class ConvLayer final : public Layer {
 
   // Lazy caches of derived quantized weight forms.
   mutable std::optional<quant::BinaryMatrix> binary_cache_;
+  mutable std::optional<gemm::BitSerialWeights> bitserial_cache_;
   mutable std::optional<Tensor> binary_float_cache_;
-  mutable std::optional<std::vector<ChannelThresholds>> threshold_cache_;
+  mutable std::optional<std::vector<quant::ThresholdChannel>> threshold_cache_;
   mutable std::optional<TensorU8> lowp_codes_;
   mutable std::optional<quant::AffineParams> lowp_params_;
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:

@@ -99,12 +99,7 @@ std::vector<fabric::BinparamLayer> extract_stages(const nn::Network& subnet) {
     }
 
     stage.weights = conv->binary_weights();
-    for (const auto& ch : conv->quant_thresholds()) {
-      fabric::ThresholdChannel fch;
-      fch.thresholds = ch.set.thresholds;
-      fch.ascending = ch.ascending;
-      stage.thresholds.push_back(std::move(fch));
-    }
+    stage.thresholds = conv->quant_thresholds();
     stages.push_back(std::move(stage));
   }
   TINCY_CHECK_MSG(!stages.empty(), "offload subtopology is empty");
@@ -116,8 +111,7 @@ fabric::QnnAccelerator import_accelerator(const nn::Network& subnet,
                                           fabric::Device device) {
   fabric::QnnAccelerator acc(model, device);
   for (auto& stage : extract_stages(subnet))
-    acc.add_layer(stage.spec, std::move(stage.weights),
-                  std::move(stage.thresholds));
+    acc.add_layer(stage.spec, stage.weights, std::move(stage.thresholds));
   return acc;
 }
 

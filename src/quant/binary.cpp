@@ -14,10 +14,10 @@ BinaryMatrix binarize(const Tensor& weights, bool with_scale) {
   for (int64_t r = 0; r < m.rows; ++r) {
     BitVector bits(m.cols);
     double abs_sum = 0.0;
+    const float* row = weights.data() + r * m.cols;
     for (int64_t c = 0; c < m.cols; ++c) {
-      const float w = weights.at2(r, c);
-      bits.set(c, w >= 0.0f);
-      abs_sum += std::fabs(w);
+      bits.set(c, row[c] >= 0.0f);
+      abs_sum += std::fabs(row[c]);
     }
     m.row_bits.push_back(std::move(bits));
     m.row_scale.push_back(
@@ -33,12 +33,6 @@ Tensor dequantize(const BinaryMatrix& m) {
   for (int64_t r = 0; r < m.rows; ++r)
     for (int64_t c = 0; c < m.cols; ++c) t.at2(r, c) = m.value(r, c);
   return t;
-}
-
-int64_t dot_bitplane(const BinaryMatrix& m, int64_t row,
-                     const BitVector& plane) {
-  TINCY_CHECK_MSG(row >= 0 && row < m.rows, "row " << row);
-  return signed_binary_dot(m.row_bits[static_cast<size_t>(row)], plane);
 }
 
 }  // namespace tincy::quant

@@ -37,9 +37,4 @@ BinaryMatrix binarize(const Tensor& weights, bool with_scale = false);
 /// Reconstructs the (scaled) ±1 float matrix for reference computations.
 Tensor dequantize(const BinaryMatrix& m);
 
-/// Integer dot product of one binary row with a {0,1} activation bit-plane;
-/// see signed_binary_dot in core/bitvector.hpp.
-int64_t dot_bitplane(const BinaryMatrix& m, int64_t row,
-                     const BitVector& plane);
-
 }  // namespace tincy::quant

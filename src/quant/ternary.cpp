@@ -51,14 +51,4 @@ Tensor dequantize(const TernaryMatrix& m) {
   return t;
 }
 
-int64_t dot_bitplane(const TernaryMatrix& m, int64_t row,
-                     const BitVector& plane) {
-  TINCY_CHECK_MSG(row >= 0 && row < m.rows, "row " << row);
-  const auto ri = static_cast<size_t>(row);
-  const int64_t pos = popcount_and(m.positive[ri], plane);
-  // Negative weights are nonzero ∧ ¬positive.
-  int64_t nonzero_hits = popcount_and(m.nonzero[ri], plane);
-  return pos - (nonzero_hits - pos);
-}
-
 }  // namespace tincy::quant

@@ -41,9 +41,4 @@ TernaryMatrix ternarize(const Tensor& weights, bool with_scale = true);
 /// Reconstructs the float matrix for reference computations.
 Tensor dequantize(const TernaryMatrix& m);
 
-/// Σ w_i · a_i for one row against a {0,1} activation bit-plane, using two
-/// masked popcounts (pos∧a minus neg∧a) — the fabric-friendly form.
-int64_t dot_bitplane(const TernaryMatrix& m, int64_t row,
-                     const BitVector& plane);
-
 }  // namespace tincy::quant

@@ -8,14 +8,12 @@
 /// collapses into a set of integer thresholds applied to the raw dot
 /// product accumulator: the A-bit output level is simply the number of
 /// thresholds the accumulator reaches. This file provides the uniform
-/// activation quantizer used on feature maps (the paper's 3-bit data),
-/// the threshold form of it over integer accumulators, and bit-plane
-/// decomposition for XNOR-popcount dot products.
+/// activation quantizer used on feature maps (the paper's 3-bit data) and
+/// the threshold form of it over integer accumulators.
 
 #include <cstdint>
 #include <vector>
 
-#include "core/bitvector.hpp"
 #include "core/tensor.hpp"
 
 namespace tincy::quant {
@@ -38,40 +36,44 @@ TensorU8 quantize_activations(const Tensor& t, const UniformActQuant& q);
 /// Reconstructs float values from A-bit codes.
 Tensor dequantize_activations(const TensorU8& t, const UniformActQuant& q);
 
-/// Ascending integer thresholds mapping an int32 accumulator to an A-bit
-/// level: level(acc) = |{ k : acc >= thresholds[k] }|. One instance per
-/// output channel in the MVTU.
-struct ThresholdSet {
-  std::vector<int32_t> thresholds;  ///< size 2^A − 1, ascending.
+/// Per-output-channel threshold unit (the "T" of the MVTU): the A-bit
+/// output level is the number of satisfied comparisons. With a positive
+/// folded batch-norm slope the thresholds ascend and level(acc) =
+/// |{ k : acc >= thresholds[k] }|; `ascending` is false when the slope is
+/// negative and the comparisons flip to acc <= thresholds[k]. Shared by
+/// the CPU golden model and the fabric.
+struct ThresholdChannel {
+  std::vector<int32_t> thresholds;  ///< 2^A − 1 entries (1 for bipolar)
+  bool ascending = true;
 
-  /// The quantized output level of a raw accumulator.
-  uint8_t apply(int32_t acc) const;
+  /// The quantized output level of a raw accumulator. At most 2^A − 1
+  /// comparators, evaluated in parallel by the fabric; a scan is exact.
+  uint8_t apply(int32_t acc) const {
+    int level = 0;
+    if (ascending)
+      for (const int32_t t : thresholds) level += acc >= t;
+    else
+      for (const int32_t t : thresholds) level += acc <= t;
+    return static_cast<uint8_t>(level);
+  }
 };
 
-/// Builds the ThresholdSet equivalent to `scale_out`-uniform quantization of
-/// (acc_scale * acc + bias) after ReLU: level k is reached when
-/// acc_scale*acc + bias >= scale_out*(k − 0.5), i.e. the standard FINN
-/// fold of bias/batch-norm + activation into thresholds.
-ThresholdSet fold_to_thresholds(int act_bits, float acc_scale, float bias,
-                                float out_scale);
+/// Builds the ascending ThresholdChannel equivalent to `scale_out`-uniform
+/// quantization of (acc_scale * acc + bias) after ReLU: level k is reached
+/// when acc_scale*acc + bias >= scale_out*(k − 0.5), i.e. the standard
+/// FINN fold of bias/batch-norm + activation into thresholds.
+ThresholdChannel fold_to_thresholds(int act_bits, float acc_scale,
+                                    float bias, float out_scale);
 
 /// Bipolar (±1) activation quantizer — the fully binarized W1A1 encoding
 /// of Hubara et al. used by the MLP-4 / CNV-6 workloads: bit 1 encodes
-/// +scale, bit 0 encodes −scale. With ±1 weights the dot product becomes
-/// 2·xnor_popcount − n.
+/// +scale, bit 0 encodes −scale. With ±1 weights the dot product is a
+/// single popcount (gemm/bitserial.hpp).
 struct BipolarActQuant {
   float scale = 1.0f;
 
   uint8_t quantize(float x) const { return x >= 0.0f ? 1 : 0; }
   float dequantize(uint8_t code) const { return code ? scale : -scale; }
 };
-
-/// Splits a vector of A-bit activation codes into A bit-planes; plane b
-/// holds bit b of every code. This is the input format of the bit-serial
-/// MVTU dot product.
-std::vector<BitVector> to_bitplanes(const uint8_t* codes, int64_t n, int bits);
-
-/// Reassembles codes from bit-planes (inverse of to_bitplanes).
-std::vector<uint8_t> from_bitplanes(const std::vector<BitVector>& planes);
 
 }  // namespace tincy::quant

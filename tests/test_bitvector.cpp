@@ -36,63 +36,21 @@ TEST(BitVector, BoundsChecked) {
   EXPECT_THROW(v.set(-1, true), Error);
 }
 
-TEST(BitVector, SizeMismatchThrows) {
-  BitVector a(10), b(11);
-  EXPECT_THROW(popcount_and(a, b), Error);
-  EXPECT_THROW(xnor_popcount(a, b), Error);
-}
-
-class BitVectorProperty : public ::testing::TestWithParam<int64_t> {};
-
-TEST_P(BitVectorProperty, PopcountsMatchNaive) {
-  const int64_t n = GetParam();
-  Rng rng(100 + static_cast<uint64_t>(n));
-  for (int rep = 0; rep < 10; ++rep) {
-    const BitVector a = random_bits(rng, n);
-    const BitVector b = random_bits(rng, n);
-    int64_t and_cnt = 0, andnot_cnt = 0, xnor_cnt = 0, sdot = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      and_cnt += a.get(i) && b.get(i);
-      andnot_cnt += !a.get(i) && b.get(i);
-      xnor_cnt += a.get(i) == b.get(i);
-      sdot += b.get(i) ? (a.get(i) ? 1 : -1) : 0;
-    }
-    EXPECT_EQ(popcount_and(a, b), and_cnt);
-    EXPECT_EQ(popcount_andnot(a, b), andnot_cnt);
-    EXPECT_EQ(xnor_popcount(a, b), xnor_cnt);
-    EXPECT_EQ(signed_binary_dot(a, b), sdot);
-  }
-}
-
-// Sizes crossing word boundaries, incl. exactly 64 and 128.
-INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorProperty,
-                         ::testing::Values(1, 7, 63, 64, 65, 127, 128, 129,
-                                           1000));
-
-TEST(BitVector, XnorIdentity) {
-  Rng rng(5);
-  const BitVector a = random_bits(rng, 100);
-  // XNOR with itself counts every bit.
-  EXPECT_EQ(xnor_popcount(a, a), 100);
-}
-
-TEST(BitVector, SignedDotBipolarIdentity) {
-  // For W1A1 arithmetic: Σ w·a over bipolar values = 2·xnor_popcount − n.
-  Rng rng(6);
-  const int64_t n = 200;
-  const BitVector w = random_bits(rng, n);
-  const BitVector a = random_bits(rng, n);
-  int64_t bipolar = 0;
-  for (int64_t i = 0; i < n; ++i)
-    bipolar += (w.get(i) ? 1 : -1) * (a.get(i) ? 1 : -1);
-  EXPECT_EQ(bipolar, 2 * xnor_popcount(w, a) - n);
-}
-
 TEST(BitVector, EmptyVector) {
-  const BitVector a(0), b(0);
-  EXPECT_EQ(xnor_popcount(a, b), 0);
-  EXPECT_EQ(popcount_and(a, b), 0);
+  const BitVector a(0);
   EXPECT_EQ(a.popcount(), 0);
+  EXPECT_TRUE(a.words().empty());
+}
+
+TEST(BitVector, PopcountAcrossWordBoundaries) {
+  Rng rng(100);
+  for (const int64_t n : {1, 7, 63, 64, 65, 127, 128, 129, 1000}) {
+    const BitVector v = random_bits(rng, n);
+    int64_t expected = 0;
+    for (int64_t i = 0; i < n; ++i) expected += v.get(i);
+    EXPECT_EQ(v.popcount(), expected) << n << " bits";
+    EXPECT_EQ(static_cast<int64_t>(v.words().size()), (n + 63) / 64);
+  }
 }
 
 }  // namespace

@@ -126,21 +126,6 @@ TEST(Ternary, TwnRule) {
   EXPECT_DOUBLE_EQ(m.sparsity(), 3.0 / 5.0);
 }
 
-TEST(Ternary, DotBitplaneMatchesNaive) {
-  Rng rng(5);
-  Tensor w(Shape{3, 100});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const TernaryMatrix m = ternarize(w, /*with_scale=*/false);
-  BitVector plane(100);
-  for (int64_t i = 0; i < 100; ++i) plane.set(i, rng.bernoulli(0.5));
-  for (int64_t r = 0; r < 3; ++r) {
-    int64_t expected = 0;
-    for (int64_t c = 0; c < 100; ++c)
-      if (plane.get(c)) expected += static_cast<int64_t>(m.value(r, c));
-    EXPECT_EQ(dot_bitplane(m, r, plane), expected);
-  }
-}
-
 TEST(UniformActQuant, ThreeBitGrid) {
   const UniformActQuant q{3, 0.5f};
   EXPECT_EQ(q.levels(), 7);
@@ -152,7 +137,7 @@ TEST(UniformActQuant, ThreeBitGrid) {
 }
 
 TEST(Thresholds, ApplyCountsCrossings) {
-  ThresholdSet ts{{-5, 0, 10}};
+  const ThresholdChannel ts{{-5, 0, 10}};
   EXPECT_EQ(ts.apply(-6), 0);
   EXPECT_EQ(ts.apply(-5), 1);
   EXPECT_EQ(ts.apply(0), 2);
@@ -169,7 +154,7 @@ TEST(Thresholds, FoldMatchesFloatQuantization) {
     const float acc_scale = rng.uniform(0.01f, 0.5f);
     const float bias = rng.uniform(-2.0f, 2.0f);
     const float out_scale = rng.uniform(0.1f, 1.0f);
-    const ThresholdSet ts =
+    const ThresholdChannel ts =
         fold_to_thresholds(bits, acc_scale, bias, out_scale);
     const UniformActQuant q{bits, out_scale};
     for (int32_t acc = -200; acc <= 200; ++acc) {
@@ -180,32 +165,6 @@ TEST(Thresholds, FoldMatchesFloatQuantization) {
       EXPECT_EQ(ts.apply(acc), q.quantize(real))
           << "acc=" << acc << " bits=" << bits;
     }
-  }
-}
-
-TEST(Bitplanes, RoundTrip) {
-  Rng rng(7);
-  for (const int bits : {1, 2, 3, 4, 8}) {
-    std::vector<uint8_t> codes(257);
-    for (auto& c : codes)
-      c = static_cast<uint8_t>(rng.uniform_int(0, (1 << bits) - 1));
-    const auto planes =
-        to_bitplanes(codes.data(), static_cast<int64_t>(codes.size()), bits);
-    ASSERT_EQ(planes.size(), static_cast<size_t>(bits));
-    EXPECT_EQ(from_bitplanes(planes), codes);
-  }
-}
-
-TEST(Bitplanes, WeightedSumIdentity) {
-  // Σ_b 2^b · plane_b(i) == code(i): the identity the MVTU relies on.
-  Rng rng(8);
-  std::vector<uint8_t> codes(100);
-  for (auto& c : codes) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  const auto planes = to_bitplanes(codes.data(), 100, 3);
-  for (int64_t i = 0; i < 100; ++i) {
-    int sum = 0;
-    for (int b = 0; b < 3; ++b) sum += planes[static_cast<size_t>(b)].get(i) << b;
-    EXPECT_EQ(sum, codes[static_cast<size_t>(i)]);
   }
 }
 

@@ -123,11 +123,11 @@ TEST(QuantConv, ThresholdsMonotoneAscending) {
   Rng rng(78);
   const auto layer = make_quant_conv(rng, 3, 6, 16, 1, true, 0.25f, 0.5f);
   for (const auto& ch : layer->quant_thresholds()) {
-    for (size_t k = 1; k < ch.set.thresholds.size(); ++k) {
+    for (size_t k = 1; k < ch.thresholds.size(); ++k) {
       if (ch.ascending)
-        EXPECT_LE(ch.set.thresholds[k - 1], ch.set.thresholds[k]);
+        EXPECT_LE(ch.thresholds[k - 1], ch.thresholds[k]);
       else
-        EXPECT_GE(ch.set.thresholds[k - 1], ch.set.thresholds[k]);
+        EXPECT_GE(ch.thresholds[k - 1], ch.thresholds[k]);
     }
   }
 }

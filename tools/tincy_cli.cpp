@@ -12,7 +12,7 @@
 //   tincy export-binparam <cfg> <weights|-> <dir>
 //                                               fabric parameter export
 //   tincy ladder                                the Sec. III speedup ladder
-//   tincy kernels                               GEMM micro-kernel dispatch
+//   tincy kernels                               GEMM + popcount kernel dispatch
 //                                               table on this machine
 //
 // Global flags (any subcommand):
@@ -309,6 +309,18 @@ int cmd_kernels() {
   else
     std::printf("TINCY_GEMM_KERNEL unset (set to scalar|lanes|avx2 to "
                 "override kAuto)\n");
+
+  // The bit-serial W1A<bits> kernel's popcount variants.
+  const gemm::PopcountKernel pop_resolved =
+      gemm::resolve_kernel(gemm::PopcountKernel::kAuto);
+  std::printf("bit-serial popcount variants (gemm/bitserial.hpp):\n");
+  for (const gemm::PopcountKernel k :
+       {gemm::PopcountKernel::kPortable, gemm::PopcountKernel::kPopcnt,
+        gemm::PopcountKernel::kAvx2, gemm::PopcountKernel::kAvx512}) {
+    std::printf("  %-9s %-11s%s\n", gemm::kernel_name(k),
+                gemm::kernel_supported(k) ? "supported" : "unavailable",
+                k == pop_resolved ? "  <- dispatched by kAuto" : "");
+  }
   return 0;
 }
 
