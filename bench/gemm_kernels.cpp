@@ -1,8 +1,9 @@
-// Host microbenchmarks of the §III-D kernel progression for the first
-// convolutional layer. Absolute times are host times, not A53 times; the
-// *relative* ordering (generic < fused < specialized; quantized variants
-// improving data locality) is the property being validated against the
-// paper's 620 → 295 → 160 → 140 → 120 ms ladder.
+// Host microbenchmarks of the CPU conv paths on the paper's first
+// convolutional layer shape (3 -> 16 channels, k3), and of the GEMMs
+// underneath them. Absolute times are host times, not A53 times. The
+// paper's 620 -> 295 -> 160 -> 140 -> 120 ms ladder of specialized 16x27
+// kernels lives in the perf model (src/perf); the runtime keeps one float
+// oracle, one fused float path and one packed 8-bit path, timed here.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +16,6 @@
 
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
-#include "gemm/first_layer.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/gemm_ref.hpp"
@@ -35,7 +35,8 @@ struct Fixture {
   Tensor bias{Shape{16}};
   Tensor out;
   quant::AffineParams in_params;
-  gemm::SymmetricWeights sym;
+  quant::AffineParams w_params;
+  gemm::PackedLhs packed;
 
   Fixture() {
     Rng rng(1);
@@ -45,7 +46,9 @@ struct Fixture {
     for (int64_t i = 0; i < bias.numel(); ++i) bias[i] = rng.normal();
     out = Tensor(Shape{16, g.num_patches()});
     in_params = quant::choose_affine_params(0.0f, 1.0f);
-    sym = gemm::quantize_symmetric(weights);
+    w_params = quant::choose_affine_params(-2.0f, 2.0f);
+    const TensorU8 wq = quant::quantize(weights, w_params);
+    packed = gemm::pack_lhs(wq.data(), 16, 27, w_params.zero_point);
   }
 };
 
@@ -74,75 +77,32 @@ void BM_Conv_FusedSlicedF32(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv_FusedSlicedF32);
 
-void BM_Conv_LowpGemm(benchmark::State& state) {
-  auto& f = fixture();
-  const auto wp = quant::choose_affine_params(-2.0f, 2.0f);
-  const TensorU8 wq = quant::quantize(f.weights, wp);
-  for (auto _ : state) {
-    gemm::conv_lowp_f32out(f.image.data(), f.g, f.in_params, wq.data(), wp,
-                           16, f.bias.data(), f.out.data());
-    benchmark::DoNotOptimize(f.out.data());
-  }
-}
-BENCHMARK(BM_Conv_LowpGemm);
-
+// The layer's path: weights packed once (ConvLayer caches the panels).
 void BM_Conv_FusedLowp(benchmark::State& state) {
   auto& f = fixture();
-  const auto wp = quant::choose_affine_params(-2.0f, 2.0f);
-  const TensorU8 wq = quant::quantize(f.weights, wp);
   for (auto _ : state) {
-    gemm::fused_conv_lowp_f32out(f.image.data(), f.g, f.in_params, wq.data(),
-                                 wp, 16, f.bias.data(), f.out.data());
+    gemm::fused_conv_lowp_f32out(f.image.data(), f.g, f.in_params, f.packed,
+                                 f.w_params, f.bias.data(), f.out.data());
     benchmark::DoNotOptimize(f.out.data());
   }
 }
 BENCHMARK(BM_Conv_FusedLowp);
 
-void BM_FirstLayer_SpecF32(benchmark::State& state) {
-  auto& f = fixture();
-  for (auto _ : state) {
-    gemm::first_layer_f32(f.image.data(), f.g, f.weights.data(),
-                          f.bias.data(), f.out.data());
-    benchmark::DoNotOptimize(f.out.data());
-  }
-}
-BENCHMARK(BM_FirstLayer_SpecF32);
-
-void BM_FirstLayer_SpecAcc32(benchmark::State& state) {
-  auto& f = fixture();
-  for (auto _ : state) {
-    gemm::first_layer_lowp_acc32(f.image.data(), f.g, f.in_params, f.sym,
-                                 f.bias.data(), f.out.data());
-    benchmark::DoNotOptimize(f.out.data());
-  }
-}
-BENCHMARK(BM_FirstLayer_SpecAcc32);
-
-void BM_FirstLayer_SpecAcc16(benchmark::State& state) {
-  auto& f = fixture();
-  for (auto _ : state) {
-    gemm::first_layer_lowp_acc16(f.image.data(), f.g, f.in_params, f.sym,
-                                 f.bias.data(), f.out.data());
-    benchmark::DoNotOptimize(f.out.data());
-  }
-}
-BENCHMARK(BM_FirstLayer_SpecAcc16);
-
 // The algorithmic simplification (d): stride 2 quarters the applications.
-void BM_FirstLayer_SpecAcc16_Stride2(benchmark::State& state) {
+void BM_Conv_FusedLowp_Stride2(benchmark::State& state) {
   auto& f = fixture();
   gemm::ConvGeometry g2 = f.g;
   g2.stride = 2;
   Tensor out(Shape{16, g2.num_patches()});
   for (auto _ : state) {
-    gemm::first_layer_lowp_acc16(f.image.data(), g2, f.in_params, f.sym,
-                                 f.bias.data(), out.data());
+    gemm::fused_conv_lowp_f32out(f.image.data(), g2, f.in_params, f.packed,
+                                 f.w_params, f.bias.data(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_FirstLayer_SpecAcc16_Stride2);
+BENCHMARK(BM_Conv_FusedLowp_Stride2);
 
-// --- Raw GEMM variants at a hidden-layer-like size (128 × 2704 × 576) ---
+// --- Float reference GEMM at a hidden-layer-like size (128 × 2704 × 576) ---
 
 struct GemmFixture {
   static constexpr int64_t M = 128, N = 2704, K = 576;
@@ -167,24 +127,6 @@ void BM_Gemm_Reference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Gemm_Reference);
-
-void BM_Gemm_Lanes(benchmark::State& state) {
-  auto& f = gemm_fixture();
-  for (auto _ : state) {
-    gemm::gemm_f32_lanes(f.M, f.N, f.K, f.a.data(), f.b.data(), f.c.data());
-    benchmark::DoNotOptimize(f.c.data());
-  }
-}
-BENCHMARK(BM_Gemm_Lanes);
-
-void BM_Gemm_Blocked(benchmark::State& state) {
-  auto& f = gemm_fixture();
-  for (auto _ : state) {
-    gemm::gemm_f32_blocked(f.M, f.N, f.K, f.a.data(), f.b.data(), f.c.data());
-    benchmark::DoNotOptimize(f.c.data());
-  }
-}
-BENCHMARK(BM_Gemm_Blocked);
 
 // --- Quantized GEMM engine (packed/tiled/threaded, gemm_packed.hpp) ---
 

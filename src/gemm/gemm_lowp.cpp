@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "gemm/scratch.hpp"
-#include "simd/vec.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 
 namespace tincy::gemm {
 
@@ -24,41 +24,6 @@ void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
   }
 }
 
-void gemm_lowp_i32_lanes(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                         int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                         int32_t* C) {
-  using namespace simd;
-  // Process 8 output columns per step: widen both operands to i16 lanes,
-  // VMULL.S16 into i32x4 halves, accumulate.
-  const int64_t n8 = N - (N % 8);
-  const I16x8 vzb = I16x8::splat(static_cast<int16_t>(rhs_zero));
-  for (int64_t i = 0; i < M; ++i) {
-    for (int64_t j = 0; j < n8; j += 8) {
-      I32x4 acc_lo = I32x4::splat(0), acc_hi = I32x4::splat(0);
-      for (int64_t k = 0; k < K; ++k) {
-        const int16_t a16 =
-            static_cast<int16_t>(static_cast<int32_t>(A[i * K + k]) - lhs_zero);
-        // Load 8 consecutive B codes of this row, widen, center.
-        U8x16 braw{};
-        for (int l = 0; l < 8; ++l) braw.lane[l] = B[k * N + j + l];
-        const I16x8 b16 = sub(widen_low(braw), vzb);
-        const auto [b_lo, b_hi] = split(b16);
-        acc_lo = add(acc_lo, widening_mul(I16x4::splat(a16), b_lo));
-        acc_hi = add(acc_hi, widening_mul(I16x4::splat(a16), b_hi));
-      }
-      acc_lo.store(C + i * N + j);
-      acc_hi.store(C + i * N + j + 4);
-    }
-    for (int64_t j = n8; j < N; ++j) {
-      int32_t acc = 0;
-      for (int64_t k = 0; k < K; ++k)
-        acc += (static_cast<int32_t>(A[i * K + k]) - lhs_zero) *
-               (static_cast<int32_t>(B[k * N + j]) - rhs_zero);
-      C[i * N + j] = acc;
-    }
-  }
-}
-
 void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,
                   int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
                   const quant::Requantizer& requant, uint8_t* C) {
@@ -71,122 +36,6 @@ void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,
   for (int64_t i = 0; i < M * N; ++i) C[i] = requant.apply(acc[i]);
 }
 
-namespace {
-
-/// Shared implementation of the unfused conv path over a packed weight
-/// view: quantize + im2col into arena scratch, one packed GEMM, f32 out.
-void conv_lowp_impl(const float* image, const ConvGeometry& g,
-                    const quant::AffineParams& input_params,
-                    const PackedLhsView& weights,
-                    const quant::AffineParams& weight_params,
-                    const float* bias, float* out) {
-  // Same im2col vs. GEMM attribution as the float path (Table III).
-  auto& registry = telemetry::MetricsRegistry::global();
-  static telemetry::Histogram& im2col_hist =
-      registry.histogram("gemm.im2col_ms");
-  static telemetry::Histogram& gemm_hist = registry.histogram("gemm.gemm_ms");
-
-  const int64_t patch = g.patch_size(), n = g.num_patches();
-  const int64_t out_channels = weights.rows;
-  auto& arena = thread_arena();
-  ScratchScope scope(arena);
-  uint8_t* qimage =
-      arena.alloc<uint8_t>(g.in_channels * g.in_height * g.in_width);
-  uint8_t* columns = arena.alloc<uint8_t>(patch * n);
-  {
-    // Quantize the image while arranging the multiplicand (paper §III-D):
-    // quantize once, then im2col over codes with the zero-point as padding.
-    telemetry::ScopedTimer span(im2col_hist);
-    const int64_t pixels = g.in_channels * g.in_height * g.in_width;
-    for (int64_t i = 0; i < pixels; ++i)
-      qimage[i] = input_params.quantize(image[i]);
-    im2col(qimage, g, columns, static_cast<uint8_t>(input_params.zero_point));
-  }
-
-  telemetry::ScopedTimer span(gemm_hist);
-  int32_t* acc = arena.alloc<int32_t>(out_channels * n);
-  gemm_lowp_packed(weights, columns, input_params.zero_point, n, acc);
-  const float real_scale = input_params.scale * weight_params.scale;
-  for (int64_t m = 0; m < out_channels; ++m) {
-    const float b = bias ? bias[m] : 0.0f;
-    for (int64_t j = 0; j < n; ++j)
-      out[m * n + j] = real_scale * static_cast<float>(acc[m * n + j]) + b;
-  }
-}
-
-}  // namespace
-
-void conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                      const quant::AffineParams& input_params,
-                      const PackedLhsView& weights,
-                      const quant::AffineParams& weight_params,
-                      const float* bias, float* out) {
-  conv_lowp_impl(image, g, input_params, weights, weight_params, bias, out);
-}
-
-void conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                      const quant::AffineParams& input_params,
-                      const uint8_t* weights,
-                      const quant::AffineParams& weight_params,
-                      int64_t out_channels, const float* bias, float* out) {
-  static telemetry::Histogram& pack_hist =
-      telemetry::MetricsRegistry::global().histogram("gemm.pack_ms");
-  const int64_t patch = g.patch_size();
-  auto& arena = thread_arena();
-  ScratchScope scope(arena);
-  uint8_t* panels = arena.alloc<uint8_t>(packed_lhs_bytes(out_channels, patch));
-  int32_t* row_sums = arena.alloc<int32_t>(out_channels);
-  {
-    telemetry::ScopedTimer span(pack_hist);
-    pack_lhs_into(weights, out_channels, patch, weight_params.zero_point,
-                  panels, row_sums);
-  }
-  PackedLhsView view;
-  view.data = panels;
-  view.row_sums = row_sums;
-  view.rows = out_channels;
-  view.depth = patch;
-  view.zero_point = weight_params.zero_point;
-  conv_lowp_impl(image, g, input_params, view, weight_params, bias, out);
-}
-
-void im2col_strip_u8(const uint8_t* image, const ConvGeometry& g,
-                     int64_t col0, int64_t width, uint8_t pad_value,
-                     uint8_t* strip) {
-  const int64_t out_w = g.out_width();
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    const uint8_t* plane = image + c * g.in_height * g.in_width;
-    for (int64_t kh = 0; kh < g.kernel; ++kh) {
-      for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
-        uint8_t* out_row = strip + row * width;
-        // One div/mod per strip row; the patch walk is incremental.
-        int64_t ow = col0 % out_w;
-        int64_t ih = (col0 / out_w) * g.stride - g.pad + kh;
-        int64_t iw = ow * g.stride - g.pad + kw;
-        for (int64_t j = 0; j < width; ++j) {
-          out_row[j] = (ih < 0 || ih >= g.in_height || iw < 0 ||
-                        iw >= g.in_width)
-                           ? pad_value
-                           : plane[ih * g.in_width + iw];
-          iw += g.stride;
-          if (++ow == out_w) {
-            ow = 0;
-            iw = kw - g.pad;
-            ih += g.stride;
-          }
-        }
-      }
-    }
-  }
-}
-
-namespace {
-
-/// Strip im2col straight into a packed K×kNr RHS panel (row stride kNr,
-/// zero-point padding past `width`, per-column sums) — the fused path's
-/// "quantize while arranging the multiplicand" without an intermediate
-/// column matrix.
 void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
                      int64_t col0, int64_t width, uint8_t pad_value,
                      uint8_t* panel, int32_t* col_sums) {
@@ -223,6 +72,8 @@ void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
     }
   }
 }
+
+namespace {
 
 /// parallel_for context of the fused conv path: shards of column panels,
 /// each im2col'd and multiplied in the worker's own arena.
@@ -262,16 +113,23 @@ void run_fused_shard(int64_t lo, int64_t hi, void* p) {
   }
 }
 
-void fused_conv_lowp_impl(const float* image, const ConvGeometry& g,
-                          const quant::AffineParams& input_params,
-                          const PackedLhsView& weights,
-                          const quant::AffineParams& weight_params,
-                          const float* bias, float* out) {
-  // The fused path has no separable im2col stage; one span covers it.
+}  // namespace
+
+void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
+                            const quant::AffineParams& input_params,
+                            const PackedLhsView& weights,
+                            const quant::AffineParams& weight_params,
+                            const float* bias, float* out) {
+  // A packed-engine driver: im2col, RHS packing and the micro-kernel are
+  // one span, attributed like gemm_lowp_packed's compute half.
   auto& registry = telemetry::MetricsRegistry::global();
-  static telemetry::Histogram& fused_hist = registry.histogram("gemm.fused_ms");
+  static telemetry::Histogram& packed_hist =
+      registry.histogram("gemm.packed_ms");
   static telemetry::Gauge& threads_gauge = registry.gauge("gemm.threads");
-  telemetry::ScopedTimer timer(fused_hist);
+  telemetry::ScopedTimer timer(packed_hist);
+  telemetry::TraceSpan trace(&telemetry::TraceCollector::global(),
+                             "gemm.compute",
+                             telemetry::current_trace_context());
 
   const int64_t patch = g.patch_size(), n = g.num_patches();
   const int64_t out_channels = weights.rows;
@@ -302,44 +160,6 @@ void fused_conv_lowp_impl(const float* image, const ConvGeometry& g,
   const int64_t chunks =
       shards == 1 ? 1 : std::min<int64_t>(num_panels, shards * 4);
   pool.parallel_for(0, num_panels, chunks, run_fused_shard, &ctx);
-}
-
-}  // namespace
-
-void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                            const quant::AffineParams& input_params,
-                            const PackedLhsView& weights,
-                            const quant::AffineParams& weight_params,
-                            const float* bias, float* out) {
-  fused_conv_lowp_impl(image, g, input_params, weights, weight_params, bias,
-                       out);
-}
-
-void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                            const quant::AffineParams& input_params,
-                            const uint8_t* weights,
-                            const quant::AffineParams& weight_params,
-                            int64_t out_channels, const float* bias,
-                            float* out) {
-  static telemetry::Histogram& pack_hist =
-      telemetry::MetricsRegistry::global().histogram("gemm.pack_ms");
-  const int64_t patch = g.patch_size();
-  auto& arena = thread_arena();
-  ScratchScope scope(arena);
-  uint8_t* panels = arena.alloc<uint8_t>(packed_lhs_bytes(out_channels, patch));
-  int32_t* row_sums = arena.alloc<int32_t>(out_channels);
-  {
-    telemetry::ScopedTimer span(pack_hist);
-    pack_lhs_into(weights, out_channels, patch, weight_params.zero_point,
-                  panels, row_sums);
-  }
-  PackedLhsView view;
-  view.data = panels;
-  view.row_sums = row_sums;
-  view.rows = out_channels;
-  view.depth = patch;
-  view.zero_point = weight_params.zero_point;
-  fused_conv_lowp_impl(image, g, input_params, view, weight_params, bias, out);
 }
 
 }  // namespace tincy::gemm

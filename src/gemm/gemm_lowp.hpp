@@ -21,60 +21,37 @@ void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
                    int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
                    int32_t* C);
 
-/// Lane-vectorized variant using the NEON idiom VMULL.S16 + VPADAL /
-/// accumulate-long over 8 widened lanes; bit-identical to gemm_lowp_i32.
-void gemm_lowp_i32_lanes(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                         int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                         int32_t* C);
-
 /// Full quantized GEMM: int32 accumulation followed by the requantization
 /// pipeline into uint8 output codes.
 void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,
                   int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
                   const quant::Requantizer& requant, uint8_t* C);
 
-/// Quantized convolution in the paper's §III-D style: im2col quantizes the
-/// image data "while arranging the multiplicand matrix", then a lowp GEMM
-/// produces int32 accumulators which are dequantized to float output (the
-/// form the surrounding float network consumes). `weights` are uint8 codes
-/// with `weight_params`; `bias` (length out_channels, may be null) is added
-/// in real space.
-void conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                      const quant::AffineParams& input_params,
-                      const uint8_t* weights,
-                      const quant::AffineParams& weight_params,
-                      int64_t out_channels, const float* bias, float* out);
-
-/// Overload running against a weight matrix already packed with pack_lhs
-/// (the per-layer cached form; skips the per-call packing cost). The
-/// packed zero_point must be weight_params.zero_point.
-void conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                      const quant::AffineParams& input_params,
-                      const PackedLhsView& weights,
-                      const quant::AffineParams& weight_params,
-                      const float* bias, float* out);
-
-/// Fused sliced variant of conv_lowp_f32out (strip im2col, immediate GEMM).
-void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
-                            const quant::AffineParams& input_params,
-                            const uint8_t* weights,
-                            const quant::AffineParams& weight_params,
-                            int64_t out_channels, const float* bias,
-                            float* out);
-
-/// Packed-weight overload of the fused path.
+/// Quantized convolution in the paper's §III-D style — the one 8-bit conv
+/// path. The image is quantized with `input_params`, then im2col'd strip
+/// by strip straight into packed RHS panels ("quantize the image data
+/// while arranging the multiplicand matrix") and multiplied against the
+/// layer's cached weight panels (pack_lhs of uint8 codes with
+/// `weight_params`; the packed zero_point must be weight_params.zero_point)
+/// with exact int32 accumulation. The accumulators are dequantized to float
+/// output, the form the surrounding float network consumes; `bias`
+/// (length weights.rows, may be null) is added in real space. Column
+/// panels are sharded over core::ThreadPool::shared(); zero heap
+/// allocations in steady state.
 void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
                             const PackedLhsView& weights,
                             const quant::AffineParams& weight_params,
                             const float* bias, float* out);
 
-/// Strip im2col over uint8 codes: writes rows [0, patch_size) of columns
-/// [col0, col0+width) of the full column matrix, rows contiguous with
-/// stride `width`. Iterates (oh, ow) incrementally — no div/mod per
-/// element. Exposed for the fused path's tests.
-void im2col_strip_u8(const uint8_t* image, const ConvGeometry& g,
+/// Strip im2col straight into a packed K×kNr RHS panel: columns
+/// [col0, col0+width) of the full column matrix (width <= kNr), row stride
+/// kNr, lanes past `width` filled with `pad_value`, per-column code sums
+/// into `col_sums` (kNr entries). Iterates (oh, ow) incrementally — no
+/// div/mod per element. The fused conv path's "quantize while arranging
+/// the multiplicand" without an intermediate column matrix.
+void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
                      int64_t col0, int64_t width, uint8_t pad_value,
-                     uint8_t* strip);
+                     uint8_t* panel, int32_t* col_sums);
 
 }  // namespace tincy::gemm

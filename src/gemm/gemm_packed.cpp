@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "gemm/first_layer.hpp"
+#include "core/fixed_point.hpp"
 #include "gemm/kernels.hpp"
 #include "gemm/scratch.hpp"
 #include "telemetry/metrics.hpp"
@@ -202,6 +202,10 @@ bool acc16_safe(int64_t depth, int32_t lhs_zero, int32_t rhs_zero) {
   if (prod > 32767) return false;  // a centered product could wrap i16
   const int64_t shifted = (prod + 8) >> 4;  // worst rounded-shifted product
   return depth * shifted <= 32767;          // sum can never saturate
+}
+
+int16_t acc16_step(int16_t acc, int16_t product) {
+  return saturating_add<int16_t>(acc, rounding_right_shift(product, 4));
 }
 
 void gemm_lowp_i32_shift4(int64_t M, int64_t N, int64_t K, const uint8_t* A,

@@ -112,6 +112,11 @@ void pack_rhs_panel(const uint8_t* B, int64_t depth, int64_t cols,
 /// kAuto falls back to kI32 otherwise.
 bool acc16_safe(int64_t depth, int32_t lhs_zero, int32_t rhs_zero);
 
+/// One step of the kI16Shift4 semantics (the paper's §III-D first-layer
+/// trick, NEON VRSHR #4 then VQADD): rounding right shift of the 16-bit
+/// product by 4, then saturating add into the running int16 accumulator.
+int16_t acc16_step(int16_t acc, int16_t product);
+
 /// Scalar oracle of the kI16Shift4 semantics: per product, rounding right
 /// shift by 4 then saturating add into an int16 accumulator; the int32
 /// output is the accumulator rescaled by 16. The packed kI16Shift4 kernel

@@ -10,57 +10,6 @@ namespace tincy::gemm {
 
 using simd::F32x4;
 
-void gemm_f32_lanes(int64_t M, int64_t N, int64_t K, const float* A,
-                    const float* B, float* C) {
-  const int64_t n4 = N - (N % 4);
-  for (int64_t i = 0; i < M; ++i) {
-    float* c_row = C + i * N;
-    for (int64_t j = 0; j < n4; j += 4) F32x4::splat(0.0f).store(c_row + j);
-    for (int64_t j = n4; j < N; ++j) c_row[j] = 0.0f;
-    for (int64_t k = 0; k < K; ++k) {
-      const F32x4 a = F32x4::splat(A[i * K + k]);
-      const float* b_row = B + k * N;
-      for (int64_t j = 0; j < n4; j += 4) {
-        const F32x4 acc = simd::mla(F32x4::load(c_row + j), a,
-                                    F32x4::load(b_row + j));
-        acc.store(c_row + j);
-      }
-      for (int64_t j = n4; j < N; ++j) c_row[j] += A[i * K + k] * b_row[j];
-    }
-  }
-}
-
-void gemm_f32_blocked(int64_t M, int64_t N, int64_t K, const float* A,
-                      const float* B, float* C) {
-  // Tile sizes chosen for a Cortex-A53-class 32 KiB L1D: a KC×NC panel of
-  // B (64×256 floats = 64 KiB halves between L1/L2) is reused across all M
-  // rows before moving on.
-  constexpr int64_t KC = 64, NC = 256;
-  for (int64_t i = 0; i < M * N; ++i) C[i] = 0.0f;
-
-  for (int64_t k0 = 0; k0 < K; k0 += KC) {
-    const int64_t kc = std::min(KC, K - k0);
-    for (int64_t n0 = 0; n0 < N; n0 += NC) {
-      const int64_t nc = std::min(NC, N - n0);
-      const int64_t n4 = nc - (nc % 4);
-      for (int64_t i = 0; i < M; ++i) {
-        float* c_row = C + i * N + n0;
-        for (int64_t k = 0; k < kc; ++k) {
-          const float a = A[i * K + k0 + k];
-          const float* b_row = B + (k0 + k) * N + n0;
-          const F32x4 va = F32x4::splat(a);
-          for (int64_t j = 0; j < n4; j += 4) {
-            const F32x4 acc =
-                simd::mla(F32x4::load(c_row + j), va, F32x4::load(b_row + j));
-            acc.store(c_row + j);
-          }
-          for (int64_t j = n4; j < nc; ++j) c_row[j] += a * b_row[j];
-        }
-      }
-    }
-  }
-}
-
 namespace {
 
 /// Fills one lane-wide strip of the column matrix: for output positions

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file gemm_simd.hpp
-/// NEON-style lane-vectorized float GEMM and the paper's fused, sliced
-/// im2col+GEMM convolution (§III-D).
+/// The two float convolutions: the generic im2col + GEMM oracle and the
+/// paper's fused, sliced im2col+GEMM runtime path (§III-D).
 ///
 /// The fused kernel slices the multiplicand matrix into vertical strips as
 /// wide as the vector lane count, produces each strip with im2col on the
@@ -16,20 +16,6 @@
 #include "gemm/im2col.hpp"
 
 namespace tincy::gemm {
-
-/// C (M×N) = A (M×K) · B (K×N) using 4-lane f32 vectors over the N axis
-/// (the direct NEON port of the reference GEMM).
-void gemm_f32_lanes(int64_t M, int64_t N, int64_t K, const float* A,
-                    const float* B, float* C);
-
-/// Cache-blocked float GEMM: tiles the K and N loops so the working set of
-/// B stays cache-resident — the same data-locality lever the paper's fused
-/// kernel pulls, applied to the standalone GEMM ("significantly increased
-/// data locality ... especially beneficial on embedded platforms with
-/// rather small cache sizes"). Bit-compatible with gemm_f32_lanes up to
-/// float summation-order differences.
-void gemm_f32_blocked(int64_t M, int64_t N, int64_t K, const float* A,
-                      const float* B, float* C);
 
 /// Fused sliced im2col + GEMM convolution in f32:
 /// out (M × outH·outW) = weights (M × patch) ∗ image, with optional bias

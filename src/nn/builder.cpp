@@ -10,23 +10,46 @@
 namespace tincy::nn {
 namespace {
 
+/// cfg `kernel=` names: the four canonical names (the ones describe.cpp
+/// prints), then the legacy names of deleted runtime paths, accepted as
+/// aliases of the path that replaced them.
+struct KernelName {
+  const char* name;
+  ConvKernel kernel;
+};
+constexpr KernelName kKernelNames[] = {
+    {"reference", ConvKernel::kReference},
+    {"fused", ConvKernel::kFused},
+    {"lowp", ConvKernel::kLowp},
+    {"quant_reference", ConvKernel::kQuantReference},
+    {"fused_lowp", ConvKernel::kLowp},
+    {"first16_acc16", ConvKernel::kLowp},
+    {"first16_acc32", ConvKernel::kLowp},
+    {"first16_f32", ConvKernel::kFused},
+};
+
 ConvKernel parse_kernel(const std::string& name) {
-  if (name == "reference") return ConvKernel::kReference;
-  if (name == "fused") return ConvKernel::kFused;
-  if (name == "lowp") return ConvKernel::kLowp;
-  if (name == "fused_lowp") return ConvKernel::kFusedLowp;
-  if (name == "first16_f32") return ConvKernel::kFirstLayerF32;
-  if (name == "first16_acc32") return ConvKernel::kFirstLayerAcc32;
-  if (name == "first16_acc16") return ConvKernel::kFirstLayerAcc16;
-  if (name == "quant_reference") return ConvKernel::kQuantReference;
+  for (const KernelName& k : kKernelNames)
+    if (name == k.name) return k.kernel;
   throw Error("unknown conv kernel: " + name);
+}
+
+/// A geometry field that must be >= 1: a zero stride divides by zero and a
+/// negative size or filter count sizes a negative tensor.
+int64_t positive_int(const Section& s, const std::string& key,
+                     int64_t fallback) {
+  const int64_t v = s.get_int(key, fallback);
+  if (v < 1)
+    throw Error("[" + s.name + "] " + key + "=" + std::to_string(v) +
+                " must be >= 1 (line " + std::to_string(s.line) + ")");
+  return v;
 }
 
 LayerPtr make_conv(const Section& s, Shape in_shape) {
   ConvConfig cfg;
-  cfg.filters = s.get_int("filters", 1);
-  cfg.size = s.get_int("size", 3);
-  cfg.stride = s.get_int("stride", 1);
+  cfg.filters = positive_int(s, "filters", 1);
+  cfg.size = positive_int(s, "size", 3);
+  cfg.stride = positive_int(s, "stride", 1);
   cfg.pad = s.get_int("pad", 0) != 0;
   cfg.activation =
       parse_activation(s.get_string("activation", "leaky"));
@@ -42,8 +65,8 @@ LayerPtr make_conv(const Section& s, Shape in_shape) {
 
 LayerPtr make_maxpool(const Section& s, Shape in_shape) {
   MaxPoolConfig cfg;
-  cfg.size = s.get_int("size", 2);
-  cfg.stride = s.get_int("stride", 2);
+  cfg.size = positive_int(s, "size", 2);
+  cfg.stride = positive_int(s, "stride", 2);
   return std::make_unique<MaxPoolLayer>(cfg, in_shape);
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "gemm/gemm_lowp.hpp"
-#include "gemm/gemm_ref.hpp"
 #include "gemm/gemm_simd.hpp"
 #include "nn/weights_io.hpp"
 #include "quant/affine.hpp"
@@ -50,7 +49,6 @@ void ConvLayer::invalidate_cached_quantization() {
   lowp_codes_.reset();
   lowp_params_.reset();
   packed_lowp_.reset();
-  sym_weight_cache_.reset();
 }
 
 const quant::BinaryMatrix& ConvLayer::binary_weights() const {
@@ -134,75 +132,39 @@ void ConvLayer::apply_post(Tensor& out) const {
   }
 }
 
-void ConvLayer::forward_float(const Tensor& in, Tensor& out, ConvKernel k) {
+void ConvLayer::forward_float(const Tensor& in, Tensor& out) {
   const float* w = weights_.data();
   if (cfg_.binary_weights) {
     if (!binary_float_cache_)
       binary_float_cache_ = quant::dequantize(binary_weights());
     w = binary_float_cache_->data();
   }
-  switch (k) {
-    case ConvKernel::kReference:
-      gemm::conv_via_im2col_f32(in.data(), geom_, w, cfg_.filters, nullptr,
-                                out.data());
-      break;
-    case ConvKernel::kFused:
-      gemm::fused_conv_f32(in.data(), geom_, w, cfg_.filters, nullptr,
-                           out.data());
-      break;
-    case ConvKernel::kFirstLayerF32:
-      TINCY_CHECK(cfg_.filters == gemm::kFirstLayerChannels);
-      gemm::first_layer_f32(in.data(), geom_, w, nullptr, out.data());
-      break;
-    default:
-      throw Error("not a float conv kernel");
-  }
+  if (cfg_.kernel == ConvKernel::kFused)
+    gemm::fused_conv_f32(in.data(), geom_, w, cfg_.filters, nullptr,
+                         out.data());
+  else
+    gemm::conv_via_im2col_f32(in.data(), geom_, w, cfg_.filters, nullptr,
+                              out.data());
   apply_post(out);
 }
 
-void ConvLayer::forward_lowp(const Tensor& in, Tensor& out, ConvKernel k) {
+void ConvLayer::forward_lowp(const Tensor& in, Tensor& out) {
   // The image data is quantized on the fly (paper: "an im2col
   // implementation that quantized the image data while arranging the
   // multiplicand matrix"); range calibration comes from the frame itself.
   const auto [lo, hi] = quant::min_max(in);
   const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
-
-  switch (k) {
-    case ConvKernel::kLowp:
-    case ConvKernel::kFusedLowp: {
-      if (!lowp_codes_) {
-        const auto [wlo, whi] = quant::min_max(weights_);
-        lowp_params_ = quant::choose_affine_params(wlo, whi);
-        lowp_codes_ = quant::quantize(weights_, *lowp_params_);
-        // Pack/compute split: the GEMM engine's weight panels are derived
-        // once here and reused by every subsequent frame.
-        packed_lowp_ = gemm::pack_lhs(lowp_codes_->data(), cfg_.filters,
-                                      geom_.patch_size(),
-                                      lowp_params_->zero_point);
-      }
-      if (k == ConvKernel::kLowp)
-        gemm::conv_lowp_f32out(in.data(), geom_, in_params, *packed_lowp_,
-                               *lowp_params_, nullptr, out.data());
-      else
-        gemm::fused_conv_lowp_f32out(in.data(), geom_, in_params,
-                                     *packed_lowp_, *lowp_params_, nullptr,
-                                     out.data());
-      break;
-    }
-    case ConvKernel::kFirstLayerAcc32:
-    case ConvKernel::kFirstLayerAcc16: {
-      TINCY_CHECK(cfg_.filters == gemm::kFirstLayerChannels);
-      if (!sym_weight_cache_)
-        sym_weight_cache_ = gemm::quantize_symmetric(weights_);
-      auto fn = (k == ConvKernel::kFirstLayerAcc32)
-                    ? gemm::first_layer_lowp_acc32
-                    : gemm::first_layer_lowp_acc16;
-      fn(in.data(), geom_, in_params, *sym_weight_cache_, nullptr, out.data());
-      break;
-    }
-    default:
-      throw Error("not a lowp conv kernel");
+  if (!lowp_codes_) {
+    const auto [wlo, whi] = quant::min_max(weights_);
+    lowp_params_ = quant::choose_affine_params(wlo, whi);
+    lowp_codes_ = quant::quantize(weights_, *lowp_params_);
+    // Pack/compute split: the GEMM engine's weight panels are derived
+    // once here and reused by every subsequent frame.
+    packed_lowp_ = gemm::pack_lhs(lowp_codes_->data(), cfg_.filters,
+                                  geom_.patch_size(), lowp_params_->zero_point);
   }
+  gemm::fused_conv_lowp_f32out(in.data(), geom_, in_params, *packed_lowp_,
+                               *lowp_params_, nullptr, out.data());
   apply_post(out);
 }
 
@@ -256,14 +218,10 @@ void ConvLayer::forward(const Tensor& in, Tensor& out) {
   switch (cfg_.kernel) {
     case ConvKernel::kReference:
     case ConvKernel::kFused:
-    case ConvKernel::kFirstLayerF32:
-      forward_float(in, out, cfg_.kernel);
+      forward_float(in, out);
       break;
     case ConvKernel::kLowp:
-    case ConvKernel::kFusedLowp:
-    case ConvKernel::kFirstLayerAcc32:
-    case ConvKernel::kFirstLayerAcc16:
-      forward_lowp(in, out, cfg_.kernel);
+      forward_lowp(in, out);
       break;
     case ConvKernel::kQuantReference:
       forward_quant_reference(in, out);
@@ -302,15 +260,7 @@ OpsCount ConvLayer::ops() const {
 
 Precision ConvLayer::precision() const {
   if (cfg_.binary_weights && cfg_.act_bits < 8) return {1, cfg_.act_bits};
-  switch (cfg_.kernel) {
-    case ConvKernel::kLowp:
-    case ConvKernel::kFusedLowp:
-    case ConvKernel::kFirstLayerAcc32:
-    case ConvKernel::kFirstLayerAcc16:
-      return kW8A8;
-    default:
-      return kFloat;
-  }
+  return cfg_.kernel == ConvKernel::kLowp ? kW8A8 : kFloat;
 }
 
 }  // namespace tincy::nn

@@ -1,18 +1,22 @@
 #pragma once
 
 /// \file conv_layer.hpp
-/// Convolutional layer with every execution path the paper develops:
+/// Convolutional layer with one implementation per concept:
 ///
-///  * kReference      — Darknet's generic im2col + GEMM in float,
-///  * kFused          — fused sliced im2col+GEMM, NEON float lanes (§III-D),
-///  * kLowp           — 8-bit gemmlowp-style path (explicit im2col),
-///  * kFusedLowp      — 8-bit fused sliced path,
-///  * kFirstLayerF32 / kFirstLayerAcc32 / kFirstLayerAcc16
-///                    — the fully specialized 16×27 kernels,
+///  * kReference      — float oracle: Darknet's generic im2col + GEMM,
+///  * kFused          — float runtime: fused sliced im2col+GEMM (§III-D),
+///  * kLowp           — the 8-bit runtime: the image is quantized on the fly
+///    and im2col'd straight into the packed GEMM engine against the
+///    layer's cached weight panels (gemm/gemm_lowp.hpp),
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
 ///    weights, thresholded activations) on the bit-serial kernel
 ///    (gemm/bitserial.hpp); this is the golden model the fabric
 ///    accelerator must reproduce exactly.
+///
+/// The paper's specialized 16×27 first-layer kernels are not runtime
+/// paths: their timing lives in the perf model (perf::FirstLayerImpl) and
+/// their rshift-4 arithmetic in the packed engine's kI16Shift4 and its
+/// scalar oracle gemm_lowp_i32_shift4.
 ///
 /// Batch normalization is applied inference-style from stored statistics;
 /// in the quantized path it folds into the activation thresholds just as
@@ -22,11 +26,11 @@
 #include <vector>
 
 #include "gemm/bitserial.hpp"
-#include "gemm/first_layer.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "nn/activation.hpp"
 #include "nn/layer.hpp"
+#include "quant/affine.hpp"
 #include "quant/binary.hpp"
 #include "quant/thresholds.hpp"
 
@@ -37,11 +41,9 @@ enum class ConvKernel {
   kReference,
   kFused,
   kLowp,
-  kFusedLowp,
-  kFirstLayerF32,
-  kFirstLayerAcc32,
-  kFirstLayerAcc16,
   kQuantReference,
+  /// Former specialized float first layer; perfbench/frame_bench.cpp names it.
+  kFirstLayerF32 = kFused,
 };
 
 /// Static configuration of a convolutional layer (the cfg-file view).
@@ -105,8 +107,8 @@ class ConvLayer final : public Layer {
   void invalidate_cached_quantization();
 
  private:
-  void forward_float(const Tensor& in, Tensor& out, ConvKernel k);
-  void forward_lowp(const Tensor& in, Tensor& out, ConvKernel k);
+  void forward_float(const Tensor& in, Tensor& out);
+  void forward_lowp(const Tensor& in, Tensor& out);
   void forward_quant_reference(const Tensor& in, Tensor& out);
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
@@ -129,7 +131,6 @@ class ConvLayer final : public Layer {
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:
   /// packed once per weight mutation, reused every frame).
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
-  mutable std::optional<gemm::SymmetricWeights> sym_weight_cache_;
 };
 
 /// Batch-norm epsilon shared by inference and the threshold fold.

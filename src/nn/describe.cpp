@@ -21,14 +21,6 @@ const char* kernel_name(ConvKernel k) {
       return "fused";
     case ConvKernel::kLowp:
       return "lowp";
-    case ConvKernel::kFusedLowp:
-      return "fused_lowp";
-    case ConvKernel::kFirstLayerF32:
-      return "first16_f32";
-    case ConvKernel::kFirstLayerAcc32:
-      return "first16_acc32";
-    case ConvKernel::kFirstLayerAcc16:
-      return "first16_acc16";
     case ConvKernel::kQuantReference:
       return "quant_reference";
   }
@@ -92,16 +84,19 @@ void emit(std::ostream& os, const OffloadLayer& l) {
 
 std::string summary(const Network& net) {
   std::ostringstream os;
-  os << "layer  type            output            ops             precision\n";
+  os << "layer  type            output            ops             "
+        "precision  kernel\n";
   const auto rows = ops_rows(net);
   for (int64_t i = 0; i < net.num_layers(); ++i) {
     const Layer& layer = net.layer(i);
-    char line[128];
-    std::snprintf(line, sizeof line, "%5lld  %-14s  %-16s  %14s  %s\n",
+    const auto* conv = dynamic_cast<const ConvLayer*>(&layer);
+    char line[160];
+    std::snprintf(line, sizeof line, "%5lld  %-14s  %-16s  %14s  %-9s  %s\n",
                   static_cast<long long>(i), layer.type_name().c_str(),
                   layer.output_shape().to_string().c_str(),
                   with_commas(rows[static_cast<size_t>(i)].ops).c_str(),
-                  rows[static_cast<size_t>(i)].precision.name().c_str());
+                  rows[static_cast<size_t>(i)].precision.name().c_str(),
+                  conv ? kernel_name(conv->config().kernel) : "-");
     os << line;
   }
   os << "total ops/frame: " << with_commas(total_ops(net)) << "\n";

@@ -11,7 +11,8 @@
 
 namespace tincy::nn {
 
-/// Layer-by-layer table: index, type, output shape, ops, precision.
+/// Layer-by-layer table: index, type, output shape, ops, precision and, for
+/// convolutions, the canonical kernel name.
 std::string summary(const Network& net);
 
 /// Serializes the network to Darknet-style cfg text. Reparsing the result

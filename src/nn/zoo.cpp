@@ -62,22 +62,10 @@ std::string tiny_yolo_cfg(TinyVariant v, QuantMode q, int input_size,
 
   std::string float_kernel =
       p == CpuProfile::kReference ? "reference" : "fused";
-  std::string first_kernel;
-  std::string last_kernel;
-  switch (p) {
-    case CpuProfile::kReference:
-      first_kernel = "reference";
-      last_kernel = "reference";
-      break;
-    case CpuProfile::kFused:
-      first_kernel = "fused";
-      last_kernel = "fused";
-      break;
-    case CpuProfile::kOptimized:
-      first_kernel = "first16_acc16";
-      last_kernel = "lowp";
-      break;
-  }
+  // Kernel of the quantization-sensitive first and last layers.
+  const std::string edge_kernel = p == CpuProfile::kReference ? "reference"
+                                  : p == CpuProfile::kFused   ? "fused"
+                                                              : "lowp";
 
   std::ostringstream os;
   os << "# " << variant_name(v) << (quant ? " [W1A3]" : " [Float]") << "\n";
@@ -88,7 +76,7 @@ std::string tiny_yolo_cfg(TinyVariant v, QuantMode q, int input_size,
   emit_conv(os,
             {.filters = 16, .size = 3, .stride = mod_d ? 2 : 1,
              .batch_normalize = true},
-            /*hidden_quant=*/false, hidden_act, first_kernel);
+            /*hidden_quant=*/false, hidden_act, edge_kernel);
   if (!mod_d) os << "[maxpool]\nsize=2\nstride=2\n\n";
 
   // Hidden ladder (paper layers 3-14): conv+pool pairs then two 3x3 convs.
@@ -110,7 +98,7 @@ std::string tiny_yolo_cfg(TinyVariant v, QuantMode q, int input_size,
   // Layer 15: output conv (quantization-sensitive, 8-bit at most).
   os << "[convolutional]\nfilters=125\nsize=1\nstride=1\npad=1\n"
         "activation=linear\nkernel="
-     << last_kernel << "\n\n";
+     << edge_kernel << "\n\n";
 
   os << "[region]\n"
         "anchors=1.08,1.19, 3.42,4.41, 6.63,11.38, 9.42,5.11, 16.62,10.52\n"

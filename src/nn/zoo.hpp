@@ -36,7 +36,7 @@ enum class QuantMode {
 enum class CpuProfile {
   kReference,  ///< Darknet generic path everywhere
   kFused,      ///< fused NEON-style float kernels
-  kOptimized,  ///< specialized first layer (acc16) + lowp output layer
+  kOptimized,  ///< 8-bit (lowp) first and last layers, fused float elsewhere
 };
 
 /// cfg text for a Tiny/Tincy YOLO variant at the given input resolution

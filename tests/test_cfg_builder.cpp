@@ -143,6 +143,35 @@ TEST(Builder, RejectsUnknownSection) {
       Error);
 }
 
+TEST(Builder, RejectsNonPositiveGeometry) {
+  // filters=-4 / stride=0 used to reach the conv geometry and die with
+  // SIGFPE; every such field is a cfg error naming the offending key.
+  const std::string net = "[net]\nwidth=32\nheight=32\nchannels=3\n\n";
+  EXPECT_THROW(build_network_from_string(
+                   net + "[convolutional]\nfilters=-4\nsize=3\nstride=0\n"),
+               Error);
+  const struct {
+    const char* section;
+    const char* key;
+  } fields[] = {{"convolutional", "filters"}, {"convolutional", "size"},
+                {"convolutional", "stride"},  {"maxpool", "size"},
+                {"maxpool", "stride"}};
+  for (const auto& f : fields) {
+    for (const char* value : {"0", "-1"}) {
+      const std::string cfg = net + "[" + f.section + "]\n" + f.key + "=" +
+                              value + "\n";
+      try {
+        build_network_from_string(cfg);
+        ADD_FAILURE() << "accepted " << f.section << " " << f.key << "="
+                      << value;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(f.key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(Builder, RequiresNetFirst) {
   EXPECT_THROW(build_network_from_string("[convolutional]\nfilters=2\n"),
                Error);

@@ -1,9 +1,10 @@
 // Tests of the packed/tiled/threaded low-precision GEMM engine
 // (gemm_packed.hpp): bit-exact parity with the scalar oracles across
 // awkward shapes, the pack layout contract, accumulator auto-selection,
-// the incremental im2col strip, the zero-allocation steady state of the
-// hot paths, and thread-pool correctness under concurrent load (the
-// latter is the TINCY_SANITIZE=thread target).
+// the incremental im2col panel, the lowp conv pinned bit for bit to its
+// scalar oracle, the zero-allocation steady state of the hot paths, and
+// thread-pool correctness under concurrent load (the latter is the
+// TINCY_SANITIZE=thread target).
 
 #include <gtest/gtest.h>
 
@@ -275,7 +276,7 @@ TEST(PackRhsPanel, PadsTailLanesWithZeroPoint) {
   }
 }
 
-// --- Incremental im2col strip vs the dense reference -------------------
+// --- Incremental im2col panel vs the dense reference -------------------
 
 class Im2colStrip : public ::testing::TestWithParam<ConvGeometry> {};
 
@@ -287,22 +288,31 @@ TEST_P(Im2colStrip, MatchesDenseIm2col) {
   const uint8_t pad_value = 113;
   std::vector<uint8_t> dense(g.patch_size() * g.num_patches());
   im2col<uint8_t>(image.data(), g, dense.data(), pad_value);
-  // Strips at awkward offsets: mid-row starts, row-crossing widths, tails.
+  // Panels at awkward offsets: mid-row starts, row-crossing widths, tails.
   const int64_t n = g.num_patches();
   const int64_t starts[] = {0, 1, n / 3, n - 5 > 0 ? n - 5 : 0};
-  const int64_t widths[] = {1, 3, kNr, n};
-  std::vector<uint8_t> strip;
+  const int64_t widths[] = {1, 3, kNr};
+  std::vector<uint8_t> panel(g.patch_size() * kNr);
+  int32_t col_sums[kNr];
   for (int64_t col0 : starts)
     for (int64_t w : widths) {
       const int64_t width = std::min(w, n - col0);
       if (width <= 0) continue;
-      strip.assign(g.patch_size() * width, 0);
-      im2col_strip_u8(image.data(), g, col0, width, pad_value, strip.data());
-      for (int64_t r = 0; r < g.patch_size(); ++r)
-        for (int64_t j = 0; j < width; ++j)
-          ASSERT_EQ(strip[r * width + j], dense[r * n + col0 + j])
+      im2col_panel_u8(image.data(), g, col0, width, pad_value, panel.data(),
+                      col_sums);
+      for (int64_t j = 0; j < kNr; ++j) {
+        int32_t sum = 0;
+        for (int64_t r = 0; r < g.patch_size(); ++r) {
+          // Lanes past `width` hold the padding value.
+          const uint8_t want =
+              j < width ? dense[r * n + col0 + j] : pad_value;
+          ASSERT_EQ(panel[r * kNr + j], want)
               << "col0=" << col0 << " width=" << width << " r=" << r
               << " j=" << j;
+          sum += want;
+        }
+        ASSERT_EQ(col_sums[j], sum) << "col0=" << col0 << " j=" << j;
+      }
     }
 }
 
@@ -315,41 +325,79 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvGeometry{1, 4, 4, 3, 3, 2},   // stride > kernel-1
                       ConvGeometry{2, 3, 3, 3, 1, 1})); // out == in == 3x3
 
-// --- Conv drivers: raw vs cached-pack overloads ------------------------
+// --- The one lowp conv vs its scalar oracle ------------------------------
 
-TEST(ConvLowp, RawAndPackedOverloadsAgree) {
-  const ConvGeometry geoms[] = {
-      {3, 10, 11, 3, 1, 1}, {2, 9, 7, 3, 2, 1}, {5, 6, 6, 1, 1, 0}};
-  for (const ConvGeometry& g : geoms) {
-    const int64_t out_channels = 7;
-    Rng rng(99);
-    std::vector<float> image(g.in_channels * g.in_height * g.in_width);
-    for (auto& v : image) v = rng.uniform(-1.0f, 1.0f);
-    std::vector<float> bias(out_channels);
-    for (auto& v : bias) v = rng.normal();
-    const auto in_params = quant::choose_affine_params(-1.0f, 1.0f);
-    const auto w_params = quant::choose_affine_params(-2.0f, 2.0f);
-    Rng wrng(100);
-    const auto wq = random_codes(wrng, out_channels * g.patch_size());
-
-    std::vector<float> raw_out(out_channels * g.num_patches(), -1.0f);
-    std::vector<float> packed_out(out_channels * g.num_patches(), -2.0f);
-    conv_lowp_f32out(image.data(), g, in_params, wq.data(), w_params,
-                     out_channels, bias.data(), raw_out.data());
-    const PackedLhs lhs =
-        pack_lhs(wq.data(), out_channels, g.patch_size(), w_params.zero_point);
-    conv_lowp_f32out(image.data(), g, in_params, lhs, w_params, bias.data(),
-                     packed_out.data());
-    EXPECT_EQ(raw_out, packed_out);
-
-    // The fused strip path accumulates the same integers in the same
-    // order, so it matches the im2col path exactly as well.
-    std::vector<float> fused_out(out_channels * g.num_patches(), -3.0f);
-    fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
-                           bias.data(), fused_out.data());
-    EXPECT_EQ(raw_out, fused_out);
-  }
+/// Scalar oracle of fused_conv_lowp_f32out: quantize the image, dense
+/// im2col with the input zero point as padding, gemm_lowp_i32, then the
+/// same dequantization (real_scale · acc + bias).
+std::vector<float> conv_lowp_oracle(const std::vector<float>& image,
+                                    const ConvGeometry& g,
+                                    const quant::AffineParams& in_params,
+                                    const std::vector<uint8_t>& wq,
+                                    const quant::AffineParams& w_params,
+                                    int64_t out_channels,
+                                    const std::vector<float>& bias) {
+  std::vector<uint8_t> qimage(image.size());
+  for (size_t i = 0; i < image.size(); ++i)
+    qimage[i] = in_params.quantize(image[i]);
+  const int64_t patch = g.patch_size(), n = g.num_patches();
+  std::vector<uint8_t> columns(patch * n);
+  im2col<uint8_t>(qimage.data(), g, columns.data(),
+                  static_cast<uint8_t>(in_params.zero_point));
+  std::vector<int32_t> acc(out_channels * n);
+  gemm_lowp_i32(out_channels, n, patch, wq.data(), w_params.zero_point,
+                columns.data(), in_params.zero_point, acc.data());
+  const float real_scale = in_params.scale * w_params.scale;
+  std::vector<float> out(out_channels * n);
+  for (int64_t m = 0; m < out_channels; ++m)
+    for (int64_t j = 0; j < n; ++j)
+      out[m * n + j] = real_scale * static_cast<float>(acc[m * n + j]) +
+                       bias[m];
+  return out;
 }
+
+struct ConvCase {
+  ConvGeometry g;
+  int64_t out_channels;
+};
+
+class ConvLowp : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvLowp, MatchesScalarOracleBitForBit) {
+  const auto [g, out_channels] = GetParam();
+  Rng rng(99);
+  std::vector<float> image(g.in_channels * g.in_height * g.in_width);
+  for (auto& v : image) v = rng.uniform(-1.0f, 1.0f);
+  std::vector<float> bias(out_channels);
+  for (auto& v : bias) v = rng.normal();
+  const auto in_params = quant::choose_affine_params(-1.0f, 1.0f);
+  const auto w_params = quant::choose_affine_params(-2.0f, 2.0f);
+  const auto wq = random_codes(rng, out_channels * g.patch_size());
+
+  const std::vector<float> want = conv_lowp_oracle(
+      image, g, in_params, wq, w_params, out_channels, bias);
+  const PackedLhs lhs =
+      pack_lhs(wq.data(), out_channels, g.patch_size(), w_params.zero_point);
+  std::vector<float> got(out_channels * g.num_patches(), -1.0f);
+  fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
+                         bias.data(), got.data());
+  EXPECT_EQ(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvLowp,
+    ::testing::Values(
+        // Tincy YOLO layer 0 in miniature: 3 channels, k3, s2, p1, 16
+        // filters; 17x17 -> 81 columns, not a multiple of kNr.
+        ConvCase{{3, 17, 17, 3, 2, 1}, 16},
+        // Layer 0 large enough to shard over the thread pool.
+        ConvCase{{3, 104, 104, 3, 2, 1}, 16},
+        // Layer 13-like 1x1 output conv: 13x13 = 169 columns.
+        ConvCase{{64, 13, 13, 1, 1, 0}, 125},
+        ConvCase{{3, 10, 11, 3, 1, 1}, 7},
+        ConvCase{{2, 9, 7, 3, 2, 1}, 5},
+        ConvCase{{5, 6, 6, 1, 1, 0}, 3},
+        ConvCase{{1, 4, 4, 3, 3, 2}, 1}));
 
 // --- Zero-allocation steady state --------------------------------------
 
@@ -376,10 +424,6 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   std::vector<uint8_t> cq(M * N);
 
   auto run_frame = [&] {
-    conv_lowp_f32out(image.data(), g, in_params, wq.data(), w_params,
-                     out_channels, bias.data(), out.data());
-    conv_lowp_f32out(image.data(), g, in_params, lhs, w_params, bias.data(),
-                     out.data());
     fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
                            bias.data(), out.data());
     gemm_lowp_u8(M, N, K, a.data(), in_params.zero_point, b.data(),

@@ -149,9 +149,9 @@ int cmd_detect(int argc, char** argv) {
 int cmd_demo(int argc, char** argv) {
   const int64_t frames = argc > 0 ? std::atoll(argv[0]) : 64;
   const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
-  // kOptimized exercises the paper's full CPU story — acc16 first layer
-  // plus the packed lowp GEMM engine on the output layer — so the demo's
-  // --metrics-json carries the gemm.* observability surface.
+  // kOptimized runs the first and output layers on the packed lowp GEMM
+  // engine, so the demo's --metrics-json carries the gemm.* observability
+  // surface.
   auto net = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
       nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kFloat, 64,
       nn::zoo::CpuProfile::kOptimized));
