@@ -137,8 +137,7 @@ void fused_conv_lowp_f32out(const float* image, const ConvGeometry& g,
   ScratchScope scope(arena);
   const int64_t pixels = g.in_channels * g.in_height * g.in_width;
   uint8_t* qimage = arena.alloc<uint8_t>(pixels);
-  for (int64_t i = 0; i < pixels; ++i)
-    qimage[i] = input_params.quantize(image[i]);
+  quant::quantize(image, pixels, input_params, qimage);
 
   FusedShardCtx ctx{qimage,
                     &g,

@@ -7,22 +7,16 @@
 namespace tincy::nn {
 
 float apply(Activation a, float x) {
-  switch (a) {
-    case Activation::kLinear:
-      return x;
-    case Activation::kRelu:
-      return x > 0.0f ? x : 0.0f;
-    case Activation::kLeaky:
-      return x > 0.0f ? x : 0.1f * x;
-    case Activation::kLogistic:
-      return 1.0f / (1.0f + std::exp(-x));
-  }
-  return x;
+  float y = x;
+  with_activation(a, [&](auto act) { y = act(x); });
+  return y;
 }
 
 void apply(Activation a, Tensor& t) {
   if (a == Activation::kLinear) return;
-  for (int64_t i = 0; i < t.numel(); ++i) t[i] = apply(a, t[i]);
+  with_activation(a, [&](auto act) {
+    for (int64_t i = 0; i < t.numel(); ++i) t[i] = act(t[i]);
+  });
 }
 
 float derivative(Activation a, float x) {
@@ -34,7 +28,7 @@ float derivative(Activation a, float x) {
     case Activation::kLeaky:
       return x > 0.0f ? 1.0f : 0.1f;
     case Activation::kLogistic: {
-      const float s = apply(Activation::kLogistic, x);
+      const float s = activate<Activation::kLogistic>(x);
       return s * (1.0f - s);
     }
   }

@@ -113,6 +113,19 @@ class ConvLayer final : public Layer {
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
 
+  /// quant_thresholds() flattened for the golden model's epilogue. Row k
+  /// holds threshold k of every channel, so the comparisons vectorise
+  /// across channels. A descending channel (level += acc <= t) is stored
+  /// complemented: ~x = −x − 1 reverses the int32 order without overflow,
+  /// so acc <= t ⟺ ~acc >= ~t and one comparison serves both directions.
+  struct ThresholdTable {
+    int64_t levels = 0;
+    std::vector<int32_t> thresholds;  ///< levels × filters, row-major
+    std::vector<int32_t> flip;        ///< per filter: 0 ascending, ~0 not
+    std::vector<float> level_value;   ///< emitted value of levels 0..levels
+  };
+  const ThresholdTable& threshold_table() const;
+
   ConvConfig cfg_;
   gemm::ConvGeometry geom_;
   Tensor weights_;    // filters × patch
@@ -126,6 +139,7 @@ class ConvLayer final : public Layer {
   mutable std::optional<gemm::BitSerialWeights> bitserial_cache_;
   mutable std::optional<Tensor> binary_float_cache_;
   mutable std::optional<std::vector<quant::ThresholdChannel>> threshold_cache_;
+  mutable std::optional<ThresholdTable> threshold_table_;
   mutable std::optional<TensorU8> lowp_codes_;
   mutable std::optional<quant::AffineParams> lowp_params_;
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:

@@ -1,15 +1,11 @@
 #include "quant/affine.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/fixed_point.hpp"
 
 namespace tincy::quant {
-
-uint8_t AffineParams::quantize(float real) const {
-  const float q = std::round(real / scale) + static_cast<float>(zero_point);
-  return static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
-}
 
 AffineParams choose_affine_params(float rmin, float rmax) {
   // Widen the range to include zero so that 0.0 has an exact code.
@@ -27,18 +23,53 @@ AffineParams choose_affine_params(float rmin, float rmax) {
 
 std::pair<float, float> min_max(const Tensor& t) {
   if (t.empty()) return {0.0f, 0.0f};
-  float lo = t[0], hi = t[0];
-  for (int64_t i = 1; i < t.numel(); ++i) {
-    lo = std::min(lo, t[i]);
-    hi = std::max(hi, t[i]);
+  const float* x = t.data();
+  const int64_t n = t.numel();
+  // Lane-parallel form of lo = std::min(lo, x[i]) from lo = x[0]: every
+  // lane starts at x[0], so a NaN there poisons the result as in the scan
+  // and later NaNs are skipped.
+  constexpr int64_t kLanes = 16;
+  float lo[kLanes], hi[kLanes];
+  std::fill(lo, lo + kLanes, x[0]);
+  std::fill(hi, hi + kLanes, x[0]);
+  int64_t i = 1;
+  for (; i + kLanes <= n; i += kLanes)
+    for (int64_t k = 0; k < kLanes; ++k) {
+      const float v = x[i + k];  // std::min(lo, v) and std::max(hi, v)
+      lo[k] = v < lo[k] ? v : lo[k];
+      hi[k] = hi[k] < v ? v : hi[k];
+    }
+  float l = x[0], h = x[0];
+  for (int64_t k = 0; k < kLanes; ++k) {
+    l = std::min(l, lo[k]);
+    h = std::max(h, hi[k]);
   }
-  return {lo, hi};
+  for (; i < n; ++i) {
+    l = std::min(l, x[i]);
+    h = std::max(h, x[i]);
+  }
+  // The scan keeps the first of equal values, which only shows for ±0:
+  // a zero extreme is the first element equal to zero.
+  if (l == 0.0f) l = *std::find(x, x + n, 0.0f);
+  if (h == 0.0f) h = *std::find(x, x + n, 0.0f);
+  return {l, h};
 }
 
 TensorU8 quantize(const Tensor& t, const AffineParams& params) {
   TensorU8 q(t.shape());
-  for (int64_t i = 0; i < t.numel(); ++i) q[i] = params.quantize(t[i]);
+  quantize(t.data(), t.numel(), params, q.data());
   return q;
+}
+
+void quantize(const float* __restrict x, int64_t n, const AffineParams& params,
+              uint8_t* __restrict codes) {
+  // Fixed-length blocks over restrict pointers: the body vectorises at -O2.
+  constexpr int64_t kBlock = 16;
+  int64_t i = 0;
+  for (; i + kBlock <= n; i += kBlock)
+    for (int64_t k = 0; k < kBlock; ++k)
+      codes[i + k] = params.quantize(x[i + k]);
+  for (; i < n; ++i) codes[i] = params.quantize(x[i]);
 }
 
 Tensor dequantize(const TensorU8& t, const AffineParams& params) {

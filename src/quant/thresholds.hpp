@@ -12,6 +12,7 @@
 /// the threshold form of it over integer accumulators.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/tensor.hpp"
@@ -26,12 +27,28 @@ struct UniformActQuant {
   float scale = 1.0f;
 
   int levels() const { return (1 << bits) - 1; }
-  uint8_t quantize(float x) const;
+
+  /// clamp(round(x / scale), 0, levels), rounding half up, without a
+  /// branch or a libm call: NaN, −0 and negatives clamp to 0 and +inf to
+  /// the top level; inside the grid v < 2^23, so v − trunc(v) is exact.
+  uint8_t quantize(float x) const {
+    const float top = static_cast<float>(levels());
+    float v = x / scale;
+    v = v > 0.0f ? v : 0.0f;
+    v = v < top ? v : top;
+    const int whole = static_cast<int>(v);
+    return static_cast<uint8_t>(
+        whole + (v - static_cast<float>(whole) >= 0.5f ? 1 : 0));
+  }
   float dequantize(uint8_t code) const { return scale * static_cast<float>(code); }
 };
 
 /// Quantizes a float feature map into A-bit codes (stored one per byte).
 TensorU8 quantize_activations(const Tensor& t, const UniformActQuant& q);
+
+/// codes[i] = q.quantize(x[i]) for i < n, in one vectorisable pass.
+void quantize_activations(const float* x, int64_t n, const UniformActQuant& q,
+                          uint8_t* codes);
 
 /// Reconstructs float values from A-bit codes.
 Tensor dequantize_activations(const TensorU8& t, const UniformActQuant& q);
@@ -57,6 +74,17 @@ struct ThresholdChannel {
     return static_cast<uint8_t>(level);
   }
 };
+
+/// An already rounded real threshold as int32, saturated to the int32
+/// range: a near-zero folded slope can push it far past either end, where
+/// a plain cast is undefined. NaN (from NaN statistics) maps to the top.
+inline int32_t saturate_threshold(double t) {
+  constexpr double lo = std::numeric_limits<int32_t>::min();
+  constexpr double hi = std::numeric_limits<int32_t>::max();
+  if (!(t < hi)) return std::numeric_limits<int32_t>::max();
+  if (t <= lo) return std::numeric_limits<int32_t>::min();
+  return static_cast<int32_t>(t);
+}
 
 /// Builds the ascending ThresholdChannel equivalent to `scale_out`-uniform
 /// quantization of (acc_scale * acc + bias) after ReLU: level k is reached

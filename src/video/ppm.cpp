@@ -31,19 +31,35 @@ Tensor read_ppm(const std::string& path) {
   std::string magic;
   int64_t w = 0, h = 0, maxval = 0;
   in >> magic >> w >> h >> maxval;
-  TINCY_CHECK_MSG(magic == "P6" && w > 0 && h > 0 && maxval == 255,
+  TINCY_CHECK_MSG(in && magic == "P6" && w > 0 && h > 0 && maxval == 255,
                   "unsupported PPM header in " << path);
   in.get();  // single whitespace after maxval
+  TINCY_CHECK_MSG(static_cast<bool>(in), "truncated PPM " << path);
+  // Bound the dimensions by the bytes the file holds before allocating:
+  // a forged header must not turn into a huge allocation.
+  const std::streamoff pixels_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - pixels_at;
+  in.seekg(pixels_at);
+  TINCY_CHECK_MSG(w <= left / 3 && h <= left / (3 * w),
+                  "truncated PPM " << path << ": " << w << "x" << h
+                                   << " pixels need more than the " << left
+                                   << " bytes left");
   Tensor image(Shape{3, h, w});
   std::vector<unsigned char> row(static_cast<size_t>(w) * 3);
   for (int64_t y = 0; y < h; ++y) {
     in.read(reinterpret_cast<char*>(row.data()),
             static_cast<std::streamsize>(row.size()));
     TINCY_CHECK_MSG(static_cast<bool>(in), "truncated PPM " << path);
-    for (int64_t x = 0; x < w; ++x)
-      for (int c = 0; c < 3; ++c)
-        image.at(c, y, x) =
-            static_cast<float>(row[static_cast<size_t>(x * 3 + c)]) / 255.0f;
+    float* red = image.data() + y * w;
+    float* green = red + h * w;
+    float* blue = green + h * w;
+    for (int64_t x = 0; x < w; ++x) {
+      const unsigned char* px = row.data() + 3 * x;
+      red[x] = static_cast<float>(px[0]) / 255.0f;
+      green[x] = static_cast<float>(px[1]) / 255.0f;
+      blue[x] = static_cast<float>(px[2]) / 255.0f;
+    }
   }
   return image;
 }

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "data/image.hpp"
 #include "data/synthdigits.hpp"
@@ -183,6 +185,24 @@ TEST(Ppm, RoundTrip) {
   ASSERT_EQ(back.shape(), img.shape());
   for (int64_t i = 0; i < img.numel(); ++i)
     EXPECT_NEAR(back[i], img[i], 1.0f / 255.0f);
+  std::filesystem::remove(path);
+}
+
+TEST(Ppm, HeaderLargerThanFileIsAnError) {
+  // A forged header must be rejected before anything is allocated: it used
+  // to end in an uncaught std::bad_alloc.
+  const auto path =
+      (std::filesystem::temp_directory_path() / "tincy_forged.ppm").string();
+  for (const std::string text :
+       {"P6\n100000 100000\n255\n", "P6\n4611686018427387904 4\n255\n",
+        "P6\n4 4611686018427387904\n255\n", "P6\n4 4\n255\n0123456789",
+        "P6\n99999999999999999999 1\n255\n", "P6\n2 2\n255"}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    EXPECT_THROW(video::read_ppm(path), Error) << text;
+  }
   std::filesystem::remove(path);
 }
 

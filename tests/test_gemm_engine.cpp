@@ -22,6 +22,8 @@
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "gemm/scratch.hpp"
+#include "nn/conv_layer.hpp"
+#include "nn/maxpool_layer.hpp"
 #include "quant/affine.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -423,11 +425,34 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
       quant::make_requantizer(in_params.scale, w_params.scale, out_params);
   std::vector<uint8_t> cq(M * N);
 
+  // A W1A3 golden conv followed by a max pool, as on the frame path. It is
+  // small enough to run on this thread: a pool worker's arena is sized on
+  // the worker's first share of a call, which a short warm-up cannot
+  // promise to every worker.
+  nn::ConvConfig gcfg;
+  gcfg.filters = 16;
+  gcfg.activation = nn::Activation::kRelu;
+  gcfg.batch_normalize = true;
+  gcfg.binary_weights = true;
+  gcfg.act_bits = 3;
+  gcfg.kernel = nn::ConvKernel::kQuantReference;
+  nn::ConvLayer golden(gcfg, Shape{16, 12, 12});
+  for (int64_t i = 0; i < golden.weights().numel(); ++i)
+    golden.weights()[i] = rng.normal();
+  Tensor codes_in(Shape{16, 12, 12});
+  for (int64_t i = 0; i < codes_in.numel(); ++i)
+    codes_in[i] = static_cast<float>(rng.uniform_int(0, 7));
+  Tensor golden_out(golden.output_shape());
+  nn::MaxPoolLayer pool({2, 2}, golden.output_shape());
+  Tensor pooled(pool.output_shape());
+
   auto run_frame = [&] {
     fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
                            bias.data(), out.data());
     gemm_lowp_u8(M, N, K, a.data(), in_params.zero_point, b.data(),
                  w_params.zero_point, rq, cq.data());
+    golden.forward(codes_in, golden_out);
+    pool.forward(golden_out, pooled);
   };
 
   // Warm-up: sizes the thread arenas, spins up the shared pool, resolves

@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "core/rng.hpp"
 #include "fabric/accelerator.hpp"
 #include "nn/builder.hpp"
+#include "nn/conv_layer.hpp"
 #include "nn/maxpool_layer.hpp"
 #include "nn/zoo.hpp"
 #include "offload/import.hpp"
@@ -109,6 +112,56 @@ INSTANTIATE_TEST_SUITE_P(Geometries, PoolGeometry,
                                            std::tuple{7, 3, 2},
                                            std::tuple{6, 3, 1},
                                            std::tuple{10, 3, 3}));
+
+TEST(ExtremeBatchNorm, SaturatedThresholdsKeepGoldenAndFabricIdentical) {
+  // Near-zero variance and scale, huge means and biases and a zero scale
+  // drive the folded thresholds past the int32 range (an undefined cast
+  // before saturation). Golden model and fabric still agree bit for bit.
+  const std::string cfg =
+      "[net]\nwidth=10\nheight=10\nchannels=4\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=12\nsize=3\nstride=1\n"
+      "pad=1\nactivation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n"
+      "in_scale=0.5\nout_scale=0.5\n"
+      "[maxpool]\nsize=2\nstride=2\n";
+  Rng rng(4242);
+  auto subnet = nn::build_network_from_string(cfg);
+  nn::zoo::randomize(*subnet, rng);
+  auto& conv = dynamic_cast<nn::ConvLayer&>(subnet->layer(0));
+  struct Stats { float scale, mean, var, bias; };
+  const Stats extremes[] = {
+      {1e-30f, 0.0f, 0.0f, 0.0f},    {-1e-30f, 0.0f, 0.0f, 0.0f},
+      {1.0f, 1e30f, 1.0f, 0.0f},     {1.0f, -1e30f, 1.0f, 0.0f},
+      {-1.0f, 1e30f, 1e-30f, 0.0f},  {1e30f, 0.0f, 0.0f, 0.5f},
+      {0.0f, 0.0f, 1.0f, 3.0f},      {0.0f, 0.0f, 1.0f, -3.0f},
+      {1e-30f, 1e30f, 0.0f, 1e30f},  {1.0f, 0.0f, 1.0f, -1e30f},
+      {2e-7f, 0.0f, 0.0f, 0.0f},     {1.0f, 0.0f, 1.0f, 0.0f}};
+  for (int64_t c = 0; c < 12; ++c) {
+    const Stats& s = extremes[c];
+    conv.bn_scales()[c] = s.scale;
+    conv.bn_mean()[c] = s.mean;
+    conv.bn_var()[c] = s.var;
+    conv.biases()[c] = s.bias;
+  }
+  conv.invalidate_cached_quantization();
+  int64_t saturated = 0;
+  for (const auto& ch : conv.quant_thresholds())
+    for (const int32_t t : ch.thresholds)
+      saturated += t == std::numeric_limits<int32_t>::min() ||
+                   t == std::numeric_limits<int32_t>::max();
+  EXPECT_GT(saturated, 0) << "no threshold reached the int32 limits";
+
+  const fabric::QnnAccelerator acc = offload::import_accelerator(*subnet);
+  for (int rep = 0; rep < 3; ++rep) {
+    Tensor in(Shape{4, 10, 10});
+    for (int64_t i = 0; i < in.numel(); ++i)
+      in[i] = 0.5f * static_cast<float>(rng.uniform_int(0, 7));
+    const Tensor expected = subnet->forward(in);
+    const Tensor got = acc.forward(in);
+    ASSERT_EQ(got.shape(), expected.shape());
+    for (int64_t i = 0; i < got.numel(); ++i)
+      ASSERT_EQ(got[i], expected[i]) << "rep " << rep << " elem " << i;
+  }
+}
 
 class AffineSweep : public ::testing::TestWithParam<std::pair<float, float>> {
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/rng.hpp"
 #include "quant/affine.hpp"
@@ -166,6 +167,23 @@ TEST(Thresholds, FoldMatchesFloatQuantization) {
           << "acc=" << acc << " bits=" << bits;
     }
   }
+}
+
+TEST(Thresholds, FoldSaturatesOutOfRangeThresholds) {
+  // A near-zero accumulator scale pushes (target − bias) / acc_scale far
+  // past the int32 range; the fold saturates instead of casting.
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  const ThresholdChannel above = fold_to_thresholds(3, 1e-30f, 0.0f, 1.0f);
+  for (const int32_t t : above.thresholds) EXPECT_EQ(t, kMax);
+  EXPECT_EQ(above.apply(kMax - 1), 0);
+  const ThresholdChannel below = fold_to_thresholds(3, 1e-30f, 100.0f, 1.0f);
+  for (const int32_t t : below.thresholds) EXPECT_EQ(t, kMin);
+  EXPECT_EQ(below.apply(kMin), 7);
+  EXPECT_EQ(saturate_threshold(std::nan("")), kMax);
+  EXPECT_EQ(saturate_threshold(-1e300), kMin);
+  EXPECT_EQ(saturate_threshold(2147483646.0), kMax - 1);
+  EXPECT_EQ(saturate_threshold(-2147483648.0), kMin);
 }
 
 }  // namespace
