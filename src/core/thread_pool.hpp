@@ -9,7 +9,8 @@
 /// Design constraints, in order:
 ///  * zero heap allocations on the submit path — a steady-state frame must
 ///    not allocate, so jobs are stack-resident descriptors linked into an
-///    intrusive list and chunk indices are claimed with a fetch_add;
+///    intrusive list, and chunk indices are claimed under `mutex_` (a
+///    relaxed load and store of the job's next_block counter);
 ///  * safe to call from several threads at once (the pipeline/serve worker
 ///    pools invoke GEMM concurrently; all their calls share this one pool,
 ///    so the process never oversubscribes the cores);

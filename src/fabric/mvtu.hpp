@@ -7,7 +7,7 @@
 /// paper's related work discusses, with a nonzero mask beside the sign
 /// plane). Activations arrive as A-bit codes which the unit processes
 /// bit-serially: the dot product is the weighted sum of per-bit-plane
-/// masked-popcount terms (gemm/bitserial.hpp holds the arithmetic). The
+/// AND-popcount terms (gemm/bitserial.hpp holds the arithmetic). The
 /// raw accumulator then passes the per-channel threshold unit which
 /// subsumes bias, batch normalization and the quantized activation.
 

@@ -38,6 +38,23 @@ void pack_row(const BitVector& src, int64_t taps, uint64_t* dst) {
   if (d & 63) dst[d >> 6] = word;
 }
 
+/// Packs row r of a Darknet-ordered bit matrix into the interleaved
+/// plane `dst` (padded rows are never written, so they stay zero).
+/// Returns the row's set-bit count.
+int64_t pack_interleaved(const BitVector& src, int64_t r, int64_t taps,
+                         int64_t words, std::vector<uint64_t>& row,
+                         uint64_t* dst) {
+  std::fill(row.begin(), row.end(), 0);
+  pack_row(src, taps, row.data());
+  int64_t count = 0;
+  for (int64_t i = 0; i < words; ++i) {
+    const uint64_t word = row[static_cast<size_t>(i)];
+    dst[BitSerialWeights::index(r, i, words)] = word;
+    count += std::popcount(word);
+  }
+  return count;
+}
+
 BitSerialWeights empty_pack(int64_t rows, int64_t cols, int64_t kernel) {
   TINCY_CHECK_MSG(kernel >= 1 && cols % (kernel * kernel) == 0,
                   cols << " columns for a " << kernel << "x" << kernel
@@ -46,18 +63,10 @@ BitSerialWeights empty_pack(int64_t rows, int64_t cols, int64_t kernel) {
   p.rows = rows;
   p.cols = cols;
   p.words = bitplane_words(cols);
-  p.positive.assign(static_cast<size_t>(rows * p.words), 0);
+  p.positive.assign(
+      static_cast<size_t>(p.groups() * p.words * kBitSerialGroupRows), 0);
   p.positive_count.resize(static_cast<size_t>(rows));
   return p;
-}
-
-void count_positive(BitSerialWeights& p) {
-  for (int64_t r = 0; r < p.rows; ++r) {
-    int64_t n = 0;
-    for (int64_t i = 0; i < p.words; ++i)
-      n += std::popcount(p.positive[static_cast<size_t>(r * p.words + i)]);
-    p.positive_count[static_cast<size_t>(r)] = n;
-  }
 }
 
 /// ORs the `nw`-word bit string `src` into `dst` at bit offset `off`.
@@ -83,22 +92,48 @@ struct Im2colCtx {
 };
 
 /// Pixel planes of image rows [lo, hi): pix[(p·bits + b)·cw + c/64].
+/// Each word gathers its 64 channels of one pixel in registers and is
+/// stored once. Eight pixels go together: one 8-byte read per channel
+/// covers them, and an 8 × 8 bit transpose per plane moves 64 bits at a
+/// time.
 void pixel_planes(int64_t lo, int64_t hi, void* p) {
   const auto& ctx = *static_cast<Im2colCtx*>(p);
   const ConvGeometry& g = *ctx.g;
   const int64_t hw = g.in_height * g.in_width, stride = ctx.bits * ctx.cw;
   const int64_t p0 = lo * g.in_width, p1 = hi * g.in_width;
-  std::memset(ctx.pix + p0 * stride, 0,
-              static_cast<size_t>((p1 - p0) * stride) * sizeof(uint64_t));
-  for (int64_t c = 0; c < g.in_channels; ++c) {
-    const uint8_t* plane = ctx.image + c * hw;
-    uint64_t* base = ctx.pix + (c >> 6);
-    const int shift = static_cast<int>(c & 63);
-    for (int64_t q = p0; q < p1; ++q) {
-      const uint64_t code = plane[q];
-      uint64_t* px = base + q * stride;
-      for (int b = 0; b < ctx.bits; ++b)  // branch-free: codes are random
-        px[b * ctx.cw] |= ((code >> b) & 1u) << shift;
+  constexpr uint64_t kByteLsb = 0x0101010101010101;
+  for (int64_t wi = 0; wi < ctx.cw; ++wi) {
+    const int64_t c0 = wi * 64;
+    const int64_t n = std::min<int64_t>(64, g.in_channels - c0);
+    const uint8_t* image = ctx.image + c0 * hw;
+    int64_t q = p0;
+    for (; q + 8 <= p1; q += 8) {
+      uint64_t w[8][8] = {};  // [pixel][plane]
+      for (int64_t c = 0; c < n; c += 8) {
+        const int64_t m = std::min<int64_t>(8, n - c);
+        uint64_t z[8] = {};  // [plane]: byte k = 8 channels of pixel q + k
+        for (int64_t j = 0; j < m; ++j) {
+          const uint8_t* codes = image + (c + j) * hw + q;
+          uint64_t x = 0;  // byte k: the code of pixel q + k
+          for (int k = 0; k < 8; ++k) x |= uint64_t{codes[k]} << (8 * k);
+          for (int b = 0; b < ctx.bits; ++b)
+            z[b] |= ((x >> b) & kByteLsb) << j;
+        }
+        for (int b = 0; b < ctx.bits; ++b)
+          for (int k = 0; k < 8; ++k)
+            w[k][b] |= ((z[b] >> (8 * k)) & 0xff) << c;
+      }
+      for (int k = 0; k < 8; ++k)
+        for (int b = 0; b < ctx.bits; ++b)
+          ctx.pix[(q + k) * stride + b * ctx.cw + wi] = w[k][b];
+    }
+    for (; q < p1; ++q) {
+      uint64_t w[8] = {};
+      for (int64_t c = 0; c < n; ++c)
+        for (int b = 0; b < ctx.bits; ++b)  // branch-free: codes are random
+          w[b] |= ((uint64_t{image[c * hw + q]} >> b) & 1u) << c;
+      for (int b = 0; b < ctx.bits; ++b)
+        ctx.pix[q * stride + b * ctx.cw + wi] = w[b];
     }
   }
 }
@@ -131,11 +166,9 @@ void patch_columns(int64_t lo, int64_t hi, void* p) {
 }
 
 struct GemmCtx {
-  const BitSerialWeights* w;
+  BitSerialTileArgs args;
   const uint64_t* planes;
   int64_t n;
-  int bits;
-  bool bipolar;
   int64_t block;  ///< columns per epilogue block
   BitSerialFn fn;
   const BitSerialEpilogue* epilogue;
@@ -144,40 +177,14 @@ struct GemmCtx {
 /// Runs column blocks [lo, hi) and hands each block to the epilogue.
 void gemm_blocks(int64_t lo, int64_t hi, void* p) {
   const auto& ctx = *static_cast<GemmCtx*>(p);
-  const BitSerialWeights& w = *ctx.w;
-  const int64_t rows = w.rows, col_words = ctx.bits * w.words;
+  const int64_t col_words = ctx.args.bits * ctx.args.words;
   Arena& arena = thread_arena();
   ScratchScope scope(arena);
-  int64_t* pos = arena.alloc<int64_t>(rows);
-  int64_t* nz = arena.alloc<int64_t>(rows);
-  int32_t* acc = arena.alloc<int32_t>(ctx.block * rows);
+  int32_t* acc = arena.alloc<int32_t>(ctx.block * ctx.args.rows);
   for (int64_t blk = lo; blk < hi; ++blk) {
     const int64_t j0 = blk * ctx.block;
     const int64_t count = std::min(ctx.block, ctx.n - j0);
-    for (int64_t jj = 0; jj < count; ++jj) {
-      const uint64_t* a = ctx.planes + (j0 + jj) * col_words;
-      int32_t* out = acc + jj * rows;
-      ctx.fn(w.positive.data(), rows, w.words, a, ctx.bits, pos);
-      if (w.ternary()) {
-        ctx.fn(w.nonzero.data(), rows, w.words, a, ctx.bits, nz);
-        for (int64_t r = 0; r < rows; ++r)
-          out[r] = static_cast<int32_t>(2 * pos[r] - nz[r]);
-        continue;
-      }
-      int64_t sum_x = 0;  // Σ_b 2^b·|a_b| == Σ of the column's codes
-      for (int b = 0; b < ctx.bits; ++b)
-        for (int64_t i = 0; i < w.words; ++i)
-          sum_x += static_cast<int64_t>(std::popcount(a[b * w.words + i])) << b;
-      if (ctx.bipolar) {
-        const int64_t base = w.cols - 2 * sum_x;
-        for (int64_t r = 0; r < rows; ++r)
-          out[r] = static_cast<int32_t>(
-              base - 2 * w.positive_count[static_cast<size_t>(r)] + 4 * pos[r]);
-      } else {
-        for (int64_t r = 0; r < rows; ++r)
-          out[r] = static_cast<int32_t>(2 * pos[r] - sum_x);
-      }
-    }
+    ctx.fn(ctx.args, ctx.planes + j0 * col_words, count, acc);
     (*ctx.epilogue)(j0, count, acc);
   }
 }
@@ -186,10 +193,11 @@ void gemm_blocks(int64_t lo, int64_t hi, void* p) {
 
 BitSerialWeights pack_bitserial(const quant::BinaryMatrix& m, int64_t kernel) {
   BitSerialWeights p = empty_pack(m.rows, m.cols, kernel);
+  std::vector<uint64_t> row(static_cast<size_t>(p.words));
   for (int64_t r = 0; r < m.rows; ++r)
-    pack_row(m.row_bits[static_cast<size_t>(r)], kernel * kernel,
-             p.positive.data() + r * p.words);
-  count_positive(p);
+    p.positive_count[static_cast<size_t>(r)] =
+        pack_interleaved(m.row_bits[static_cast<size_t>(r)], r,
+                         kernel * kernel, p.words, row, p.positive.data());
   return p;
 }
 
@@ -197,13 +205,14 @@ BitSerialWeights pack_bitserial(const quant::TernaryMatrix& m,
                                 int64_t kernel) {
   BitSerialWeights p = empty_pack(m.rows, m.cols, kernel);
   p.nonzero.assign(p.positive.size(), 0);
+  std::vector<uint64_t> row(static_cast<size_t>(p.words));
   for (int64_t r = 0; r < m.rows; ++r) {
-    pack_row(m.positive[static_cast<size_t>(r)], kernel * kernel,
-             p.positive.data() + r * p.words);
-    pack_row(m.nonzero[static_cast<size_t>(r)], kernel * kernel,
-             p.nonzero.data() + r * p.words);
+    p.positive_count[static_cast<size_t>(r)] =
+        pack_interleaved(m.positive[static_cast<size_t>(r)], r,
+                         kernel * kernel, p.words, row, p.positive.data());
+    pack_interleaved(m.nonzero[static_cast<size_t>(r)], r, kernel * kernel,
+                     p.words, row, p.nonzero.data());
   }
-  count_positive(p);
   return p;
 }
 
@@ -225,6 +234,33 @@ void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
   pool.parallel_for(0, g.out_height(), chunks, patch_columns, &ctx);
 }
 
+BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
+                            int64_t* row_bias) {
+  BitSerialTileArgs a;
+  a.positive = w.positive.data();
+  a.nonzero = w.ternary() ? w.nonzero.data() : nullptr;
+  a.rows = w.rows;
+  a.words = w.words;
+  a.bits = bits;
+  if (w.ternary()) {
+    a.shift = 0;  // T already holds 2·S(positive) − S(nonzero)
+  } else if (!bipolar) {
+    a.shift = 1;
+    a.col_scale = -1;
+  } else {
+    TINCY_CHECK(row_bias != nullptr);
+    a.shift = 2;
+    a.col_base = w.cols;
+    a.col_scale = -2;
+    const int64_t padded = w.groups() * kBitSerialGroupRows;
+    for (int64_t r = 0; r < padded; ++r)
+      row_bias[r] =
+          r < w.rows ? -2 * w.positive_count[static_cast<size_t>(r)] : 0;
+    a.row_bias = row_bias;
+  }
+  return a;
+}
+
 void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,
                     int64_t n, int bits, bool bipolar,
                     const BitSerialEpilogue& epilogue,
@@ -233,6 +269,12 @@ void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,
   TINCY_CHECK_MSG(!bipolar || (bits == 1 && !w.ternary()),
                   "bipolar codes need 1-bit activations and binary weights");
   if (n <= 0) return;
+  Arena& arena = thread_arena();
+  ScratchScope scope(arena);
+  const BitSerialTileArgs args = tile_args(
+      w, bits, bipolar,
+      bipolar ? arena.alloc<int64_t>(w.groups() * kBitSerialGroupRows)
+              : nullptr);
   core::ThreadPool& pool = core::ThreadPool::shared();
   const int64_t work = w.rows * n * bits * w.words * (w.ternary() ? 2 : 1);
   const int64_t shards = work >= kMinWordsToShard ? pool.threads() : 1;
@@ -241,10 +283,14 @@ void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,
   const int64_t block =
       std::clamp<int64_t>((n + 4 * shards - 1) / (4 * shards), 1,
                           kMaxBlockColumns);
-  GemmCtx ctx{&w,    planes, n, bits, bipolar, block,
+  GemmCtx ctx{args, planes, n, block,
               bitserial_kernel(resolve_kernel(kernel)), &epilogue};
+  // A block of a shallow layer is about a microsecond of work (layer 1:
+  // 16 columns × 64 rows × 144 bits), so blocks are claimed in runs of
+  // blocks / (8 · shards): a claim takes the pool's mutex.
   const int64_t blocks = (n + block - 1) / block;
-  pool.parallel_for(0, blocks, shards == 1 ? 1 : blocks, gemm_blocks, &ctx);
+  pool.parallel_for(0, blocks, shards == 1 ? 1 : std::min(blocks, 8 * shards),
+                    gemm_blocks, &ctx);
 }
 
 void bitserial_gemm_reference(const int8_t* w, int64_t rows, int64_t cols,

@@ -16,9 +16,9 @@
 ///   bipolar (A = 1, x = ±1 from bit 1/0, binary weights):
 ///                       Σ w·x = K − 2·|positive| − 2·|a| + 4·S(positive)
 ///
-/// so one masked-popcount micro-kernel (gemm/kernels.hpp, BitSerialFn,
-/// runtime-dispatched over portable / POPCNT / AVX2 / AVX-512 VPOPCNTDQ)
-/// does all the work; the rest is exact integer bookkeeping.
+/// so one popcount tile kernel (gemm/kernels.hpp, BitSerialFn, runtime-
+/// dispatched over portable / POPCNT / AVX2 / AVX-512 VPOPCNTDQ) does all
+/// the work, identities included; the rest is packing.
 ///
 /// Layout. A convolution's patch is ordered channel-major — patch bit
 /// t·C + c holds channel c of kernel tap t = kh·K + kw — so the im2col
@@ -26,6 +26,12 @@
 /// gathering single bits. Weight rows (Darknet order c·K² + t) are
 /// permuted into the same order when packed; an FC layer is K = 1 and
 /// keeps its order. A packed column is `bits` planes of `words` words.
+/// The weight planes are row-group-interleaved, [group][word][8 rows]:
+/// word i of rows 8g…8g+7 is the 64-byte run at (g·words + i)·8, so the
+/// kernel loads one row group's word as one vector and keeps output
+/// channels in SIMD lanes, the way the paper's MVTU computes several
+/// output rows per PE (FINN-R's PE × SIMD folding). Rows are zero-padded
+/// to whole groups.
 
 #include <cstdint>
 #include <functional>
@@ -43,16 +49,26 @@ inline int64_t bitplane_words(int64_t patch_size) {
   return (patch_size + 63) / 64;
 }
 
-/// Weights packed for the bit-serial kernel, rows × words per plane.
+/// Weights packed for the bit-serial kernel: groups() × words × 8 words
+/// per plane, interleaved as above.
 struct BitSerialWeights {
   int64_t rows = 0;
   int64_t cols = 0;   ///< dot-product depth (C·K²)
   int64_t words = 0;  ///< bitplane_words(cols)
   std::vector<uint64_t> positive;  ///< bit set iff w = +1
   std::vector<uint64_t> nonzero;   ///< bit set iff w ≠ 0; empty for binary
-  std::vector<int64_t> positive_count;  ///< |positive| per row (bipolar)
+  std::vector<int64_t> positive_count;  ///< |positive| per live row
 
   bool ternary() const { return !nonzero.empty(); }
+  /// Row groups of kBitSerialGroupRows rows, the last one zero-padded.
+  int64_t groups() const {
+    return (rows + kBitSerialGroupRows - 1) / kBitSerialGroupRows;
+  }
+  /// Word i of row r's plane in `positive` or `nonzero`.
+  static int64_t index(int64_t r, int64_t i, int64_t words) {
+    return ((r / kBitSerialGroupRows) * words + i) * kBitSerialGroupRows +
+           r % kBitSerialGroupRows;
+  }
 };
 
 /// Packs ±1 weights; `kernel` is the conv's spatial size K (cols must be
@@ -73,6 +89,12 @@ void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
 /// acc[(j − j0)·rows + r]. Called concurrently for disjoint ranges.
 using BitSerialEpilogue =
     std::function<void(int64_t j0, int64_t count, const int32_t* acc)>;
+
+/// The tile-kernel arguments of one call over `w` (the identities above
+/// in BitSerialTileArgs' linear form). Bipolar calls need `row_bias`
+/// storage for groups()·kBitSerialGroupRows entries; others ignore it.
+BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
+                            int64_t* row_bias = nullptr);
 
 /// Dot products of every weight row with `n` packed columns, handed to
 /// `epilogue` in column blocks. `bipolar` selects ±1 activation codes

@@ -40,9 +40,14 @@ void im2col_strip_f32(const float* image, const ConvGeometry& g, int64_t col0,
 
 }  // namespace
 
-void fused_conv_f32(const float* image, const ConvGeometry& g,
-                    const float* weights, int64_t out_channels,
-                    const float* bias, float* out) {
+// Starts on a cache line: the inner loop is a short latency chain, and
+// with the function at other offsets in the binary (code added elsewhere
+// in the library moves it) the float frame measured 10–20 % slower.
+[[gnu::aligned(64)]] void fused_conv_f32(const float* image,
+                                         const ConvGeometry& g,
+                                         const float* weights,
+                                         int64_t out_channels,
+                                         const float* bias, float* out) {
   // The fused path has no separable im2col stage; one span covers it.
   static telemetry::Histogram& fused_hist =
       telemetry::MetricsRegistry::global().histogram("gemm.fused_ms");

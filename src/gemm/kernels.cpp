@@ -1,10 +1,10 @@
 #include "gemm/kernels.hpp"
 
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/fixed_point.hpp"
+#include "gemm/bitserial_tile.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "simd/vec.hpp"
 
@@ -175,21 +175,10 @@ constexpr MicroKernels kScalarKernels{scalar_i32, scalar_i16shift4,
                                       scalar_gemv};
 constexpr MicroKernels kLanesKernels{lanes_i32, lanes_i16shift4, lanes_gemv};
 
-/// kPortable bit-serial kernel: each weight word is reused for every
-/// activation plane while it sits in a register.
-void portable_bitserial(const uint64_t* w, int64_t rows, int64_t words,
-                        const uint64_t* a, int bits, int64_t* out) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const uint64_t* wr = w + r * words;
-    int64_t sum = 0;
-    for (int b = 0; b < bits; ++b) {
-      const uint64_t* ab = a + b * words;
-      int64_t plane = 0;
-      for (int64_t i = 0; i < words; ++i) plane += std::popcount(wr[i] & ab[i]);
-      sum += plane << b;
-    }
-    out[r] = sum;
-  }
+/// kPortable bit-serial kernel: the scalar tile, one column at a time.
+void portable_bitserial(const BitSerialTileArgs& a, const uint64_t* planes,
+                        int64_t count, int32_t* acc) {
+  tile::run_call<1, 1, tile::ScalarTile>(a, planes, count, acc);
 }
 
 }  // namespace

@@ -99,10 +99,16 @@ const MicroKernels* avx2_micro_kernels();
 
 // --- Bit-serial popcount variants (gemm/bitserial.hpp) ------------------
 //
-// The W1A<bits> dot product reduces to masked popcounts over 64-bit
-// words. kAuto picks the widest variant the machine runs, as does an
-// explicit request for an unsupported one; tests and benches name a
-// variant explicitly. Every variant returns identical sums —
+// The W1A<bits> dot product reduces to popcounts of ANDed 64-bit words.
+// Weights are stored row-group-interleaved, [group][word][8 rows], so
+// word i of eight consecutive rows is one contiguous 64-byte vector; the
+// tile kernel keeps those rows in SIMD lanes (one 64-bit lane per row),
+// broadcasts one activation word to every lane, ANDs, popcounts and
+// adds. Planes combine by Horner (total = 2·total + S_b), so nothing is
+// summed horizontally and no load is masked. kAuto picks the widest
+// variant the machine runs, as does an explicit request for an
+// unsupported one; tests and benches name a variant explicitly. Every
+// variant writes identical accumulators —
 // tests/test_bitserial_conformance.cpp.
 
 /// Popcount variant of one bit-serial call.
@@ -111,16 +117,40 @@ enum class PopcountKernel : int {
   kPortable,  ///< std::popcount as the baseline ISA compiles it (no POPCNT
               ///< on x86-64: a bit-twiddling sequence) — the baseline
   kPopcnt,    ///< scalar POPCNT, cpuid-gated (x86 only)
-  kAvx2,      ///< VPSHUFB nibble table + VPSADBW, 4 words per step
-  kAvx512,    ///< AVX-512 VPOPCNTDQ, 8 words per step
+  kAvx2,      ///< VPSHUFB nibble table + VPSADBW, 4 rows per ymm
+  kAvx512,    ///< AVX-512 VPOPCNTDQ, 8 rows per zmm
 };
 
-/// Masked-popcount micro-kernel: one packed activation column (`bits`
-/// planes of `words` words, plane b at a + b·words) against `rows`
-/// packed weight rows (row r at w + r·words):
-///   out[r] = Σ_b 2^b · Σ_i popcount(w[r·words + i] & a[b·words + i]).
-using BitSerialFn = void (*)(const uint64_t* w, int64_t rows, int64_t words,
-                             const uint64_t* a, int bits, int64_t* out);
+/// Rows per interleaved weight group: word i of group g's rows lives at
+/// [(g·words + i)·8, +8). Rows are zero-padded to whole groups.
+constexpr int64_t kBitSerialGroupRows = 8;
+
+/// One bit-serial call as the tile kernels see it. With T_j[r] the
+/// Horner total of column j against row r,
+///   binary weights:  T = Σ_b 2^b · popcount(positive_r ∧ a_b)
+///   ternary weights: T = Σ_b 2^b · (2·popcount(positive_r ∧ a_b)
+///                                   − popcount(nonzero_r ∧ a_b))
+/// a kernel writes, for every live row r,
+///   acc[j·rows + r] = (T_j[r] << shift) + col_base + col_scale·Σx_j
+///                     + row_bias[r]
+/// where Σx_j = Σ_b 2^b · popcount(a_b) is the sum of column j's codes.
+struct BitSerialTileArgs {
+  const uint64_t* positive = nullptr;  ///< interleaved, [group][word][8]
+  const uint64_t* nonzero = nullptr;   ///< same layout; null for binary
+  int64_t rows = 0;   ///< live rows; the last group may be padded
+  int64_t words = 0;  ///< words per plane
+  int bits = 1;       ///< activation planes per column (plane b at b·words)
+  int shift = 0;
+  int64_t col_base = 0;
+  int64_t col_scale = 0;
+  const int64_t* row_bias = nullptr;  ///< whole groups of rows, or null
+};
+
+/// Tile kernel: `count` packed columns (column j at planes + j·bits·words)
+/// against every row of `args`, written to acc[j·rows + r].
+using BitSerialFn = void (*)(const BitSerialTileArgs& args,
+                             const uint64_t* planes, int64_t count,
+                             int32_t* acc);
 
 /// Variant name ("auto", "portable", "popcnt", "avx2", "avx512").
 const char* kernel_name(PopcountKernel k);

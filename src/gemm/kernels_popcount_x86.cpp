@@ -1,16 +1,17 @@
 /// \file kernels_popcount_x86.cpp
-/// x86 popcount variants of the bit-serial micro-kernel (BitSerialFn):
+/// x86 variants of the bit-serial tile kernel (BitSerialFn):
 ///
-///   kPopcnt — the portable loop with the scalar POPCNT instruction;
-///   kAvx2   — VPSHUFB nibble-table byte counts summed per 64-bit lane by
-///             VPSADBW (Muła's method), 4 words per step;
-///   kAvx512 — VPOPCNTQ, 8 words per step.
+///   kPopcnt — the scalar tile with the POPCNT instruction;
+///   kAvx2   — 4 rows per ymm, per-lane popcounts from a VPSHUFB nibble
+///             table summed by VPSADBW (Muła's method);
+///   kAvx512 — 8 rows per zmm, VPOPCNTQ.
 ///
-/// Each function carries its own target attribute so the TU builds
-/// without global ISA flags; the dispatcher probes cpuid once and only
-/// hands out what the machine executes. Vector variants load the
-/// trailing words < vector width with masked loads (zero lanes), so no
-/// scalar tail loop exists and every variant sums the same words.
+/// Each tile holds one 64-bit accumulator lane per (column, row): an
+/// activation word is broadcast to every lane, ANDed with the row group's
+/// weight word and popcounted, and planes combine by Horner. Each
+/// function carries its own target attribute so the TU builds without
+/// global ISA flags; the dispatcher probes cpuid once and only hands out
+/// what the machine executes.
 
 #include "gemm/kernels.hpp"
 
@@ -18,27 +19,20 @@
 
 #include <immintrin.h>
 
+#include "gemm/bitserial_tile.hpp"
+
 namespace tincy::gemm {
 namespace {
 
+using tile::kRows;
+
 __attribute__((target("popcnt"))) void popcnt_bitserial(
-    const uint64_t* w, int64_t rows, int64_t words, const uint64_t* a,
-    int bits, int64_t* out) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const uint64_t* wr = w + r * words;
-    int64_t sum = 0;
-    for (int b = 0; b < bits; ++b) {
-      const uint64_t* ab = a + b * words;
-      int64_t plane = 0;
-      for (int64_t i = 0; i < words; ++i)
-        plane += __builtin_popcountll(wr[i] & ab[i]);
-      sum += plane << b;
-    }
-    out[r] = sum;
-  }
+    const BitSerialTileArgs& a, const uint64_t* planes, int64_t count,
+    int32_t* acc) {
+  tile::run_call<1, 1, tile::ScalarTile>(a, planes, count, acc);
 }
 
-#define TINCY_AVX2 __attribute__((target("avx2")))
+#define TINCY_AVX2 __attribute__((target("avx2,popcnt")))
 
 /// Per-64-bit-lane popcount of v: nibble lookups, then a byte sum.
 TINCY_AVX2 inline __m256i popcount_epi64_avx2(__m256i v) {
@@ -52,77 +46,175 @@ TINCY_AVX2 inline __m256i popcount_epi64_avx2(__m256i v) {
   return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
 }
 
-TINCY_AVX2 void avx2_bitserial(const uint64_t* w, int64_t rows, int64_t words,
-                               const uint64_t* a, int bits, int64_t* out) {
-  const int64_t full = words / 4 * 4;
-  const int64_t tail = words - full;
-  const __m256i tail_mask = _mm256_cmpgt_epi64(
-      _mm256_set1_epi64x(tail), _mm256_setr_epi64x(0, 1, 2, 3));
-  for (int64_t r = 0; r < rows; ++r) {
-    const uint64_t* wr = w + r * words;
-    __m256i total = _mm256_setzero_si256();
-    for (int b = bits - 1; b >= 0; --b) {  // Horner: total = 2·total + S_b
-      const uint64_t* ab = a + b * words;
-      __m256i acc = _mm256_setzero_si256();
-      for (int64_t i = 0; i < full; i += 4) {
-        const __m256i x = _mm256_and_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wr + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ab + i)));
-        acc = _mm256_add_epi64(acc, popcount_epi64_avx2(x));
+/// NC columns × NG groups, each group two ymm of 4 rows.
+struct Avx2Tile {
+  template <int NC, int NG, bool kTernary>
+  TINCY_AVX2 static void run(const BitSerialTileArgs& a,
+                             const uint64_t* planes, int64_t g0,
+                             const int64_t* bias, int32_t* acc) {
+    constexpr int H = 2 * NG;  // ymm halves
+    const int64_t words = a.words, col_words = a.bits * words;
+    const uint64_t* pos = a.positive + g0 * words * kRows;
+    const uint64_t* nz = kTernary ? a.nonzero + g0 * words * kRows : nullptr;
+    __m256i t[NC][H];
+#pragma GCC unroll 8
+    for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+      for (int h = 0; h < H; ++h) t[j][h] = _mm256_setzero_si256();
+    for (int b = a.bits - 1; b >= 0; --b) {
+#pragma GCC unroll 8
+      for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+        for (int h = 0; h < H; ++h)
+          t[j][h] = _mm256_add_epi64(t[j][h], t[j][h]);
+      const uint64_t* ab = planes + b * words;
+      for (int64_t i = 0; i < words; ++i) {
+        __m256i wp[H], wn[H];
+#pragma GCC unroll 8
+        for (int h = 0; h < H; ++h) {
+          const int64_t off = ((h / 2) * words + i) * kRows + (h % 2) * 4;
+          wp[h] =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pos + off));
+          if constexpr (kTernary)
+            wn[h] =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nz + off));
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < NC; ++j) {
+          const __m256i x = _mm256_set1_epi64x(
+              static_cast<long long>(ab[j * col_words + i]));
+#pragma GCC unroll 8
+          for (int h = 0; h < H; ++h) {
+            const __m256i p = popcount_epi64_avx2(_mm256_and_si256(wp[h], x));
+            if constexpr (kTernary)
+              t[j][h] = _mm256_add_epi64(
+                  t[j][h],
+                  _mm256_sub_epi64(
+                      _mm256_add_epi64(p, p),
+                      popcount_epi64_avx2(_mm256_and_si256(wn[h], x))));
+            else
+              t[j][h] = _mm256_add_epi64(t[j][h], p);
+          }
+        }
       }
-      if (tail) {
-        const __m256i x = _mm256_and_si256(
-            _mm256_maskload_epi64(
-                reinterpret_cast<const long long*>(wr + full), tail_mask),
-            _mm256_maskload_epi64(
-                reinterpret_cast<const long long*>(ab + full), tail_mask));
-        acc = _mm256_add_epi64(acc, popcount_epi64_avx2(x));
-      }
-      total = _mm256_add_epi64(_mm256_add_epi64(total, total), acc);
     }
-    alignas(32) int64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), total);
-    out[r] = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    const __m128i shift = _mm_cvtsi32_si128(a.shift);
+    const __m256i evens = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+#pragma GCC unroll 8
+    for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+      for (int g = 0; g < NG; ++g) {
+        alignas(32) int32_t v[kRows];
+#pragma GCC unroll 2
+        for (int half = 0; half < 2; ++half) {
+          __m256i s =
+              _mm256_add_epi64(_mm256_sll_epi64(t[j][2 * g + half], shift),
+                               _mm256_set1_epi64x(bias[j]));
+          if (a.row_bias)
+            s = _mm256_add_epi64(
+                s, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                       a.row_bias + (g0 + g) * kRows + half * 4)));
+          _mm_store_si128(reinterpret_cast<__m128i*>(v + 4 * half),
+                          _mm256_castsi256_si128(
+                              _mm256_permutevar8x32_epi32(s, evens)));
+        }
+        tile::store_group(a, g0 + g, v, acc + j * a.rows);
+      }
   }
+};
+
+TINCY_AVX2 void avx2_bitserial(const BitSerialTileArgs& a,
+                               const uint64_t* planes, int64_t count,
+                               int32_t* acc) {
+  tile::run_call<2, 1, Avx2Tile>(a, planes, count, acc);
 }
 
 #undef TINCY_AVX2
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) void avx512_bitserial(
-    const uint64_t* w, int64_t rows, int64_t words, const uint64_t* a,
-    int bits, int64_t* out) {
-  const int64_t full = words / 8 * 8;
-  const auto tail = static_cast<__mmask8>((1u << (words - full)) - 1);
-  for (int64_t r = 0; r < rows; ++r) {
-    const uint64_t* wr = w + r * words;
-    __m512i total = _mm512_setzero_si512();
-    for (int b = bits - 1; b >= 0; --b) {  // Horner: total = 2·total + S_b
-      const uint64_t* ab = a + b * words;
-      __m512i acc = _mm512_setzero_si512();
-      for (int64_t i = 0; i < full; i += 8)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_and_si512(
-                     _mm512_loadu_si512(wr + i), _mm512_loadu_si512(ab + i))));
-      if (tail)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_and_si512(
-                     _mm512_maskz_loadu_epi64(tail, wr + full),
-                     _mm512_maskz_loadu_epi64(tail, ab + full))));
-      total = _mm512_add_epi64(_mm512_add_epi64(total, total), acc);
+#define TINCY_AVX512 \
+  __attribute__((target("avx512f,avx512vpopcntdq,popcnt")))
+
+/// NC columns × NG groups, each group one zmm of 8 rows.
+struct Avx512Tile {
+  template <int NC, int NG, bool kTernary>
+  TINCY_AVX512 static void run(const BitSerialTileArgs& a,
+                               const uint64_t* planes, int64_t g0,
+                               const int64_t* bias, int32_t* acc) {
+    const int64_t words = a.words, col_words = a.bits * words;
+    const uint64_t* pos = a.positive + g0 * words * kRows;
+    const uint64_t* nz = kTernary ? a.nonzero + g0 * words * kRows : nullptr;
+    __m512i t[NC][NG];
+#pragma GCC unroll 8
+    for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+      for (int g = 0; g < NG; ++g) t[j][g] = _mm512_setzero_si512();
+    for (int b = a.bits - 1; b >= 0; --b) {
+#pragma GCC unroll 8
+      for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+        for (int g = 0; g < NG; ++g)
+          t[j][g] = _mm512_add_epi64(t[j][g], t[j][g]);
+      const uint64_t* ab = planes + b * words;
+      for (int64_t i = 0; i < words; ++i) {
+        __m512i wp[NG], wn[NG];
+#pragma GCC unroll 8
+        for (int g = 0; g < NG; ++g) {
+          wp[g] = _mm512_loadu_si512(pos + (g * words + i) * kRows);
+          if constexpr (kTernary)
+            wn[g] = _mm512_loadu_si512(nz + (g * words + i) * kRows);
+        }
+#pragma GCC unroll 8
+        for (int j = 0; j < NC; ++j) {
+          const __m512i x = _mm512_set1_epi64(
+              static_cast<long long>(ab[j * col_words + i]));
+#pragma GCC unroll 8
+          for (int g = 0; g < NG; ++g) {
+            const __m512i p = _mm512_popcnt_epi64(_mm512_and_si512(wp[g], x));
+            if constexpr (kTernary)
+              t[j][g] = _mm512_add_epi64(
+                  t[j][g], _mm512_sub_epi64(_mm512_add_epi64(p, p),
+                                            _mm512_popcnt_epi64(
+                                                _mm512_and_si512(wn[g], x))));
+            else
+              t[j][g] = _mm512_add_epi64(t[j][g], p);
+          }
+        }
+      }
     }
-    alignas(64) int64_t lanes[8];
-    _mm512_store_si512(lanes, total);
-    out[r] = lanes[0] + lanes[1] + lanes[2] + lanes[3] + lanes[4] + lanes[5] +
-             lanes[6] + lanes[7];
+    const __m128i shift = _mm_cvtsi32_si128(a.shift);
+#pragma GCC unroll 8
+    for (int j = 0; j < NC; ++j)
+#pragma GCC unroll 8
+      for (int g = 0; g < NG; ++g) {
+        const int64_t row0 = (g0 + g) * kRows;
+        // The maskz form: the unmasked one warns on its undefined source.
+        __m512i s =
+            _mm512_add_epi64(_mm512_maskz_sll_epi64(0xff, t[j][g], shift),
+                             _mm512_set1_epi64(bias[j]));
+        if (a.row_bias)
+          s = _mm512_add_epi64(s, _mm512_loadu_si512(a.row_bias + row0));
+        const int64_t live = std::min<int64_t>(kRows, a.rows - row0);
+        _mm512_mask_cvtepi64_storeu_epi32(
+            acc + j * a.rows + row0, static_cast<__mmask8>((1u << live) - 1),
+            s);
+      }
   }
+};
+
+TINCY_AVX512 void avx512_bitserial(const BitSerialTileArgs& a,
+                                   const uint64_t* planes, int64_t count,
+                                   int32_t* acc) {
+  tile::run_call<4, 4, Avx512Tile>(a, planes, count, acc);
 }
+
+#undef TINCY_AVX512
 
 }  // namespace
 
 BitSerialFn x86_bitserial_kernel(PopcountKernel k) {
   static const bool popcnt = __builtin_cpu_supports("popcnt");
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  static const bool avx512 = __builtin_cpu_supports("avx512f") &&
+  static const bool avx2 = popcnt && __builtin_cpu_supports("avx2");
+  static const bool avx512 = popcnt && __builtin_cpu_supports("avx512f") &&
                              __builtin_cpu_supports("avx512vpopcntdq");
   switch (k) {
     case PopcountKernel::kPopcnt: return popcnt ? popcnt_bitserial : nullptr;

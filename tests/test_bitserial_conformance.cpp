@@ -5,7 +5,10 @@
 // binary, ternary and bipolar weights, activation precisions A = 1…8,
 // dot-product depths that are not multiples of 64, batches of columns,
 // channel-major conv im2col at awkward geometries, and calls large
-// enough to be sharded across the thread pool.
+// enough to be sharded across the thread pool. The tile kernels keep 8
+// rows per group and several columns per tile, so the edges get their
+// own sweep: partial row groups, 1–3-word and long depths, and column
+// counts that leave partial column tiles.
 //
 // Rep count scales with TINCY_CONFORMANCE_REPS (default 40), like the
 // GEMM conformance suite; the tier2-conformance entry raises it.
@@ -169,6 +172,86 @@ TEST(BitSerialConformance, DepthTailsAroundWordBoundaries) {
     for (const Weights kind :
          {Weights::kBinary, Weights::kTernary, Weights::kBipolar})
       check_case(rng, 9, cols, 1, kind == Weights::kBipolar ? 1 : 3, kind, 3);
+}
+
+TEST(BitSerialConformance, TileEdgesEveryVariant) {
+  // Rows around the 8-row group, depths of 1–3 words (the Tincy hidden
+  // layers' short K) and of more than 8 words, and column counts that
+  // are not a multiple of any variant's column tile.
+  Rng rng(12);
+  for (const int64_t rows : {1, 7, 8, 9, 63, 125})
+    for (const int64_t cols : {9, 27, 64, 144, 600, 1152})
+      for (const int64_t n : {1, 3, 5, 17})
+        for (const Weights kind :
+             {Weights::kBinary, Weights::kTernary, Weights::kBipolar}) {
+          const int bits = kind == Weights::kBipolar
+                               ? 1
+                               : static_cast<int>(rng.uniform_int(1, 4));
+          check_case(rng, rows, cols, cols % 9 == 0 ? 3 : 1, bits, kind, n);
+        }
+}
+
+TEST(BitSerialConformance, TileKernelWritesOnlyItsColumns) {
+  // The tile entry point called directly, as bitserial_gemm calls it per
+  // block: every output lands in acc[j·rows + r] for j < count and
+  // r < rows, and the words past the block keep their guard value.
+  Rng rng(14);
+  constexpr int32_t kGuard = 0x5a5a5a5a;
+  constexpr int64_t kGuardWords = 64;
+  for (const int64_t rows : {9, 64})
+    for (const int64_t n : {1, 3, 5, 17}) {
+      const int64_t cols = 144;
+      const Matrix m = make_matrix(rng, rows, cols, 3, Weights::kBinary);
+      const std::vector<uint8_t> codes = random_codes(rng, n * cols, 3);
+      const std::vector<uint64_t> planes = pack_columns(codes, n, cols, 3, 3);
+      const std::vector<int32_t> expected = oracle(m, codes, n, false);
+      const BitSerialTileArgs args = tile_args(m.packed, 3, false);
+      for (const PopcountKernel k : dispatchable_popcount_kernels()) {
+        std::vector<int32_t> acc(static_cast<size_t>(n * rows + kGuardWords),
+                                 kGuard);
+        bitserial_kernel(k)(args, planes.data(), n, acc.data());
+        const std::vector<int32_t> got(acc.begin(), acc.begin() + n * rows);
+        EXPECT_EQ(got, expected) << kernel_name(k) << " rows=" << rows
+                                 << " n=" << n;
+        EXPECT_TRUE(std::all_of(acc.begin() + n * rows, acc.end(),
+                                [](int32_t v) { return v == kGuard; }))
+            << kernel_name(k) << " wrote past its block, rows=" << rows
+            << " n=" << n;
+      }
+    }
+}
+
+TEST(BitSerialConformance, PaddedRowsAreZero) {
+  // 9 rows pack into two 8-row groups; rows 9–15 are padding. They must
+  // be zero words in both planes, and positive_count must describe only
+  // the live rows, or the bipolar identity would be off.
+  Rng rng(13);
+  for (const Weights kind : {Weights::kBinary, Weights::kTernary}) {
+    const int64_t rows = 9, cols = 144;
+    const Matrix m = make_matrix(rng, rows, cols, 3, kind);
+    const BitSerialWeights& p = m.packed;
+    ASSERT_EQ(p.groups(), 2);
+    const auto size = static_cast<size_t>(2 * p.words * kBitSerialGroupRows);
+    ASSERT_EQ(p.positive.size(), size);
+    ASSERT_EQ(p.nonzero.size(), kind == Weights::kTernary ? size : 0u);
+    ASSERT_EQ(p.positive_count.size(), static_cast<size_t>(rows));
+    for (int64_t r = rows; r < 2 * kBitSerialGroupRows; ++r)
+      for (int64_t i = 0; i < p.words; ++i) {
+        const auto at =
+            static_cast<size_t>(BitSerialWeights::index(r, i, p.words));
+        EXPECT_EQ(p.positive[at], 0u) << "row " << r << " word " << i;
+        if (p.ternary()) {
+          EXPECT_EQ(p.nonzero[at], 0u) << "row " << r << " word " << i;
+        }
+      }
+    for (int64_t r = 0; r < rows; ++r)
+      EXPECT_EQ(p.positive_count[static_cast<size_t>(r)],
+                std::count(m.values.begin() + r * cols,
+                           m.values.begin() + (r + 1) * cols, int8_t{1}))
+          << "row " << r;
+  }
+  // Bipolar exactness at a partial group, every variant.
+  check_case(rng, 9, 144, 3, 1, Weights::kBipolar, 5);
 }
 
 TEST(BitSerialConformance, EveryActivationPrecision) {

@@ -74,6 +74,35 @@ TEST(Nms, OutputSortedDescending) {
     EXPECT_GE(kept[i - 1].score(), kept[i].score());
 }
 
+TEST(Nms, NonFiniteScoresSortByTotalOrder) {
+  // NaN breaks `a > b` as a strict weak ordering; NMS must still sort
+  // deterministically: +inf first, then finite scores descending, then
+  // -inf, with NaN last in input order. Boxes are disjoint and of distinct
+  // classes so nothing is suppressed.
+  const float nan = std::nanf(""), inf = INFINITY;
+  const float scores[] = {0.5f, nan, -inf, inf, 0.9f, nan, 0.1f, nan, 0.5f};
+  std::vector<Detection> dets;
+  for (int i = 0; i < 9; ++i)
+    dets.push_back({{0.05f + 0.1f * i, 0.5f, 0.05f, 0.05f}, i, scores[i],
+                    1.0f});
+  const auto kept = nms(dets, 0.45f);
+  ASSERT_EQ(kept.size(), dets.size());
+  const int order[] = {3, 4, 0, 8, 6, 2, 1, 5, 7};
+  for (size_t i = 0; i < kept.size(); ++i)
+    EXPECT_EQ(kept[i].class_id, order[i]) << "position " << i;
+}
+
+TEST(Nms, NanScoresStillSuppressOverlaps) {
+  // A NaN-scored box is visited last, so a finite-scored overlapping box
+  // of its class is kept and the NaN one is dropped.
+  std::vector<Detection> dets;
+  dets.push_back({{0.5f, 0.5f, 0.4f, 0.4f}, 0, std::nanf(""), 1.0f});
+  dets.push_back({{0.52f, 0.5f, 0.4f, 0.4f}, 0, 0.3f, 1.0f});
+  const auto kept = nms(dets, 0.45f);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_FLOAT_EQ(kept[0].objectness, 0.3f);
+}
+
 TEST(Decode, RecoversPlantedBox) {
   // Plant one confident detection at cell (1, 2) of a 4x4 grid.
   nn::RegionConfig cfg;
