@@ -1,7 +1,8 @@
 // Accelerator timing study: per-layer cycle breakdown for the Tincy YOLO
 // hidden layers under the default folding (the paper's "30 ms for all
 // hidden layers"), a PE/SIMD folding sweep with the resource model, and
-// host microbenchmarks of the MVTU datapath emulation.
+// host microbenchmarks of one MVTU column on the code-domain layer engine
+// (gemm::run_code_layer, which the accelerator runs per stage).
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "fabric/folding.hpp"
 #include "fabric/mvtu.hpp"
 #include "fabric/resource_model.hpp"
+#include "gemm/code_layer.hpp"
 #include "nn/zoo.hpp"
 #include "perf/stage_times.hpp"
 
@@ -57,6 +59,7 @@ void print_cycle_tables() {
   std::printf("\n");
 }
 
+/// An MVTU over rows × cols weights, cols = C·3² (a 3×3 conv's patch).
 fabric::Mvtu make_mvtu(int64_t rows, int64_t cols) {
   Rng rng(5);
   Tensor w(Shape{rows, cols});
@@ -64,18 +67,25 @@ fabric::Mvtu make_mvtu(int64_t rows, int64_t cols) {
   std::vector<fabric::ThresholdChannel> th(static_cast<size_t>(rows));
   for (auto& ch : th)
     for (int k = 1; k <= 7; ++k) ch.thresholds.push_back(k * 3);
-  return fabric::Mvtu(quant::binarize(w), std::move(th), 3);
+  return fabric::Mvtu(quant::binarize(w), th, 3,
+                      fabric::ActEncoding::kUnsigned, /*kernel=*/3);
 }
 
 void BM_MvtuColumn(benchmark::State& state) {
   const int64_t rows = state.range(0), cols = state.range(1);
   const fabric::Mvtu mvtu = make_mvtu(rows, cols);
+  // One column: the single 3×3 footprint of a 3×3, cols/9-channel map.
+  gemm::CodeLayer layer;
+  layer.geom = {cols / 9, 3, 3, 3, 1, 0};
+  layer.bits = 3;
+  layer.weights = &mvtu.weights();
+  layer.thresholds = &mvtu.thresholds();
   Rng rng(6);
   std::vector<uint8_t> column(static_cast<size_t>(cols));
   for (auto& c : column) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
   std::vector<uint8_t> out(static_cast<size_t>(rows));
   for (auto _ : state) {
-    mvtu.compute(column, out);
+    gemm::run_code_layer(layer, column.data(), 1, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["modeled_cycles"] = static_cast<double>(

@@ -15,6 +15,18 @@
 //              quantisation, the epilogue and the per-call buffers;
 //   L1 input   the activation quantisation on its own.
 //
+// The code-domain rows time what Network::forward runs between the
+// quantized convs against the float path it replaces (the "oracle"
+// column holds the float path):
+//
+//   L2/L4/L10 code pool  MaxPoolLayer::forward_codes on the layer's input
+//                        codes against the float pool on their values;
+//                        exact iff the dequantised codes equal the floats;
+//   L1-L12 ladder        Network::forward over the hidden ladder (codes
+//                        handed layer to layer) against run_layer on
+//                        floats layer by layer; exact iff the L12 outputs
+//                        are byte-identical.
+//
 // Each pair runs alternately, so both see the same host noise; the
 // median of the trials is reported. Gate: every kernel's output is byte-
 // identical to its oracle's, else exit 1. Writes out.json (default
@@ -35,6 +47,7 @@
 #include "core/thread_pool.hpp"
 #include "data/image.hpp"
 #include "frame_glue_oracle.hpp"
+#include "nn/builder.hpp"
 #include "nn/maxpool_layer.hpp"
 #include "nn/network.hpp"
 #include "nn/zoo.hpp"
@@ -63,19 +76,15 @@ double ms_of(const std::function<void()>& fn) {
 }
 
 /// Runs oracle and kernel alternately `trials` times after one untimed
-/// warm-up each; the two write `want` and `got`, compared byte for byte.
-template <typename T>
+/// warm-up each; `same()` then compares their outputs.
 Row time_pair(std::string stage, std::string shape, int trials,
               const std::function<void()>& oracle,
-              const std::function<void()>& kernel, const T& want,
-              const T& got) {
+              const std::function<void()>& kernel,
+              const std::function<bool()>& same) {
   oracle();
   kernel();
   Row r{std::move(stage), std::move(shape)};
-  r.bit_exact = want.shape() == got.shape() &&
-                std::memcmp(want.data(), got.data(),
-                            static_cast<size_t>(want.numel()) *
-                                sizeof(*want.data())) == 0;
+  r.bit_exact = same();
   std::vector<double> o, k;
   for (int t = 0; t < trials; ++t) {
     o.push_back(ms_of(oracle));
@@ -84,6 +93,41 @@ Row time_pair(std::string stage, std::string shape, int trials,
   r.oracle_ms = median(o);
   r.kernel_ms = median(k);
   return r;
+}
+
+/// Byte-for-byte equality of two tensors.
+template <typename T>
+bool bytes_equal(const T& want, const T& got) {
+  return want.shape() == got.shape() &&
+         std::memcmp(want.data(), got.data(),
+                     static_cast<size_t>(want.numel()) *
+                         sizeof(*want.data())) == 0;
+}
+
+template <typename T>
+Row time_pair(std::string stage, std::string shape, int trials,
+              const std::function<void()>& oracle,
+              const std::function<void()>& kernel, const T& want,
+              const T& got) {
+  return time_pair(std::move(stage), std::move(shape), trials, oracle, kernel,
+                   [&] { return bytes_equal(want, got); });
+}
+
+/// The hidden ladder (layers 1..12) of the zoo:tincy-w1a3 cfg `cfg` as a
+/// network of its own, on the input shape `in`.
+std::unique_ptr<nn::Network> hidden_ladder(const std::string& cfg, Shape in) {
+  std::string sub = "[net]\nwidth=" + std::to_string(in.width()) +
+                    "\nheight=" + std::to_string(in.height()) +
+                    "\nchannels=" + std::to_string(in.channels()) + "\n\n";
+  // Section headers start lines: [net], L0's conv, then the ladder, which
+  // ends where the 125-filter output conv begins.
+  size_t begin = 0;
+  for (int header = 0; header < 3; ++header)
+    begin = cfg.find("\n[", begin) + 1;
+  const size_t end = cfg.find("[convolutional]\nfilters=125");
+  TINCY_CHECK(begin > 0 && end != std::string::npos && end > begin);
+  sub += cfg.substr(begin, end - begin);
+  return nn::build_network_from_string(sub);
 }
 
 std::string shape_of(const Tensor& t) { return t.shape().to_string(); }
@@ -95,9 +139,10 @@ int main(int argc, char** argv) {
   const int kTrials = 9;
 
   Rng rng(14);
-  auto net = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
+  const std::string cfg = nn::zoo::tiny_yolo_cfg(
       nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kW1A3, 416,
-      nn::zoo::CpuProfile::kOptimized));
+      nn::zoo::CpuProfile::kOptimized);
+  auto net = nn::zoo::build(cfg);
   nn::zoo::randomize(*net, rng);
   Tensor frame(Shape{3, 480, 640});
   for (int64_t i = 0; i < frame.numel(); ++i)
@@ -152,6 +197,48 @@ int main(int argc, char** argv) {
           quant::quantize_activations(in.data(), in.numel(), q, got.data());
         },
         want, got));
+  }
+
+  for (const int64_t l : {2, 4, 10}) {
+    // The pool's input codes: the previous conv's values on its grid.
+    auto& pool = dynamic_cast<nn::MaxPoolLayer&>(net->layer(l));
+    const Tensor& in = inputs[static_cast<size_t>(l)];
+    const nn::ConvConfig& conv =
+        dynamic_cast<const nn::ConvLayer&>(net->layer(l - 1)).config();
+    const quant::CodeGrid grid{conv.act_bits, conv.out_scale, conv.bipolar};
+    TensorU8 codes(in.shape()), pooled(pool.output_shape());
+    grid.quantize(in.data(), in.numel(), codes.data());
+    Tensor want(pool.output_shape()), got(pool.output_shape());
+    rows.push_back(time_pair(
+        "L" + std::to_string(l) + " code pool", shape_of(in), kTrials,
+        [&] { pool.forward(in, want); },
+        [&] { pool.forward_codes(codes.data(), pooled.data()); },
+        [&] {
+          grid.dequantize(pooled.data(), pooled.numel(), got.data());
+          return bytes_equal(want, got);
+        }));
+  }
+  {
+    // Two copies of the ladder with the same parameters: one runs
+    // forward() on codes, the other run_layer on floats.
+    const Tensor& in = inputs[1];
+    auto coded = hidden_ladder(cfg, in.shape());
+    auto floats = hidden_ladder(cfg, in.shape());
+    Rng ladder_rng(15);
+    nn::zoo::randomize(*coded, ladder_rng);
+    ladder_rng = Rng(15);
+    nn::zoo::randomize(*floats, ladder_rng);
+    const Tensor* want = nullptr;
+    const Tensor* got = nullptr;
+    rows.push_back(time_pair(
+        "L1-L12 ladder", shape_of(in), kTrials,
+        [&] {
+          want = &in;
+          for (int64_t i = 0; i < floats->num_layers(); ++i)
+            want = &floats->run_layer(i, *want);
+        },
+        [&] { got = &coded->forward(in); },
+        [&] { return bytes_equal(*want, *got); }));
   }
 
   const int threads = core::ThreadPool::shared().threads();

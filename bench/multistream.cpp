@@ -208,7 +208,7 @@ fabric::QnnAccelerator build_batch_accelerator() {
   for (auto& ch : th)
     for (int k = -3; k <= 3; ++k) ch.thresholds.push_back(k * 30);
   fabric::QnnAccelerator accel;
-  accel.add_layer(spec, quant::binarize(w), std::move(th));
+  accel.add_layer(spec, quant::binarize(w), th);
   return accel;
 }
 

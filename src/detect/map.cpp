@@ -1,6 +1,7 @@
 #include "detect/map.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace tincy::detect {
@@ -55,9 +56,12 @@ double average_precision(const std::vector<ImageEval>& images, int class_id,
   }
   if (num_gt == 0) return 0.0;
 
+  // Descending score with NaN last, the total order detect::nms sorts by:
+  // `a > b` alone is not a strict weak ordering once a score is NaN.
   std::stable_sort(dets.begin(), dets.end(),
                    [](const ScoredDetection& a, const ScoredDetection& b) {
-                     return a.score > b.score;
+                     return !std::isnan(a.score) &&
+                            (std::isnan(b.score) || a.score > b.score);
                    });
 
   // Greedy matching with per-image "already claimed" flags.

@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "core/errors.hpp"
 #include "quant/thresholds.hpp"
@@ -47,7 +46,7 @@ void QnnAccelerator::set_metrics(telemetry::MetricsRegistry* metrics) {
 
 void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
                                const quant::BinaryMatrix& weights,
-                               std::vector<ThresholdChannel> thresholds) {
+                               const std::vector<ThresholdChannel>& thresholds) {
   const auto g = spec.conv_geometry();
   TINCY_CHECK_MSG(weights.rows == spec.filters &&
                       weights.cols == g.patch_size(),
@@ -72,23 +71,19 @@ void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
   }
   if (spec.bipolar)
     TINCY_CHECK_MSG(spec.pad == 0, "bipolar conv cannot zero-pad");
-  layers_.push_back(Stage{spec,
-                          Mvtu(weights, std::move(thresholds),
-                               spec.act_bits_in,
-                               spec.bipolar ? ActEncoding::kBipolar
-                                            : ActEncoding::kUnsigned,
-                               spec.kernel),
-                          SlidingWindowUnit(g)});
+  TINCY_CHECK_MSG(g.out_height() > 0 && g.out_width() > 0,
+                  "degenerate conv output for spec " << spec.in_channels
+                                                     << "x" << spec.in_height
+                                                     << "x" << spec.in_width);
+  layers_.push_back(Stage{spec, Mvtu(weights, thresholds, spec.act_bits_in,
+                                     spec.bipolar ? ActEncoding::kBipolar
+                                                  : ActEncoding::kUnsigned,
+                                     spec.kernel)});
 }
 
 const QnnLayerSpec& QnnAccelerator::spec(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   return layers_[static_cast<size_t>(i)].spec;
-}
-
-const Mvtu& QnnAccelerator::mvtu(int64_t i) const {
-  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return layers_[static_cast<size_t>(i)].mvtu;
 }
 
 Shape QnnAccelerator::input_shape() const {
@@ -141,30 +136,22 @@ void QnnAccelerator::run_layer_batched(int64_t i,
     trace_span.set_args(args);
   }
 
-  // One weight-streaming phase covers the whole batch: the SWU streams
-  // every frame's footprints as bit-plane columns and the MVTU applies
-  // the resident weights to all of them. Layer-at-a-time semantics per
-  // frame are unchanged (no cross-layer concurrency).
-  const gemm::ConvGeometry& g = stage.swu.geometry();
-  const int64_t n = stage.swu.num_columns();
-  const int64_t col_words =
-      s.act_bits_in * gemm::bitplane_words(g.patch_size());
-  const auto planes = std::make_unique_for_overwrite<uint64_t[]>(
-      static_cast<size_t>(batch * n * col_words));
-  for (int64_t f = 0; f < batch; ++f)
-    gemm::im2col_bitplanes(inputs.data() + f * in_numel, g, s.act_bits_in,
-                           planes.get() + f * n * col_words);
-
+  // One weight-streaming phase covers the whole batch: the sliding window
+  // streams every frame's footprints as bit-plane columns, the MVTU
+  // applies the resident weights and thresholds to all of them and the
+  // pool unit pools the codes. Layer-at-a-time semantics per frame are
+  // unchanged (no cross-layer concurrency).
+  gemm::CodeLayer layer;
+  layer.geom = s.conv_geometry();
+  layer.bits = s.act_bits_in;
+  layer.bipolar = s.bipolar;
+  layer.weights = &stage.mvtu.weights();
+  layer.thresholds = &stage.mvtu.thresholds();
   if (s.pool_after) {
-    std::vector<uint8_t> conv_out(
-        static_cast<size_t>(batch * stage.mvtu.rows() * n));
-    stage.mvtu.compute_planes(planes.get(), batch, n, conv_out);
-    const PoolSpec p{s.filters, s.conv_out_height(), s.conv_out_width(),
-                     s.pool_size, s.pool_stride};
-    max_pool_codes_batch(p, conv_out, outputs, batch);
-  } else {
-    stage.mvtu.compute_planes(planes.get(), batch, n, outputs);
+    layer.pool_size = s.pool_size;
+    layer.pool_stride = s.pool_stride;
   }
+  gemm::run_code_layer(layer, inputs.data(), batch, outputs.data());
 
   if (batch > 1) {
     // A sequential per-frame run would have streamed the weights batch
@@ -204,28 +191,14 @@ Tensor QnnAccelerator::forward(const Tensor& input) const {
   const auto& last = layers_.back().spec;
 
   std::vector<uint8_t> codes(static_cast<size_t>(input.numel()));
-  if (first.bipolar) {
-    const quant::BipolarActQuant in_q{first.in_scale};
-    for (int64_t i = 0; i < input.numel(); ++i)
-      codes[static_cast<size_t>(i)] = in_q.quantize(input[i]);
-  } else {
-    const quant::UniformActQuant in_q{first.act_bits_in, first.in_scale};
-    for (int64_t i = 0; i < input.numel(); ++i)
-      codes[static_cast<size_t>(i)] = in_q.quantize(input[i]);
-  }
-
+  const quant::CodeGrid in_grid{first.act_bits_in, first.in_scale,
+                                first.bipolar};
+  in_grid.quantize(input.data(), input.numel(), codes.data());
   const std::vector<uint8_t> out_codes = forward_codes(codes);
-
   Tensor out(output_shape());
-  if (last.bipolar) {
-    const quant::BipolarActQuant out_q{last.out_scale};
-    for (int64_t i = 0; i < out.numel(); ++i)
-      out[i] = out_q.dequantize(out_codes[static_cast<size_t>(i)]);
-  } else {
-    const quant::UniformActQuant out_q{last.act_bits_out, last.out_scale};
-    for (int64_t i = 0; i < out.numel(); ++i)
-      out[i] = out_q.dequantize(out_codes[static_cast<size_t>(i)]);
-  }
+  const quant::CodeGrid out_grid{last.act_bits_out, last.out_scale,
+                                 last.bipolar};
+  out_grid.dequantize(out_codes.data(), out.numel(), out.data());
   return out;
 }
 
@@ -233,7 +206,7 @@ LayerPerf QnnAccelerator::layer_perf(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   const Stage& stage = layers_[static_cast<size_t>(i)];
   const auto& s = stage.spec;
-  const int64_t n = stage.swu.num_columns();
+  const int64_t n = s.conv_geometry().num_patches();
 
   LayerPerf p;
   p.compute_cycles = stage.mvtu.cycles_per_column(model_.folding) * n;

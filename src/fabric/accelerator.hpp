@@ -8,9 +8,12 @@
 /// pipeline as the feature maps between layers are computed in full before
 /// the computation of the next layer can be triggered" (§III-A).
 ///
-/// Functional behaviour is bit-exact W1A<bits> arithmetic; timing comes
-/// from a documented cycle model (folding + weight/feature-map DMA +
-/// invocation overhead) instead of a bitstream.
+/// Functional behaviour is bit-exact W1A<bits> arithmetic: each stage's
+/// sliding window (im2col), MVTU and pool unit run as one call of the
+/// code-domain layer engine (gemm::run_code_layer), the function behind
+/// the CPU golden model too. Timing comes from a documented cycle model
+/// (folding + weight/feature-map DMA + invocation overhead) instead of a
+/// bitstream.
 
 #include <memory>
 #include <span>
@@ -21,7 +24,6 @@
 #include "fabric/mvtu.hpp"
 #include "fabric/pool_unit.hpp"
 #include "fabric/resource_model.hpp"
-#include "fabric/sliding_window.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tincy::fabric {
@@ -98,11 +100,10 @@ class QnnAccelerator {
   /// Appends an offloaded stage. The weight matrix must be filters ×
   /// (in_channels·K²); thresholds one per filter. Layer shapes must chain.
   void add_layer(const QnnLayerSpec& spec, const quant::BinaryMatrix& weights,
-                 std::vector<ThresholdChannel> thresholds);
+                 const std::vector<ThresholdChannel>& thresholds);
 
   int64_t num_layers() const { return static_cast<int64_t>(layers_.size()); }
   const QnnLayerSpec& spec(int64_t i) const;
-  const Mvtu& mvtu(int64_t i) const;
 
   Shape input_shape() const;
   Shape output_shape() const;
@@ -113,7 +114,8 @@ class QnnAccelerator {
   /// Executes layer `i` over `batch` stacked input code maps with a
   /// single weight-streaming phase (weights resident across the batch,
   /// compute per frame). Bit-identical to running the layer per frame;
-  /// records the fabric.dma_* amortization telemetry when batch > 1.
+  /// records the fabric.dma_* amortization telemetry when batch > 1. All
+  /// scratch comes from the thread arena: a warm pass does not allocate.
   void run_layer_batched(int64_t i, std::span<const uint8_t> inputs,
                          int64_t batch, std::span<uint8_t> outputs) const;
 
@@ -153,7 +155,6 @@ class QnnAccelerator {
   struct Stage {
     QnnLayerSpec spec;
     Mvtu mvtu;
-    SlidingWindowUnit swu;
   };
 
   CycleModel model_;

@@ -159,8 +159,8 @@ std::vector<BinparamLayer> load_binparams(const std::string& dir) {
 QnnAccelerator load_accelerator(const std::string& dir, CycleModel model,
                                 Device device) {
   QnnAccelerator acc(model, device);
-  for (auto& l : load_binparams(dir))
-    acc.add_layer(l.spec, l.weights, std::move(l.thresholds));
+  for (const auto& l : load_binparams(dir))
+    acc.add_layer(l.spec, l.weights, l.thresholds);
   return acc;
 }
 

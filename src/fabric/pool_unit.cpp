@@ -1,58 +1,8 @@
 #include "fabric/pool_unit.hpp"
 
-#include <algorithm>
-
 #include "core/errors.hpp"
 
 namespace tincy::fabric {
-
-void max_pool_codes(const PoolSpec& spec, std::span<const uint8_t> in,
-                    std::span<uint8_t> out) {
-  const int64_t out_h = spec.out_height(), out_w = spec.out_width();
-  TINCY_CHECK(static_cast<int64_t>(in.size()) ==
-              spec.channels * spec.in_height * spec.in_width);
-  TINCY_CHECK(static_cast<int64_t>(out.size()) ==
-              spec.channels * out_h * out_w);
-  const int64_t pad_left = (spec.size - 1) / 2;
-  for (int64_t c = 0; c < spec.channels; ++c) {
-    const uint8_t* plane = in.data() + c * spec.in_height * spec.in_width;
-    uint8_t* out_plane = out.data() + c * out_h * out_w;
-    for (int64_t oh = 0; oh < out_h; ++oh) {
-      for (int64_t ow = 0; ow < out_w; ++ow) {
-        uint8_t best = 0;
-        bool any = false;
-        for (int64_t kh = 0; kh < spec.size; ++kh) {
-          const int64_t ih = oh * spec.stride - pad_left + kh;
-          if (ih < 0 || ih >= spec.in_height) continue;
-          for (int64_t kw = 0; kw < spec.size; ++kw) {
-            const int64_t iw = ow * spec.stride - pad_left + kw;
-            if (iw < 0 || iw >= spec.in_width) continue;
-            best = any ? std::max(best, plane[ih * spec.in_width + iw])
-                       : plane[ih * spec.in_width + iw];
-            any = true;
-          }
-        }
-        TINCY_CHECK(any);
-        out_plane[oh * out_w + ow] = best;
-      }
-    }
-  }
-}
-
-void max_pool_codes_batch(const PoolSpec& spec, std::span<const uint8_t> in,
-                          std::span<uint8_t> out, int64_t batch) {
-  TINCY_CHECK(batch >= 1);
-  const int64_t in_size = spec.channels * spec.in_height * spec.in_width;
-  const int64_t out_size = spec.channels * spec.out_height() * spec.out_width();
-  TINCY_CHECK(static_cast<int64_t>(in.size()) == batch * in_size);
-  TINCY_CHECK(static_cast<int64_t>(out.size()) == batch * out_size);
-  for (int64_t f = 0; f < batch; ++f)
-    max_pool_codes(spec,
-                   in.subspan(static_cast<size_t>(f * in_size),
-                              static_cast<size_t>(in_size)),
-                   out.subspan(static_cast<size_t>(f * out_size),
-                               static_cast<size_t>(out_size)));
-}
 
 int64_t pool_cycles(const PoolSpec& spec, int64_t pe) {
   TINCY_CHECK(pe > 0);

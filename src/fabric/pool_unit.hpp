@@ -4,37 +4,22 @@
 /// Max-pooling unit operating directly on activation codes. Because the
 /// A-bit activation grid is monotone, max over codes equals max over the
 /// real values — pooling commutes with quantization, so the fabric can
-/// pool codes without dequantizing.
+/// pool codes without dequantizing. The golden model relies on the same
+/// fact: nn::Network pools the hidden ladder's codes between quantized
+/// convs.
+///
+/// The functional unit is gemm::max_pool_codes, which the code-domain
+/// layer engine (gemm::run_code_layer) applies after the threshold unit;
+/// this file holds the unit's geometry and its cycle cost.
 
 #include <cstdint>
-#include <span>
+
+#include "gemm/code_layer.hpp"
 
 namespace tincy::fabric {
 
-struct PoolSpec {
-  int64_t channels = 0;
-  int64_t in_height = 0;
-  int64_t in_width = 0;
-  int64_t size = 2;
-  int64_t stride = 2;
-
-  /// Darknet-compatible geometry (implicit total padding of size − 1).
-  int64_t out_height() const {
-    return (in_height + (size - 1) - size) / stride + 1;
-  }
-  int64_t out_width() const {
-    return (in_width + (size - 1) - size) / stride + 1;
-  }
-};
-
-/// Pools `in` (CHW codes) into `out` per `spec`. Padding taps never win the
-/// max (codes are unsigned and in-image taps always exist).
-void max_pool_codes(const PoolSpec& spec, std::span<const uint8_t> in,
-                    std::span<uint8_t> out);
-
-/// Batched form: `in` / `out` hold `batch` stacked CHW code maps.
-void max_pool_codes_batch(const PoolSpec& spec, std::span<const uint8_t> in,
-                          std::span<uint8_t> out, int64_t batch);
+/// Darknet-compatible geometry (implicit total padding of size − 1).
+using PoolSpec = gemm::PoolGeometry;
 
 /// Cycle cost: one comparison tree evaluation per output pixel per channel
 /// group of `pe` channels processed in parallel.

@@ -1,0 +1,101 @@
+#pragma once
+
+/// \file code_layer.hpp
+/// The code-domain W1A<bits> layer: one engine behind the CPU golden model
+/// (nn::ConvLayer, kQuantReference, and nn::Network's code handoff) and
+/// the fabric accelerator (fabric::QnnAccelerator::run_layer_batched).
+///
+/// A-bit activation codes come in as bytes (CHW, `batch` maps stacked),
+/// are im2col'd into bit-planes (im2col_bitplanes), multiplied against the
+/// packed ±1 / {−1, 0, +1} weights on the bit-serial kernel
+/// (bitserial_gemm), thresholded to output codes by a table that compares
+/// 16 channels at a time, optionally max-pooled on codes, and leave as
+/// bytes. Every buffer is scratch from the thread arena, so a warm call
+/// does not touch the heap.
+///
+/// Pooling on codes is exact: on a grid with positive scale the code
+/// order is the order of the real values, so the max of the codes is the
+/// code of the max.
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "core/shape.hpp"
+#include "gemm/bitserial.hpp"
+#include "quant/thresholds.hpp"
+
+namespace tincy::gemm {
+
+/// Per-channel thresholds (quant::ThresholdChannel) flattened so the
+/// comparisons vectorise across channels. Row k holds threshold k of every
+/// channel. A descending channel (level += acc <= t) is stored
+/// complemented: ~x = −x − 1 reverses the int32 order without overflow,
+/// so acc <= t ⟺ ~acc >= ~t and one comparison serves both directions.
+struct ThresholdTable {
+  int64_t channels = 0;
+  int64_t levels = 0;               ///< thresholds per channel
+  std::vector<int32_t> thresholds;  ///< levels × channels, row-major
+  std::vector<int32_t> flip;        ///< per channel: 0 ascending, ~0 not
+
+  ThresholdTable() = default;
+  /// Every channel must hold the same number of thresholds.
+  explicit ThresholdTable(std::span<const quant::ThresholdChannel> channels);
+};
+
+/// Darknet max-pool geometry over a CHW map (implicit total padding of
+/// size − 1: a size-2 pool pads right/bottom, so 13×13 at stride 1 stays
+/// 13×13).
+struct PoolGeometry {
+  int64_t channels = 0;
+  int64_t in_height = 0;
+  int64_t in_width = 0;
+  int64_t size = 2;
+  int64_t stride = 2;
+
+  int64_t out_height() const {
+    return (in_height + (size - 1) - size) / stride + 1;
+  }
+  int64_t out_width() const {
+    return (in_width + (size - 1) - size) / stride + 1;
+  }
+};
+
+/// Max pool of one CHW code map. Padding taps never win (codes are
+/// unsigned and every window holds an in-image tap). The size-2 pools
+/// (stride 1 and 2) run 16 outputs at a time.
+void max_pool_codes(const PoolGeometry& p, const uint8_t* in, uint8_t* out);
+
+/// One W1A<bits> conv (an FC layer is a 1×1 conv over a 1×1 map) with an
+/// optional max pool on its output codes. Views, not owners: the weights
+/// and the table belong to the caller (ConvLayer's caches, fabric::Mvtu).
+struct CodeLayer {
+  ConvGeometry geom;
+  int bits = 1;          ///< input code bits (1 for bipolar)
+  bool bipolar = false;  ///< ±1 input codes (bits 1, binary weights, pad 0)
+  const BitSerialWeights* weights = nullptr;  ///< rows × geom.patch_size()
+  const ThresholdTable* thresholds = nullptr;  ///< one channel per row
+  int64_t pool_size = 0;  ///< 0: no pool
+  int64_t pool_stride = 0;
+
+  int64_t channels() const { return weights->rows; }
+  /// Pool over the conv output (meaningful when pool_size > 0).
+  PoolGeometry pool() const {
+    return {channels(), geom.out_height(), geom.out_width(), pool_size,
+            pool_stride};
+  }
+  int64_t in_numel() const {
+    return geom.in_channels * geom.in_height * geom.in_width;
+  }
+  /// Output map shape (after the pool when there is one).
+  Shape out_shape() const;
+};
+
+/// Runs `layer` over `batch` stacked input code maps (in_numel() bytes
+/// each) into `batch` stacked output code maps (out_shape().numel() bytes
+/// each). One call streams the weights once for the whole batch; each
+/// frame's codes are exactly those of a batch-1 call.
+void run_code_layer(const CodeLayer& layer, const uint8_t* in, int64_t batch,
+                    uint8_t* out);
+
+}  // namespace tincy::gemm

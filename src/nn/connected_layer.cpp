@@ -66,14 +66,9 @@ void ConnectedLayer::forward(const Tensor& in, Tensor& out) {
       out[o] = apply(cfg_.activation, acc);
     }
   }
-  if (cfg_.bipolar) {
-    const quant::BipolarActQuant q{cfg_.out_scale};
-    for (int64_t i = 0; i < out.numel(); ++i)
-      out[i] = q.dequantize(q.quantize(out[i]));
-  } else if (cfg_.act_bits < 8) {
-    const quant::UniformActQuant q{cfg_.act_bits, cfg_.out_scale};
-    for (int64_t i = 0; i < out.numel(); ++i)
-      out[i] = q.dequantize(q.quantize(out[i]));
+  if (cfg_.bipolar || cfg_.act_bits < 8) {
+    const quant::CodeGrid g{cfg_.act_bits, cfg_.out_scale, cfg_.bipolar};
+    for (int64_t i = 0; i < out.numel(); ++i) out[i] = g.snap(out[i]);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "gemm/gemm_lowp.hpp"
@@ -107,29 +106,6 @@ const std::vector<quant::ThresholdChannel>& ConvLayer::quant_thresholds()
   return *threshold_cache_;
 }
 
-const ConvLayer::ThresholdTable& ConvLayer::threshold_table() const {
-  if (threshold_table_) return *threshold_table_;
-  const auto& channels = quant_thresholds();
-  ThresholdTable t;
-  const int64_t filters = cfg_.filters;
-  t.levels = cfg_.bipolar ? 1 : (1 << cfg_.act_bits) - 1;
-  t.thresholds.resize(static_cast<size_t>(t.levels * filters));
-  for (int64_t c = 0; c < filters; ++c) {
-    const auto& ch = channels[static_cast<size_t>(c)];
-    t.flip.push_back(ch.ascending ? 0 : ~0);
-    for (int64_t k = 0; k < t.levels; ++k)
-      t.thresholds[static_cast<size_t>(k * filters + c)] =
-          ch.thresholds[static_cast<size_t>(k)] ^ t.flip.back();
-  }
-  const quant::BipolarActQuant out_bq{cfg_.out_scale};
-  for (int64_t level = 0; level <= t.levels; ++level)
-    t.level_value.push_back(
-        cfg_.bipolar ? out_bq.dequantize(static_cast<uint8_t>(level))
-                     : cfg_.out_scale * static_cast<float>(level));
-  threshold_table_ = std::move(t);
-  return *threshold_table_;
-}
-
 void ConvLayer::apply_post(Tensor& out) const {
   const int64_t n = geom_.num_patches();
   // Activation and grid snap are chosen once per layer; each channel row
@@ -152,14 +128,11 @@ void ConvLayer::apply_post(Tensor& out) const {
   auto with_snap = [&](auto snap) {
     with_activation(cfg_.activation, [&](auto act) { rows(act, snap); });
   };
-  if (cfg_.bipolar) {
-    // W1A1: the sign is the activation.
-    const quant::BipolarActQuant q{cfg_.out_scale};
-    with_snap([q](float x) { return q.dequantize(q.quantize(x)); });
-  } else if (cfg_.act_bits < 8) {
-    // Float-domain model of the A-bit activation grid: snap to codes.
-    const quant::UniformActQuant q{cfg_.act_bits, cfg_.out_scale};
-    with_snap([q](float x) { return q.dequantize(q.quantize(x)); });
+  if (cfg_.bipolar || cfg_.act_bits < 8) {
+    // Float-domain model of the A-bit activation grid (W1A1: the sign is
+    // the activation): snap to codes.
+    const CodeGrid g = grid(cfg_.out_scale);
+    with_snap([g](float x) { return g.snap(x); });
   } else {
     with_snap([](float x) { return x; });
   }
@@ -201,96 +174,51 @@ void ConvLayer::forward_lowp(const Tensor& in, Tensor& out) {
   apply_post(out);
 }
 
-namespace {
-
-/// Output levels of `Lanes` adjacent channels of one accumulator column.
-template <int64_t Lanes>
-void count_levels(const int32_t* acc, const int32_t* flip,
-                  const int32_t* thresholds, int64_t levels, int64_t filters,
-                  uint8_t* level) {
-  int32_t x[Lanes], count[Lanes] = {};
-  for (int64_t i = 0; i < Lanes; ++i) x[i] = acc[i] ^ flip[i];
-  for (int64_t k = 0; k < levels; ++k)
-    for (int64_t i = 0; i < Lanes; ++i)
-      count[i] += x[i] >= thresholds[k * filters + i];
-  for (int64_t i = 0; i < Lanes; ++i) level[i] = static_cast<uint8_t>(count[i]);
-}
-
-/// The golden model's epilogue: each accumulator becomes the emitted value
-/// of the level its channel's thresholds give it.
-struct ThresholdEpilogue {
-  const int32_t* thresholds;  ///< levels × filters, see ThresholdTable
-  const int32_t* flip;
-  const float* level_value;
-  int64_t levels, filters, n;
-  float* out;
-
-  void operator()(int64_t j0, int64_t count, const int32_t* acc) const {
-    constexpr int64_t kLanes = 16;
-    auto& arena = gemm::thread_arena();
-    gemm::ScratchScope scope(arena);
-    uint8_t* level = arena.alloc<uint8_t>(count * filters);
-    for (int64_t jj = 0; jj < count; ++jj) {
-      const int32_t* a = acc + jj * filters;
-      uint8_t* lv = level + jj * filters;
-      int64_t c = 0;
-      for (; c + kLanes <= filters; c += kLanes)
-        count_levels<kLanes>(a + c, flip + c, thresholds + c, levels, filters,
-                             lv + c);
-      for (; c < filters; ++c)
-        count_levels<1>(a + c, flip + c, thresholds + c, levels, filters,
-                        lv + c);
-    }
-    for (int64_t c = 0; c < filters; ++c) {
-      float* row = out + c * n + j0;
-      for (int64_t jj = 0; jj < count; ++jj)
-        row[jj] = level_value[level[jj * filters + c]];
-    }
-  }
-};
-
-}  // namespace
-
-void ConvLayer::forward_quant_reference(const Tensor& in, Tensor& out) {
+gemm::CodeLayer ConvLayer::code_layer() const {
   TINCY_CHECK_MSG(cfg_.binary_weights && cfg_.act_bits < 8,
                   "quant reference path needs binary=1 and abits<8");
-  // No exact zero exists in the bipolar code space; padded convolutions
-  // would corrupt the arithmetic, so they are rejected here. (FINN's
-  // fully binarized nets use valid convolutions / FC layers.)
-  TINCY_CHECK_MSG(!cfg_.bipolar || geom_.pad == 0,
-                  "bipolar conv cannot zero-pad");
+  if (!bitserial_cache_)
+    bitserial_cache_ = gemm::pack_bitserial(binary_weights(), geom_.kernel);
+  if (!threshold_table_) threshold_table_.emplace(quant_thresholds());
+  gemm::CodeLayer layer;
+  layer.geom = geom_;
+  layer.bits = cfg_.act_bits;  // 1 for bipolar layers
+  layer.bipolar = cfg_.bipolar;
+  layer.weights = &*bitserial_cache_;
+  layer.thresholds = &*threshold_table_;
+  return layer;
+}
+
+bool ConvLayer::computes_on_codes() const {
+  return cfg_.kernel == ConvKernel::kQuantReference && cfg_.binary_weights &&
+         cfg_.act_bits >= 1 && cfg_.act_bits < 8;
+}
+
+std::optional<CodeGrid> ConvLayer::code_output(const CodeGrid& in) const {
+  if (!computes_on_codes() || in != grid(cfg_.in_scale)) return std::nullopt;
+  return grid(cfg_.out_scale);
+}
+
+std::optional<CodeGrid> ConvLayer::code_input() const {
+  if (!computes_on_codes()) return std::nullopt;
+  return grid(cfg_.in_scale);
+}
+
+void ConvLayer::forward_codes(const uint8_t* in, uint8_t* out) {
+  gemm::run_code_layer(code_layer(), in, 1, out);
+}
+
+void ConvLayer::forward_quant_reference(const Tensor& in, Tensor& out) {
+  const gemm::CodeLayer layer = code_layer();
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
   // Incoming floats sit on the activation grid; recover the integer codes.
-  const int64_t pixels = in.numel();
-  uint8_t* codes = arena.alloc<uint8_t>(pixels);
-  if (cfg_.bipolar) {
-    const quant::BipolarActQuant in_q{cfg_.in_scale};
-    for (int64_t i = 0; i < pixels; ++i) codes[i] = in_q.quantize(in[i]);
-  } else {
-    quant::quantize_activations(in.data(), pixels,
-                                {cfg_.act_bits, cfg_.in_scale}, codes);
-  }
   // Zero padding is exact on the unsigned grid: real 0.0 is code 0.
-  const int bits = cfg_.act_bits;  // 1 for bipolar layers
-  const int64_t n = geom_.num_patches();
-  uint64_t* planes = arena.alloc<uint64_t>(
-      n * bits * gemm::bitplane_words(geom_.patch_size()));
-  gemm::im2col_bitplanes(codes, geom_, bits, planes);
-
-  if (!bitserial_cache_)
-    bitserial_cache_ = gemm::pack_bitserial(binary_weights(), geom_.kernel);
-  const ThresholdTable& table = threshold_table();
-  const ThresholdEpilogue epilogue{table.thresholds.data(),
-                                   table.flip.data(),
-                                   table.level_value.data(),
-                                   table.levels,
-                                   cfg_.filters,
-                                   n,
-                                   out.data()};
-  // Passed by reference, so the std::function does not allocate.
-  gemm::bitserial_gemm(*bitserial_cache_, planes, n, bits, cfg_.bipolar,
-                       std::cref(epilogue));
+  uint8_t* codes = arena.alloc<uint8_t>(in.numel());
+  grid(cfg_.in_scale).quantize(in.data(), in.numel(), codes);
+  uint8_t* out_codes = arena.alloc<uint8_t>(out.numel());
+  gemm::run_code_layer(layer, codes, 1, out_codes);
+  grid(cfg_.out_scale).dequantize(out_codes, out.numel(), out.data());
 }
 
 void ConvLayer::forward(const Tensor& in, Tensor& out) {

@@ -9,9 +9,11 @@
 ///    and im2col'd straight into the packed GEMM engine against the
 ///    layer's cached weight panels (gemm/gemm_lowp.hpp),
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
-///    weights, thresholded activations) on the bit-serial kernel
-///    (gemm/bitserial.hpp); this is the golden model the fabric
-///    accelerator must reproduce exactly.
+///    weights, thresholded activations) on the code-domain layer engine
+///    (gemm/code_layer.hpp) that the fabric accelerator runs too; this is
+///    the golden model. Its float forward() quantizes the input onto the
+///    layer's input grid and dequantizes the output codes; inside
+///    Network::forward it reads and emits codes (forward_codes).
 ///
 /// The paper's specialized 16×27 first-layer kernels are not runtime
 /// paths: their timing lives in the perf model (perf::FirstLayerImpl) and
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "gemm/bitserial.hpp"
+#include "gemm/code_layer.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "nn/activation.hpp"
@@ -79,6 +82,13 @@ class ConvLayer final : public Layer {
   OpsCount ops() const override;
   Precision precision() const override;
 
+  /// Code hooks of the kQuantReference path: reads codes on its input
+  /// grid (act_bits, in_scale) and emits codes on its output grid
+  /// (act_bits, out_scale). Other kernels compute on floats only.
+  std::optional<CodeGrid> code_output(const CodeGrid& in) const override;
+  std::optional<CodeGrid> code_input() const override;
+  void forward_codes(const uint8_t* in, uint8_t* out) override;
+
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }
 
@@ -113,18 +123,14 @@ class ConvLayer final : public Layer {
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
 
-  /// quant_thresholds() flattened for the golden model's epilogue. Row k
-  /// holds threshold k of every channel, so the comparisons vectorise
-  /// across channels. A descending channel (level += acc <= t) is stored
-  /// complemented: ~x = −x − 1 reverses the int32 order without overflow,
-  /// so acc <= t ⟺ ~acc >= ~t and one comparison serves both directions.
-  struct ThresholdTable {
-    int64_t levels = 0;
-    std::vector<int32_t> thresholds;  ///< levels × filters, row-major
-    std::vector<int32_t> flip;        ///< per filter: 0 ascending, ~0 not
-    std::vector<float> level_value;   ///< emitted value of levels 0..levels
-  };
-  const ThresholdTable& threshold_table() const;
+  /// kQuantReference with a valid W1A<bits> configuration.
+  bool computes_on_codes() const;
+  /// The kQuantReference layer over this layer's cached packed weights
+  /// and threshold table (built on first use).
+  gemm::CodeLayer code_layer() const;
+  CodeGrid grid(float scale) const {
+    return {cfg_.act_bits, scale, cfg_.bipolar};
+  }
 
   ConvConfig cfg_;
   gemm::ConvGeometry geom_;
@@ -139,7 +145,7 @@ class ConvLayer final : public Layer {
   mutable std::optional<gemm::BitSerialWeights> bitserial_cache_;
   mutable std::optional<Tensor> binary_float_cache_;
   mutable std::optional<std::vector<quant::ThresholdChannel>> threshold_cache_;
-  mutable std::optional<ThresholdTable> threshold_table_;
+  mutable std::optional<gemm::ThresholdTable> threshold_table_;
   mutable std::optional<TensorU8> lowp_codes_;
   mutable std::optional<quant::AffineParams> lowp_params_;
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:

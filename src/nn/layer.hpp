@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/tensor.hpp"
 #include "nn/precision.hpp"
+#include "quant/thresholds.hpp"
 
 namespace tincy::nn {
 
@@ -26,6 +28,8 @@ struct OpsCount {
   int64_t ops = 0;  ///< multiply+add counted as 2 ops; pool comparisons per channel.
   Precision precision = kFloat;
 };
+
+using quant::CodeGrid;
 
 /// Abstract network layer. Construction plays the role of Darknet's init
 /// hook (the layer sizes its buffers from the incoming shape); the other
@@ -50,6 +54,27 @@ class Layer {
   /// forward hook: computes the output feature map from the input.
   /// `out` is pre-allocated to output_shape().
   virtual void forward(const Tensor& in, Tensor& out) = 0;
+
+  /// Code-domain hooks. Network::forward hands activation codes from
+  /// layer to layer, instead of dequantising and re-quantising them,
+  /// whenever the producer's output grid is the consumer's input grid.
+  ///
+  /// The grid of the codes forward_codes() emits when it reads codes on
+  /// `in`, or nullopt when it cannot read them. A quantized conv reads its
+  /// input grid and emits its output grid; a max pool passes the grid
+  /// through. Network only hands codes on an exact grid
+  /// (CodeGrid::exact).
+  virtual std::optional<CodeGrid> code_output(const CodeGrid& /*in*/) const {
+    return std::nullopt;
+  }
+  /// The grid forward() quantizes its float input onto, for a layer that
+  /// computes on codes (nullopt for every other layer).
+  virtual std::optional<CodeGrid> code_input() const { return std::nullopt; }
+  /// Forward over codes: `in` holds input_shape().numel() codes on a grid
+  /// code_output() accepts; writes output_shape().numel() codes.
+  virtual void forward_codes(const uint8_t* /*in*/, uint8_t* /*out*/) {
+    TINCY_CHECK_MSG(false, type_name() << " has no code-domain forward");
+  }
 
   /// Operations per frame in the paper's accounting (see ops.hpp).
   virtual OpsCount ops() const { return {}; }

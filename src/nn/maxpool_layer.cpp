@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "gemm/code_layer.hpp"
+
 namespace tincy::nn {
 
 MaxPoolLayer::MaxPoolLayer(const MaxPoolConfig& cfg, Shape input_shape)
@@ -64,6 +66,16 @@ void MaxPoolLayer::forward(const Tensor& in, Tensor& out) {
       }
     }
   }
+}
+
+std::optional<CodeGrid> MaxPoolLayer::code_output(const CodeGrid& in) const {
+  return in;
+}
+
+void MaxPoolLayer::forward_codes(const uint8_t* in, uint8_t* out) {
+  gemm::max_pool_codes({in_shape_.channels(), in_shape_.height(),
+                        in_shape_.width(), cfg_.size, cfg_.stride},
+                       in, out);
 }
 
 OpsCount MaxPoolLayer::ops() const {

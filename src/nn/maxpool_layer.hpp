@@ -5,6 +5,10 @@
 /// padding of (size − 1) total keeps the stride-1 "same" pooling of Tiny
 /// YOLO's last pool working (13×13 stays 13×13), while the usual 2×2
 /// stride-2 pools halve the map.
+///
+/// Between two quantized convs the pool runs on activation codes
+/// (forward_codes, gemm::max_pool_codes): on an exact grid the codes
+/// order like their values, so pooling codes equals pooling the values.
 
 #include "nn/layer.hpp"
 
@@ -22,6 +26,11 @@ class MaxPoolLayer final : public Layer {
   std::string type_name() const override { return "maxpool"; }
   Shape output_shape() const override;
   void forward(const Tensor& in, Tensor& out) override;
+
+  /// Passes the grid through: Network hands a pool codes only on an exact
+  /// grid, where they order like their values.
+  std::optional<CodeGrid> code_output(const CodeGrid& in) const override;
+  void forward_codes(const uint8_t* in, uint8_t* out) override;
 
   /// The paper's Table I counts pooling as the per-channel comparison
   /// count K²·outH·outW (it is channel-independent in their accounting).

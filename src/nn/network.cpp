@@ -1,6 +1,25 @@
 #include "nn/network.hpp"
 
+#include "gemm/scratch.hpp"
+
 namespace tincy::nn {
+
+namespace {
+
+/// The telemetry of one layer execution: its latency histogram and a
+/// trace span tagged with the frame identity installed by the
+/// server/pipeline worker (docs/observability.md "Tracing").
+struct LayerSpan {
+  LayerSpan(telemetry::Histogram& hist, const std::string& name)
+      : timer(hist),
+        trace(&telemetry::TraceCollector::global(), name,
+              telemetry::current_trace_context()) {}
+
+  telemetry::ScopedTimer timer;
+  telemetry::TraceSpan trace;
+};
+
+}  // namespace
 
 Network::Network(Shape input_shape, telemetry::MetricsRegistry* metrics)
     : input_shape_(input_shape),
@@ -11,7 +30,23 @@ Network::Network(Shape input_shape, telemetry::MetricsRegistry* metrics)
 
 void Network::add(LayerPtr layer) {
   TINCY_CHECK(layer != nullptr);
-  outputs_.emplace_back(layer->output_shape());
+  // Plan forward()'s hand-off: codes pass on whenever this layer reads
+  // the previous layer's (exact) output grid.
+  Slot slot;
+  const std::optional<CodeGrid> prev =
+      slots_.empty() ? std::nullopt : slots_.back().grid_out;
+  if (prev && prev->exact()) slot.grid_out = layer->code_output(*prev);
+  if (slot.grid_out) {
+    slot.mode = Mode::kCodes;
+  } else if ((slot.grid_in = layer->code_input())) {
+    slot.grid_out = layer->code_output(*slot.grid_in);
+    TINCY_CHECK(slot.grid_out.has_value());
+    slot.mode = Mode::kQuantize;
+  }
+  // Float layers need their buffer every frame; a code layer's float
+  // buffer is only allocated if its activation is read as floats.
+  if (slot.mode == Mode::kFloat) slot.out = Tensor(layer->output_shape());
+  slots_.push_back(std::move(slot));
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
                             "." + layer->type_name();
   layer_hist_.push_back(&metrics_->histogram(label + ".ms"));
@@ -30,36 +65,71 @@ Shape Network::output_shape() const {
   return layers_.back()->output_shape();
 }
 
+Tensor& Network::float_buffer(int64_t i) const {
+  Slot& slot = slots_[static_cast<size_t>(i)];
+  if (slot.out.empty())
+    slot.out = Tensor(layers_[static_cast<size_t>(i)]->output_shape());
+  return slot.out;
+}
+
+const Tensor& Network::float_output(int64_t i) const {
+  Tensor& out = float_buffer(i);
+  Slot& slot = slots_[static_cast<size_t>(i)];
+  if (!slot.out_current) {
+    slot.grid_out->dequantize(slot.codes.data(), slot.codes.numel(),
+                              out.data());
+    slot.out_current = true;
+  }
+  return out;
+}
+
 const Tensor& Network::forward(const Tensor& input) {
   TINCY_CHECK_MSG(!layers_.empty(), "empty network");
   telemetry::ScopedTimer span(*forward_hist_);
-  const Tensor* current = &input;
   for (int64_t i = 0; i < num_layers(); ++i) {
-    current = &run_layer(i, *current);
+    const auto u = static_cast<size_t>(i);
+    Layer& layer = *layers_[u];
+    Slot& slot = slots_[u];
+    LayerSpan layer_span(*layer_hist_[u], layer_trace_names_[u]);
+    if (slot.mode == Mode::kFloat) {
+      layer.forward(i == 0 ? input : float_output(i - 1), float_buffer(i));
+      slot.out_current = true;
+      continue;
+    }
+    if (slot.codes.empty()) slot.codes = TensorU8(layer.output_shape());
+    if (slot.mode == Mode::kCodes) {
+      layer.forward_codes(slots_[u - 1].codes.data(), slot.codes.data());
+    } else {
+      const Tensor& in = i == 0 ? input : float_output(i - 1);
+      TINCY_CHECK(in.shape() == layer_input_shape(i));
+      auto& arena = gemm::thread_arena();
+      gemm::ScratchScope scope(arena);
+      uint8_t* codes = arena.alloc<uint8_t>(in.numel());
+      slot.grid_in->quantize(in.data(), in.numel(), codes);
+      layer.forward_codes(codes, slot.codes.data());
+    }
+    slot.out_current = false;
   }
-  return *current;
+  return float_output(num_layers() - 1);
 }
 
 const Tensor& Network::run_layer(int64_t i, const Tensor& in) {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  run_layer_into(i, in, outputs_[static_cast<size_t>(i)]);
-  return outputs_[static_cast<size_t>(i)];
+  run_layer_into(i, in, float_buffer(i));
+  slots_[static_cast<size_t>(i)].out_current = true;
+  return slots_[static_cast<size_t>(i)].out;
 }
 
 void Network::run_layer_into(int64_t i, const Tensor& in, Tensor& out) {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  telemetry::ScopedTimer span(*layer_hist_[static_cast<size_t>(i)]);
-  // Trace span tagged with the frame identity installed by the
-  // server/pipeline worker (docs/observability.md "Tracing").
-  telemetry::TraceSpan trace(&telemetry::TraceCollector::global(),
-                             layer_trace_names_[static_cast<size_t>(i)],
-                             telemetry::current_trace_context());
-  layers_[static_cast<size_t>(i)]->forward(in, out);
+  const auto u = static_cast<size_t>(i);
+  LayerSpan span(*layer_hist_[u], layer_trace_names_[u]);
+  layers_[u]->forward(in, out);
 }
 
 const Tensor& Network::layer_output(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return outputs_[static_cast<size_t>(i)];
+  return float_output(i);
 }
 
 double Network::last_layer_ms(int64_t i) const {

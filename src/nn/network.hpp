@@ -7,10 +7,22 @@
 /// feed individual layers into the frame pipeline (§III-F); here that
 /// access is first-class.
 ///
+/// Inside forward() the W1A<bits> hidden stack runs on activation codes,
+/// as the paper's offload segment does (Fig. 3/4): a layer that computes
+/// on codes hands its u8 codes straight to the next one whenever the
+/// producer's output grid is the consumer's input grid
+/// (Layer::code_output). A quantized conv's codes go to the next quantized
+/// conv directly or through a max pool that pools codes; they are
+/// dequantised only where a float layer reads them. The hand-off depends
+/// on the layers' grids alone, and every activation is bit-identical to
+/// running the layers one by one on floats.
+///
 /// Per-layer timing is reported through the telemetry registry: every
-/// run_layer/run_layer_into span records into `net.layer.<i>.<type>.ms`
-/// and forward() additionally into `net.forward.ms`.
+/// run_layer/run_layer_into span and every layer of forward() records into
+/// `net.layer.<i>.<type>.ms`, and forward() additionally into
+/// `net.forward.ms`.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,7 +67,9 @@ class Network {
   /// run_layer, so per-layer timings stay fresh in pipeline mode.
   void run_layer_into(int64_t i, const Tensor& in, Tensor& out);
 
-  /// Activation buffer of layer i after the last forward/run_layer.
+  /// Float activation of layer i after the last forward/run_layer. A layer
+  /// that emitted codes in forward() dequantises them on the first read.
+  /// Like forward(), not safe to call concurrently.
   const Tensor& layer_output(int64_t i) const;
 
   /// Milliseconds layer i took in its most recent execution (0 before any
@@ -72,10 +86,31 @@ class Network {
   telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
+  /// How forward() runs a layer.
+  enum class Mode {
+    kFloat,     ///< floats in (dequantised if need be), floats out
+    kQuantize,  ///< floats in, quantised onto code_input(), codes out
+    kCodes,     ///< the previous layer's codes in, codes out
+  };
+  struct Slot {
+    Mode mode = Mode::kFloat;
+    std::optional<CodeGrid> grid_in;   ///< kQuantize: the input grid
+    std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes: output grid
+    TensorU8 codes;                    ///< allocated by the first forward()
+    Tensor out;  ///< kFloat: allocated by add(); else on first use
+    bool out_current = true;  ///< `out` holds the latest activation
+  };
+
+  /// The float buffer of layer i, allocated on first use.
+  Tensor& float_buffer(int64_t i) const;
+  /// float_buffer(i) holding the latest activation of layer i.
+  const Tensor& float_output(int64_t i) const;
+
   Shape input_shape_;
   telemetry::MetricsRegistry* metrics_;
   std::vector<LayerPtr> layers_;
-  std::vector<Tensor> outputs_;
+  /// Mutable: layer_output() dequantises a layer's codes on first read.
+  mutable std::vector<Slot> slots_;
   std::vector<telemetry::Histogram*> layer_hist_;  ///< net.layer.<i>.<type>.ms
   std::vector<std::string> layer_trace_names_;     ///< net.layer.<i>.<type>
   telemetry::Histogram* forward_hist_;             ///< net.forward.ms

@@ -110,8 +110,8 @@ fabric::QnnAccelerator import_accelerator(const nn::Network& subnet,
                                           fabric::CycleModel model,
                                           fabric::Device device) {
   fabric::QnnAccelerator acc(model, device);
-  for (auto& stage : extract_stages(subnet))
-    acc.add_layer(stage.spec, stage.weights, std::move(stage.thresholds));
+  for (const auto& stage : extract_stages(subnet))
+    acc.add_layer(stage.spec, stage.weights, stage.thresholds);
   return acc;
 }
 

@@ -4,12 +4,6 @@
 
 namespace tincy::quant {
 
-TensorU8 quantize_activations(const Tensor& t, const UniformActQuant& q) {
-  TensorU8 out(t.shape());
-  quantize_activations(t.data(), t.numel(), q, out.data());
-  return out;
-}
-
 void quantize_activations(const float* __restrict x, int64_t n,
                           const UniformActQuant& q,
                           uint8_t* __restrict codes) {
@@ -21,10 +15,26 @@ void quantize_activations(const float* __restrict x, int64_t n,
   for (; i < n; ++i) codes[i] = q.quantize(x[i]);
 }
 
-Tensor dequantize_activations(const TensorU8& t, const UniformActQuant& q) {
-  Tensor out(t.shape());
-  for (int64_t i = 0; i < t.numel(); ++i) out[i] = q.dequantize(t[i]);
-  return out;
+bool CodeGrid::exact() const {
+  if (bits < 1 || bits > 8) return false;
+  const float top = bipolar ? 1.0f : static_cast<float>((1 << bits) - 1);
+  return std::isnormal(scale) && scale > 0.0f && std::isfinite(scale * top);
+}
+
+void CodeGrid::quantize(const float* x, int64_t n, uint8_t* codes) const {
+  if (!bipolar) return quantize_activations(x, n, {bits, scale}, codes);
+  const BipolarActQuant q{scale};
+  for (int64_t i = 0; i < n; ++i) codes[i] = q.quantize(x[i]);
+}
+
+void CodeGrid::dequantize(const uint8_t* codes, int64_t n, float* out) const {
+  if (bipolar) {
+    const BipolarActQuant q{scale};
+    for (int64_t i = 0; i < n; ++i) out[i] = q.dequantize(codes[i]);
+  } else {
+    const UniformActQuant q{bits, scale};
+    for (int64_t i = 0; i < n; ++i) out[i] = q.dequantize(codes[i]);
+  }
 }
 
 ThresholdChannel fold_to_thresholds(int act_bits, float acc_scale,

@@ -43,15 +43,9 @@ struct UniformActQuant {
   float dequantize(uint8_t code) const { return scale * static_cast<float>(code); }
 };
 
-/// Quantizes a float feature map into A-bit codes (stored one per byte).
-TensorU8 quantize_activations(const Tensor& t, const UniformActQuant& q);
-
 /// codes[i] = q.quantize(x[i]) for i < n, in one vectorisable pass.
 void quantize_activations(const float* x, int64_t n, const UniformActQuant& q,
                           uint8_t* codes);
-
-/// Reconstructs float values from A-bit codes.
-Tensor dequantize_activations(const TensorU8& t, const UniformActQuant& q);
 
 /// Per-output-channel threshold unit (the "T" of the MVTU): the A-bit
 /// output level is the number of satisfied comparisons. With a positive
@@ -102,6 +96,38 @@ struct BipolarActQuant {
 
   uint8_t quantize(float x) const { return x >= 0.0f ? 1 : 0; }
   float dequantize(uint8_t code) const { return code ? scale : -scale; }
+};
+
+/// Grid of A-bit activation codes, one per byte: real = scale · code on
+/// the unsigned grid (UniformActQuant), ±scale for bipolar codes
+/// (BipolarActQuant, bits = 1, bit 1 is +scale).
+struct CodeGrid {
+  int bits = 1;
+  float scale = 1.0f;
+  bool bipolar = false;
+
+  bool operator==(const CodeGrid&) const = default;
+
+  /// Whether codes may stand in for their real values: the scale is
+  /// positive and normal and the top level finite, so the codes order like
+  /// the values (a max pool may compare codes) and dequantising then
+  /// quantising on the same grid gives every code back.
+  bool exact() const;
+
+  uint8_t quantize(float x) const {
+    return bipolar ? BipolarActQuant{scale}.quantize(x)
+                   : UniformActQuant{bits, scale}.quantize(x);
+  }
+  float dequantize(uint8_t code) const {
+    return bipolar ? BipolarActQuant{scale}.dequantize(code)
+                   : UniformActQuant{bits, scale}.dequantize(code);
+  }
+  /// The grid value nearest to x (quantize, then dequantize).
+  float snap(float x) const { return dequantize(quantize(x)); }
+
+  /// Bulk forms over n elements.
+  void quantize(const float* x, int64_t n, uint8_t* codes) const;
+  void dequantize(const uint8_t* codes, int64_t n, float* out) const;
 };
 
 }  // namespace tincy::quant

@@ -93,15 +93,10 @@ Tensor TrainConvLayer::forward(const Tensor& input, bool training) {
     cached_postact_ = post;
   }
 
-  if (cfg_.bipolar) {
-    const quant::BipolarActQuant q{cfg_.out_scale};
-    for (int64_t i = 0; i < post.numel(); ++i)
-      post[i] = q.dequantize(q.quantize(post[i]));
-  } else if (cfg_.act_bits < 8) {
+  if (cfg_.bipolar || cfg_.act_bits < 8) {
     // QAT: quantize-dequantize onto the A-bit grid (STE in backward).
-    const quant::UniformActQuant q{cfg_.act_bits, cfg_.out_scale};
-    for (int64_t i = 0; i < post.numel(); ++i)
-      post[i] = q.dequantize(q.quantize(post[i]));
+    const quant::CodeGrid g{cfg_.act_bits, cfg_.out_scale, cfg_.bipolar};
+    for (int64_t i = 0; i < post.numel(); ++i) post[i] = g.snap(post[i]);
   }
   return post;
 }

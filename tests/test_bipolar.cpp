@@ -6,6 +6,7 @@
 
 #include "core/rng.hpp"
 #include "fabric/mvtu.hpp"
+#include "gemm/code_layer.hpp"
 #include "nn/builder.hpp"
 #include "nn/connected_layer.hpp"
 #include "nn/conv_layer.hpp"
@@ -26,6 +27,8 @@ TEST(BipolarQuant, SignEncoding) {
 }
 
 TEST(BipolarMvtu, XnorIdentityMatchesNaiveDot) {
+  // The unit's memories on the shared engine: one FC column, threshold 0,
+  // so each output code is the sign of the ±1·±1 dot product.
   Rng rng(11);
   const int64_t rows = 16, cols = 100;
   Tensor w(Shape{rows, cols});
@@ -35,18 +38,25 @@ TEST(BipolarMvtu, XnorIdentityMatchesNaiveDot) {
   for (auto& ch : th) ch.thresholds.push_back(0);
   const fabric::Mvtu mvtu(bw, th, /*act_bits_in=*/1,
                           fabric::ActEncoding::kBipolar);
+  gemm::CodeLayer layer;
+  layer.geom = {cols, 1, 1, 1, 1, 0};
+  layer.bits = 1;
+  layer.bipolar = true;
+  layer.weights = &mvtu.weights();
+  layer.thresholds = &mvtu.thresholds();
 
   std::vector<uint8_t> column(static_cast<size_t>(cols));
   for (auto& c : column) c = rng.bernoulli(0.5) ? 1 : 0;
-  std::vector<int32_t> acc(static_cast<size_t>(rows));
-  mvtu.accumulate(column, acc);
+  std::vector<uint8_t> out(static_cast<size_t>(rows));
+  gemm::run_code_layer(layer, column.data(), 1, out.data());
   for (int64_t r = 0; r < rows; ++r) {
     int32_t expected = 0;
     for (int64_t c = 0; c < cols; ++c) {
       const int a = column[static_cast<size_t>(c)] ? 1 : -1;
       expected += static_cast<int32_t>(bw.value(r, c)) * a;
     }
-    EXPECT_EQ(acc[static_cast<size_t>(r)], expected) << "row " << r;
+    EXPECT_EQ(out[static_cast<size_t>(r)], expected >= 0 ? 1 : 0)
+        << "row " << r;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/rng.hpp"
 #include "detect/box.hpp"
@@ -145,6 +146,67 @@ TEST(Decode, ThresholdFiltersLowObjectness) {
   EXPECT_TRUE(decode_region(map, cfg, 0.5f).empty());
 }
 
+TEST(Decode, NonFiniteAndHugeExponentsGiveFiniteBoxes) {
+  // One anchor of 3.42 × 4.41 cells on a 1×8 grid; each cell carries its
+  // own tw/th. Finite extents must equal the unclamped formula bit for
+  // bit; the rest must come out finite.
+  nn::RegionConfig cfg;
+  cfg.classes = 1;
+  cfg.num = 1;
+  cfg.anchors = {3.42f, 4.41f};
+  const float nan = std::nanf(""), inf = std::numeric_limits<float>::infinity();
+  const float t[] = {nan, inf, -inf, 1e30f, 100.0f, 85.0f, 3.0f, -3.0f};
+  Tensor map(Shape{6, 1, 8});
+  map.fill(0.5f);
+  const int64_t cell = 8;
+  for (int64_t i = 0; i < cell; ++i) {
+    map[2 * cell + i] = t[i];
+    map[3 * cell + i] = t[cell - 1 - i];
+    map[5 * cell + i] = 1.0f;  // class probability
+  }
+  const auto dets = decode_region(map, cfg, 0.1f);
+  ASSERT_EQ(dets.size(), 8u);
+  float largest_w = 0.0f;
+  for (size_t k = 0; k < dets.size(); ++k) {
+    const Box& b = dets[k].box;
+    EXPECT_TRUE(std::isfinite(b.w) && std::isfinite(b.h)) << "cell " << k;
+    const float tw = t[k], th = t[cell - 1 - k];
+    const float w = 3.42f * std::exp(tw) / 8.0f;
+    const float h = 4.41f * std::exp(th) / 1.0f;
+    if (std::isfinite(w)) {
+      EXPECT_EQ(b.w, w) << "cell " << k;
+    }
+    if (std::isfinite(h)) {
+      EXPECT_EQ(b.h, h) << "cell " << k;
+    }
+    largest_w = std::max(largest_w, b.w);
+  }
+  // NaN, +inf and the overflowing exponents saturate to one extent, the
+  // largest of all.
+  for (const size_t k : {0u, 1u, 3u, 4u}) EXPECT_EQ(dets[k].box.w, largest_w);
+  EXPECT_EQ(dets[2].box.w, 0.0f);  // e^−inf
+}
+
+TEST(Decode, ExtentJustBelowOverflowIsKept) {
+  // With a unit anchor on a 1×1 grid e^t itself is the extent: the largest
+  // t with a finite e^t keeps its value, the next float saturates to it.
+  nn::RegionConfig cfg;
+  cfg.classes = 1;
+  cfg.num = 1;
+  cfg.anchors = {1.0f, 1.0f};
+  float t = 88.0f;
+  while (std::isfinite(std::exp(std::nextafter(t, 100.0f))))
+    t = std::nextafter(t, 100.0f);
+  Tensor map(Shape{6, 1, 1});
+  map.fill(0.9f);
+  map[2] = t;
+  map[3] = std::nextafter(t, 100.0f);
+  const auto dets = decode_region(map, cfg, 0.1f);
+  ASSERT_EQ(dets.size(), 1u);
+  EXPECT_EQ(dets[0].box.w, std::exp(t));
+  EXPECT_EQ(dets[0].box.h, std::exp(t));
+}
+
 // --- mAP ---
 
 ImageEval perfect_image(int classes) {
@@ -215,6 +277,30 @@ TEST(Map, ClassesWithoutGroundTruthSkipped) {
   const std::vector<ImageEval> images{perfect_image(2)};
   // num_classes=5 but only classes 0..1 appear: mAP over present classes.
   EXPECT_NEAR(mean_average_precision(images, 5), 1.0, 1e-9);
+}
+
+TEST(Map, NanScoresRankLast) {
+  // One object, found only by a NaN-scored detection; a confident false
+  // positive and a −inf-scored miss rank ahead of it. NaN ranks last, as
+  // in nms, so the true positive arrives at rank 3: all-point AP = 1/3.
+  const float nan = std::nanf(""), inf = std::numeric_limits<float>::infinity();
+  ImageEval img;
+  const Box box{0.5f, 0.5f, 0.3f, 0.3f};
+  img.ground_truth.push_back({box, 0});
+  img.detections.push_back({box, 0, nan, 1.0f});
+  img.detections.push_back({{0.1f, 0.1f, 0.05f, 0.05f}, 0, 0.9f, 1.0f});
+  img.detections.push_back({{0.9f, 0.9f, 0.05f, 0.05f}, 0, -inf, 1.0f});
+  EXPECT_NEAR(average_precision({img}, 0, 0.5f, ApStyle::kAllPoint),
+              1.0 / 3.0, 1e-9);
+  // Huge and +inf scores rank first: the object found at rank 1.
+  ImageEval img2;
+  img2.ground_truth.push_back({box, 0});
+  img2.detections.push_back({{0.1f, 0.1f, 0.05f, 0.05f}, 0, nan, 1.0f});
+  img2.detections.push_back({{0.9f, 0.9f, 0.05f, 0.05f}, 0,
+                             std::numeric_limits<float>::max(), 1.0f});
+  img2.detections.push_back({box, 0, inf, 1.0f});
+  EXPECT_NEAR(average_precision({img2}, 0, 0.5f, ApStyle::kAllPoint), 1.0,
+              1e-9);
 }
 
 TEST(Map, IouThresholdMatters) {

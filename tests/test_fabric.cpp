@@ -10,7 +10,6 @@
 #include "fabric/mvtu.hpp"
 #include "fabric/pool_unit.hpp"
 #include "fabric/resource_model.hpp"
-#include "fabric/sliding_window.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/zoo.hpp"
@@ -49,52 +48,10 @@ TEST(Folding, InvalidArgsThrow) {
   EXPECT_THROW(fold_cycles_per_vector({10, 10}, {8, 8}, 0), Error);
 }
 
-TEST(Mvtu, AccumulateMatchesDirectDot) {
-  Rng rng(101);
-  const int64_t rows = 20, cols = 100;
-  const quant::BinaryMatrix w = random_binary(rng, rows, cols);
-  Mvtu mvtu(w, identity_thresholds(rows, 7), /*act_bits_in=*/3);
-
-  std::vector<uint8_t> column(static_cast<size_t>(cols));
-  for (auto& c : column) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  std::vector<int32_t> acc(static_cast<size_t>(rows));
-  mvtu.accumulate(column, acc);
-  for (int64_t r = 0; r < rows; ++r) {
-    int32_t expected = 0;
-    for (int64_t c = 0; c < cols; ++c)
-      expected += static_cast<int32_t>(w.value(r, c)) * column[static_cast<size_t>(c)];
-    EXPECT_EQ(acc[static_cast<size_t>(r)], expected) << "row " << r;
-  }
-}
-
-TEST(Mvtu, ComputeAppliesThresholds) {
-  Rng rng(103);
-  const int64_t rows = 8, cols = 64;
-  const quant::BinaryMatrix w = random_binary(rng, rows, cols);
-  Mvtu mvtu(w, identity_thresholds(rows, 7), 3);
-  std::vector<uint8_t> column(static_cast<size_t>(cols));
-  for (auto& c : column) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  std::vector<int32_t> acc(static_cast<size_t>(rows));
-  std::vector<uint8_t> out(static_cast<size_t>(rows));
-  mvtu.accumulate(column, acc);
-  mvtu.compute(column, out);
-  for (int64_t r = 0; r < rows; ++r) {
-    const int expected =
-        std::clamp(acc[static_cast<size_t>(r)], 0, 7);
-    EXPECT_EQ(out[static_cast<size_t>(r)], expected);
-  }
-}
-
 TEST(Mvtu, ThresholdCountMustMatchRows) {
   Rng rng(104);
   const quant::BinaryMatrix w = random_binary(rng, 4, 16);
   EXPECT_THROW(Mvtu(w, identity_thresholds(3, 7), 3), Error);
-}
-
-TEST(SlidingWindow, StreamCycles) {
-  const SlidingWindowUnit swu({16, 8, 8, 3, 1, 1});
-  EXPECT_EQ(swu.num_columns(), 8 * 8);
-  EXPECT_EQ(swu.cycles_per_column(36), (16 * 9 + 35) / 36);
 }
 
 TEST(PoolUnit, MatchesFloatSemantics) {
@@ -103,7 +60,7 @@ TEST(PoolUnit, MatchesFloatSemantics) {
   std::vector<uint8_t> in(static_cast<size_t>(4 * 36));
   for (auto& v : in) v = static_cast<uint8_t>(rng.uniform_int(0, 7));
   std::vector<uint8_t> out(static_cast<size_t>(4 * 9));
-  max_pool_codes(spec, in, out);
+  gemm::max_pool_codes(spec, in.data(), out.data());
   for (int64_t c = 0; c < 4; ++c)
     for (int64_t y = 0; y < 3; ++y)
       for (int64_t x = 0; x < 3; ++x) {
@@ -319,45 +276,6 @@ TEST(Dataflow, EmptyPlanRejected) {
 
 // --- Ternary MVTU (related-work coverage: TWN on FPGAs) ---
 
-TEST(TernaryMvtu, AccumulateMatchesDirectDot) {
-  Rng rng(211);
-  const int64_t rows = 12, cols = 80;
-  Tensor w(Shape{rows, cols});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const quant::TernaryMatrix tw = quant::ternarize(w, /*with_scale=*/false);
-  Mvtu mvtu(tw, identity_thresholds(rows, 7), /*act_bits_in=*/3);
-
-  std::vector<uint8_t> column(static_cast<size_t>(cols));
-  for (auto& c : column) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  std::vector<int32_t> acc(static_cast<size_t>(rows));
-  mvtu.accumulate(column, acc);
-  for (int64_t r = 0; r < rows; ++r) {
-    int32_t expected = 0;
-    for (int64_t c = 0; c < cols; ++c)
-      expected += static_cast<int32_t>(tw.value(r, c)) *
-                  column[static_cast<size_t>(c)];
-    EXPECT_EQ(acc[static_cast<size_t>(r)], expected) << "row " << r;
-  }
-}
-
-TEST(TernaryMvtu, ZeroWeightsContributeNothing) {
-  quant::TernaryMatrix tw;
-  tw.rows = 1;
-  tw.cols = 4;
-  tw.nonzero.emplace_back(4);
-  tw.positive.emplace_back(4);
-  tw.row_scale.push_back(1.0f);
-  tw.nonzero[0].set(0, true);
-  tw.positive[0].set(0, true);   // +1
-  tw.nonzero[0].set(2, true);    // −1 (nonzero, not positive)
-  // Indices 1 and 3 are exact zeros.
-  Mvtu mvtu(tw, identity_thresholds(1, 7), 3);
-  const std::vector<uint8_t> column{5, 7, 2, 7};
-  std::vector<int32_t> acc(1);
-  mvtu.accumulate(column, acc);
-  EXPECT_EQ(acc[0], 5 - 2);
-}
-
 TEST(TernaryMvtu, SameFoldingCostAsBinary) {
   Rng rng(212);
   Tensor w(Shape{64, 288});
@@ -366,117 +284,6 @@ TEST(TernaryMvtu, SameFoldingCostAsBinary) {
   const Mvtu ternary(quant::ternarize(w), identity_thresholds(64, 7), 3);
   const Folding f{32, 36};
   EXPECT_EQ(binary.cycles_per_column(f), ternary.cycles_per_column(f));
-}
-
-// ---- Batched (weight-resident) execution parity -------------------------
-
-TEST(Mvtu, BatchMatchesSequentialCompute) {
-  Rng rng(301);
-  const int64_t rows = 20, cols = 100, batch = 5;
-  const quant::BinaryMatrix w = random_binary(rng, rows, cols);
-  const Mvtu mvtu(w, identity_thresholds(rows, 7), /*act_bits_in=*/3);
-
-  std::vector<uint8_t> columns(static_cast<size_t>(batch * cols));
-  for (auto& c : columns) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-
-  std::vector<uint8_t> batched(static_cast<size_t>(batch * rows));
-  std::vector<int32_t> acc_batched(static_cast<size_t>(batch * rows));
-  mvtu.compute_batch(columns, batch, batched);
-  mvtu.accumulate_batch(columns, batch, acc_batched);
-
-  std::vector<uint8_t> expected(static_cast<size_t>(rows));
-  std::vector<int32_t> acc_expected(static_cast<size_t>(rows));
-  for (int64_t b = 0; b < batch; ++b) {
-    const std::span<const uint8_t> col(columns.data() + b * cols,
-                                       static_cast<size_t>(cols));
-    mvtu.compute(col, expected);
-    mvtu.accumulate(col, acc_expected);
-    for (int64_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(batched[static_cast<size_t>(b * rows + r)],
-                expected[static_cast<size_t>(r)])
-          << "frame " << b << " row " << r;
-      EXPECT_EQ(acc_batched[static_cast<size_t>(b * rows + r)],
-                acc_expected[static_cast<size_t>(r)])
-          << "frame " << b << " row " << r;
-    }
-  }
-}
-
-TEST(Mvtu, BipolarBatchMatchesSequential) {
-  Rng rng(302);
-  const int64_t rows = 16, cols = 64, batch = 4;
-  const quant::BinaryMatrix w = random_binary(rng, rows, cols);
-  std::vector<ThresholdChannel> th(static_cast<size_t>(rows));
-  for (auto& ch : th) ch.thresholds.push_back(0);  // sign of the accumulator
-  const Mvtu mvtu(w, std::move(th), /*act_bits_in=*/1, ActEncoding::kBipolar);
-
-  std::vector<uint8_t> columns(static_cast<size_t>(batch * cols));
-  for (auto& c : columns) c = static_cast<uint8_t>(rng.uniform_int(0, 1));
-
-  std::vector<uint8_t> batched(static_cast<size_t>(batch * rows));
-  mvtu.compute_batch(columns, batch, batched);
-  std::vector<uint8_t> expected(static_cast<size_t>(rows));
-  for (int64_t b = 0; b < batch; ++b) {
-    mvtu.compute(std::span<const uint8_t>(columns.data() + b * cols,
-                                          static_cast<size_t>(cols)),
-                 expected);
-    for (int64_t r = 0; r < rows; ++r)
-      EXPECT_EQ(batched[static_cast<size_t>(b * rows + r)],
-                expected[static_cast<size_t>(r)])
-          << "frame " << b << " row " << r;
-  }
-}
-
-TEST(TernaryMvtu, BatchMatchesSequential) {
-  Rng rng(303);
-  const int64_t rows = 12, cols = 80, batch = 3;
-  Tensor w(Shape{rows, cols});
-  for (int64_t i = 0; i < w.numel(); ++i) w[i] = rng.normal();
-  const Mvtu mvtu(quant::ternarize(w), identity_thresholds(rows, 7),
-                  /*act_bits_in=*/3);
-
-  std::vector<uint8_t> columns(static_cast<size_t>(batch * cols));
-  for (auto& c : columns) c = static_cast<uint8_t>(rng.uniform_int(0, 7));
-
-  std::vector<uint8_t> batched(static_cast<size_t>(batch * rows));
-  std::vector<int32_t> acc_batched(static_cast<size_t>(batch * rows));
-  mvtu.compute_batch(columns, batch, batched);
-  mvtu.accumulate_batch(columns, batch, acc_batched);
-  std::vector<uint8_t> expected(static_cast<size_t>(rows));
-  std::vector<int32_t> acc_expected(static_cast<size_t>(rows));
-  for (int64_t b = 0; b < batch; ++b) {
-    const std::span<const uint8_t> col(columns.data() + b * cols,
-                                       static_cast<size_t>(cols));
-    mvtu.compute(col, expected);
-    mvtu.accumulate(col, acc_expected);
-    for (int64_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(batched[static_cast<size_t>(b * rows + r)],
-                expected[static_cast<size_t>(r)]);
-      EXPECT_EQ(acc_batched[static_cast<size_t>(b * rows + r)],
-                acc_expected[static_cast<size_t>(r)]);
-    }
-  }
-}
-
-TEST(PoolUnit, BatchMatchesPerFrame) {
-  Rng rng(305);
-  const PoolSpec spec{4, 6, 6, 2, 2};
-  const int64_t batch = 3;
-  const int64_t in_size = 4 * 36, out_size = 4 * 9;
-  std::vector<uint8_t> in(static_cast<size_t>(batch * in_size));
-  for (auto& v : in) v = static_cast<uint8_t>(rng.uniform_int(0, 7));
-  std::vector<uint8_t> batched(static_cast<size_t>(batch * out_size));
-  max_pool_codes_batch(spec, in, batched, batch);
-  std::vector<uint8_t> expected(static_cast<size_t>(out_size));
-  for (int64_t b = 0; b < batch; ++b) {
-    max_pool_codes(spec,
-                   std::span<const uint8_t>(in.data() + b * in_size,
-                                            static_cast<size_t>(in_size)),
-                   expected);
-    for (int64_t i = 0; i < out_size; ++i)
-      EXPECT_EQ(batched[static_cast<size_t>(b * out_size + i)],
-                expected[static_cast<size_t>(i)]);
-  }
 }
 
 TEST(Accelerator, BatchedBitExactOnQuantSubnet) {

@@ -18,12 +18,15 @@
 
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
+#include "fabric/accelerator.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "gemm/scratch.hpp"
+#include "nn/builder.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/maxpool_layer.hpp"
+#include "nn/zoo.hpp"
 #include "quant/affine.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -446,6 +449,49 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   nn::MaxPoolLayer pool({2, 2}, golden.output_shape());
   Tensor pooled(pool.output_shape());
 
+  // A miniature of the W1A3 hidden ladder under Network::forward: codes
+  // handed conv → pool → conv → pool → conv → conv, quantised once on the
+  // way in and dequantised once on the way out.
+  const auto ladder = nn::build_network_from_string(
+      "[net]\nwidth=8\nheight=8\nchannels=16\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=16\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n\n"
+      "[maxpool]\nsize=2\nstride=2\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=32\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n\n"
+      "[maxpool]\nsize=2\nstride=1\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=32\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=16\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n");
+  nn::zoo::randomize(*ladder, rng);
+  Tensor ladder_in(ladder->input_shape());
+  for (int64_t i = 0; i < ladder_in.numel(); ++i)
+    ladder_in[i] = static_cast<float>(rng.uniform_int(0, 7));
+
+  // One fabric engine stage (conv + pool), run alone and as a gang of 4.
+  fabric::QnnLayerSpec spec;
+  spec.in_channels = 16;
+  spec.in_height = spec.in_width = 8;
+  spec.filters = 16;
+  spec.pool_after = true;
+  std::vector<fabric::ThresholdChannel> th(16);
+  for (auto& ch : th)
+    for (int k = -3; k <= 3; ++k) ch.thresholds.push_back(k * 8);
+  Tensor fabric_w(Shape{16, 16 * 9});
+  for (int64_t i = 0; i < fabric_w.numel(); ++i) fabric_w[i] = rng.normal();
+  fabric::QnnAccelerator accel;
+  telemetry::MetricsRegistry fabric_metrics;
+  accel.set_metrics(&fabric_metrics);
+  accel.add_layer(spec, quant::binarize(fabric_w), th);
+  const std::vector<uint8_t> gang_in = [&] {
+    std::vector<uint8_t> v(4 * 16 * 8 * 8);
+    for (auto& x : v) x = static_cast<uint8_t>(rng.uniform_int(0, 7));
+    return v;
+  }();
+  std::vector<uint8_t> gang_out(4 * spec.output_shape().numel());
+  const int64_t one_in = 16 * 8 * 8, one_out = spec.output_shape().numel();
+
   auto run_frame = [&] {
     fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
                            bias.data(), out.data());
@@ -453,6 +499,11 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
                  w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);
     pool.forward(golden_out, pooled);
+    ladder->forward(ladder_in);
+    accel.run_layer_batched(
+        0, std::span<const uint8_t>(gang_in.data(), one_in), 1,
+        std::span<uint8_t>(gang_out.data(), one_out));
+    accel.run_layer_batched(0, gang_in, 4, gang_out);
   };
 
   // Warm-up: sizes the thread arenas, spins up the shared pool, resolves

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -1044,13 +1045,18 @@ TEST(StreamServer, GangFaultQuarantinesEveryMember) {
   opts.arbiter = {.max_batch = 2, .batch_linger_us = 20000};
   StreamServer server(opts);
   std::atomic<int64_t> delivered{0};
+  // No engine pass runs before every submit has returned: a gang that
+  // faulted earlier would quarantine its sessions, and the later submits
+  // would be refused.
+  std::latch submitted(1);
   for (int i = 0; i < 2; ++i) {
     SessionConfig sc;
     ServeStage stage;
     stage.name = "engine";
     stage.uses_engine = true;
     stage.engine_layer = 0;
-    stage.batch_work = [](std::span<video::Frame* const> gang) {
+    stage.batch_work = [&submitted](std::span<video::Frame* const> gang) {
+      submitted.wait();
       if (gang.size() > 1) throw std::runtime_error("gang fault");
       // Lone frames pass: the sessions only fault when actually ganged.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -1061,10 +1067,13 @@ TEST(StreamServer, GangFaultQuarantinesEveryMember) {
     server.open_session(std::move(sc));
   }
   server.start();
+  std::vector<ServeResult> results;
   for (int64_t seq = 0; seq < 4; ++seq) {
-    ASSERT_EQ(server.submit(0, make_frame(seq)), ServeResult::kAccepted);
-    ASSERT_EQ(server.submit(1, make_frame(seq)), ServeResult::kAccepted);
+    results.push_back(server.submit(0, make_frame(seq)));
+    results.push_back(server.submit(1, make_frame(seq)));
   }
+  submitted.count_down();
+  for (const ServeResult r : results) ASSERT_EQ(r, ServeResult::kAccepted);
   server.drain();
   server.stop();
   // Either some lone grants went through first or the very first pass was
