@@ -15,6 +15,18 @@
 //              quantisation, the epilogue and the per-call buffers;
 //   L1 input   the activation quantisation on its own.
 //
+// L0, the 8-bit first layer, phase by phase (the driver's phase against
+// the pass it replaces):
+//
+//   L0 calibrate         the frame's min/max, sharded vs the serial scan;
+//   L0 quantise          the frame's affine codes, sharded vs serial;
+//   L0 im2col + GEMM     the driver with an identity epilogue vs dense
+//                        im2col + packed GEMM + dequantisation;
+//   L0 epilogue          the driver with BN, bias and activation in its
+//                        shards vs the driver then a separate post-pass;
+//   L0 emitting L1 codes L0's code sink vs L0's floats quantised onto
+//                        L1's input grid ("L0 + L1 quantise").
+//
 // The code-domain rows time what Network::forward runs between the
 // quantized convs against the float path it replaces (the "oracle"
 // column holds the float path):
@@ -35,6 +47,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -47,6 +60,7 @@
 #include "core/thread_pool.hpp"
 #include "data/image.hpp"
 #include "frame_glue_oracle.hpp"
+#include "gemm/gemm_lowp.hpp"
 #include "nn/builder.hpp"
 #include "nn/maxpool_layer.hpp"
 #include "nn/network.hpp"
@@ -197,6 +211,101 @@ int main(int argc, char** argv) {
           quant::quantize_activations(in.data(), in.numel(), q, got.data());
         },
         want, got));
+  }
+
+  {
+    // L0, the 8-bit first layer, phase by phase: each phase of the driver
+    // against the single-threaded or separate pass it replaces.
+    auto& conv = dynamic_cast<nn::ConvLayer&>(net->layer(0));
+    const Tensor& in = inputs[0];
+    const std::string shape = shape_of(in);
+    core::ThreadPool& pool = core::ThreadPool::shared();
+    std::pair<float, float> want_range, got_range;
+    rows.push_back(time_pair(
+        "L0 calibrate", shape, kTrials,
+        [&] { want_range = oracle::min_max(in); },
+        [&] { got_range = quant::min_max(in.data(), in.numel(), pool); },
+        [&] {
+          return std::memcmp(&want_range, &got_range, sizeof want_range) == 0;
+        }));
+    const quant::AffineParams params =
+        quant::choose_affine_params(want_range.first, want_range.second);
+    TensorU8 want_q(in.shape()), got_q(in.shape());
+    rows.push_back(time_pair(
+        "L0 quantise", shape, kTrials,
+        [&] { quant::quantize(in.data(), in.numel(), params, want_q.data()); },
+        [&] {
+          quant::quantize(in.data(), in.numel(), params, got_q.data(), pool);
+        },
+        want_q, got_q));
+
+    // The layer's weight panels, quantised as the layer does it.
+    const auto [wlo, whi] = quant::min_max(conv.weights());
+    const quant::AffineParams w_params = quant::choose_affine_params(wlo, whi);
+    const TensorU8 wq = quant::quantize(conv.weights(), w_params);
+    const gemm::PackedLhs packed =
+        gemm::pack_lhs(wq.data(), conv.config().filters,
+                       conv.geometry().patch_size(), w_params.zero_point);
+    Tensor raw(conv.output_shape()), got_raw(conv.output_shape());
+    rows.push_back(time_pair(
+        "L0 im2col + GEMM", shape, kTrials,
+        [&] {
+          oracle::lowp_conv_raw(want_q.data(), conv.geometry(), params,
+                                packed, w_params, raw.data());
+        },
+        [&] {
+          gemm::fused_conv_lowp_f32out(want_q.data(), conv.geometry(), params,
+                                       packed, w_params, {}, got_raw.data());
+        },
+        raw, got_raw));
+
+    // The epilogue: a separate post-pass over the raw floats against the
+    // chain inside the driver's shards (both include im2col + GEMM).
+    const nn::ConvConfig& cfg0 = conv.config();
+    std::vector<float> mul(static_cast<size_t>(cfg0.filters));
+    std::vector<float> add(mul.size());
+    for (int64_t c = 0; c < cfg0.filters; ++c) {
+      const float inv_sigma =
+          1.0f / std::sqrt(conv.bn_var()[c] + nn::kBatchNormEps);
+      mul[static_cast<size_t>(c)] = conv.bn_scales()[c] * inv_sigma;
+      add[static_cast<size_t>(c)] =
+          -conv.bn_mean()[c] * mul[static_cast<size_t>(c)];
+    }
+    gemm::LowpEpilogue epilogue;
+    epilogue.mul = mul.data();
+    epilogue.add = add.data();
+    epilogue.bias = conv.biases().data();
+    epilogue.act = cfg0.activation;
+    Tensor want_post(conv.output_shape()), got_post(conv.output_shape());
+    rows.push_back(time_pair(
+        "L0 epilogue", shape, kTrials,
+        [&] {
+          gemm::fused_conv_lowp_f32out(want_q.data(), conv.geometry(), params,
+                                       packed, w_params, {}, want_post.data());
+          oracle::apply_post(conv, want_post);
+        },
+        [&] {
+          gemm::fused_conv_lowp_f32out(want_q.data(), conv.geometry(), params,
+                                       packed, w_params, epilogue,
+                                       got_post.data());
+        },
+        want_post, got_post));
+
+    // The whole hand-off: L0's floats quantised onto L1's grid, against L0
+    // writing those codes itself.
+    const auto& l1 = dynamic_cast<const nn::ConvLayer&>(net->layer(1));
+    const quant::CodeGrid grid{l1.config().act_bits, l1.config().in_scale,
+                               l1.config().bipolar};
+    Tensor floats(conv.output_shape());
+    TensorU8 want_codes(conv.output_shape()), got_codes(conv.output_shape());
+    rows.push_back(time_pair(
+        "L0 emitting L1 codes", shape, kTrials,
+        [&] {
+          conv.forward(in, floats);
+          grid.quantize(floats.data(), floats.numel(), want_codes.data());
+        },
+        [&] { conv.forward_emit(in, grid, got_codes.data()); }, want_codes,
+        got_codes));
   }
 
   for (const int64_t l : {2, 4, 10}) {

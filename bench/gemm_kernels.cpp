@@ -34,7 +34,7 @@ struct Fixture {
   Tensor weights{Shape{16, 27}};
   Tensor bias{Shape{16}};
   Tensor out;
-  quant::AffineParams in_params;
+  TensorU8 qimage{Shape{3, 104, 104}};
   quant::AffineParams w_params;
   gemm::PackedLhs packed;
 
@@ -45,7 +45,6 @@ struct Fixture {
     for (int64_t i = 0; i < weights.numel(); ++i) weights[i] = rng.normal();
     for (int64_t i = 0; i < bias.numel(); ++i) bias[i] = rng.normal();
     out = Tensor(Shape{16, g.num_patches()});
-    in_params = quant::choose_affine_params(0.0f, 1.0f);
     w_params = quant::choose_affine_params(-2.0f, 2.0f);
     const TensorU8 wq = quant::quantize(weights, w_params);
     packed = gemm::pack_lhs(wq.data(), 16, 27, w_params.zero_point);
@@ -77,12 +76,17 @@ void BM_Conv_FusedSlicedF32(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv_FusedSlicedF32);
 
-// The layer's path: weights packed once (ConvLayer caches the panels).
+// The layer's path: weights packed once (ConvLayer caches the panels),
+// the frame calibrated and quantised per call.
 void BM_Conv_FusedLowp(benchmark::State& state) {
   auto& f = fixture();
+  gemm::LowpEpilogue epilogue;
+  epilogue.bias = f.bias.data();
   for (auto _ : state) {
-    gemm::fused_conv_lowp_f32out(f.image.data(), f.g, f.in_params, f.packed,
-                                 f.w_params, f.bias.data(), f.out.data());
+    const quant::AffineParams in_params = gemm::quantize_frame(
+        f.image.data(), f.image.numel(), f.qimage.data());
+    gemm::fused_conv_lowp_f32out(f.qimage.data(), f.g, in_params, f.packed,
+                                 f.w_params, epilogue, f.out.data());
     benchmark::DoNotOptimize(f.out.data());
   }
 }
@@ -94,9 +98,13 @@ void BM_Conv_FusedLowp_Stride2(benchmark::State& state) {
   gemm::ConvGeometry g2 = f.g;
   g2.stride = 2;
   Tensor out(Shape{16, g2.num_patches()});
+  gemm::LowpEpilogue epilogue;
+  epilogue.bias = f.bias.data();
   for (auto _ : state) {
-    gemm::fused_conv_lowp_f32out(f.image.data(), g2, f.in_params, f.packed,
-                                 f.w_params, f.bias.data(), out.data());
+    const quant::AffineParams in_params = gemm::quantize_frame(
+        f.image.data(), f.image.numel(), f.qimage.data());
+    gemm::fused_conv_lowp_f32out(f.qimage.data(), g2, in_params, f.packed,
+                                 f.w_params, epilogue, out.data());
     benchmark::DoNotOptimize(out.data());
   }
 }

@@ -10,6 +10,32 @@
 
 namespace tincy::fabric {
 
+void QnnLayerSpec::validate() const {
+  constexpr int64_t kMaxDim = int64_t{1} << 24;
+  const auto in_range = [](int64_t v, int64_t lo, int64_t hi) {
+    return v >= lo && v <= hi;
+  };
+  TINCY_CHECK_MSG(in_range(in_channels, 1, kMaxDim) &&
+                      in_range(in_height, 1, kMaxDim) &&
+                      in_range(in_width, 1, kMaxDim) &&
+                      in_range(filters, 1, kMaxDim),
+                  "layer spec " << in_channels << "x" << in_height << "x"
+                                << in_width << " -> " << filters
+                                << " filters is out of range");
+  TINCY_CHECK_MSG(in_range(kernel, 1, kMaxDim) &&
+                      in_range(stride, 1, kMaxDim) &&
+                      in_range(pad, 0, kMaxDim),
+                  "layer spec kernel=" << kernel << " stride=" << stride
+                                       << " pad=" << pad << " is invalid");
+  TINCY_CHECK_MSG(in_range(act_bits_in, 1, 8) && in_range(act_bits_out, 1, 8),
+                  "layer spec act bits " << act_bits_in << "/" << act_bits_out
+                                         << " are not 1..8");
+  TINCY_CHECK_MSG(!pool_after || (in_range(pool_size, 1, kMaxDim) &&
+                                  in_range(pool_stride, 1, kMaxDim)),
+                  "layer spec pool size=" << pool_size << " stride="
+                                          << pool_stride << " is invalid");
+}
+
 gemm::ConvGeometry QnnLayerSpec::conv_geometry() const {
   gemm::ConvGeometry g;
   g.in_channels = in_channels;
@@ -47,6 +73,7 @@ void QnnAccelerator::set_metrics(telemetry::MetricsRegistry* metrics) {
 void QnnAccelerator::add_layer(const QnnLayerSpec& spec,
                                const quant::BinaryMatrix& weights,
                                const std::vector<ThresholdChannel>& thresholds) {
+  spec.validate();
   const auto g = spec.conv_geometry();
   TINCY_CHECK_MSG(weights.rows == spec.filters &&
                       weights.cols == g.patch_size(),

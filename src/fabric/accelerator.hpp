@@ -46,6 +46,12 @@ struct QnnLayerSpec {
   int64_t pool_size = 2;
   int64_t pool_stride = 2;
 
+  /// Throws tincy::Error unless the spec is usable: channels, extents and
+  /// filters in 1..2^24, kernel and stride >= 1, pad >= 0, act bits 1..8,
+  /// and pool size and stride >= 1 when pooling. Checked before any
+  /// geometry math, which divides by the strides.
+  void validate() const;
+
   gemm::ConvGeometry conv_geometry() const;
   /// Conv output extents (before pooling).
   int64_t conv_out_height() const { return conv_geometry().out_height(); }

@@ -1,5 +1,7 @@
 #include "fabric/binparam.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +33,36 @@ void write_meta(const std::string& path, const QnnLayerSpec& s) {
       << "\n";
 }
 
+/// `value` parsed as one whole int64: no blanks, no trailing bytes.
+int64_t parse_int(const std::string& value, const std::string& key,
+                  const std::string& path) {
+  int64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  TINCY_CHECK_MSG(ec == std::errc() && ptr == end,
+                  "bad integer " << key << "=" << value << " in " << path);
+  return v;
+}
+
+/// `value` as a whole finite float.
+float parse_float(const std::string& value, const std::string& key,
+                  const std::string& path) {
+  float v = 0.0f;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  TINCY_CHECK_MSG(ec == std::errc() && ptr == end && std::isfinite(v),
+                  "bad number " << key << "=" << value << " in " << path);
+  return v;
+}
+
+int parse_bits(const std::string& value, const std::string& key,
+               const std::string& path) {
+  const int64_t bits = parse_int(value, key, path);
+  TINCY_CHECK_MSG(bits >= 1 && bits <= 8,
+                  key << "=" << bits << " is not 1..8 in " << path);
+  return static_cast<int>(bits);
+}
+
 QnnLayerSpec read_meta(const std::string& path) {
   std::ifstream in(path);
   TINCY_CHECK_MSG(in.is_open(), "cannot open " << path);
@@ -41,7 +73,7 @@ QnnLayerSpec read_meta(const std::string& path) {
     if (eq == std::string::npos) continue;
     const std::string key = line.substr(0, eq);
     const std::string value = line.substr(eq + 1);
-    const auto iv = [&] { return std::stoll(value); };
+    const auto iv = [&] { return parse_int(value, key, path); };
     if (key == "in_channels") s.in_channels = iv();
     else if (key == "in_height") s.in_height = iv();
     else if (key == "in_width") s.in_width = iv();
@@ -49,16 +81,27 @@ QnnLayerSpec read_meta(const std::string& path) {
     else if (key == "kernel") s.kernel = iv();
     else if (key == "stride") s.stride = iv();
     else if (key == "pad") s.pad = iv();
-    else if (key == "act_bits_in") s.act_bits_in = static_cast<int>(iv());
-    else if (key == "act_bits_out") s.act_bits_out = static_cast<int>(iv());
-    else if (key == "in_scale") s.in_scale = std::stof(value);
-    else if (key == "out_scale") s.out_scale = std::stof(value);
+    else if (key == "act_bits_in") s.act_bits_in = parse_bits(value, key, path);
+    else if (key == "act_bits_out") s.act_bits_out = parse_bits(value, key, path);
+    else if (key == "in_scale") s.in_scale = parse_float(value, key, path);
+    else if (key == "out_scale") s.out_scale = parse_float(value, key, path);
     else if (key == "bipolar") s.bipolar = iv() != 0;
     else if (key == "pool_after") s.pool_after = iv() != 0;
     else if (key == "pool_size") s.pool_size = iv();
     else if (key == "pool_stride") s.pool_stride = iv();
   }
+  s.validate();
   return s;
+}
+
+/// Bytes from the read position of `f` to its end.
+int64_t bytes_left(std::ifstream& f) {
+  const std::streampos here = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streampos end = f.tellg();
+  f.seekg(here);
+  TINCY_CHECK_MSG(here >= 0 && end >= here, "unreadable binparam file");
+  return static_cast<int64_t>(end - here);
 }
 
 }  // namespace
@@ -115,9 +158,17 @@ std::vector<BinparamLayer> load_binparams(const std::string& dir) {
     wf.read(reinterpret_cast<char*>(&cols), sizeof cols);
     TINCY_CHECK_MSG(wf && rows > 0 && cols > 0,
                     "corrupt weights header in " << base);
+    // Each row is its bit words plus one float scale; the file must hold
+    // them all before anything is allocated.
+    const int64_t words_per_row = cols / 64 + (cols % 64 != 0);
+    const int64_t row_bytes =
+        words_per_row * static_cast<int64_t>(sizeof(uint64_t)) +
+        static_cast<int64_t>(sizeof(float));
+    TINCY_CHECK_MSG(rows <= bytes_left(wf) / row_bytes,
+                    "weights header " << rows << "x" << cols
+                                      << " exceeds the file in " << base);
     l.weights.rows = rows;
     l.weights.cols = cols;
-    const int64_t words_per_row = (cols + 63) / 64;
     for (int64_t r = 0; r < rows; ++r) {
       BitVector bits(cols);
       std::vector<uint64_t> words(static_cast<size_t>(words_per_row));
@@ -141,7 +192,10 @@ std::vector<BinparamLayer> load_binparams(const std::string& dir) {
       int32_t ascending = 1, count = 0;
       tf.read(reinterpret_cast<char*>(&ascending), sizeof ascending);
       tf.read(reinterpret_cast<char*>(&count), sizeof count);
-      TINCY_CHECK_MSG(tf && count >= 0, "corrupt thresholds in " << base);
+      TINCY_CHECK_MSG(tf && count >= 0 &&
+                          count <= bytes_left(tf) /
+                                       static_cast<int64_t>(sizeof(int32_t)),
+                      "corrupt thresholds in " << base);
       ch.ascending = ascending != 0;
       ch.thresholds.resize(static_cast<size_t>(count));
       tf.read(reinterpret_cast<char*>(ch.thresholds.data()),

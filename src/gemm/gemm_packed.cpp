@@ -28,6 +28,12 @@ void gemm_lowp_packed_panel(const PackedLhsView& lhs, const uint8_t* panel,
   const int64_t M = lhs.rows, K = lhs.depth;
   const int64_t kzz = K * static_cast<int64_t>(lhs.zero_point) * rhs_zero;
   int32_t tile[kMr * kNr];
+  // The int32 result is the zero-point decomposition modulo 2^32, so its
+  // terms may wrap in uint32 arithmetic, which vectorises.
+  uint32_t col_term[kNr];
+  for (int64_t j = 0; j < kNr; ++j)
+    col_term[j] = static_cast<uint32_t>(lhs.zero_point) *
+                  static_cast<uint32_t>(col_sums[j]);
   for (int64_t i0 = 0; i0 < M; i0 += kMr) {
     const uint8_t* a = lhs.data + (i0 / kMr) * K * kMr;
     const int64_t rows = std::min<int64_t>(kMr, M - i0);
@@ -39,15 +45,20 @@ void gemm_lowp_packed_panel(const PackedLhsView& lhs, const uint8_t* panel,
     } else {
       mk.i32(a, panel, K, reinterpret_cast<uint32_t*>(tile));
       for (int64_t r = 0; r < rows; ++r) {
-        const int64_t row_term =
-            static_cast<int64_t>(rhs_zero) * lhs.row_sums[i0 + r];
-        for (int64_t j = 0; j < width; ++j) {
-          const int64_t raw =
-              static_cast<uint32_t>(tile[r * kNr + j]);  // exact u32 dot
-          C[(i0 + r) * N + j0 + j] = static_cast<int32_t>(
-              raw - static_cast<int64_t>(lhs.zero_point) * col_sums[j] -
-              row_term + kzz);
-        }
+        const uint32_t row_term =
+            static_cast<uint32_t>(kzz) -
+            static_cast<uint32_t>(rhs_zero) *
+                static_cast<uint32_t>(lhs.row_sums[i0 + r]);
+        const uint32_t* __restrict raw =  // exact u32 dots
+            reinterpret_cast<const uint32_t*>(tile) + r * kNr;
+        int32_t* __restrict c = C + (i0 + r) * N + j0;
+        const auto put = [&](int64_t j) {
+          c[j] = static_cast<int32_t>(raw[j] - col_term[j] + row_term);
+        };
+        if (width == kNr)
+          for (int64_t j = 0; j < kNr; ++j) put(j);
+        else
+          for (int64_t j = 0; j < width; ++j) put(j);
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_simd.hpp"
@@ -48,7 +49,6 @@ void ConvLayer::invalidate_cached_quantization() {
   binary_float_cache_.reset();
   threshold_cache_.reset();
   threshold_table_.reset();
-  lowp_codes_.reset();
   lowp_params_.reset();
   packed_lowp_.reset();
 }
@@ -106,19 +106,27 @@ const std::vector<quant::ThresholdChannel>& ConvLayer::quant_thresholds()
   return *threshold_cache_;
 }
 
+std::pair<float, float> ConvLayer::bn_fold(int64_t c) const {
+  if (!cfg_.batch_normalize) return {1.0f, 0.0f};
+  const float inv_sigma = 1.0f / std::sqrt(bn_var_[c] + kBatchNormEps);
+  const float scale = bn_scales_[c] * inv_sigma;
+  return {scale, -bn_mean_[c] * scale};
+}
+
+std::optional<CodeGrid> ConvLayer::snap_grid() const {
+  // Float-domain model of the A-bit activation grid (W1A1: the sign is
+  // the activation).
+  if (cfg_.bipolar || cfg_.act_bits < 8) return grid(cfg_.out_scale);
+  return std::nullopt;
+}
+
 void ConvLayer::apply_post(Tensor& out) const {
   const int64_t n = geom_.num_patches();
   // Activation and grid snap are chosen once per layer; each channel row
   // is then one branch-free pass.
   auto rows = [&](auto act, auto snap) {
     for (int64_t c = 0; c < cfg_.filters; ++c) {
-      float scale = 1.0f, shift = 0.0f;
-      if (cfg_.batch_normalize) {
-        const float inv_sigma =
-            1.0f / std::sqrt(bn_var_[c] + kBatchNormEps);
-        scale = bn_scales_[c] * inv_sigma;
-        shift = -bn_mean_[c] * scale;
-      }
+      const auto [scale, shift] = bn_fold(c);
       const float bias = biases_[c];
       float* row = out.data() + c * n;
       for (int64_t j = 0; j < n; ++j)
@@ -128,14 +136,10 @@ void ConvLayer::apply_post(Tensor& out) const {
   auto with_snap = [&](auto snap) {
     with_activation(cfg_.activation, [&](auto act) { rows(act, snap); });
   };
-  if (cfg_.bipolar || cfg_.act_bits < 8) {
-    // Float-domain model of the A-bit activation grid (W1A1: the sign is
-    // the activation): snap to codes.
-    const CodeGrid g = grid(cfg_.out_scale);
-    with_snap([g](float x) { return g.snap(x); });
-  } else {
+  if (const std::optional<CodeGrid> g = snap_grid())
+    with_snap([g = *g](float x) { return g.snap(x); });
+  else
     with_snap([](float x) { return x; });
-  }
 }
 
 void ConvLayer::forward_float(const Tensor& in, Tensor& out) {
@@ -154,24 +158,75 @@ void ConvLayer::forward_float(const Tensor& in, Tensor& out) {
   apply_post(out);
 }
 
+const gemm::PackedLhs& ConvLayer::lowp_weights() const {
+  if (!packed_lowp_) {
+    const auto [wlo, whi] = quant::min_max(weights_);
+    lowp_params_ = quant::choose_affine_params(wlo, whi);
+    const TensorU8 codes = quant::quantize(weights_, *lowp_params_);
+    // Pack/compute split: the GEMM engine's weight panels are derived
+    // once here and reused by every subsequent frame.
+    packed_lowp_ = gemm::pack_lhs(codes.data(), cfg_.filters,
+                                  geom_.patch_size(), lowp_params_->zero_point);
+  }
+  return *packed_lowp_;
+}
+
+gemm::LowpEpilogue ConvLayer::lowp_epilogue(gemm::Arena& arena) const {
+  float* mul = arena.alloc<float>(cfg_.filters);
+  float* add = arena.alloc<float>(cfg_.filters);
+  for (int64_t c = 0; c < cfg_.filters; ++c)
+    std::tie(mul[c], add[c]) = bn_fold(c);
+  return {mul, add, biases_.data(), cfg_.activation, snap_grid()};
+}
+
 void ConvLayer::forward_lowp(const Tensor& in, Tensor& out) {
   // The image data is quantized on the fly (paper: "an im2col
   // implementation that quantized the image data while arranging the
   // multiplicand matrix"); range calibration comes from the frame itself.
-  const auto [lo, hi] = quant::min_max(in);
-  const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
-  if (!lowp_codes_) {
-    const auto [wlo, whi] = quant::min_max(weights_);
-    lowp_params_ = quant::choose_affine_params(wlo, whi);
-    lowp_codes_ = quant::quantize(weights_, *lowp_params_);
-    // Pack/compute split: the GEMM engine's weight panels are derived
-    // once here and reused by every subsequent frame.
-    packed_lowp_ = gemm::pack_lhs(lowp_codes_->data(), cfg_.filters,
-                                  geom_.patch_size(), lowp_params_->zero_point);
-  }
-  gemm::fused_conv_lowp_f32out(in.data(), geom_, in_params, *packed_lowp_,
-                               *lowp_params_, nullptr, out.data());
-  apply_post(out);
+  // Per-call buffers come from the arena: run_layer keeps no frame state.
+  const gemm::PackedLhs& weights = lowp_weights();
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  uint8_t* frame = arena.alloc<uint8_t>(in.numel());
+  const quant::AffineParams params =
+      gemm::quantize_frame(in.data(), in.numel(), frame);
+  gemm::fused_conv_lowp_f32out(frame, geom_, params, weights, *lowp_params_,
+                               lowp_epilogue(arena), out.data());
+}
+
+bool ConvLayer::emits_codes(const CodeGrid& g) const {
+  const Activation a = cfg_.activation;
+  return cfg_.kernel == ConvKernel::kLowp && !g.bipolar &&
+         (a == Activation::kLinear || a == Activation::kRelu ||
+          a == Activation::kLeaky);
+}
+
+void ConvLayer::forward_emit(const Tensor& in, const CodeGrid& g,
+                             uint8_t* out) {
+  TINCY_CHECK(in.shape() ==
+              Shape({geom_.in_channels, geom_.in_height, geom_.in_width}));
+  TINCY_CHECK_MSG(emits_codes(g), "layer cannot emit codes on this grid");
+  const gemm::PackedLhs& weights = lowp_weights();
+  // The frame's codes stay in the layer for replay_emitted().
+  if (emitted_frame_.empty()) emitted_frame_ = TensorU8(in.shape());
+  emitted_params_ =
+      gemm::quantize_frame(in.data(), in.numel(), emitted_frame_.data());
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  gemm::fused_conv_lowp_codes(emitted_frame_.data(), geom_, emitted_params_,
+                              weights, *lowp_params_, lowp_epilogue(arena), g,
+                              out);
+}
+
+void ConvLayer::replay_emitted(Tensor& out) {
+  TINCY_CHECK_MSG(!emitted_frame_.empty(), "no emitted frame to replay");
+  TINCY_CHECK(out.shape() == output_shape());
+  const gemm::PackedLhs& weights = lowp_weights();
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  gemm::fused_conv_lowp_f32out(emitted_frame_.data(), geom_, emitted_params_,
+                               weights, *lowp_params_, lowp_epilogue(arena),
+                               out.data());
 }
 
 gemm::CodeLayer ConvLayer::code_layer() const {

@@ -7,7 +7,10 @@
 ///  * kFused          — float runtime: fused sliced im2col+GEMM (§III-D),
 ///  * kLowp           — the 8-bit runtime: the image is quantized on the fly
 ///    and im2col'd straight into the packed GEMM engine against the
-///    layer's cached weight panels (gemm/gemm_lowp.hpp),
+///    layer's cached weight panels, with batch-norm, bias and activation
+///    in the driver's epilogue (gemm/gemm_lowp.hpp). Inside
+///    Network::forward it can write the next layer's input codes instead
+///    of its floats (forward_emit),
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
 ///    weights, thresholded activations) on the code-domain layer engine
 ///    (gemm/code_layer.hpp) that the fabric accelerator runs too; this is
@@ -29,8 +32,10 @@
 
 #include "gemm/bitserial.hpp"
 #include "gemm/code_layer.hpp"
+#include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
+#include "gemm/scratch.hpp"
 #include "nn/activation.hpp"
 #include "nn/layer.hpp"
 #include "quant/affine.hpp"
@@ -89,6 +94,16 @@ class ConvLayer final : public Layer {
   std::optional<CodeGrid> code_input() const override;
   void forward_codes(const uint8_t* in, uint8_t* out) override;
 
+  /// Producer emission of the kLowp path: the driver's code sink writes
+  /// the codes of `g` (an unsigned grid) straight from the accumulators,
+  /// for a linear, ReLU or leaky activation. The quantised frame and its
+  /// calibration stay in the layer, so replay_emitted() can recompute the
+  /// floats.
+  bool emits_codes(const CodeGrid& g) const override;
+  void forward_emit(const Tensor& in, const CodeGrid& g,
+                    uint8_t* out) override;
+  void replay_emitted(Tensor& out) override;
+
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }
 
@@ -122,6 +137,14 @@ class ConvLayer final : public Layer {
   void forward_quant_reference(const Tensor& in, Tensor& out);
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
+  /// Channel c's batch-norm as out = x · first + second ({1, 0} without).
+  std::pair<float, float> bn_fold(int64_t c) const;
+  /// The A-bit grid the float output is snapped onto, if any.
+  std::optional<CodeGrid> snap_grid() const;
+  /// kLowp: the cached weight panels (built on first use).
+  const gemm::PackedLhs& lowp_weights() const;
+  /// kLowp: the driver's epilogue, its BN fold in `arena` scratch.
+  gemm::LowpEpilogue lowp_epilogue(gemm::Arena& arena) const;
 
   /// kQuantReference with a valid W1A<bits> configuration.
   bool computes_on_codes() const;
@@ -146,11 +169,15 @@ class ConvLayer final : public Layer {
   mutable std::optional<Tensor> binary_float_cache_;
   mutable std::optional<std::vector<quant::ThresholdChannel>> threshold_cache_;
   mutable std::optional<gemm::ThresholdTable> threshold_table_;
-  mutable std::optional<TensorU8> lowp_codes_;
   mutable std::optional<quant::AffineParams> lowp_params_;
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:
   /// packed once per weight mutation, reused every frame).
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
+
+  /// The frame of the latest forward_emit(), quantised, and its
+  /// calibration: what replay_emitted() recomputes the floats from.
+  TensorU8 emitted_frame_;
+  quant::AffineParams emitted_params_;
 };
 
 /// Batch-norm epsilon shared by inference and the threshold fold.

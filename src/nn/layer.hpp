@@ -76,6 +76,23 @@ class Layer {
     TINCY_CHECK_MSG(false, type_name() << " has no code-domain forward");
   }
 
+  /// Producer emission: a float layer whose consumer quantises its output
+  /// onto grid `g` can write those codes itself, skipping its float
+  /// output and the consumer's quantise pass. Whether forward_emit() can
+  /// emit codes on `g`.
+  virtual bool emits_codes(const CodeGrid& /*g*/) const { return false; }
+  /// Float input in, codes on `g` out: byte-identical to forward() followed
+  /// by g.quantize(). Keeps what replay_emitted() needs.
+  virtual void forward_emit(const Tensor& /*in*/, const CodeGrid& /*g*/,
+                            uint8_t* /*out*/) {
+    TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
+  }
+  /// The float output of the latest forward_emit(), byte-identical to what
+  /// forward() writes for that input.
+  virtual void replay_emitted(Tensor& /*out*/) {
+    TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
+  }
+
   /// Operations per frame in the paper's accounting (see ops.hpp).
   virtual OpsCount ops() const { return {}; }
 

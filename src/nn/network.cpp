@@ -42,10 +42,20 @@ void Network::add(LayerPtr layer) {
     slot.grid_out = layer->code_output(*slot.grid_in);
     TINCY_CHECK(slot.grid_out.has_value());
     slot.mode = Mode::kQuantize;
+    // A float producer that can write this layer's input codes does so.
+    Slot* prev_slot = slots_.empty() ? nullptr : &slots_.back();
+    if (prev_slot && prev_slot->mode == Mode::kFloat &&
+        slot.grid_in->exact() && layers_.back()->emits_codes(*slot.grid_in)) {
+      prev_slot->mode = Mode::kEmit;
+      prev_slot->grid_out = slot.grid_in;
+      slot.mode = Mode::kCodes;
+    }
   }
-  // Float layers need their buffer every frame; a code layer's float
-  // buffer is only allocated if its activation is read as floats.
-  if (slot.mode == Mode::kFloat) slot.out = Tensor(layer->output_shape());
+  // The previous layer's hand-off is settled now. Float layers need their
+  // buffer every frame; any other layer's float buffer is only allocated
+  // if its activation is read as floats (the last layer's on first use).
+  if (!slots_.empty() && slots_.back().mode == Mode::kFloat)
+    slots_.back().out = Tensor(layers_.back()->output_shape());
   slots_.push_back(std::move(slot));
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
                             "." + layer->type_name();
@@ -76,8 +86,11 @@ const Tensor& Network::float_output(int64_t i) const {
   Tensor& out = float_buffer(i);
   Slot& slot = slots_[static_cast<size_t>(i)];
   if (!slot.out_current) {
-    slot.grid_out->dequantize(slot.codes.data(), slot.codes.numel(),
-                              out.data());
+    if (slot.mode == Mode::kEmit)
+      layers_[static_cast<size_t>(i)]->replay_emitted(out);
+    else
+      slot.grid_out->dequantize(slot.codes.data(), slot.codes.numel(),
+                                out.data());
     slot.out_current = true;
   }
   return out;
@@ -86,6 +99,11 @@ const Tensor& Network::float_output(int64_t i) const {
 const Tensor& Network::forward(const Tensor& input) {
   TINCY_CHECK_MSG(!layers_.empty(), "empty network");
   telemetry::ScopedTimer span(*forward_hist_);
+  // Codes only the next layer reads (a kEmit producer's, or the input
+  // codes of a kQuantize layer) live in arena scratch for this call.
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  const uint8_t* emitted = nullptr;  // the kEmit layer's codes
   for (int64_t i = 0; i < num_layers(); ++i) {
     const auto u = static_cast<size_t>(i);
     Layer& layer = *layers_[u];
@@ -96,14 +114,24 @@ const Tensor& Network::forward(const Tensor& input) {
       slot.out_current = true;
       continue;
     }
+    if (slot.mode == Mode::kEmit) {
+      uint8_t* codes = arena.alloc<uint8_t>(layer.output_shape().numel());
+      layer.forward_emit(i == 0 ? input : float_output(i - 1),
+                         *slot.grid_out, codes);
+      emitted = codes;
+      slot.out_current = false;
+      continue;
+    }
     if (slot.codes.empty()) slot.codes = TensorU8(layer.output_shape());
     if (slot.mode == Mode::kCodes) {
-      layer.forward_codes(slots_[u - 1].codes.data(), slot.codes.data());
+      layer.forward_codes(slots_[u - 1].mode == Mode::kEmit
+                              ? emitted
+                              : slots_[u - 1].codes.data(),
+                          slot.codes.data());
     } else {
       const Tensor& in = i == 0 ? input : float_output(i - 1);
       TINCY_CHECK(in.shape() == layer_input_shape(i));
-      auto& arena = gemm::thread_arena();
-      gemm::ScratchScope scope(arena);
+      gemm::ScratchScope quantize_scope(arena);
       uint8_t* codes = arena.alloc<uint8_t>(in.numel());
       slot.grid_in->quantize(in.data(), in.numel(), codes);
       layer.forward_codes(codes, slot.codes.data());

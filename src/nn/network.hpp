@@ -13,9 +13,20 @@
 /// producer's output grid is the consumer's input grid
 /// (Layer::code_output). A quantized conv's codes go to the next quantized
 /// conv directly or through a max pool that pools codes; they are
-/// dequantised only where a float layer reads them. The hand-off depends
-/// on the layers' grids alone, and every activation is bit-identical to
-/// running the layers one by one on floats.
+/// dequantised only where a float layer reads them.
+///
+/// The hand-off also reaches back into the float producer of a quantized
+/// layer: when a layer quantises its input onto grid G and the float
+/// layer before it can emit G (Layer::emits_codes; today an 8-bit kLowp
+/// conv with a linear, ReLU or leaky activation), the producer writes G's
+/// codes from its accumulators and the consumer reads them directly. On
+/// zoo:tincy-w1a3, L0 writes L1's 3-bit codes and L1's quantise pass is
+/// gone. Such a producer's float output is not written; layer_output()
+/// recomputes it on first read from the quantised frame the producer
+/// keeps (Layer::replay_emitted), with no per-frame copy of the input.
+///
+/// The hand-off depends on the layers' grids alone, and every activation
+/// is bit-identical to running the layers one by one on floats.
 ///
 /// Per-layer timing is reported through the telemetry registry: every
 /// run_layer/run_layer_into span and every layer of forward() records into
@@ -68,8 +79,10 @@ class Network {
   void run_layer_into(int64_t i, const Tensor& in, Tensor& out);
 
   /// Float activation of layer i after the last forward/run_layer. A layer
-  /// that emitted codes in forward() dequantises them on the first read.
-  /// Like forward(), not safe to call concurrently.
+  /// that emitted codes in forward() dequantises them on the first read; a
+  /// float producer that emitted its consumer's codes recomputes its floats
+  /// then, byte-identical to run_layer(i). Like forward(), not safe to call
+  /// concurrently.
   const Tensor& layer_output(int64_t i) const;
 
   /// Milliseconds layer i took in its most recent execution (0 before any
@@ -91,13 +104,16 @@ class Network {
     kFloat,     ///< floats in (dequantised if need be), floats out
     kQuantize,  ///< floats in, quantised onto code_input(), codes out
     kCodes,     ///< the previous layer's codes in, codes out
+    kEmit,      ///< floats in, the next layer's input codes out
   };
   struct Slot {
     Mode mode = Mode::kFloat;
     std::optional<CodeGrid> grid_in;   ///< kQuantize: the input grid
-    std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes: output grid
-    TensorU8 codes;                    ///< allocated by the first forward()
-    Tensor out;  ///< kFloat: allocated by add(); else on first use
+    std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes/kEmit: output grid
+    /// kQuantize/kCodes: allocated by the first forward(); a kEmit layer's
+    /// codes live in forward()'s arena scratch.
+    TensorU8 codes;
+    Tensor out;  ///< kFloat: allocated by the next add(); else on first use
     bool out_current = true;  ///< `out` holds the latest activation
   };
 

@@ -8,6 +8,10 @@
 
 #include "core/tensor.hpp"
 
+namespace tincy::core {
+class ThreadPool;
+}  // namespace tincy::core
+
 namespace tincy::quant {
 
 /// Parameters of an affine uint8 quantization: real = scale * (q - zero_point).
@@ -47,6 +51,13 @@ AffineParams choose_affine_params(float rmin, float rmax);
 /// Observed min/max of a tensor (for calibration), exactly as a serial
 /// std::min/std::max scan from t[0] gives them. Empty tensors yield {0,0}.
 std::pair<float, float> min_max(const Tensor& t);
+std::pair<float, float> min_max(const float* x, int64_t n);
+
+/// min_max over x[0..n), sharded over `pool` when n is large (small maps
+/// stay on the calling thread); the same pair, bit for bit, as the serial
+/// scan.
+std::pair<float, float> min_max(const float* x, int64_t n,
+                                core::ThreadPool& pool);
 
 /// Quantizes a whole tensor to uint8 codes.
 TensorU8 quantize(const Tensor& t, const AffineParams& params);
@@ -54,6 +65,9 @@ TensorU8 quantize(const Tensor& t, const AffineParams& params);
 /// codes[i] = params.quantize(x[i]) for i < n, in one vectorisable pass.
 void quantize(const float* x, int64_t n, const AffineParams& params,
               uint8_t* codes);
+/// The same codes, sharded over `pool` when n is large.
+void quantize(const float* x, int64_t n, const AffineParams& params,
+              uint8_t* codes, core::ThreadPool& pool);
 
 /// Dequantizes uint8 codes back to floats.
 Tensor dequantize(const TensorU8& t, const AffineParams& params);

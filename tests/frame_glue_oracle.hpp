@@ -12,9 +12,12 @@
 #include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/tensor.hpp"
 #include "gemm/bitserial.hpp"
+#include "gemm/gemm_packed.hpp"
+#include "gemm/im2col.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv_layer.hpp"
 #include "quant/affine.hpp"
@@ -160,6 +163,86 @@ inline void apply_post(const nn::ConvLayer& layer, Tensor& out) {
     for (int64_t i = 0; i < out.numel(); ++i)
       out[i] = q.dequantize(uniform_quantize(q, out[i]));
   }
+}
+
+/// The 8-bit conv's panel im2col before its interior fast path: every
+/// element walks (oh, ow) with a bounds check.
+inline void im2col_panel_u8(const uint8_t* image, const gemm::ConvGeometry& g,
+                            int64_t col0, int64_t width, uint8_t pad_value,
+                            uint8_t* panel, int32_t* col_sums) {
+  constexpr int64_t kNr = gemm::kNr;
+  const int64_t out_w = g.out_width();
+  for (int64_t j = 0; j < kNr; ++j) col_sums[j] = 0;
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_channels; ++c) {
+    const uint8_t* plane = image + c * g.in_height * g.in_width;
+    for (int64_t kh = 0; kh < g.kernel; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
+        uint8_t* out_row = panel + row * kNr;
+        int64_t ow = col0 % out_w;
+        int64_t ih = (col0 / out_w) * g.stride - g.pad + kh;
+        int64_t iw = ow * g.stride - g.pad + kw;
+        for (int64_t j = 0; j < width; ++j) {
+          const uint8_t v = (ih < 0 || ih >= g.in_height || iw < 0 ||
+                             iw >= g.in_width)
+                                ? pad_value
+                                : plane[ih * g.in_width + iw];
+          out_row[j] = v;
+          col_sums[j] += v;
+          iw += g.stride;
+          if (++ow == out_w) {
+            ow = 0;
+            iw = kw - g.pad;
+            ih += g.stride;
+          }
+        }
+        for (int64_t j = width; j < kNr; ++j) {
+          out_row[j] = pad_value;
+          col_sums[j] += pad_value;
+        }
+      }
+    }
+  }
+}
+
+/// The 8-bit conv's raw output before its epilogue: dense im2col of the
+/// frame's codes (the zero point pads), the packed GEMM, then
+/// real_scale · acc + 0 per element.
+inline void lowp_conv_raw(const uint8_t* qimage, const gemm::ConvGeometry& g,
+                          const quant::AffineParams& in_params,
+                          const gemm::PackedLhs& weights,
+                          const quant::AffineParams& w_params, float* out) {
+  const int64_t patch = g.patch_size(), n = g.num_patches();
+  std::vector<uint8_t> columns(static_cast<size_t>(patch * n));
+  gemm::im2col<uint8_t>(qimage, g, columns.data(),
+                        static_cast<uint8_t>(in_params.zero_point));
+  std::vector<int32_t> acc(static_cast<size_t>(weights.rows * n));
+  gemm::gemm_lowp_packed(weights, columns.data(), in_params.zero_point, n,
+                         acc.data());
+  const float real_scale = in_params.scale * w_params.scale;
+  for (size_t i = 0; i < acc.size(); ++i)
+    out[i] = real_scale * static_cast<float>(acc[i]) + 0.0f;
+}
+
+/// The kLowp ConvLayer before its driver grew an epilogue: serial
+/// calibration and quantisation of the frame, the raw conv, then the
+/// separate post-pass. The weights are quantised as the layer does it.
+inline void lowp_conv(const nn::ConvLayer& layer, const Tensor& in,
+                      Tensor& out) {
+  const auto [lo, hi] = min_max(in);
+  const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
+  TensorU8 qimage(in.shape());
+  for (int64_t i = 0; i < in.numel(); ++i)
+    qimage[i] = in_params.quantize(in[i]);
+  const auto [wlo, whi] = min_max(layer.weights());
+  const quant::AffineParams w_params = quant::choose_affine_params(wlo, whi);
+  const TensorU8 wq = quant::quantize(layer.weights(), w_params);
+  const gemm::PackedLhs packed =
+      gemm::pack_lhs(wq.data(), layer.config().filters,
+                     layer.geometry().patch_size(), w_params.zero_point);
+  lowp_conv_raw(qimage.data(), layer.geometry(), in_params, packed, w_params,
+                out.data());
+  apply_post(layer, out);
 }
 
 /// The golden bit-serial conv with a fresh code tensor and plane buffer

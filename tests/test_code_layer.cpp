@@ -396,6 +396,79 @@ TEST(CodeHandoff, InexactGridsFallBackToFloats) {
   expect_forward_matches_run_layer(ladder("6e37", "3"), 3e38f);
 }
 
+/// Whether forward() ran layer i of `net` (a kLowp conv) as a producer
+/// emitting its consumer's codes: only then is there a frame to replay.
+bool emitted(nn::Network& net, int64_t i) {
+  Tensor out(net.layer(i).output_shape());
+  try {
+    net.layer(i).replay_emitted(out);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+/// An 8-bit first layer (activation `act`) feeding the quantized conv
+/// `consumer`.
+std::string lowp_head(const std::string& act, const std::string& consumer) {
+  return "[net]\nwidth=10\nheight=10\nchannels=3\n\n"
+         "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\nstride=1\n"
+         "pad=1\nactivation=" +
+         act + "\nkernel=lowp\n\n" + consumer;
+}
+
+TEST(CodeHandoff, LowpProducerEmitsItsConsumersCodes) {
+  const std::string a3 =
+      "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nin_scale=0.5\n"
+      "kernel=quant_reference\n";
+  for (const std::string act : {"relu", "leaky", "linear"}) {
+    const std::string cfg = lowp_head(act, a3);
+    expect_forward_matches_run_layer(cfg);
+    const auto net = twin(cfg, 5);
+    net->forward(random_input(*net, 1));
+    EXPECT_TRUE(emitted(*net, 0)) << act;
+  }
+  // A logistic producer is not an emitter: its consumer quantises.
+  const std::string cfg = lowp_head("logistic", a3);
+  expect_forward_matches_run_layer(cfg);
+  const auto net = twin(cfg, 5);
+  net->forward(random_input(*net, 1));
+  EXPECT_FALSE(emitted(*net, 0));
+}
+
+TEST(CodeHandoff, BipolarOrInexactConsumerGridsDoNotTriggerEmission) {
+  const std::vector<std::string> consumers = {
+      // Bipolar: the consumer reads signs, not the unsigned grid.
+      "[convolutional]\nfilters=6\nsize=3\npad=0\nactivation=linear\n"
+      "binary=1\nabits=1\nbipolar=1\nkernel=quant_reference\n",
+      // Inexact: 6e37 · 7 overflows, so codes 6 and 7 both mean inf.
+      "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nin_scale=6e37\n"
+      "kernel=quant_reference\n",
+      // Inexact: a negative scale orders codes against their values.
+      "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=2\nin_scale=-0.5\n"
+      "kernel=quant_reference\n"};
+  for (const std::string& consumer : consumers) {
+    const std::string cfg = lowp_head("relu", consumer);
+    expect_forward_matches_run_layer(cfg);
+    const auto net = twin(cfg, 5);
+    net->forward(random_input(*net, 1));
+    EXPECT_FALSE(emitted(*net, 0)) << consumer;
+  }
+}
+
+TEST(CodeHandoff, TincyW1A3L0EmitsL1Codes) {
+  const auto net = twin(nn::zoo::tiny_yolo_cfg(
+                            nn::zoo::TinyVariant::kTincy,
+                            nn::zoo::QuantMode::kW1A3, 64,
+                            nn::zoo::CpuProfile::kOptimized),
+                        3);
+  net->forward(random_input(*net, 1));
+  EXPECT_TRUE(emitted(*net, 0));
+}
+
 TEST(CodeHandoff, LayerOutputFollowsTheLatestRun) {
   const std::string cfg = nn::zoo::tiny_yolo_cfg(
       nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kW1A3, 64,
@@ -414,6 +487,11 @@ TEST(CodeHandoff, LayerOutputFollowsTheLatestRun) {
   const Tensor* in = &x;
   for (int64_t i = 0; i <= 3; ++i) in = &ref->run_layer(i, *in);
   EXPECT_EQ(net->layer_output(3), *in);
+  // The same holds for L0, which emits L1's codes and replays its floats.
+  net->run_layer(0, y);
+  EXPECT_EQ(net->layer_output(0), ref->run_layer(0, y));
+  net->forward(x);
+  EXPECT_EQ(net->layer_output(0), ref->run_layer(0, x));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Differential oracles of the W1A3 frame's per-element CPU stages: the
 // letterbox, the max pool, the activation quantisers, min/max
-// calibration, the conv post-pass and the golden model's threshold
-// epilogue. Each single-pass kernel must reproduce its scalar per-element
+// calibration (serial and sharded), the conv post-pass, the 8-bit conv
+// driver (its panel im2col, float sink and code sink) and the golden
+// model's threshold epilogue. Each single-pass kernel must reproduce its scalar per-element
 // oracle (frame_glue_oracle.hpp) bit for bit, including on NaN, ±inf,
 // ±0 and exact rounding ties.
 
@@ -9,14 +10,18 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "data/image.hpp"
 #include "frame_glue_oracle.hpp"
+#include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_simd.hpp"
 #include "gemm/im2col.hpp"
 #include "nn/maxpool_layer.hpp"
@@ -271,6 +276,231 @@ INSTANTIATE_TEST_SUITE_P(
                       PostCase{nn::Activation::kRelu, true, 3, false},
                       PostCase{nn::Activation::kLeaky, false, 2, false},
                       PostCase{nn::Activation::kLinear, true, 1, true}));
+
+// --- The 8-bit conv driver ---------------------------------------------
+
+class Im2colPanelOracle : public ::testing::TestWithParam<gemm::ConvGeometry> {};
+
+TEST_P(Im2colPanelOracle, FastPathBitIdenticalToPerElementLoop) {
+  const gemm::ConvGeometry g = GetParam();
+  Rng rng(static_cast<uint64_t>(g.in_height * 31 + g.in_width + g.stride));
+  std::vector<uint8_t> image(
+      static_cast<size_t>(g.in_channels * g.in_height * g.in_width));
+  for (auto& v : image) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
+  const uint8_t pad_value = 77;
+  const int64_t n = g.num_patches(), rows = g.patch_size();
+  std::vector<uint8_t> got(static_cast<size_t>(rows * gemm::kNr));
+  std::vector<uint8_t> want(got.size());
+  int32_t got_sums[gemm::kNr], want_sums[gemm::kNr];
+  // Every start column (panels inside one output row, straddling rows,
+  // at the map's end) and full, partial and single-column widths.
+  for (int64_t col0 = 0; col0 < n; ++col0)
+    for (const int64_t w : {int64_t{1}, int64_t{5}, int64_t{15}, gemm::kNr}) {
+      const int64_t width = std::min(w, n - col0);
+      gemm::im2col_panel_u8(image.data(), g, col0, width, pad_value,
+                            got.data(), got_sums);
+      oracle::im2col_panel_u8(image.data(), g, col0, width, pad_value,
+                              want.data(), want_sums);
+      ASSERT_EQ(got, want) << "col0 " << col0 << " width " << width;
+      for (int64_t j = 0; j < gemm::kNr; ++j)
+        ASSERT_EQ(got_sums[j], want_sums[j]) << "col0 " << col0 << " j " << j;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, Im2colPanelOracle,
+    ::testing::Values(
+        // (channels, height, width, kernel, stride, pad)
+        gemm::ConvGeometry{3, 32, 32, 3, 2, 1},   // L0 in miniature: 16 wide
+        gemm::ConvGeometry{1, 64, 64, 3, 2, 1},   // two panels per row
+        gemm::ConvGeometry{3, 33, 35, 3, 2, 1},   // 17×18 out, straddles
+        gemm::ConvGeometry{2, 20, 20, 3, 1, 1},   // stride 1, pad 1
+        gemm::ConvGeometry{2, 18, 37, 3, 1, 0},   // stride 1, pad 0
+        gemm::ConvGeometry{2, 17, 33, 3, 2, 0},   // stride 2, pad 0
+        gemm::ConvGeometry{4, 16, 16, 1, 1, 0},   // 1×1 kernel
+        gemm::ConvGeometry{3, 9, 40, 1, 2, 0},    // 1×1 kernel, stride 2
+        gemm::ConvGeometry{5, 1, 1, 1, 1, 0},     // 1×1 map
+        gemm::ConvGeometry{2, 1, 1, 3, 1, 1}));   // 1×1 map, all padding
+
+TEST(MinMaxOracle, ShardedBitIdenticalWithNanAndSignedZero) {
+  // A 4-thread pool shards every map of two or more shards' worth.
+  core::ThreadPool pool(4);
+  Rng rng(23);
+  for (const int64_t n : {1, 1000, 131072, 300001}) {
+    for (int variant = 0; variant < 8; ++variant) {
+      Tensor t(Shape{n});
+      for (int64_t i = 0; i < n; ++i) t[i] = rng.uniform(0.1f, 1.0f);
+      switch (variant) {
+        case 0: break;
+        case 1: t[0] = kNaN; break;  // a leading NaN poisons
+        case 2:                      // NaNs elsewhere are skipped
+          for (int64_t i = 1; i < n; i += 97) t[i] = kNaN;
+          break;
+        case 3:  // zeros of both signs only past the first shard
+          for (int64_t i = n - 1; i > n / 2; i -= 1013)
+            t[i] = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+          break;
+        case 4:  // a zero maximum: everything else negative
+          for (int64_t i = 0; i < n; ++i) t[i] = -t[i];
+          t[n - 1] = -0.0f;
+          if (n > 2) t[n / 2] = 0.0f;
+          break;
+        case 5: t[n / 2] = kInf; t[n - 1] = -kInf; break;
+        case 6:  // a NaN opening every later shard, extremes behind it
+          for (int64_t k = 1; k < 4 && n >= 8; ++k) {
+            t[n * k / 4] = kNaN;
+            t[n * k / 4 + 1] = k == 2 ? -5.0f : 5.0f;
+          }
+          break;
+        default:  // signed zeros everywhere
+          for (int64_t i = 0; i < n; ++i)
+            t[i] = rng.bernoulli(0.5) ? 0.0f : -0.0f;
+          break;
+      }
+      const auto [lo, hi] = quant::min_max(t.data(), n, pool);
+      const auto [want_lo, want_hi] = oracle::min_max(t);
+      ASSERT_EQ(std::bit_cast<uint32_t>(lo), std::bit_cast<uint32_t>(want_lo))
+          << "n " << n << " variant " << variant;
+      ASSERT_EQ(std::bit_cast<uint32_t>(hi), std::bit_cast<uint32_t>(want_hi))
+          << "n " << n << " variant " << variant;
+
+      const quant::AffineParams p = quant::choose_affine_params(-0.5f, 1.0f);
+      std::vector<uint8_t> got(static_cast<size_t>(n)), want(got.size());
+      quant::quantize(t.data(), n, p, got.data(), pool);
+      quant::quantize(t.data(), n, p, want.data());
+      ASSERT_EQ(got, want) << "n " << n << " variant " << variant;
+    }
+  }
+}
+
+using LowpCase = std::tuple<nn::Activation, bool, int, bool>;
+// (activation, batch_norm, act_bits, bipolar)
+
+/// A random kLowp conv (3 → 6 channels, k3 s2 p1 on 19×37); with BN, a
+/// third of the scales are negative.
+std::unique_ptr<nn::ConvLayer> make_lowp(const LowpCase& c, Rng& rng) {
+  const auto [act, bn, bits, bipolar] = c;
+  nn::ConvConfig cfg;
+  cfg.filters = 6;
+  cfg.size = 3;
+  cfg.stride = 2;
+  cfg.activation = act;
+  cfg.batch_normalize = bn;
+  cfg.act_bits = bits;
+  cfg.out_scale = 0.3f;
+  cfg.bipolar = bipolar;
+  cfg.kernel = nn::ConvKernel::kLowp;
+  auto layer = std::make_unique<nn::ConvLayer>(cfg, Shape{3, 19, 37});
+  for (int64_t i = 0; i < layer->weights().numel(); ++i)
+    layer->weights()[i] = rng.normal();
+  for (int64_t k = 0; k < cfg.filters; ++k) {
+    layer->biases()[k] = rng.normal(0.0f, 0.5f);
+    if (bn) {
+      layer->bn_scales()[k] = rng.bernoulli(0.33) ? -rng.uniform(0.3f, 1.5f)
+                                                  : rng.uniform(0.3f, 1.5f);
+      layer->bn_mean()[k] = rng.normal(0.0f, 0.5f);
+      layer->bn_var()[k] = rng.uniform(0.5f, 1.5f);
+    }
+  }
+  layer->invalidate_cached_quantization();
+  return layer;
+}
+
+class LowpSinkOracle : public ::testing::TestWithParam<LowpCase> {};
+
+TEST_P(LowpSinkOracle, FloatSinkBitIdenticalToSeparatePostPass) {
+  Rng rng(static_cast<uint64_t>(static_cast<int>(std::get<0>(GetParam())) *
+                                    10 +
+                                std::get<2>(GetParam())));
+  const auto layer = make_lowp(GetParam(), rng);
+  Tensor in(Shape{3, 19, 37});
+  for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(-1.0f, 1.0f);
+  Tensor got(layer->output_shape()), want(layer->output_shape());
+  layer->forward(in, got);
+  oracle::lowp_conv(*layer, in, want);
+  expect_same_bits(got, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Activations, LowpSinkOracle,
+    ::testing::Values(LowpCase{nn::Activation::kRelu, true, 32, false},
+                      LowpCase{nn::Activation::kRelu, false, 32, false},
+                      LowpCase{nn::Activation::kLeaky, true, 32, false},
+                      LowpCase{nn::Activation::kLeaky, false, 32, false},
+                      LowpCase{nn::Activation::kLinear, true, 32, false},
+                      LowpCase{nn::Activation::kLinear, false, 32, false},
+                      LowpCase{nn::Activation::kLogistic, true, 32, false},
+                      LowpCase{nn::Activation::kRelu, true, 3, false},
+                      LowpCase{nn::Activation::kLeaky, false, 2, false},
+                      LowpCase{nn::Activation::kLinear, true, 1, true}));
+
+TEST(LowpCodeSink, BitIdenticalToQuantisedFloats) {
+  // The code sink against forward() then CodeGrid::quantize, for each
+  // emitting activation, on frames with NaN, ±inf and a leading NaN
+  // (which poison or widen the calibration), and with negative BN scales.
+  Rng rng(31);
+  for (const nn::Activation act :
+       {nn::Activation::kRelu, nn::Activation::kLeaky,
+        nn::Activation::kLinear}) {
+    const auto layer = make_lowp({act, true, 32, false}, rng);
+    for (int frame = 0; frame < 5; ++frame) {
+      Tensor in(Shape{3, 19, 37});
+      for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(-1.0f, 2.0f);
+      if (frame == 1)
+        for (int64_t i = 3; i < in.numel(); i += 41) in[i] = kNaN;
+      if (frame == 2) in[in.numel() / 2] = kInf;
+      if (frame == 3) in[0] = kNaN;
+      if (frame == 4) in[7] = -kInf;
+      Tensor floats(layer->output_shape()), replayed(layer->output_shape());
+      layer->forward(in, floats);
+      for (const quant::CodeGrid grid :
+           {quant::CodeGrid{3, 1.0f, false}, quant::CodeGrid{2, 0.37f, false},
+            quant::CodeGrid{8, 0.01f, false}}) {
+        TensorU8 want(layer->output_shape()), got(layer->output_shape());
+        grid.quantize(floats.data(), floats.numel(), want.data());
+        layer->forward_emit(in, grid, got.data());
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<size_t>(got.numel())),
+                  0)
+            << "activation " << static_cast<int>(act) << " frame " << frame
+            << " bits " << grid.bits;
+        // The floats come back from the kept frame, byte for byte.
+        layer->replay_emitted(replayed);
+        ASSERT_EQ(std::memcmp(replayed.data(), floats.data(),
+                              static_cast<size_t>(floats.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "replay, frame " << frame;
+      }
+    }
+  }
+}
+
+TEST(LowpCodeSink, RoundsTiesLikeTheGrid) {
+  // Zero weights make every output its channel's bias, placed exactly on
+  // a rounding tie of the grid and one ulp either side of it.
+  Rng rng(33);
+  const auto layer = make_lowp({nn::Activation::kLinear, false, 32, false},
+                               rng);
+  for (int64_t i = 0; i < layer->weights().numel(); ++i)
+    layer->weights()[i] = 0.0f;
+  const quant::CodeGrid grid{3, 0.37f, false};
+  for (int64_t c = 0; c < layer->config().filters; ++c) {
+    const float tie = grid.scale * (static_cast<float>(c % 3) + 1.5f);
+    layer->biases()[c] = c < 3 ? tie : std::nextafter(tie, c < 5 ? 0.0f : 9.0f);
+  }
+  layer->invalidate_cached_quantization();
+  Tensor in(Shape{3, 19, 37});
+  for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(-1.0f, 1.0f);
+  Tensor floats(layer->output_shape());
+  layer->forward(in, floats);
+  TensorU8 want(layer->output_shape()), got(layer->output_shape());
+  grid.quantize(floats.data(), floats.numel(), want.data());
+  layer->forward_emit(in, grid, got.data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<size_t>(got.numel())),
+            0);
+}
 
 // --- Golden bit-serial conv --------------------------------------------
 

@@ -383,9 +383,14 @@ TEST_P(ConvLowp, MatchesScalarOracleBitForBit) {
       image, g, in_params, wq, w_params, out_channels, bias);
   const PackedLhs lhs =
       pack_lhs(wq.data(), out_channels, g.patch_size(), w_params.zero_point);
+  std::vector<uint8_t> qimage(image.size());
+  quant::quantize(image.data(), static_cast<int64_t>(image.size()), in_params,
+                  qimage.data());
+  LowpEpilogue epilogue;
+  epilogue.bias = bias.data();
   std::vector<float> got(out_channels * g.num_patches(), -1.0f);
-  fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
-                         bias.data(), got.data());
+  fused_conv_lowp_f32out(qimage.data(), g, in_params, lhs, w_params, epilogue,
+                         got.data());
   EXPECT_EQ(got, want);
 }
 
@@ -419,6 +424,36 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   const PackedLhs lhs =
       pack_lhs(wq.data(), out_channels, g.patch_size(), w_params.zero_point);
   std::vector<float> out(out_channels * g.num_patches());
+  std::vector<uint8_t> qimage(image.size());
+  LowpEpilogue epilogue;
+  epilogue.bias = bias.data();
+
+  // A kLowp conv on both sinks: run_layer's float sink, and the code sink
+  // writing a 3-bit grid's codes with the float output replayed after.
+  // 24×24 → 576 columns stays on this thread (see the golden conv below).
+  nn::ConvConfig lcfg;
+  lcfg.filters = 16;
+  lcfg.batch_normalize = true;
+  lcfg.kernel = nn::ConvKernel::kLowp;
+  nn::ConvLayer lowp(lcfg, Shape{3, 24, 24});
+  for (int64_t i = 0; i < lowp.weights().numel(); ++i)
+    lowp.weights()[i] = rng.normal();
+  Tensor lowp_in(Shape{3, 24, 24});
+  for (int64_t i = 0; i < lowp_in.numel(); ++i)
+    lowp_in[i] = rng.uniform(0.0f, 1.0f);
+  Tensor lowp_out(lowp.output_shape());
+  const quant::CodeGrid grid3{3, 0.25f, false};
+  TensorU8 lowp_codes(lowp.output_shape());
+
+  // The W1A3 frame's first two layers under Network::forward: L0 emits
+  // L1's codes, and L0's floats are replayed on read.
+  const auto head = nn::build_network_from_string(
+      "[net]\nwidth=24\nheight=24\nchannels=3\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=16\nsize=3\npad=1\n"
+      "activation=relu\nkernel=lowp\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n");
+  nn::zoo::randomize(*head, rng);
 
   const int64_t M = 24, N = 96, K = 64;
   const auto a = random_codes(rng, M * K);
@@ -493,8 +528,15 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   const int64_t one_in = 16 * 8 * 8, one_out = spec.output_shape().numel();
 
   auto run_frame = [&] {
-    fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
-                           bias.data(), out.data());
+    const quant::AffineParams frame_params = quantize_frame(
+        image.data(), static_cast<int64_t>(image.size()), qimage.data());
+    fused_conv_lowp_f32out(qimage.data(), g, frame_params, lhs, w_params,
+                           epilogue, out.data());
+    lowp.forward(lowp_in, lowp_out);
+    lowp.forward_emit(lowp_in, grid3, lowp_codes.data());
+    lowp.replay_emitted(lowp_out);
+    head->forward(lowp_in);
+    head->layer_output(0);
     gemm_lowp_u8(M, N, K, a.data(), in_params.zero_point, b.data(),
                  w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);

@@ -5,6 +5,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "core/rng.hpp"
 #include "fabric/binparam.hpp"
@@ -96,6 +99,104 @@ TEST_F(RobustnessTest, GarbageBinparamWeightsHeaderThrows) {
                     std::ios::binary | std::ios::trunc);
   const int64_t bogus[2] = {-5, 0};  // negative rows, zero cols
   out.write(reinterpret_cast<const char*>(bogus), sizeof bogus);
+  out.close();
+  EXPECT_THROW(fabric::load_binparams(dir_), Error);
+}
+
+/// Sets `key` in the meta of stage 0 of the binparam directory `dir`.
+void set_meta(const std::string& dir, const std::string& key,
+              const std::string& value) {
+  const std::string meta = dir + "/layer00.meta";
+  std::ifstream in(meta);
+  std::string text, line;
+  bool found = false;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + "=", 0) == 0) {
+      line = key + "=" + value;
+      found = true;
+    }
+    text += line + "\n";
+  }
+  in.close();
+  ASSERT_TRUE(found) << key;
+  std::ofstream(meta, std::ios::trunc) << text;
+}
+
+/// Exports a one-stage binparam directory and sets `key` in its meta.
+void export_with_meta(const nn::Network& net, const std::string& dir,
+                      const std::string& key, const std::string& value) {
+  offload::export_binparams(net, dir);
+  set_meta(dir, key, value);
+}
+
+TEST_F(RobustnessTest, NonNumericBinparamMetaIsAnError) {
+  // std::stoll used to throw std::invalid_argument here, which escapes
+  // every catch (const Error&).
+  const auto net = quant_subnet();
+  for (const auto& [key, value] :
+       {std::pair{"in_channels", "abc"}, {"stride", "2x"}, {"filters", ""},
+        {"in_scale", "nan"}, {"out_scale", "1e99"},
+        {"in_height", "99999999999999999999999"}}) {
+    export_with_meta(*net, dir_, key, value);
+    EXPECT_THROW(fabric::load_binparams(dir_), Error) << key << "=" << value;
+  }
+}
+
+TEST_F(RobustnessTest, InvalidBinparamGeometryIsAnError) {
+  // stride=0 used to raise SIGFPE in QnnAccelerator::add_layer; every
+  // other value here is rejected before any geometry math too.
+  const auto net = quant_subnet();
+  for (const auto& [key, value] :
+       {std::pair{"stride", "0"}, {"stride", "-1"}, {"kernel", "0"},
+        {"in_height", "0"}, {"in_width", "-8"}, {"in_channels", "0"},
+        {"filters", "0"}, {"pad", "-1"}, {"act_bits_in", "0"},
+        {"act_bits_out", "9"}}) {
+    export_with_meta(*net, dir_, key, value);
+    EXPECT_THROW(fabric::load_accelerator(dir_), Error) << key << "=" << value;
+  }
+  export_with_meta(*net, dir_, "pool_after", "1");
+  set_meta(dir_, "pool_stride", "0");
+  EXPECT_THROW(fabric::load_accelerator(dir_), Error);
+}
+
+TEST_F(RobustnessTest, AddLayerRejectsZeroStrideSpec) {
+  fabric::QnnLayerSpec spec;
+  spec.in_channels = 2;
+  spec.in_height = spec.in_width = 8;
+  spec.filters = 4;
+  spec.stride = 0;
+  quant::BinaryMatrix w;
+  w.rows = 4;
+  w.cols = 18;
+  fabric::QnnAccelerator acc;
+  EXPECT_THROW(acc.add_layer(spec, w, {}), Error);
+}
+
+TEST_F(RobustnessTest, HugeBinparamWeightsHeaderIsAnError) {
+  // rows = cols = 2^40 used to end in std::bad_alloc: the header is now
+  // bounded by the bytes left in the file.
+  const auto net = quant_subnet();
+  offload::export_binparams(*net, dir_);
+  std::ofstream out(dir_ + "/layer00.weights.bin",
+                    std::ios::binary | std::ios::trunc);
+  const int64_t huge[2] = {int64_t{1} << 40, int64_t{1} << 40};
+  out.write(reinterpret_cast<const char*>(huge), sizeof huge);
+  out.write("payload", 7);
+  out.close();
+  EXPECT_THROW(fabric::load_binparams(dir_), Error);
+}
+
+TEST_F(RobustnessTest, HugeBinparamThresholdCountIsAnError) {
+  // A count of INT32_MAX used to resize a channel to 8 GiB before the
+  // short read was noticed.
+  const auto net = quant_subnet();
+  offload::export_binparams(*net, dir_);
+  std::ofstream out(dir_ + "/layer00.thresh.bin",
+                    std::ios::binary | std::ios::trunc);
+  const int32_t header[2] = {1, std::numeric_limits<int32_t>::max()};
+  out.write(reinterpret_cast<const char*>(header), sizeof header);
+  const int32_t some[4] = {1, 2, 3, 4};
+  out.write(reinterpret_cast<const char*>(some), sizeof some);
   out.close();
   EXPECT_THROW(fabric::load_binparams(dir_), Error);
 }
