@@ -4,12 +4,14 @@
 // ZU3EG reaching ~16 fps.
 
 #include <cstdio>
+#include <string>
 
 #include "core/rng.hpp"
 #include "nn/zoo.hpp"
 #include "perf/ladder.hpp"
-#include "pipeline/demo.hpp"
 #include "pipeline/virtual_time.hpp"
+#include "serve/demo.hpp"
+#include "video/sink.hpp"
 
 using namespace tincy;
 using nn::zoo::CpuProfile;
@@ -25,9 +27,10 @@ int main() {
   Rng rng(3);
   nn::zoo::randomize(*net, rng);
 
-  pipeline::DemoConfig cfg;
+  serve::DemoConfig cfg;
   cfg.num_workers = 4;
-  const auto stages = pipeline::make_demo_stages(*net, cfg);
+  const auto stages =
+      serve::make_demo_stages(*net, cfg, serve::EnginePolicy::kNone);
   std::printf("stage list (N+4 = %zu stages for the N=%lld-layer network):\n",
               stages.size(), static_cast<long long>(net->num_layers()));
   for (size_t i = 0; i < stages.size(); ++i)
@@ -35,14 +38,20 @@ int main() {
 
   video::SyntheticCamera camera({.width = 96, .height = 72, .seed = 5});
   video::OrderCheckingSink sink;
-  const auto result = pipeline::run_demo(camera, *net, sink, 48, cfg);
+  const auto snapshot = serve::run_demo(
+      camera, *net, 48, [&sink](video::Frame&& f) { sink.push(f); }, cfg);
   std::printf("\nhost run: %lld frames, %.1f fps (host-relative), order %s\n",
-              static_cast<long long>(sink.frames_received()), result.fps,
+              static_cast<long long>(sink.frames_received()), sink.fps(),
               sink.in_order() ? "preserved" : "VIOLATED");
   std::printf("%-22s %8s %6s\n", "stage", "busy ms", "jobs");
-  for (const auto& s : result.stats)
-    std::printf("%-22s %8.1f %6lld\n", s.name.c_str(), s.busy_ms,
-                static_cast<long long>(s.jobs));
+  for (const auto& s : stages) {
+    const std::string prefix =
+        "serve.session.demo.stage." + serve::metric_label(s.name) + ".";
+    const auto* busy = snapshot.find_histogram(prefix + "busy_ms");
+    std::printf("%-22s %8.1f %6lld\n", s.name.c_str(),
+                busy ? busy->stats.sum : 0.0,
+                static_cast<long long>(snapshot.counter_value(prefix + "jobs")));
+  }
 
   // Modeled ZU3EG pipeline (the paper's stage times).
   const perf::ZynqPlatform platform;

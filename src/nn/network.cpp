@@ -8,7 +8,7 @@ namespace {
 
 /// The telemetry of one layer execution: its latency histogram and a
 /// trace span tagged with the frame identity installed by the
-/// server/pipeline worker (docs/observability.md "Tracing").
+/// server worker (docs/observability.md "Tracing").
 struct LayerSpan {
   LayerSpan(telemetry::Histogram& hist, const std::string& name)
       : timer(hist),
@@ -158,11 +158,6 @@ void Network::run_layer_into(int64_t i, const Tensor& in, Tensor& out) {
 const Tensor& Network::layer_output(int64_t i) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   return float_output(i);
-}
-
-double Network::last_layer_ms(int64_t i) const {
-  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return layer_hist_[static_cast<size_t>(i)]->last();
 }
 
 telemetry::Snapshot Network::snapshot() const {

@@ -65,17 +65,17 @@ class Network {
   Shape output_shape() const;
 
   /// Whole-network inference; returns the final feature map. Each layer
-  /// records a telemetry span retrievable via last_layer_ms()/snapshot().
+  /// records a telemetry span, sampled by snapshot().
   const Tensor& forward(const Tensor& input);
 
   /// Runs a single layer on an explicit input (pipeline mode). The result
   /// lands in this layer's activation buffer and is returned.
   const Tensor& run_layer(int64_t i, const Tensor& in);
 
-  /// Runs a single layer into an external output buffer — the demo
-  /// pipeline's per-frame-buffer mode, where concurrent frames must not
-  /// share activation storage. Records the same telemetry span as
-  /// run_layer, so per-layer timings stay fresh in pipeline mode.
+  /// Runs a single layer into an external output buffer — the demo's
+  /// per-frame-buffer mode, where concurrent frames must not share
+  /// activation storage. Records the same telemetry span as run_layer, so
+  /// per-layer timings stay fresh in demo mode.
   void run_layer_into(int64_t i, const Tensor& in, Tensor& out);
 
   /// Float activation of layer i after the last forward/run_layer. A layer
@@ -84,12 +84,6 @@ class Network {
   /// then, byte-identical to run_layer(i). Like forward(), not safe to call
   /// concurrently.
   const Tensor& layer_output(int64_t i) const;
-
-  /// Milliseconds layer i took in its most recent execution (0 before any
-  /// run).
-  /// \deprecated Thin adapter over the `net.layer.<i>.<type>.ms`
-  /// telemetry histogram; prefer snapshot().
-  double last_layer_ms(int64_t i) const;
 
   /// Sample of this network's metrics (the `net.` namespace of its
   /// registry): per-layer latency histograms plus `net.forward.ms`.

@@ -56,8 +56,9 @@ std::string render_schedule(const VirtualRunResult& result,
                             double resolution_ms);
 
 /// Simulates `num_frames` frames through the staged pipeline on
-/// `num_cores` cores. Buffering and scheduling follow Pipeline exactly:
-/// single-slot output buffers, stage-serial execution, most-mature-first.
+/// `num_cores` cores. Buffering and scheduling follow a StreamServer
+/// session (serve/server.hpp) exactly: single-slot output buffers,
+/// stage-serial execution, most-mature-first.
 VirtualRunResult simulate(const std::vector<TimedStage>& stages,
                           int num_cores, int64_t num_frames);
 

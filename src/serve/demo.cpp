@@ -1,43 +1,160 @@
 #include "serve/demo.hpp"
 
+#include <chrono>
+#include <optional>
+#include <thread>
+
+#include "core/errors.hpp"
+#include "data/image.hpp"
+#include "detect/decode.hpp"
+#include "detect/nms.hpp"
 #include "nn/offload_layer.hpp"
+#include "nn/region_layer.hpp"
+#include "video/draw.hpp"
 
 namespace tincy::serve {
 
-std::vector<ServeStage> demo_session_stages(nn::Network& net,
-                                            const pipeline::DemoConfig& cfg,
-                                            EnginePolicy policy) {
-  auto demo = pipeline::make_demo_stages(net, cfg);
-  // Stage layout (see pipeline/demo.hpp): #0 read_frame, #1 letterbox,
-  // #2 .. #2+L-1 the network layers, then object boxing and drawing.
-  const int64_t num_layers = net.num_layers();
+namespace {
+
+/// Whether network layer `layer` runs on the shared engine under `policy`.
+bool uses_engine(nn::Network& net, int64_t layer, EnginePolicy policy) {
+  switch (policy) {
+    case EnginePolicy::kNone:
+      return false;
+    case EnginePolicy::kOffloadLayers:
+      return dynamic_cast<nn::OffloadLayer*>(&net.layer(layer)) != nullptr;
+    case EnginePolicy::kHiddenLayers:
+      // First conv (layer 0), last conv (L-2) and region (L-1) stay on
+      // the CPU, as in the paper's deployment.
+      return layer >= 1 && layer <= net.num_layers() - 3;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::vector<ServeStage> make_demo_stages(nn::Network& net,
+                                         const DemoConfig& cfg,
+                                         EnginePolicy policy) {
+  TINCY_CHECK_MSG(net.num_layers() >= 1, "empty network");
+  auto* region =
+      dynamic_cast<nn::RegionLayer*>(&net.layer(net.num_layers() - 1));
+  TINCY_CHECK_MSG(region != nullptr,
+                  "demo pipeline expects the network to end in [region]");
+  const int64_t input_size = net.input_shape().height();
+  TINCY_CHECK_MSG(net.input_shape().width() == input_size,
+                  "demo expects a square network input");
+
   std::vector<ServeStage> stages;
-  stages.reserve(demo.size());
-  for (size_t idx = 0; idx < demo.size(); ++idx) {
-    const int64_t layer = static_cast<int64_t>(idx) - 2;
-    bool engine = false;
-    if (layer >= 0 && layer < num_layers) {
-      switch (policy) {
-        case EnginePolicy::kNone:
-          break;
-        case EnginePolicy::kOffloadLayers:
-          engine = dynamic_cast<nn::OffloadLayer*>(&net.layer(layer)) !=
-                   nullptr;
-          break;
-        case EnginePolicy::kHiddenLayers:
-          // First conv (layer 0), last conv (L-2) and region (L-1) stay
-          // on the CPU, as in the paper's deployment.
-          engine = layer >= 1 && layer <= num_layers - 3;
-          break;
-      }
-    }
+  const auto add = [&stages](std::string name,
+                             std::function<void(video::Frame&)> work,
+                             bool engine = false) {
     ServeStage stage;
-    stage.name = std::move(demo[idx].name);
-    stage.work = std::move(demo[idx].work);
+    stage.name = std::move(name);
+    stage.work = std::move(work);
     stage.uses_engine = engine;
     stages.push_back(std::move(stage));
+  };
+
+  // #0 Read Frame — the camera pull happens in the feeder; this stage
+  // represents the capture/copy cost as its own job slot (the paper split
+  // image acquisition into camera access and scaling).
+  add("read_frame", [](video::Frame&) {});
+
+  // #1 Letter Boxing.
+  add("letterbox", [input_size](video::Frame& f) {
+    f.boxed = data::letterbox(f.image, input_size);
+  });
+
+  // #2 .. N+1: one stage per network layer, on per-frame buffers. Routing
+  // through run_layer_into (not Layer::forward directly) keeps per-layer
+  // telemetry fresh in demo mode.
+  for (int64_t i = 0; i < net.num_layers(); ++i) {
+    const Shape out_shape = net.layer(i).output_shape();
+    const bool first = i == 0;
+    add("L[" + std::to_string(i) + "] " + net.layer(i).type_name(),
+        [&net, i, out_shape, first](video::Frame& f) {
+          Tensor out(out_shape);
+          net.run_layer_into(i, first ? f.boxed : f.features, out);
+          f.features = std::move(out);
+        },
+        uses_engine(net, i, policy));
   }
+
+  // #N+2 Object Boxing: decode + NMS, boxes mapped back to camera space.
+  const nn::RegionConfig region_cfg = region->config();
+  const float thresh = cfg.detect_threshold;
+  const float nms_iou = cfg.nms_iou;
+  add("object_boxing",
+      [region_cfg, thresh, nms_iou, input_size](video::Frame& f) {
+        auto dets = detect::decode_region(f.features, region_cfg, thresh);
+        dets = detect::nms(std::move(dets), nms_iou);
+        const int64_t w = f.image.shape().width();
+        const int64_t h = f.image.shape().height();
+        for (auto& d : dets)
+          data::unletterbox_box(d.box.x, d.box.y, d.box.w, d.box.h, w, h,
+                                input_size);
+        f.detections = std::move(dets);
+      });
+
+  // #N+3 Frame Drawing.
+  add("frame_drawing", [](video::Frame& f) {
+    video::draw_detections(f.image, f.detections);
+  });
+
   return stages;
+}
+
+void feed(StreamServer& server,
+          std::span<const std::function<video::Frame()>> sources,
+          int64_t frames) {
+  const size_t n = sources.size();
+  std::vector<int64_t> sent(n, 0);
+  std::vector<std::optional<video::Frame>> held(n);
+  size_t remaining = frames > 0 ? n : 0;
+  while (remaining > 0) {
+    bool progressed = false;
+    for (size_t i = 0; i < n; ++i) {
+      if (sent[i] == frames) continue;
+      if (!held[i]) held[i] = sources[i]();
+      const ServeResult r = server.submit(static_cast<int64_t>(i), *held[i]);
+      if (r == ServeResult::kOverloaded) continue;
+      held[i].reset();
+      // Accepted, or the session will never accept again.
+      sent[i] = r == ServeResult::kAccepted ? sent[i] + 1 : frames;
+      if (sent[i] == frames) --remaining;
+      progressed = true;
+    }
+    if (!progressed)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+telemetry::Snapshot run_demo(video::SyntheticCamera& camera, nn::Network& net,
+                             int64_t num_frames,
+                             std::function<void(video::Frame&&)> deliver,
+                             const DemoConfig& cfg) {
+  TINCY_CHECK_MSG(num_frames >= 1, "num_frames " << num_frames);
+  ServerOptions options;
+  options.num_workers = cfg.num_workers;
+  options.metrics = cfg.metrics;
+  options.trace = cfg.trace;
+  StreamServer server(options);
+  SessionConfig session;
+  session.name = "demo";
+  session.stages = make_demo_stages(net, cfg, EnginePolicy::kNone);
+  session.deliver = std::move(deliver);
+  session.queue_capacity = 4;
+  server.open_session(std::move(session));
+  server.start();
+  const std::function<video::Frame()> source = [&camera] {
+    return camera.read_frame();
+  };
+  feed(server, std::span(&source, 1), num_frames);
+  server.drain();
+  server.stop();
+  if (server.quarantined(0)) throw Error(server.fault_message(0));
+  return server.snapshot();
 }
 
 }  // namespace tincy::serve

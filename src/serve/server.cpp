@@ -19,10 +19,12 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Session names become metric-name components and flight-recorder file
-/// names: anything outside [A-Za-z0-9._-] is mapped to '_' so a name
-/// containing '"', '\', '/' or other punctuation can never corrupt a
-/// metric name, a JSON export or a dump path.
+}  // namespace
+
+// Session and stage names become metric-name components (and session
+// names flight-recorder file names): a name containing '"', '\', '/' or
+// other punctuation can never corrupt a metric name, a JSON export or a
+// dump path.
 std::string metric_label(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -33,8 +35,6 @@ std::string metric_label(const std::string& name) {
   return out;
 }
 
-}  // namespace
-
 StreamServer::StreamServer(ServerOptions options)
     : options_(std::move(options)),
       metrics_(options_.metrics ? options_.metrics
@@ -42,8 +42,10 @@ StreamServer::StreamServer(ServerOptions options)
       trace_(options_.trace ? options_.trace
                             : &telemetry::TraceCollector::global()),
       arbiter_(metrics_, options_.arbiter) {
-  TINCY_CHECK_MSG(options_.num_workers >= 1,
-                  "num_workers " << options_.num_workers);
+  TINCY_CHECK_MSG(
+      options_.num_workers >= 1 && options_.num_workers <= kMaxWorkers,
+      "num_workers " << options_.num_workers << " outside [1, "
+                     << kMaxWorkers << "]");
   TINCY_CHECK_MSG(options_.degrade_at > 0.0 && options_.degrade_at <= 1.0,
                   "degrade_at " << options_.degrade_at
                                 << " outside (0, 1]");
@@ -87,6 +89,13 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
   for (const auto& st : s->cfg.stages)
     s->stage_trace_names.push_back("stage:" + st.name);
   const std::string prefix = "serve.session." + s->cfg.name + ".";
+  s->stage_metrics.reserve(s->cfg.stages.size());
+  for (const auto& st : s->cfg.stages) {
+    const std::string stage = prefix + "stage." + metric_label(st.name) + ".";
+    s->stage_metrics.push_back({&metrics_->histogram(stage + "busy_ms"),
+                                &metrics_->histogram(stage + "wait_ms"),
+                                &metrics_->counter(stage + "jobs")});
+  }
   s->frames_counter = &metrics_->counter(prefix + "frames");
   s->latency_hist = &metrics_->histogram(prefix + "latency_ms");
   s->latency_window = &metrics_->windowed_histogram(prefix + "latency_ms.window");
@@ -351,6 +360,8 @@ void StreamServer::worker_loop() {
     std::vector<video::Frame> frames(nm);
     std::vector<int64_t> seqs(nm, -1);
     std::vector<Session*> member_sessions(nm);
+    std::vector<double> waits(nm);  ///< input-slot dwell, recorded unlocked
+    const auto claimed = std::chrono::steady_clock::now();
     for (size_t m = 0; m < nm; ++m) {
       Session& ms = *sessions_[static_cast<size_t>(job.members[m].session)];
       member_sessions[m] = &ms;
@@ -361,22 +372,23 @@ void StreamServer::worker_loop() {
         // timestamp sits right after the in-flight block. Feeds the
         // Little's-law queue_depth gauge (Σ dwell / elapsed) and closes
         // the frame's "queue" trace span.
-        const auto now = std::chrono::steady_clock::now();
         const size_t in_flight = ms.submit_times.size() - ms.queue.size();
-        const double dwell = ms_between(ms.submit_times[in_flight], now);
-        ms.queue_wait_ms += dwell;
+        waits[m] = ms_between(ms.submit_times[in_flight], claimed);
+        ms.queue_wait_ms += waits[m];
         ms.queue_depth_gauge->set(
-            ms.queue_wait_ms / std::max(ms_between(start_time_, now), 1e-6));
+            ms.queue_wait_ms /
+            std::max(ms_between(start_time_, claimed), 1e-6));
         frames[m] = std::move(ms.queue.front());
         ms.queue.pop_front();
         if (trace_->enabled()) {
           char args[48];
-          std::snprintf(args, sizeof args, "\"dwell_ms\":%.3f", dwell);
+          std::snprintf(args, sizeof args, "\"dwell_ms\":%.3f", waits[m]);
           trace_->async_end("queue", job.members[m].session,
                             frames[m].sequence, args);
         }
       } else {
         Slot& min = ms.slots[static_cast<size_t>(job.members[m].stage - 1)];
+        waits[m] = ms_between(min.deposited, claimed);
         frames[m] = std::move(*min.frame);
         min.frame.reset();  // input buffer becomes free (Fig. 6)
       }
@@ -401,6 +413,10 @@ void StreamServer::worker_loop() {
     }
     lock.unlock();
     cv_.notify_all();  // freed queue space / input slots enable upstream
+    for (size_t m = 0; m < nm; ++m)
+      member_sessions[m]
+          ->stage_metrics[static_cast<size_t>(job.members[m].stage)]
+          .wait_ms->record(waits[m]);
 
     // The leader's callback runs the whole gang: one engine hold, one
     // weight-streaming phase. A throw faults every member — their frames
@@ -410,6 +426,7 @@ void StreamServer::worker_loop() {
         ls.cfg.stages[static_cast<size_t>(job.members[0].stage)];
     bool faulted = false;
     std::string fault;
+    const auto work_start = std::chrono::steady_clock::now();
     {
       // Deep spans (net.layer, fabric, gemm) inherit the leader's frame
       // identity through the thread-local context.
@@ -438,6 +455,17 @@ void StreamServer::worker_loop() {
         faulted = true;
         fault = "non-standard exception";
       }
+    }
+    // Every member records the gang's busy time, so each stage's span
+    // and job counts equal the frames it ran.
+    const double busy =
+        ms_between(work_start, std::chrono::steady_clock::now());
+    for (size_t m = 0; m < nm; ++m) {
+      const StageMetrics& sm =
+          member_sessions[m]
+              ->stage_metrics[static_cast<size_t>(job.members[m].stage)];
+      sm.busy_ms->record(busy);
+      sm.jobs->add(1);
     }
     std::vector<char> member_faulted(nm, faulted ? 1 : 0);
     std::vector<std::string> member_fault(nm, fault);
@@ -471,6 +499,7 @@ void StreamServer::worker_loop() {
     if (job.engine) arbiter_.release(job.members[0].session);
 
     lock.lock();
+    const auto returned = std::chrono::steady_clock::now();
     for (size_t m = 0; m < nm; ++m) {
       Session& ms = *member_sessions[m];
       Slot& mout = ms.slots[static_cast<size_t>(job.members[m].stage)];
@@ -493,8 +522,8 @@ void StreamServer::worker_loop() {
       } else if (last) {
         ++ms.done;
         ms.frames_counter->add(1);
-        const double latency_ms = ms_between(
-            ms.submit_times.front(), std::chrono::steady_clock::now());
+        const double latency_ms =
+            ms_between(ms.submit_times.front(), returned);
         ms.latency_hist->record(latency_ms);
         ms.latency_window->record(latency_ms);
         ms.fps_window->add(1);
@@ -504,6 +533,7 @@ void StreamServer::worker_loop() {
                             "\"outcome\":\"delivered\"");
       } else {
         mout.frame = std::move(frames[m]);
+        mout.deposited = returned;
       }
       if (ms.closed || ms.quarantined) maybe_retire_locked(job.members[m].session);
     }
@@ -640,6 +670,11 @@ void StreamServer::reset_session_locked(Session& s) {
   s.dropped_counter->reset();
   s.faults_counter->reset();
   s.quarantined_gauge->set(0.0);
+  for (const StageMetrics& sm : s.stage_metrics) {
+    sm.busy_ms->reset();
+    sm.wait_ms->reset();
+    sm.jobs->reset();
+  }
 }
 
 void StreamServer::drain() {

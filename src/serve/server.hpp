@@ -1,14 +1,16 @@
 #pragma once
 
 /// \file server.hpp
-/// Multi-stream serving layer over the shared fabric engine.
+/// The threaded frame scheduler of §III-F, and the multi-stream serving
+/// layer over the shared fabric engine.
 ///
-/// The Fig. 5 demo pipelines ONE video stream; a serving deployment has N
-/// independent streams contending for the single conv+pool engine. The
-/// StreamServer accepts per-session frame submissions, runs every session
-/// through its own stage chain (single-slot free/avail buffers, exactly
-/// the paper's Fig. 6 handshake), and multiplexes engine-tagged stages
-/// over the EngineArbiter:
+/// The Fig. 5 demo is one session of this server (serve/demo.hpp); a
+/// serving deployment has N independent streams contending for the single
+/// conv+pool engine. The StreamServer accepts per-session frame
+/// submissions, runs every session through its own stage chain
+/// (single-slot free/avail buffers, exactly the paper's Fig. 6
+/// handshake), and multiplexes engine-tagged stages over the
+/// EngineArbiter:
 ///
 ///  * scheduling is most-mature-first *within* a session (the paper's
 ///    policy) and round-robin *across* sessions, with engine access
@@ -47,6 +49,13 @@
 ///                                    close/quarantine
 ///   serve.session.<name>.faults      counter, stage/deliver exceptions
 ///   serve.session.<name>.quarantined gauge, 1 once quarantined
+///   serve.session.<name>.stage.<stage>.busy_ms  histogram, one span per
+///                                    job (a gang's members each record
+///                                    the gang's busy time)
+///   serve.session.<name>.stage.<stage>.wait_ms  histogram, input-slot
+///                                    dwell: upstream deposit -> claim
+///                                    (stage 0: admission-queue dwell)
+///   serve.session.<name>.stage.<stage>.jobs     counter == frames run
 ///   serve.arbiter.grants / .queue_depth / .batch_size (EngineArbiter)
 ///
 /// Tracing (docs/observability.md "Tracing"): when ServerOptions::trace
@@ -77,6 +86,14 @@
 #include "video/frame.hpp"
 
 namespace tincy::serve {
+
+/// Upper bound on ServerOptions::num_workers: the pool is one OS thread
+/// per worker, and the paper's platform has four cores.
+inline constexpr int kMaxWorkers = 256;
+
+/// Maps a name onto a metric-name component: anything outside
+/// [A-Za-z0-9._-] becomes '_'. Session and stage names pass through it.
+std::string metric_label(const std::string& name);
 
 /// Outcome of a frame submission.
 enum class ServeResult {
@@ -147,7 +164,8 @@ struct SessionConfig {
 };
 
 struct ServerOptions {
-  int num_workers = 4;  ///< shared worker pool (paper: 4 × A53)
+  /// Shared worker pool (paper: 4 × A53), at most kMaxWorkers.
+  int num_workers = 4;
   /// Server-wide admission behavior under overload.
   OverloadPolicy overload_policy = OverloadPolicy::kReject;
   /// kDegrade pressure mark as a fraction of queue_capacity, in (0, 1].
@@ -170,7 +188,8 @@ struct ServerOptions {
 
 class StreamServer {
  public:
-  /// Validates the options (num_workers >= 1, degrade_at in (0, 1]).
+  /// Validates the options (num_workers in [1, kMaxWorkers], degrade_at
+  /// in (0, 1]) before any thread exists.
   explicit StreamServer(ServerOptions options = {});
 
   /// stop()s and joins; queued frames that never started are dropped,
@@ -227,6 +246,14 @@ class StreamServer {
   struct Slot {
     std::optional<video::Frame> frame;
     bool reserved = false;
+    std::chrono::steady_clock::time_point deposited;  ///< frame arrival
+  };
+
+  /// Telemetry handles of one stage, resolved once at open_session.
+  struct StageMetrics {
+    telemetry::Histogram* busy_ms;
+    telemetry::Histogram* wait_ms;
+    telemetry::Counter* jobs;
   };
 
   struct Session {
@@ -255,6 +282,7 @@ class StreamServer {
     double engine_wait_start_ms = -1.0;
     /// Pre-built "stage:<name>" span labels, one per stage.
     std::vector<std::string> stage_trace_names;
+    std::vector<StageMetrics> stage_metrics;  ///< one per stage
     telemetry::Counter* frames_counter;
     telemetry::Histogram* latency_hist;
     telemetry::WindowedHistogram* latency_window;

@@ -93,16 +93,6 @@ int64_t Histogram::count() const {
   return count_;
 }
 
-double Histogram::sum() const {
-  std::lock_guard lock(mutex_);
-  return sum_;
-}
-
-double Histogram::last() const {
-  std::lock_guard lock(mutex_);
-  return last_;
-}
-
 double Histogram::quantile(double q) const {
   std::lock_guard lock(mutex_);
   return quantile_locked(q);

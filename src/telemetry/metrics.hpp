@@ -7,16 +7,15 @@
 /// The paper's headline results are per-stage numbers — the Table III
 /// stage latencies, the Fig. 6 pipeline occupancy, the §III speedup
 /// ladder. This subsystem gives every hot path (Network::forward,
-/// Pipeline::worker_loop, OffloadLayer::forward, the gemm kernels) one
-/// way to report them, replacing the previously scattered ad-hoc timing
-/// (pipeline::StageStats, Network::last_layer_ms, DemoResult fields),
-/// which are now thin adapters over a telemetry::Snapshot.
+/// StreamServer::worker_loop, OffloadLayer::forward, the gemm kernels)
+/// one way to report them; callers read results from a
+/// telemetry::Snapshot.
 ///
 /// Naming convention (see docs/observability.md):
 ///   net.forward.ms              whole-network forward latency
 ///   net.layer.<i>.<type>.ms     per-layer latency (Table III rows)
-///   pipeline.stage.<name>.*     busy_ms / wait_ms / jobs / queue_depth
-///   pipeline.frame_latency_ms   source pull -> sink delivery
+///   serve.session.<name>.stage.<stage>.*  busy_ms / wait_ms / jobs
+///   serve.session.<name>.latency_ms       submit -> delivery
 ///   offload.<library>.*         forward_ms / frames / ops per backend
 ///   gemm.*                      im2col vs. GEMM split of the conv paths
 
@@ -89,8 +88,6 @@ class Histogram {
   void reset();
 
   int64_t count() const;
-  double sum() const;
-  double last() const;
   /// Quantile estimate in [0, 1]; exact at q=1 (returns max).
   double quantile(double q) const;
 
@@ -183,8 +180,7 @@ struct HistogramSample {
 };
 
 /// The one stats surface every component returns: a consistent,
-/// name-sorted sample of a registry. Pipeline::stats(),
-/// Network::last_layer_ms() and DemoResult are adapters over this.
+/// name-sorted sample of a registry.
 struct Snapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;

@@ -17,7 +17,7 @@
 /// Event model (see docs/observability.md "Tracing"):
 ///   async "frame"  b/e    submit -> delivery (or shed/drop), one per frame
 ///   async "queue"  b/e    submit -> stage-0 claim (admission-queue dwell)
-///   X "stage:<name>"      one serve/pipeline stage execution
+///   X "stage:<name>"      one server stage execution
 ///   i "gang"              engine grant seat: role=leader|member, grant id,
 ///                         leader also carries batch size
 ///   X "arbiter.wait"      denied engine claim -> eventual grant
@@ -26,7 +26,7 @@
 ///   X "fabric.layer<i>"   one (possibly batched) fabric pass, cycle args
 ///   X "gemm.pack|compute" GEMM spans
 /// Deep spans (net/fabric/gemm) learn their frame identity from the
-/// thread-local TraceContext installed by the server/pipeline worker.
+/// thread-local TraceContext installed by the server worker.
 
 #include <atomic>
 #include <chrono>
@@ -76,7 +76,7 @@ int64_t trace_arg_int(const TraceEvent& event, std::string_view key,
 /// Looks up a string value ("key":"value") in an event's args fragment.
 std::string trace_arg_str(const TraceEvent& event, std::string_view key);
 
-/// Thread-local frame identity, installed by the server/pipeline worker
+/// Thread-local frame identity, installed by the server worker
 /// around stage execution so nested net/fabric/gemm spans tag themselves.
 struct TraceContext {
   int64_t session = -1;

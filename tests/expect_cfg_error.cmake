@@ -1,10 +1,14 @@
 # Runs `tincy summary <cfg>` (or `tincy <args>`) and passes only if it
-# exits with return code 1 (tincy's "runtime error"). A process killed by
-# a signal reports a non-numeric result here, so a crash never passes as
-# a clean rejection.
+# exits with return code 1 (tincy's "runtime error"), or with -DEXPECT=<rc>
+# that code (2 is a usage error). A process killed by a signal reports a
+# non-numeric result here, so a crash never passes as a clean rejection.
 #
 #   cmake -DTINCY=<path to tincy> -DCFG=<cfg file> -P expect_cfg_error.cmake
-#   cmake -DTINCY=<path to tincy> "-DARGS=<arg> <arg> ..." -P expect_cfg_error.cmake
+#   cmake -DTINCY=<path to tincy> "-DARGS=<arg> <arg> ..." [-DEXPECT=2]
+#         -P expect_cfg_error.cmake
+if(NOT DEFINED EXPECT)
+  set(EXPECT 1)
+endif()
 if(DEFINED ARGS)
   separate_arguments(tincy_args UNIX_COMMAND "${ARGS}")
 else()
@@ -13,7 +17,7 @@ endif()
 execute_process(COMMAND ${TINCY} ${tincy_args}
                 RESULT_VARIABLE rc
                 ERROR_VARIABLE err)
-if(NOT rc STREQUAL "1")
-  message(FATAL_ERROR "expected exit code 1, got '${rc}': ${err}")
+if(NOT rc STREQUAL "${EXPECT}")
+  message(FATAL_ERROR "expected exit code ${EXPECT}, got '${rc}': ${err}")
 endif()
 message(STATUS "rejected as expected: ${err}")

@@ -1,12 +1,21 @@
+// The §III-F frame scheduler: the threaded one (a one-session
+// StreamServer, as the demo runs it) and its discrete-event twin
+// (pipeline::simulate). A TSan target for the stop/destructor races (see
+// tests/README.md).
+
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "pipeline/demo.hpp"
-#include "pipeline/pipeline.hpp"
 #include "pipeline/virtual_time.hpp"
+#include "serve/demo.hpp"
+#include "video/sink.hpp"
 
 namespace tincy::pipeline {
 namespace {
@@ -17,23 +26,69 @@ video::Frame make_frame(int64_t seq) {
   return f;
 }
 
+serve::ServeStage stage(std::string name,
+                        std::function<void(video::Frame&)> work) {
+  serve::ServeStage s;
+  s.name = std::move(name);
+  s.work = std::move(work);
+  return s;
+}
+
+/// A stage that spins for `us` microseconds (keeps a core busy, unlike a
+/// sleep, so host timing resembles compute).
+serve::ServeStage spin_stage(std::string name, int64_t us) {
+  return stage(std::move(name), [us](video::Frame&) {
+    const auto end =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+    while (std::chrono::steady_clock::now() < end) {
+    }
+  });
+}
+
+/// The Fig. 5/6 scheduler as the demo runs it: `stages` as one session
+/// (named "s0") of a `workers`-worker StreamServer reporting into
+/// `registry`, fed `frames` sequence-numbered frames by serve::feed and
+/// drained; `deliver` sees the finished frames.
+void run_session(std::vector<serve::ServeStage> stages, int workers,
+                 int64_t frames, telemetry::MetricsRegistry& registry,
+                 std::function<void(video::Frame&&)> deliver = {}) {
+  serve::ServerOptions options;
+  options.num_workers = workers;
+  options.metrics = &registry;
+  serve::StreamServer server(options);
+  serve::SessionConfig session;
+  session.stages = std::move(stages);
+  session.deliver = std::move(deliver);
+  server.open_session(std::move(session));
+  server.start();
+  int64_t next = 0;
+  const std::function<video::Frame()> source = [&next] {
+    return make_frame(next++);
+  };
+  serve::feed(server, std::span(&source, 1), frames);
+  server.drain();
+  server.stop();
+}
+
+/// A deliver hook feeding `sink`.
+std::function<void(video::Frame&&)> into(video::OrderCheckingSink& sink) {
+  return [&sink](video::Frame&& f) { sink.push(f); };
+}
+
+// --- The threaded scheduler (one StreamServer session) ---
+
 class ThreadedPipeline : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedPipeline, PreservesFrameOrder) {
-  const int workers = GetParam();
-  std::atomic<int64_t> next{0};
-  video::OrderCheckingSink sink;
-  std::vector<Stage> stages;
+  telemetry::MetricsRegistry registry;
+  std::vector<serve::ServeStage> stages;
   for (int s = 0; s < 5; ++s)
-    stages.push_back({"s" + std::to_string(s), [](video::Frame&) {}});
-
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
-      [&sink](const video::Frame& f) { sink.push(f); }, workers);
-  p.run(100);
-  EXPECT_EQ(sink.frames_received(), 100);
+    stages.push_back(stage("s" + std::to_string(s), [](video::Frame&) {}));
+  video::OrderCheckingSink sink;
+  run_session(stages, GetParam(), 100, registry, into(sink));
   EXPECT_TRUE(sink.in_order());
   const auto seqs = sink.sequences();
+  ASSERT_EQ(seqs.size(), 100u);
   for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(seqs[static_cast<size_t>(i)], i);
 }
 
@@ -42,29 +97,23 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, ThreadedPipeline,
 
 TEST(Pipeline, StagesTransformFramesInOrder) {
   // Each stage appends its id into the frame's features tensor slot;
-  // the sink must observe all stages applied exactly once, in order.
-  std::atomic<int64_t> next{0};
-  std::vector<Stage> stages;
+  // delivery must observe all stages applied exactly once, in order.
+  std::vector<serve::ServeStage> stages;
   for (int s = 0; s < 4; ++s) {
-    stages.push_back({"s" + std::to_string(s), [s](video::Frame& f) {
-                        Tensor t(Shape{f.features.numel() + 1});
-                        for (int64_t i = 0; i < f.features.numel(); ++i)
-                          t[i] = f.features[i];
-                        t[f.features.numel()] = static_cast<float>(s);
-                        f.features = std::move(t);
-                      }});
+    stages.push_back(stage("s" + std::to_string(s), [s](video::Frame& f) {
+      Tensor t(Shape{f.features.numel() + 1});
+      for (int64_t i = 0; i < f.features.numel(); ++i) t[i] = f.features[i];
+      t[f.features.numel()] = static_cast<float>(s);
+      f.features = std::move(t);
+    }));
   }
   std::vector<std::vector<float>> seen;
-  std::mutex m;
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
-      [&](const video::Frame& f) {
-        std::lock_guard lock(m);
-        seen.emplace_back(f.features.data(),
-                          f.features.data() + f.features.numel());
-      },
-      3);
-  p.run(20);
+  telemetry::MetricsRegistry registry;
+  // The deliver hook is never invoked concurrently for one session.
+  run_session(stages, 3, 20, registry, [&seen](video::Frame&& f) {
+    seen.emplace_back(f.features.data(),
+                      f.features.data() + f.features.numel());
+  });
   ASSERT_EQ(seen.size(), 20u);
   for (const auto& trace : seen) {
     ASSERT_EQ(trace.size(), 4u);
@@ -72,41 +121,76 @@ TEST(Pipeline, StagesTransformFramesInOrder) {
   }
 }
 
-TEST(Pipeline, LatencyTracked) {
-  std::atomic<int64_t> next{0};
-  std::vector<Stage> stages;
-  for (int s = 0; s < 3; ++s) {
-    stages.push_back({"s" + std::to_string(s), [](video::Frame&) {
-                        const auto end = std::chrono::steady_clock::now() +
-                                         std::chrono::milliseconds(2);
-                        while (std::chrono::steady_clock::now() < end) {
-                        }
-                      }});
-  }
-  Pipeline p(
-      stages,
-      [&next] {
-        video::Frame f;
-        f.sequence = next++;
-        return f;
-      },
-      [](const video::Frame&) {}, 2);
-  p.run(10);
-  // Three 2 ms stages: latency at least ~6 ms, mean <= max.
-  EXPECT_GE(p.mean_latency_ms(), 5.0);
-  EXPECT_GE(p.max_latency_ms(), p.mean_latency_ms());
+TEST(Pipeline, LatencyRecorded) {
+  telemetry::MetricsRegistry registry;
+  std::vector<serve::ServeStage> stages;
+  for (int s = 0; s < 3; ++s)
+    stages.push_back(spin_stage("s" + std::to_string(s), 2000));
+  run_session(stages, 2, 10, registry);
+  // Three 2 ms stages: latency at least ~6 ms per frame, mean <= max.
+  const auto snap = registry.snapshot();
+  const auto* latency = snap.find_histogram("serve.session.s0.latency_ms");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->stats.count, 10);
+  EXPECT_GE(latency->stats.mean(), 5.0);
+  EXPECT_GE(latency->stats.max, latency->stats.mean());
 }
 
-TEST(Pipeline, StatsAccumulate) {
-  std::atomic<int64_t> next{0};
-  std::vector<Stage> stages{{"only", [](video::Frame&) {}}};
-  Pipeline p(
-      stages, [&next] { return make_frame(next++); },
-      [](const video::Frame&) {}, 2);
-  p.run(10);
-  ASSERT_EQ(p.stats().size(), 1u);
-  EXPECT_EQ(p.stats()[0].jobs, 10);
-  EXPECT_GT(p.fps(), 0.0);
+TEST(Pipeline, StageSpanAndJobCountsEqualFrames) {
+  constexpr int64_t kFrames = 40;
+  telemetry::MetricsRegistry registry;
+  std::vector<serve::ServeStage> stages;
+  for (int s = 0; s < 4; ++s)
+    stages.push_back(stage("stage " + std::to_string(s), [](video::Frame&) {}));
+  run_session(stages, 3, kFrames, registry);
+
+  const auto snap = registry.snapshot();
+  for (int s = 0; s < 4; ++s) {
+    // Stage names are normalized into metric labels: ' ' -> '_'.
+    const std::string prefix =
+        "serve.session.s0.stage.stage_" + std::to_string(s);
+    EXPECT_EQ(snap.counter_value(prefix + ".jobs"), kFrames) << prefix;
+    const auto* busy = snap.find_histogram(prefix + ".busy_ms");
+    ASSERT_NE(busy, nullptr) << prefix;
+    EXPECT_EQ(busy->stats.count, kFrames) << prefix;
+    const auto* wait = snap.find_histogram(prefix + ".wait_ms");
+    ASSERT_NE(wait, nullptr) << prefix;
+    EXPECT_EQ(wait->stats.count, kFrames) << prefix;
+  }
+  EXPECT_EQ(snap.counter_value("serve.session.s0.frames"), kFrames);
+  const auto* latency = snap.find_histogram("serve.session.s0.latency_ms");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->stats.count, kFrames);
+}
+
+TEST(Pipeline, StartResetsItsOwnMetrics) {
+  telemetry::MetricsRegistry registry;
+  registry.counter("unrelated.counter").add(5);
+  serve::ServerOptions options;
+  options.num_workers = 2;
+  options.metrics = &registry;
+  serve::StreamServer server(options);
+  serve::SessionConfig session;
+  session.stages = {stage("only", [](video::Frame&) {})};
+  server.open_session(std::move(session));
+  int64_t next = 0;
+  const std::function<video::Frame()> source = [&next] {
+    return make_frame(next++);
+  };
+  for (const int64_t frames : {10, 7}) {
+    server.start();
+    serve::feed(server, std::span(&source, 1), frames);
+    server.drain();
+    server.stop();
+  }
+  // The second run must not accumulate on top of the first.
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("serve.session.s0.stage.only.jobs"), 7);
+  EXPECT_EQ(snap.find_histogram("serve.session.s0.stage.only.busy_ms")
+                ->stats.count,
+            7);
+  EXPECT_EQ(snap.counter_value("serve.session.s0.frames"), 7);
+  EXPECT_EQ(snap.counter_value("unrelated.counter"), 5);
 }
 
 TEST(Pipeline, StopMidStreamIsCleanAndRepeatable) {
@@ -115,69 +199,68 @@ TEST(Pipeline, StopMidStreamIsCleanAndRepeatable) {
   // under a worker still writing into it. 100 iterations with a swept
   // stop delay to land the stop at different points of the frame walk.
   for (int iter = 0; iter < 100; ++iter) {
-    std::atomic<int64_t> next{0};
+    telemetry::MetricsRegistry registry;
     std::atomic<int64_t> sunk{0};
     video::OrderCheckingSink sink;
-    std::vector<Stage> stages;
+    serve::ServerOptions options;
+    options.num_workers = 3;
+    options.metrics = &registry;
+    serve::StreamServer server(options);
+    serve::SessionConfig session;
     for (int s = 0; s < 4; ++s)
-      stages.push_back({"s" + std::to_string(s), [](video::Frame&) {
-                          std::this_thread::sleep_for(
-                              std::chrono::microseconds(50));
-                        }});
-    Pipeline p(
-        stages, [&next] { return make_frame(next++); },
-        [&](const video::Frame& f) {
-          sink.push(f);
-          ++sunk;
-        },
-        3);
-    p.start(1000);  // far more frames than can finish before the stop
+      session.stages.push_back(
+          stage("s" + std::to_string(s), [](video::Frame&) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }));
+    session.deliver = [&](video::Frame&& f) {
+      sink.push(f);
+      ++sunk;
+    };
+    session.queue_capacity = 1000;  // far more than can finish before stop
+    server.open_session(std::move(session));
+    server.start();
+    std::thread producer([&server] {
+      for (int64_t seq = 0; seq < 1000; ++seq)
+        if (server.submit(0, make_frame(seq)) != serve::ServeResult::kAccepted)
+          return;
+    });
     std::this_thread::sleep_for(std::chrono::microseconds(100 + 37 * iter));
-    p.stop();
-    p.wait();
-    // Whatever was sunk before the stop is an in-order prefix 0..k-1.
+    server.stop();
+    producer.join();
+    // Whatever was delivered before the stop is an in-order prefix 0..k-1.
     EXPECT_TRUE(sink.in_order()) << "iteration " << iter;
     const auto seqs = sink.sequences();
     for (size_t i = 0; i < seqs.size(); ++i)
       EXPECT_EQ(seqs[i], static_cast<int64_t>(i)) << "iteration " << iter;
     EXPECT_EQ(sunk.load(), static_cast<int64_t>(seqs.size()));
-    // ~Pipeline re-runs stop()+wait() here; both must be idempotent.
+    // ~StreamServer re-runs stop() here; it must be idempotent.
   }
 }
 
-TEST(Pipeline, DestructorStopsRunningPipeline) {
-  // Destroying a started-but-unfinished pipeline must join all workers
-  // and leave no thread touching freed stage slots (primary TSan target
+TEST(Pipeline, DestructorStopsRunningServer) {
+  // Destroying a started-but-unfinished server must join all workers and
+  // leave no thread touching freed stage slots (primary TSan target
   // together with the loop above).
   for (int iter = 0; iter < 20; ++iter) {
-    std::atomic<int64_t> next{0};
-    Pipeline p(
-        {{"a",
-          [](video::Frame&) {
-            std::this_thread::sleep_for(std::chrono::microseconds(80));
-          }},
-         {"b",
-          [](video::Frame&) {
-            std::this_thread::sleep_for(std::chrono::microseconds(80));
-          }}},
-        [&next] { return make_frame(next++); }, [](const video::Frame&) {},
-        2);
-    p.start(500);
+    telemetry::MetricsRegistry registry;
+    serve::ServerOptions options;
+    options.num_workers = 2;
+    options.metrics = &registry;
+    serve::StreamServer server(options);
+    serve::SessionConfig session;
+    for (const char* name : {"a", "b"})
+      session.stages.push_back(stage(name, [](video::Frame&) {
+        std::this_thread::sleep_for(std::chrono::microseconds(80));
+      }));
+    session.queue_capacity = 500;
+    server.open_session(std::move(session));
+    server.start();
+    for (int64_t seq = 0; seq < 500; ++seq)
+      ASSERT_EQ(server.submit(0, make_frame(seq)),
+                serve::ServeResult::kAccepted);
     std::this_thread::sleep_for(std::chrono::microseconds(60 * iter));
-    // ~Pipeline runs here: stop() + wait().
+    // ~StreamServer runs here: stop() joins mid-stream.
   }
-}
-
-TEST(Pipeline, RejectsInvalidConfig) {
-  std::vector<Stage> stages{{"s", [](video::Frame&) {}}};
-  EXPECT_THROW(Pipeline(stages, nullptr, [](const video::Frame&) {}, 1),
-               Error);
-  EXPECT_THROW(Pipeline({}, [] { return video::Frame{}; },
-                        [](const video::Frame&) {}, 1),
-               Error);
-  Pipeline ok(
-      stages, [] { return video::Frame{}; }, [](const video::Frame&) {}, 1);
-  EXPECT_THROW(ok.run(0), Error);
 }
 
 // --- Virtual-time executor ---
@@ -246,34 +329,22 @@ TEST(VirtualTime, AgreesWithThreadedPipelineOnSleepStages) {
   // virtual-time model predicts (loose tolerance: host scheduling noise).
   const std::vector<double> durations_ms{4.0, 8.0, 5.0, 6.0};
   std::vector<TimedStage> timed;
-  std::vector<Stage> stages;
+  std::vector<serve::ServeStage> stages;
   for (size_t i = 0; i < durations_ms.size(); ++i) {
     timed.push_back({"s" + std::to_string(i), durations_ms[i], ""});
-    const auto us = static_cast<int64_t>(durations_ms[i] * 1000);
-    stages.push_back({"s" + std::to_string(i), [us](video::Frame&) {
-                        const auto end = std::chrono::steady_clock::now() +
-                                         std::chrono::microseconds(us);
-                        while (std::chrono::steady_clock::now() < end) {
-                        }
-                      }});
+    stages.push_back(spin_stage("s" + std::to_string(i),
+                                static_cast<int64_t>(durations_ms[i] * 1000)));
   }
   const int cores = 2;
   const auto predicted = simulate(timed, cores, 40);
 
-  std::atomic<int64_t> next{0};
-  Pipeline p(
-      stages,
-      [&next] {
-        video::Frame f;
-        f.sequence = next++;
-        return f;
-      },
-      [](const video::Frame&) {}, cores);
-  p.run(40);
+  telemetry::MetricsRegistry registry;
+  video::OrderCheckingSink sink;
+  run_session(stages, cores, 40, registry, into(sink));
   // The single-core host timeslices the two workers; allow generous slack
   // but require the same order of magnitude and the correct upper bound.
-  EXPECT_GT(p.fps(), predicted.fps * 0.3);
-  EXPECT_LT(p.fps(), predicted.fps * 1.3);
+  EXPECT_GT(sink.fps(), predicted.fps * 0.3);
+  EXPECT_LT(sink.fps(), predicted.fps * 1.3);
 }
 
 TEST(VirtualTime, FourfoldSpeedupDilutedBySerialization) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <latch>
 #include <memory>
 #include <mutex>
@@ -18,12 +19,11 @@
 #include "core/rng.hpp"
 #include "nn/builder.hpp"
 #include "nn/zoo.hpp"
-#include "pipeline/demo.hpp"
-#include "pipeline/pipeline.hpp"
 #include "serve/arbiter.hpp"
 #include "serve/demo.hpp"
 #include "serve/server.hpp"
 #include "video/camera.hpp"
+#include "video/sink.hpp"
 
 // ServeStage carries optional batched fields (batch_work, engine_layer)
 // with safe defaults; the three-field {name, work, uses_engine} literal
@@ -425,10 +425,12 @@ TEST(StreamServer, StopMidStreamIsClean) {
 // --- Configuration validation ---
 
 TEST(StreamServer, RejectsInvalidConfiguration) {
-  {
+  // Worker counts outside [1, kMaxWorkers] are refused before any thread
+  // is spawned.
+  for (const int workers : {0, kMaxWorkers + 1, INT_MAX}) {
     ServerOptions o;
-    o.num_workers = 0;
-    EXPECT_THROW(StreamServer{o}, Error);
+    o.num_workers = workers;
+    EXPECT_THROW(StreamServer{o}, Error) << workers;
   }
   {
     ServerOptions o;
@@ -748,15 +750,17 @@ TEST(StreamServer, DegradePolicyMarksPressuredAdmissions) {
   EXPECT_EQ(snap.counter_value("serve.session.s0.frames"), 5);
 }
 
-// --- Golden determinism: 1-session server == single-stream pipeline ---
+// --- Golden determinism: a server session == the stages run serially ---
 
 struct FrameRecord {
   int64_t sequence;
   std::vector<detect::Detection> detections;
 };
 
-std::vector<FrameRecord> run_reference_pipeline(uint64_t camera_seed,
-                                                int64_t frames) {
+/// The serial oracle: the same demo stage list applied in order, frame by
+/// frame, on the calling thread.
+std::vector<FrameRecord> run_serial_stages(uint64_t camera_seed,
+                                           int64_t frames) {
   telemetry::MetricsRegistry registry;
   auto net = nn::build_network_from_string(
       nn::zoo::tiny_yolo_cfg(nn::zoo::TinyVariant::kTincy,
@@ -767,19 +771,14 @@ std::vector<FrameRecord> run_reference_pipeline(uint64_t camera_seed,
   nn::zoo::randomize(*net, rng);
   video::SyntheticCamera camera({.width = 96, .height = 64,
                                  .seed = camera_seed});
+  const auto stages =
+      make_demo_stages(*net, DemoConfig{}, EnginePolicy::kHiddenLayers);
   std::vector<FrameRecord> out;
-  std::mutex m;
-  pipeline::PipelineOptions po;
-  po.stages = pipeline::make_demo_stages(*net, pipeline::DemoConfig{});
-  po.source = [&camera] { return camera.read_frame(); };
-  po.sink = [&out, &m](const video::Frame& f) {
-    std::lock_guard lock(m);
-    out.push_back({f.sequence, f.detections});
-  };
-  po.num_workers = 2;
-  po.metrics = &registry;
-  pipeline::Pipeline p(std::move(po));
-  p.run(frames);
+  for (int64_t i = 0; i < frames; ++i) {
+    video::Frame f = camera.read_frame();
+    for (const auto& st : stages) st.work(f);
+    out.push_back({f.sequence, std::move(f.detections)});
+  }
   return out;
 }
 
@@ -802,8 +801,8 @@ std::vector<FrameRecord> run_serving_session(uint64_t camera_seed,
   std::vector<FrameRecord> out;
   std::mutex m;
   SessionConfig sc;
-  sc.stages = demo_session_stages(*net, pipeline::DemoConfig{},
-                                  EnginePolicy::kHiddenLayers);
+  sc.stages =
+      make_demo_stages(*net, DemoConfig{}, EnginePolicy::kHiddenLayers);
   sc.deliver = [&out, &m](video::Frame&& f) {
     std::lock_guard lock(m);
     out.push_back({f.sequence, std::move(f.detections)});
@@ -843,10 +842,42 @@ void expect_bit_identical(const std::vector<FrameRecord>& ref,
 
 TEST(StreamServer, GoldenMatchesSingleStreamPipeline) {
   constexpr int64_t kFrames = 8;
-  const auto ref = run_reference_pipeline(29, kFrames);
+  const auto ref = run_serial_stages(29, kFrames);
   const auto got = run_serving_session(29, kFrames);
   ASSERT_EQ(ref.size(), static_cast<size_t>(kFrames));
   expect_bit_identical(ref, got);
+}
+
+TEST(DemoRun, OneSessionDeliversInOrderAndCountsEveryStage) {
+  telemetry::MetricsRegistry registry;
+  auto net = nn::build_network_from_string(
+      nn::zoo::tiny_yolo_cfg(nn::zoo::TinyVariant::kTincy,
+                             nn::zoo::QuantMode::kFloat, 64,
+                             nn::zoo::CpuProfile::kFused),
+      &registry);
+  Rng rng(11);
+  nn::zoo::randomize(*net, rng);
+  video::SyntheticCamera camera({.width = 96, .height = 64, .seed = 3});
+  DemoConfig cfg;
+  cfg.num_workers = 2;
+  cfg.metrics = &registry;
+  EXPECT_THROW(run_demo(camera, *net, 0, {}, cfg), Error);
+
+  video::OrderCheckingSink sink;
+  const auto snap = run_demo(
+      camera, *net, 6, [&sink](video::Frame&& f) { sink.push(f); }, cfg);
+  EXPECT_TRUE(sink.in_order());
+  EXPECT_EQ(sink.frames_received(), 6);
+  EXPECT_EQ(snap.counter_value("serve.session.demo.frames"), 6);
+  for (const auto& st :
+       make_demo_stages(*net, cfg, EnginePolicy::kNone)) {
+    const std::string prefix =
+        "serve.session.demo.stage." + metric_label(st.name) + ".";
+    EXPECT_EQ(snap.counter_value(prefix + "jobs"), 6) << prefix;
+    const auto* busy = snap.find_histogram(prefix + "busy_ms");
+    ASSERT_NE(busy, nullptr) << prefix;
+    EXPECT_EQ(busy->stats.count, 6) << prefix;
+  }
 }
 
 // The soak-grade variant: the golden session shares the server with a
@@ -874,8 +905,8 @@ std::vector<FrameRecord> run_churny_serving_session(uint64_t camera_seed,
   std::mutex m;
   SessionConfig golden;
   golden.name = "golden";
-  golden.stages = demo_session_stages(*net, pipeline::DemoConfig{},
-                                      EnginePolicy::kHiddenLayers);
+  golden.stages =
+      make_demo_stages(*net, DemoConfig{}, EnginePolicy::kHiddenLayers);
   golden.deliver = [&out, &m](video::Frame&& f) {
     std::lock_guard lock(m);
     out.push_back({f.sequence, std::move(f.detections)});
@@ -929,7 +960,7 @@ std::vector<FrameRecord> run_churny_serving_session(uint64_t camera_seed,
 
 TEST(StreamServer, GoldenSoakChurnDoesNotPerturbResults) {
   constexpr int64_t kFrames = 8;
-  const auto ref = run_reference_pipeline(29, kFrames);
+  const auto ref = run_serial_stages(29, kFrames);
   const auto got = run_churny_serving_session(29, kFrames);
   ASSERT_EQ(ref.size(), static_cast<size_t>(kFrames));
   expect_bit_identical(ref, got);

@@ -8,7 +8,6 @@
 #include "core/rng.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/network.hpp"
-#include "pipeline/pipeline.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -172,75 +171,7 @@ TEST(Telemetry, SummaryTableMentionsEveryMetric) {
   EXPECT_NE(table.find("h.two"), std::string::npos);
 }
 
-// --- Pipeline integration: span counts equal frames processed ---
-
-TEST(Telemetry, PipelineSpanCountsEqualFramesProcessed) {
-  constexpr int64_t kFrames = 40;  // ≥ 32 per the acceptance criteria
-  MetricsRegistry registry;
-  std::atomic<int64_t> next{0};
-  pipeline::PipelineOptions options;
-  for (int s = 0; s < 4; ++s)
-    options.stages.push_back(
-        {"stage " + std::to_string(s), [](video::Frame&) {}});
-  options.source = [&next] {
-    video::Frame f;
-    f.sequence = next++;
-    return f;
-  };
-  options.sink = [](const video::Frame&) {};
-  options.num_workers = 3;
-  options.metrics = &registry;
-  pipeline::Pipeline p(std::move(options));
-  p.run(kFrames);
-
-  const Snapshot snap = p.snapshot();
-  for (int s = 0; s < 4; ++s) {
-    const std::string prefix = "pipeline.stage.stage_" + std::to_string(s);
-    EXPECT_EQ(snap.counter_value(prefix + ".jobs"), kFrames) << prefix;
-    const auto* busy = snap.find_histogram(prefix + ".busy_ms");
-    ASSERT_NE(busy, nullptr) << prefix;
-    EXPECT_EQ(busy->stats.count, kFrames) << prefix;
-    const auto* wait = snap.find_histogram(prefix + ".wait_ms");
-    ASSERT_NE(wait, nullptr) << prefix;
-    EXPECT_EQ(wait->stats.count, kFrames) << prefix;
-  }
-  EXPECT_EQ(snap.counter_value("pipeline.frames"), kFrames);
-  const auto* latency = snap.find_histogram("pipeline.frame_latency_ms");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->stats.count, kFrames);
-  EXPECT_GT(snap.gauge_value("pipeline.fps"), 0.0);
-
-  // The legacy accessors are adapters over the same telemetry.
-  const auto stats = p.stats();
-  ASSERT_EQ(stats.size(), 4u);
-  for (const auto& st : stats) EXPECT_EQ(st.jobs, kFrames);
-  EXPECT_NEAR(p.elapsed_seconds() * 1000.0,
-              snap.gauge_value("pipeline.elapsed_ms"), 1e-9);
-}
-
-TEST(Telemetry, PipelineRunResetsItsOwnMetrics) {
-  MetricsRegistry registry;
-  registry.counter("unrelated.counter").add(5);
-  std::atomic<int64_t> next{0};
-  pipeline::PipelineOptions options;
-  options.stages.push_back({"only", [](video::Frame&) {}});
-  options.source = [&next] {
-    video::Frame f;
-    f.sequence = next++;
-    return f;
-  };
-  options.sink = [](const video::Frame&) {};
-  options.num_workers = 2;
-  options.metrics = &registry;
-  pipeline::Pipeline p(std::move(options));
-  p.run(10);
-  p.run(7);  // second run must not accumulate on top of the first
-  EXPECT_EQ(p.snapshot().counter_value("pipeline.stage.only.jobs"), 7);
-  EXPECT_EQ(p.snapshot().counter_value("pipeline.frames"), 7);
-  EXPECT_EQ(p.snapshot().counter_value("unrelated.counter"), 5);
-}
-
-// --- Network integration: per-layer spans stay fresh in pipeline mode ---
+// --- Network integration: per-layer spans stay fresh in demo mode ---
 
 TEST(Telemetry, NetworkRunLayerIntoRecordsFreshTimings) {
   MetricsRegistry registry;
@@ -254,19 +185,16 @@ TEST(Telemetry, NetworkRunLayerIntoRecordsFreshTimings) {
   for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform();
 
   net.forward(in);
-  const auto* layer0 =
-      net.snapshot().find_histogram("net.layer.0.convolutional.ms");
+  const auto snap = net.snapshot();
+  const auto* layer0 = snap.find_histogram("net.layer.0.convolutional.ms");
   ASSERT_NE(layer0, nullptr);
   EXPECT_EQ(layer0->stats.count, 1);
 
-  // Pipeline mode: external per-frame buffer, same telemetry stream —
-  // last_layer_ms() must reflect this run, not the stale forward() one.
+  // Demo mode: external per-frame buffer, same telemetry stream.
   Tensor out(net.layer(0).output_shape());
   net.run_layer_into(0, in, out);
   EXPECT_EQ(net.snapshot().find_histogram("net.layer.0.convolutional.ms")->stats.count,
             2);
-  EXPECT_EQ(net.last_layer_ms(0),
-            net.snapshot().find_histogram("net.layer.0.convolutional.ms")->stats.last);
   EXPECT_EQ(net.snapshot().find_histogram("net.forward.ms")->stats.count, 1);
 }
 

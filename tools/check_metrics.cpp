@@ -1,10 +1,11 @@
 // Schema checker for `tincy --metrics-json` output (the tier2-metrics
 // and tier2-serve CTest labels). Validates that the document parses as
-// telemetry schema v1 and contains the observability surface the demo
-// pipeline promises: per-layer latency histograms, per-stage busy/wait
-// metrics, and — with --frames N — stage span counts equal to the frames
-// processed. With --serve-frames N it instead validates the serving
-// surface of `tincy serve-sim`: serve.session.<id>.frames counters
+// telemetry schema v1 and contains the observability surface `tincy demo`
+// promises: per-layer latency histograms, per-stage busy/wait metrics
+// (serve.session.<name>.stage.<stage>.*), and — with --frames N — every
+// stage's span and job counts and every session's frame counter equal to
+// the frames processed. With --serve-frames N it instead validates the
+// serving surface of `tincy serve-sim`: serve.session.<id>.frames counters
 // summing to N, a matching latency histogram per session, and the
 // serve.arbiter.* metrics.
 //
@@ -465,39 +466,49 @@ int main(int argc, char** argv) {
   }
   if (layers == 0) return fail("no net.layer.* histograms");
 
-  // Per-stage pipeline busy/wait spans.
+  // Per-stage busy/wait spans and job counters of the server's sessions.
+  const auto is_stage_metric = [](const std::string& name,
+                                  const std::string& suffix) {
+    return name.rfind("serve.session.", 0) == 0 &&
+           name.find(".stage.") != std::string::npos &&
+           ends_with(name, suffix);
+  };
   int64_t busy = 0, wait = 0;
-  for (const auto* h : snapshot.histograms_with_prefix("pipeline.stage.")) {
-    if (ends_with(h->name, ".busy_ms")) ++busy;
-    if (ends_with(h->name, ".wait_ms")) ++wait;
+  for (const auto* h : snapshot.histograms_with_prefix("serve.session.")) {
+    const bool is_busy = is_stage_metric(h->name, ".busy_ms");
+    const bool is_wait = is_stage_metric(h->name, ".wait_ms");
+    if (!is_busy && !is_wait) continue;
+    busy += is_busy;
+    wait += is_wait;
     if (expect_frames >= 0 && h->stats.count != expect_frames)
       return fail(h->name + ": " + std::to_string(h->stats.count) +
                   " spans, expected " + std::to_string(expect_frames));
   }
-  if (busy == 0) return fail("no pipeline.stage.*.busy_ms histograms");
-  if (wait == 0) return fail("no pipeline.stage.*.wait_ms histograms");
+  if (busy == 0) return fail("no serve.session.*.stage.*.busy_ms histograms");
+  if (wait == 0) return fail("no serve.session.*.stage.*.wait_ms histograms");
   if (busy != wait)
     return fail("busy_ms / wait_ms stage counts differ");
 
-  // Stage job counters must equal the frames processed.
-  int64_t job_counters = 0;
+  // Stage job counters and session frame counters must equal the frames
+  // processed.
+  int64_t job_counters = 0, sessions = 0;
   for (const auto& c : snapshot.counters) {
-    const bool is_jobs =
-        c.name.rfind("pipeline.stage.", 0) == 0 && ends_with(c.name, ".jobs");
-    if (!is_jobs) continue;
-    ++job_counters;
-    if (expect_frames >= 0 && c.value != expect_frames)
+    const bool is_jobs = is_stage_metric(c.name, ".jobs");
+    const bool is_frames = !is_jobs && c.name.rfind("serve.session.", 0) == 0 &&
+                           ends_with(c.name, ".frames");
+    job_counters += is_jobs;
+    sessions += is_frames;
+    if ((is_jobs || is_frames) && expect_frames >= 0 &&
+        c.value != expect_frames)
       return fail(c.name + ": " + std::to_string(c.value) +
-                  " jobs, expected " + std::to_string(expect_frames));
+                  ", expected " + std::to_string(expect_frames));
   }
   if (job_counters != busy)
     return fail("jobs counters do not match stage histograms");
-  if (expect_frames >= 0 &&
-      snapshot.counter_value("pipeline.frames") != expect_frames)
-    return fail("pipeline.frames != expected frame count");
+  if (sessions == 0) return fail("no serve.session.*.frames counters");
 
   std::printf(
-      "metrics OK: %lld layer histogram(s), %lld pipeline stage(s)%s\n",
+      "metrics OK: %lld layer histogram(s), %lld stage(s)%s\n",
       static_cast<long long>(layers), static_cast<long long>(busy),
       expect_frames >= 0 ? (", " + std::to_string(expect_frames) +
                             " spans per stage")

@@ -25,13 +25,13 @@
 // `zoo:tiny`, `zoo:tincy`, `zoo:tincy-w1a3`, `zoo:mlp4`, `zoo:cnv6`.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "telemetry/export.hpp"
@@ -53,11 +53,11 @@
 #include "offload/import.hpp"
 #include "offload/registration.hpp"
 #include "perf/ladder.hpp"
-#include "pipeline/demo.hpp"
 #include "serve/demo.hpp"
 #include "serve/server.hpp"
 #include "video/draw.hpp"
 #include "video/ppm.hpp"
+#include "video/sink.hpp"
 
 using namespace tincy;
 
@@ -146,9 +146,27 @@ int cmd_detect(int argc, char** argv) {
   return 0;
 }
 
+/// Reads positional argument `i` into `out` when present. False (a usage
+/// error) when it is not an integer in [lo, hi].
+bool int_arg(int argc, char** argv, int i, int64_t lo, int64_t hi,
+             int64_t& out) {
+  if (i >= argc) return true;
+  try {
+    out = parse_int(argv[i]);
+  } catch (const Error&) {
+    return false;
+  }
+  return out >= lo && out <= hi;
+}
+
 int cmd_demo(int argc, char** argv) {
-  const int64_t frames = argc > 0 ? std::atoll(argv[0]) : 64;
-  const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
+  int64_t frames = 64, workers = 4;
+  if (!int_arg(argc, argv, 0, 1, INT64_MAX, frames) ||
+      !int_arg(argc, argv, 1, 1, serve::kMaxWorkers, workers)) {
+    std::fprintf(stderr, "usage: tincy demo [frames>=1] [workers 1..%d]\n",
+                 serve::kMaxWorkers);
+    return 2;
+  }
   // kOptimized runs the first and output layers on the packed lowp GEMM
   // engine, so the demo's --metrics-json carries the gemm.* observability
   // surface.
@@ -159,28 +177,30 @@ int cmd_demo(int argc, char** argv) {
   nn::zoo::randomize(*net, rng);
   video::SyntheticCamera camera({.width = 128, .height = 96, .seed = 17});
   video::OrderCheckingSink sink;
-  pipeline::DemoConfig cfg;
-  cfg.num_workers = workers;
-  const auto result = pipeline::run_demo(camera, *net, sink, frames, cfg);
+  serve::DemoConfig cfg;
+  cfg.num_workers = static_cast<int>(workers);
+  serve::run_demo(
+      camera, *net, frames, [&sink](video::Frame&& f) { sink.push(f); }, cfg);
   std::printf("%lld frames, %.1f fps, order %s\n",
-              static_cast<long long>(sink.frames_received()), result.fps,
+              static_cast<long long>(sink.frames_received()), sink.fps(),
               sink.in_order() ? "preserved" : "VIOLATED");
   return sink.in_order() ? 0 : 1;
 }
 
 int cmd_serve_sim(int argc, char** argv) {
-  const int streams = argc > 0 ? std::atoi(argv[0]) : 4;
-  const int64_t frames = argc > 1 ? std::atoll(argv[1]) : 32;
-  const int workers = argc > 2 ? std::atoi(argv[2]) : 4;
-  if (streams < 1 || frames < 1 || workers < 1) {
+  int64_t streams = 4, frames = 32, workers = 4;
+  if (!int_arg(argc, argv, 0, 1, INT32_MAX, streams) ||
+      !int_arg(argc, argv, 1, 1, INT64_MAX, frames) ||
+      !int_arg(argc, argv, 2, 1, serve::kMaxWorkers, workers)) {
     std::fprintf(stderr,
                  "usage: tincy serve-sim [streams>=1] [frames>=1] "
-                 "[workers>=1]\n");
+                 "[workers 1..%d]\n",
+                 serve::kMaxWorkers);
     return 2;
   }
 
   serve::ServerOptions opts;
-  opts.num_workers = workers;
+  opts.num_workers = static_cast<int>(workers);
   serve::StreamServer server(opts);
 
   // Every stream is an independent client: its own network instance (no
@@ -188,8 +208,9 @@ int cmd_serve_sim(int argc, char** argv) {
   // Only the fabric engine is shared, through the arbiter.
   std::vector<std::unique_ptr<nn::Network>> nets;
   std::vector<std::unique_ptr<video::SyntheticCamera>> cameras;
+  std::vector<std::function<video::Frame()>> sources;
   std::vector<video::OrderCheckingSink> sinks(static_cast<size_t>(streams));
-  for (int i = 0; i < streams; ++i) {
+  for (int64_t i = 0; i < streams; ++i) {
     auto net = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
         nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kFloat, 64,
         nn::zoo::CpuProfile::kFused));
@@ -199,9 +220,12 @@ int cmd_serve_sim(int argc, char** argv) {
         video::CameraConfig{.width = 128,
                             .height = 96,
                             .seed = 17 + static_cast<uint64_t>(i)}));
+    sources.push_back([camera = cameras.back().get()] {
+      return camera->read_frame();
+    });
     serve::SessionConfig sc;
-    sc.stages = serve::demo_session_stages(
-        *net, pipeline::DemoConfig{}, serve::EnginePolicy::kHiddenLayers);
+    sc.stages = serve::make_demo_stages(*net, serve::DemoConfig{},
+                                        serve::EnginePolicy::kHiddenLayers);
     auto* sink = &sinks[static_cast<size_t>(i)];
     sc.deliver = [sink](video::Frame&& f) { sink->push(f); };
     sc.queue_capacity = 4;
@@ -211,28 +235,7 @@ int cmd_serve_sim(int argc, char** argv) {
 
   server.start();
   const auto t0 = std::chrono::steady_clock::now();
-  // Round-robin submission; a full queue answers kOverloaded and the
-  // frame is retried — the per-stream backpressure path.
-  std::vector<int64_t> sent(static_cast<size_t>(streams), 0);
-  std::vector<std::optional<video::Frame>> held(
-      static_cast<size_t>(streams));
-  int64_t remaining = static_cast<int64_t>(streams) * frames;
-  while (remaining > 0) {
-    bool progressed = false;
-    for (int i = 0; i < streams; ++i) {
-      const auto ui = static_cast<size_t>(i);
-      if (sent[ui] == frames) continue;
-      if (!held[ui]) held[ui] = cameras[ui]->read_frame();
-      if (server.submit(i, *held[ui]) == serve::ServeResult::kAccepted) {
-        held[ui].reset();
-        ++sent[ui];
-        --remaining;
-        progressed = true;
-      }
-    }
-    if (!progressed)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  serve::feed(server, sources, frames);
   server.drain();
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -242,22 +245,23 @@ int cmd_serve_sim(int argc, char** argv) {
   bool ok = true;
   const auto snapshot = server.snapshot();
   std::printf("stream  frames  rejected  mean_lat_ms  order\n");
-  for (int i = 0; i < streams; ++i) {
+  for (int64_t i = 0; i < streams; ++i) {
     const auto& sink = sinks[static_cast<size_t>(i)];
     const auto* lat = snapshot.find_histogram(
         "serve.session.s" + std::to_string(i) + ".latency_ms");
-    std::printf("s%-5d  %6lld  %8lld  %11.2f  %s\n", i,
+    std::printf("s%-5lld  %6lld  %8lld  %11.2f  %s\n",
+                static_cast<long long>(i),
                 static_cast<long long>(sink.frames_received()),
                 static_cast<long long>(server.rejected(i)),
                 lat ? lat->stats.mean() : 0.0,
                 sink.in_order() ? "ok" : "VIOLATED");
     ok = ok && sink.in_order() && sink.frames_received() == frames;
   }
-  const auto total = static_cast<long long>(streams) * frames;
+  const auto total = static_cast<long long>(streams * frames);
   std::printf(
-      "%d stream(s), %lld frames total, %.2f s, %.1f fps aggregate, "
+      "%lld stream(s), %lld frames total, %.2f s, %.1f fps aggregate, "
       "%lld engine grants\n",
-      streams, static_cast<long long>(total), elapsed_s,
+      static_cast<long long>(streams), total, elapsed_s,
       elapsed_s > 0.0 ? static_cast<double>(total) / elapsed_s : 0.0,
       static_cast<long long>(server.arbiter().grants()));
   return ok ? 0 : 1;
