@@ -83,9 +83,18 @@ ShapeResult bench_shape(const char* name, int64_t M, int64_t C, int64_t N,
   one.in_height = one.in_width = one.kernel = kernel;
   const int64_t col_words = bits * gemm::bitplane_words(K);
   std::vector<uint64_t> planes(static_cast<size_t>(N * col_words));
-  for (int64_t j = 0; j < N; ++j)
-    gemm::im2col_bitplanes(codes.data() + j * K, one, bits,
+  // The oracle reads Darknet order (c·K² + t), the im2col pixel-major
+  // codes (t·C + c).
+  const int64_t taps = kernel * kernel;
+  std::vector<uint8_t> hwc(static_cast<size_t>(K));
+  for (int64_t j = 0; j < N; ++j) {
+    for (int64_t c = 0; c < C; ++c)
+      for (int64_t t = 0; t < taps; ++t)
+        hwc[static_cast<size_t>(t * C + c)] =
+            codes[static_cast<size_t>(j * K + c * taps + t)];
+    gemm::im2col_bitplanes(hwc.data(), one, bits,
                            planes.data() + j * col_words);
+  }
 
   ShapeResult res;
   std::vector<int32_t> expected(static_cast<size_t>(N * M));

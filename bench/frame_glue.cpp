@@ -27,6 +27,17 @@
 //   L0 emitting L1 codes L0's code sink vs L0's floats quantised onto
 //                        L1's input grid ("L0 + L1 quantise").
 //
+// The pixel-major code engine's stages, each against its scalar oracle,
+// on L1's and L3's input codes in HWC order:
+//
+//   L1/L3 im2col         gemm::im2col_bitplanes (pixel planes by shift
+//                        and movemask, whole C-bit field stores) against
+//                        a bit-by-bit gather;
+//   L1 epilogue          the bit-serial GEMM with the threshold table
+//                        writing each column as one HWC pixel, against
+//                        the same GEMM with one ThresholdChannel::apply
+//                        per output.
+//
 // The code-domain rows time what Network::forward runs between the
 // quantized convs against the float path it replaces (the "oracle"
 // column holds the float path):
@@ -60,7 +71,9 @@
 #include "core/thread_pool.hpp"
 #include "data/image.hpp"
 #include "frame_glue_oracle.hpp"
+#include "gemm/code_layer.hpp"
 #include "gemm/gemm_lowp.hpp"
+#include "gemm/layout.hpp"
 #include "nn/builder.hpp"
 #include "nn/maxpool_layer.hpp"
 #include "nn/network.hpp"
@@ -297,15 +310,86 @@ int main(int argc, char** argv) {
     const quant::CodeGrid grid{l1.config().act_bits, l1.config().in_scale,
                                l1.config().bipolar};
     Tensor floats(conv.output_shape());
-    TensorU8 want_codes(conv.output_shape()), got_codes(conv.output_shape());
+    TensorU8 chw_codes(conv.output_shape()), want_codes(conv.output_shape()),
+        got_codes(conv.output_shape());
+    const int64_t l1_pixels = l1.geometry().in_height * l1.geometry().in_width;
     rows.push_back(time_pair(
         "L0 emitting L1 codes", shape, kTrials,
         [&] {
           conv.forward(in, floats);
-          grid.quantize(floats.data(), floats.numel(), want_codes.data());
+          grid.quantize(floats.data(), floats.numel(), chw_codes.data());
+          oracle::to_hwc(chw_codes.data(), l1.geometry().in_channels,
+                         l1_pixels, want_codes.data());
         },
         [&] { conv.forward_emit(in, grid, got_codes.data()); }, want_codes,
         got_codes));
+  }
+
+  // The pixel-major code engine's stages on L1's and L3's real input
+  // codes (HWC, as Network::forward hands them).
+  std::vector<TensorU8> hwc_codes(4);
+  for (const int64_t l : {1, 3}) {
+    const auto& conv = dynamic_cast<const nn::ConvLayer&>(net->layer(l));
+    const Tensor& in = inputs[static_cast<size_t>(l)];
+    hwc_codes[static_cast<size_t>(l)] = TensorU8(in.shape());
+    gemm::quantize_to_hwc(*conv.code_input(), in.data(), in.shape().channels(),
+                          in.shape().height() * in.shape().width(),
+                          hwc_codes[static_cast<size_t>(l)].data());
+  }
+  for (const int64_t l : {1, 3}) {
+    const auto& conv = dynamic_cast<const nn::ConvLayer&>(net->layer(l));
+    const gemm::ConvGeometry& g = conv.geometry();
+    const int bits = conv.config().act_bits;
+    const int64_t words =
+        g.num_patches() * bits * gemm::bitplane_words(g.patch_size());
+    std::vector<uint64_t> want(static_cast<size_t>(words)),
+        got(static_cast<size_t>(words));
+    const uint8_t* codes = hwc_codes[static_cast<size_t>(l)].data();
+    rows.push_back(time_pair(
+        "L" + std::to_string(l) + " im2col", shape_of(inputs[static_cast<size_t>(l)]),
+        kTrials, [&] { oracle::im2col_bitplanes(codes, g, bits, want.data()); },
+        [&] { gemm::im2col_bitplanes(codes, g, bits, got.data()); },
+        [&] { return want == got; }));
+  }
+  {
+    // L1's threshold epilogue inside the bit-serial GEMM: one
+    // ThresholdChannel::apply per output against the table compare
+    // writing each column's codes as one HWC pixel. Both arms run the
+    // same im2col'd columns through the same GEMM.
+    auto& conv = dynamic_cast<nn::ConvLayer&>(net->layer(1));
+    const gemm::ConvGeometry& g = conv.geometry();
+    const int bits = conv.config().act_bits;
+    const gemm::BitSerialWeights packed =
+        gemm::pack_bitserial(conv.binary_weights(), conv.config().size);
+    const gemm::ThresholdTable table(conv.quant_thresholds());
+    const int64_t n = g.num_patches(), rows_out = conv.config().filters;
+    std::vector<uint64_t> planes(
+        static_cast<size_t>(n * bits * gemm::bitplane_words(g.patch_size())));
+    gemm::im2col_bitplanes(hwc_codes[1].data(), g, bits, planes.data());
+    const auto& channels = conv.quant_thresholds();
+    TensorU8 want(conv.output_shape()), got(conv.output_shape());
+    rows.push_back(time_pair(
+        "L1 epilogue", shape_of(inputs[1]), kTrials,
+        [&] {
+          gemm::bitserial_gemm(
+              packed, planes.data(), n, bits, false,
+              [&](int64_t j0, int64_t count, const int32_t* acc) {
+                for (int64_t jj = 0; jj < count; ++jj)
+                  for (int64_t c = 0; c < rows_out; ++c)
+                    want[(j0 + jj) * rows_out + c] =
+                        channels[static_cast<size_t>(c)].apply(
+                            acc[jj * rows_out + c]);
+              });
+        },
+        [&] {
+          gemm::bitserial_gemm(
+              packed, planes.data(), n, bits, false,
+              [&](int64_t j0, int64_t count, const int32_t* acc) {
+                gemm::threshold_columns(table, acc, count,
+                                        got.data() + j0 * rows_out);
+              });
+        },
+        want, got));
   }
 
   for (const int64_t l : {2, 4, 10}) {
@@ -315,15 +399,21 @@ int main(int argc, char** argv) {
     const nn::ConvConfig& conv =
         dynamic_cast<const nn::ConvLayer&>(net->layer(l - 1)).config();
     const quant::CodeGrid grid{conv.act_bits, conv.out_scale, conv.bipolar};
-    TensorU8 codes(in.shape()), pooled(pool.output_shape());
-    grid.quantize(in.data(), in.numel(), codes.data());
-    Tensor want(pool.output_shape()), got(pool.output_shape());
+    // Code maps are pixel-major (HWC).
+    const Shape out = pool.output_shape();
+    TensorU8 chw(in.shape()), codes(in.shape()), pooled(out), pooled_chw(out);
+    grid.quantize(in.data(), in.numel(), chw.data());
+    oracle::to_hwc(chw.data(), in.shape().channels(),
+                   in.shape().height() * in.shape().width(), codes.data());
+    Tensor want(out), got(out);
     rows.push_back(time_pair(
         "L" + std::to_string(l) + " code pool", shape_of(in), kTrials,
         [&] { pool.forward(in, want); },
         [&] { pool.forward_codes(codes.data(), pooled.data()); },
         [&] {
-          grid.dequantize(pooled.data(), pooled.numel(), got.data());
+          oracle::to_chw(pooled.data(), out.channels(),
+                         out.height() * out.width(), pooled_chw.data());
+          grid.dequantize(pooled_chw.data(), pooled_chw.numel(), got.data());
           return bytes_equal(want, got);
         }));
   }

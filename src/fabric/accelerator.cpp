@@ -5,6 +5,8 @@
 #include <cstdio>
 
 #include "core/errors.hpp"
+#include "gemm/layout.hpp"
+#include "gemm/scratch.hpp"
 #include "quant/thresholds.hpp"
 #include "telemetry/trace.hpp"
 
@@ -178,7 +180,20 @@ void QnnAccelerator::run_layer_batched(int64_t i,
     layer.pool_size = s.pool_size;
     layer.pool_stride = s.pool_stride;
   }
-  gemm::run_code_layer(layer, inputs.data(), batch, outputs.data());
+  // The engine computes on HWC codes; this call's contract is CHW.
+  const int64_t in_pixels = s.in_height * s.in_width;
+  const int64_t out_pixels = out_numel / s.filters;
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  uint8_t* in_hwc = arena.alloc<uint8_t>(batch * in_numel);
+  uint8_t* out_hwc = arena.alloc<uint8_t>(batch * out_numel);
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::chw_to_hwc(inputs.data() + f * in_numel, s.in_channels, in_pixels,
+                     in_hwc + f * in_numel);
+  gemm::run_code_layer(layer, in_hwc, batch, out_hwc);
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::hwc_to_chw(out_hwc + f * out_numel, s.filters, out_pixels,
+                     outputs.data() + f * out_numel);
 
   if (batch > 1) {
     // A sequential per-frame run would have streamed the weights batch

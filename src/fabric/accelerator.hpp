@@ -120,8 +120,11 @@ class QnnAccelerator {
   /// Executes layer `i` over `batch` stacked input code maps with a
   /// single weight-streaming phase (weights resident across the batch,
   /// compute per frame). Bit-identical to running the layer per frame;
-  /// records the fabric.dma_* amortization telemetry when batch > 1. All
-  /// scratch comes from the thread arena: a warm pass does not allocate.
+  /// records the fabric.dma_* amortization telemetry when batch > 1. Maps
+  /// are CHW on both sides; the engine (gemm::run_code_layer) computes on
+  /// HWC codes, so the maps are converted at entry and exit with the
+  /// blocked transposes of gemm/layout.hpp. All scratch comes from the
+  /// thread arena: a warm pass does not allocate.
   void run_layer_batched(int64_t i, std::span<const uint8_t> inputs,
                          int64_t batch, std::span<uint8_t> outputs) const;
 

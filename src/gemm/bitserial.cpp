@@ -4,6 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#include <immintrin.h>
+#endif
+
 #include "core/errors.hpp"
 #include "core/thread_pool.hpp"
 #include "gemm/scratch.hpp"
@@ -69,7 +73,8 @@ BitSerialWeights empty_pack(int64_t rows, int64_t cols, int64_t kernel) {
   return p;
 }
 
-/// ORs the `nw`-word bit string `src` into `dst` at bit offset `off`.
+/// ORs the `nw`-word bit string `src` into `dst` at bit offset `off` (the
+/// im2col's field store when C neither divides 64 nor is a multiple of 64).
 /// Bits of `src` past its length are zero, so a spill into the next
 /// word only happens when that word is still inside the patch.
 inline void or_bits(uint64_t* dst, int64_t off, const uint64_t* src,
@@ -91,77 +96,170 @@ struct Im2colCtx {
   uint64_t* planes;
 };
 
-/// Pixel planes of image rows [lo, hi): pix[(p·bits + b)·cw + c/64].
-/// Each word gathers its 64 channels of one pixel in registers and is
-/// stored once. Eight pixels go together: one 8-byte read per channel
-/// covers them, and an 8 × 8 bit transpose per plane moves 64 bits at a
-/// time.
-void pixel_planes(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<Im2colCtx*>(p);
+constexpr uint64_t kByteLsb = 0x0101010101010101;
+
+/// Bit 0 of each of x's 8 bytes, gathered into bits 0–7: byte k's bit
+/// lands at bit 56 + k of the product, and no two partial products meet.
+inline uint64_t byte_lsbs(uint64_t x) {
+  return ((x & kByteLsb) * 0x0102040810204080) >> 56;
+}
+
+/// The planes of `n` <= 64 − base channel codes, 8 at a time through
+/// byte_lsbs (the last 8 may be partial): w[b] |= bit b of code c, at bit
+/// base + c.
+inline void gather_planes_portable(const uint8_t* codes, int64_t n, int bits,
+                                   int64_t base, uint64_t* w) {
+  for (int64_t c = 0; c < n; c += 8) {
+    uint64_t x = 0;  // byte k: the code of channel c + k
+    for (int64_t k = 0; k < std::min<int64_t>(8, n - c); ++k)
+      x |= uint64_t{codes[c + k]} << (8 * k);
+    for (int b = 0; b < bits; ++b) w[b] |= byte_lsbs(x >> b) << (base + c);
+  }
+}
+
+/// Pixel planes of image rows [lo, hi): pix[(q·bits + b)·cw + c/64] holds
+/// bit b of pixel q's channels. The image is HWC, so a pixel's channels
+/// are one contiguous run of bytes, read once for all planes.
+void pixel_planes_portable(int64_t lo, int64_t hi, const Im2colCtx& ctx) {
   const ConvGeometry& g = *ctx.g;
-  const int64_t hw = g.in_height * g.in_width, stride = ctx.bits * ctx.cw;
-  const int64_t p0 = lo * g.in_width, p1 = hi * g.in_width;
-  constexpr uint64_t kByteLsb = 0x0101010101010101;
-  for (int64_t wi = 0; wi < ctx.cw; ++wi) {
-    const int64_t c0 = wi * 64;
-    const int64_t n = std::min<int64_t>(64, g.in_channels - c0);
-    const uint8_t* image = ctx.image + c0 * hw;
-    int64_t q = p0;
-    for (; q + 8 <= p1; q += 8) {
-      uint64_t w[8][8] = {};  // [pixel][plane]
-      for (int64_t c = 0; c < n; c += 8) {
-        const int64_t m = std::min<int64_t>(8, n - c);
-        uint64_t z[8] = {};  // [plane]: byte k = 8 channels of pixel q + k
-        for (int64_t j = 0; j < m; ++j) {
-          const uint8_t* codes = image + (c + j) * hw + q;
-          uint64_t x = 0;  // byte k: the code of pixel q + k
-          for (int k = 0; k < 8; ++k) x |= uint64_t{codes[k]} << (8 * k);
-          for (int b = 0; b < ctx.bits; ++b)
-            z[b] |= ((x >> b) & kByteLsb) << j;
-        }
-        for (int b = 0; b < ctx.bits; ++b)
-          for (int k = 0; k < 8; ++k)
-            w[k][b] |= ((z[b] >> (8 * k)) & 0xff) << c;
-      }
-      for (int k = 0; k < 8; ++k)
-        for (int b = 0; b < ctx.bits; ++b)
-          ctx.pix[(q + k) * stride + b * ctx.cw + wi] = w[k][b];
-    }
-    for (; q < p1; ++q) {
+  const int64_t C = g.in_channels, stride = ctx.bits * ctx.cw;
+  for (int64_t q = lo * g.in_width; q < hi * g.in_width; ++q) {
+    const uint8_t* px = ctx.image + q * C;
+    uint64_t* dst = ctx.pix + q * stride;
+    for (int64_t wi = 0; wi < ctx.cw; ++wi) {
       uint64_t w[8] = {};
-      for (int64_t c = 0; c < n; ++c)
-        for (int b = 0; b < ctx.bits; ++b)  // branch-free: codes are random
-          w[b] |= ((uint64_t{image[c * hw + q]} >> b) & 1u) << c;
-      for (int b = 0; b < ctx.bits; ++b)
-        ctx.pix[q * stride + b * ctx.cw + wi] = w[b];
+      gather_planes_portable(px + wi * 64, std::min<int64_t>(64, C - wi * 64),
+                             ctx.bits, 0, w);
+      for (int b = 0; b < ctx.bits; ++b) dst[b * ctx.cw + wi] = w[b];
     }
   }
 }
 
-/// Packed columns of output rows [lo, hi).
+// The gather is shift-plus-movemask bound: one 32- or 16-channel load per
+// pixel, then per plane a shift that brings bit b to each byte's top and
+// a movemask that packs those tops, so it is also built for AVX2 and
+// picked when cpuid has it (as the threshold epilogue is).
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+__attribute__((target("avx2"))) void pixel_planes_avx2(int64_t lo, int64_t hi,
+                                                       const Im2colCtx& ctx) {
+  const ConvGeometry& g = *ctx.g;
+  const int64_t C = g.in_channels, stride = ctx.bits * ctx.cw;
+  for (int64_t q = lo * g.in_width; q < hi * g.in_width; ++q) {
+    const uint8_t* px = ctx.image + q * C;
+    uint64_t* dst = ctx.pix + q * stride;
+    for (int64_t wi = 0; wi < ctx.cw; ++wi) {
+      const uint8_t* codes = px + wi * 64;
+      const int64_t n = std::min<int64_t>(64, C - wi * 64);
+      uint64_t w[8] = {};
+      int64_t c = 0;
+      for (; c + 32 <= n; c += 32) {
+        const __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + c));
+        for (int b = 0; b < ctx.bits; ++b) {
+          const __m256i top = _mm256_sll_epi16(v, _mm_cvtsi32_si128(7 - b));
+          w[b] |= uint64_t{static_cast<uint32_t>(_mm256_movemask_epi8(top))}
+                  << c;
+        }
+      }
+      for (; c + 16 <= n; c += 16) {
+        const __m128i v =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + c));
+        for (int b = 0; b < ctx.bits; ++b) {
+          const __m128i top = _mm_sll_epi16(v, _mm_cvtsi32_si128(7 - b));
+          w[b] |= uint64_t{static_cast<uint32_t>(_mm_movemask_epi8(top))} << c;
+        }
+      }
+      gather_planes_portable(codes + c, n - c, ctx.bits, c, w);
+      for (int b = 0; b < ctx.bits; ++b) dst[b * ctx.cw + wi] = w[b];
+    }
+  }
+}
+#endif
+
+void pixel_planes(int64_t lo, int64_t hi, void* p) {
+  const auto& ctx = *static_cast<Im2colCtx*>(p);
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2) return pixel_planes_avx2(lo, hi, ctx);
+#endif
+  pixel_planes_portable(lo, hi, ctx);
+}
+
+/// How a pixel's C-bit channel field goes into a patch column; the field
+/// of tap t starts at bit t·C.
+enum class FieldStore {
+  kWords,   ///< C a multiple of 64: each field is C/64 whole words
+  kPacked,  ///< C divides 64: fields never straddle a word, so each plane
+            ///< word is assembled from 64/C fields in a register
+  kBits,    ///< any other C: each field is ORed in at its bit offset
+};
+
+FieldStore field_store(int64_t channels) {
+  if (channels % 64 == 0) return FieldStore::kWords;
+  if (64 % channels == 0) return FieldStore::kPacked;
+  return FieldStore::kBits;
+}
+
+/// Packed columns of output rows [lo, hi). Each tap's pixel is located
+/// once and its `bits` plane fields stored together. The kWords and
+/// kPacked stores write every word of a column, padding taps as zero
+/// fields, so only kBits clears the column first.
+template <FieldStore kStore>
 void patch_columns(int64_t lo, int64_t hi, void* p) {
   const auto& ctx = *static_cast<Im2colCtx*>(p);
-  const ConvGeometry& g = *ctx.g;
+  // Locals: the column stores are uint64_t, which may alias the int64_t
+  // geometry, so fields read through ctx would be reloaded after each.
+  const ConvGeometry g = *ctx.g;
+  const uint64_t* const pix = ctx.pix;
+  uint64_t* const planes = ctx.planes;
   const int64_t words = bitplane_words(g.patch_size());
   const int64_t col_words = ctx.bits * words;
   const int64_t pix_stride = ctx.bits * ctx.cw;
-  const int64_t out_w = g.out_width();
+  const int64_t out_w = g.out_width(), C = g.in_channels, cw = ctx.cw;
+  const int bits = ctx.bits;
   for (int64_t oh = lo; oh < hi; ++oh)
     for (int64_t ow = 0; ow < out_w; ++ow) {
-      uint64_t* col = ctx.planes + (oh * out_w + ow) * col_words;
-      std::memset(col, 0, static_cast<size_t>(col_words) * sizeof(uint64_t));
+      uint64_t* col = planes + (oh * out_w + ow) * col_words;
+      if constexpr (kStore == FieldStore::kBits)
+        std::fill(col, col + col_words, uint64_t{0});
+      uint64_t word[8] = {};  // kPacked: the plane words being assembled
+      int64_t shift = 0, wi = 0;
       for (int64_t kh = 0; kh < g.kernel; ++kh) {
         const int64_t ih = oh * g.stride - g.pad + kh;
-        if (ih < 0 || ih >= g.in_height) continue;
+        const bool row_in = ih >= 0 && ih < g.in_height;
         for (int64_t kw = 0; kw < g.kernel; ++kw) {
           const int64_t iw = ow * g.stride - g.pad + kw;
-          if (iw < 0 || iw >= g.in_width) continue;
-          const int64_t off = (kh * g.kernel + kw) * g.in_channels;
-          const uint64_t* px = ctx.pix + (ih * g.in_width + iw) * pix_stride;
-          for (int b = 0; b < ctx.bits; ++b)
-            or_bits(col + b * words, off, px + b * ctx.cw, ctx.cw);
+          const uint64_t* px =
+              row_in && iw >= 0 && iw < g.in_width
+                  ? pix + (ih * g.in_width + iw) * pix_stride
+                  : nullptr;
+          if constexpr (kStore == FieldStore::kPacked) {
+            if (px != nullptr)
+              for (int b = 0; b < bits; ++b) word[b] |= px[b] << shift;
+            shift += C;
+            if (shift == 64) {
+              for (int b = 0; b < bits; ++b) {
+                col[b * words + wi] = word[b];
+                word[b] = 0;
+              }
+              shift = 0;
+              ++wi;
+            }
+          } else if constexpr (kStore == FieldStore::kWords) {
+            for (int b = 0; b < bits; ++b)
+              for (int64_t i = 0; i < cw; ++i)
+                col[b * words + wi + i] = px != nullptr ? px[b * cw + i] : 0;
+            wi += cw;
+          } else if (px != nullptr) {
+            for (int b = 0; b < bits; ++b)
+              or_bits(col + b * words, (kh * g.kernel + kw) * C, px + b * cw,
+                      cw);
+          }
         }
       }
+      if constexpr (kStore == FieldStore::kPacked)
+        if (shift != 0)
+          for (int b = 0; b < bits; ++b) col[b * words + wi] = word[b];
     }
 }
 
@@ -231,7 +329,19 @@ void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
   const bool shard = g.in_channels * g.in_height * g.in_width >= (1 << 16);
   const int64_t chunks = shard ? pool.threads() : 1;
   pool.parallel_for(0, g.in_height, chunks, pixel_planes, &ctx);
-  pool.parallel_for(0, g.out_height(), chunks, patch_columns, &ctx);
+  void (*columns)(int64_t, int64_t, void*) = nullptr;
+  switch (field_store(g.in_channels)) {
+    case FieldStore::kWords:
+      columns = patch_columns<FieldStore::kWords>;
+      break;
+    case FieldStore::kPacked:
+      columns = patch_columns<FieldStore::kPacked>;
+      break;
+    case FieldStore::kBits:
+      columns = patch_columns<FieldStore::kBits>;
+      break;
+  }
+  pool.parallel_for(0, g.out_height(), chunks, columns, &ctx);
 }
 
 BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,

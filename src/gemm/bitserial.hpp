@@ -79,9 +79,10 @@ BitSerialWeights pack_bitserial(const quant::BinaryMatrix& m,
 BitSerialWeights pack_bitserial(const quant::TernaryMatrix& m,
                                 int64_t kernel = 1);
 
-/// Im2col of a CHW map of A-bit codes straight into packed columns:
-/// column j (row-major over the output positions) occupies
-/// planes[j·bits·words, (j+1)·bits·words). Padding taps are code 0.
+/// Im2col of an HWC map of A-bit codes (gemm/layout.hpp) straight into
+/// packed columns: column j (row-major over the output positions)
+/// occupies planes[j·bits·words, (j+1)·bits·words). Padding taps are
+/// code 0.
 void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
                       uint64_t* planes);
 

@@ -1,9 +1,11 @@
 #include "gemm/code_layer.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "core/errors.hpp"
+#include "core/thread_pool.hpp"
 #include "gemm/scratch.hpp"
 
 namespace tincy::gemm {
@@ -58,83 +60,93 @@ __attribute__((target("avx2"))) void threshold_columns_avx2(
 }
 #endif
 
-void threshold_columns(const ThresholdTable& table, const int32_t* acc,
-                       int64_t count, uint8_t* level) {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  if (avx2) return threshold_columns_avx2(table, acc, count, level);
-#endif
-  threshold_columns_body(table, acc, count, level);
-}
-
 /// Each accumulator becomes the output code its channel's thresholds give
-/// it, stored in CHW order. Columns are frame-major (j = f·positions + p),
-/// so one block may straddle two frames.
+/// it. threshold_columns computes a column's codes channel-innermost,
+/// which is the HWC layout: columns are frame-major (j = f·positions + p)
+/// and frames are stacked, so column j's codes start at out + j·channels,
+/// whichever frame it belongs to.
 struct CodeEpilogue {
   const ThresholdTable* table;
-  int64_t positions;
   uint8_t* out;
 
   void operator()(int64_t j0, int64_t count, const int32_t* acc) const {
-    const int64_t channels = table->channels;
-    Arena& arena = thread_arena();
-    ScratchScope scope(arena);
-    uint8_t* level = arena.alloc<uint8_t>(count * channels);
-    threshold_columns(*table, acc, count, level);
-    for (int64_t jj = 0; jj < count;) {
-      const int64_t f = (j0 + jj) / positions, p = (j0 + jj) % positions;
-      const int64_t run = std::min(count - jj, positions - p);
-      uint8_t* dst = out + f * channels * positions + p;
-      for (int64_t c = 0; c < channels; ++c) {
-        uint8_t* row = dst + c * positions;
-        for (int64_t k = 0; k < run; ++k) row[k] = level[(jj + k) * channels + c];
-      }
-      jj += run;
-    }
+    threshold_columns(*table, acc, count, out + j0 * table->channels);
   }
 };
 
+/// The pools run in fixed-length blocks over restrict pointers, so the
+/// bodies vectorise at -O2 (whose cost model leaves byte loops of runtime
+/// length scalar).
 constexpr int64_t kPoolBlock = 16;
 
-/// Size 2, stride 2: out[i] = max of taps 2i, 2i + 1 of rows r0 and r1.
-void pool_row_s2(const uint8_t* __restrict r0, const uint8_t* __restrict r1,
-                 int64_t in_w, uint8_t* __restrict out, int64_t out_w) {
-  const int64_t full = in_w / 2;  // windows with both taps in the row
+/// o[i] = max of a[i], a[C + i], b[i], b[C + i] for i < n: 2 × 2 windows
+/// of HWC pixels with C channels (a, b: the top-left and bottom-left
+/// taps), one window for n = C, a stride-1 row of them for longer n.
+inline void max_2x2(const uint8_t* __restrict a, const uint8_t* __restrict b,
+                    int64_t n, int64_t C, uint8_t* __restrict o) {
+  const uint8_t* a1 = a + C;
+  const uint8_t* b1 = b + C;
   int64_t i = 0;
-  for (; i + kPoolBlock <= full; i += kPoolBlock) {
-    uint8_t v[2 * kPoolBlock];
-    for (int64_t k = 0; k < 2 * kPoolBlock; ++k)
-      v[k] = std::max(r0[2 * i + k], r1[2 * i + k]);
+  for (; i + kPoolBlock <= n; i += kPoolBlock)
     for (int64_t k = 0; k < kPoolBlock; ++k)
-      out[i + k] = std::max(v[2 * k], v[2 * k + 1]);
+      o[i + k] = std::max(std::max(a[i + k], a1[i + k]),
+                          std::max(b[i + k], b1[i + k]));
+  for (; i < n; ++i)
+    o[i] = std::max(std::max(a[i], a1[i]), std::max(b[i], b1[i]));
+}
+
+/// o[c] = max(o[c], tap[c]) over one pixel's channels.
+inline void max_into(uint8_t* __restrict o, const uint8_t* __restrict tap,
+                     int64_t channels) {
+  int64_t c = 0;
+  for (; c + kPoolBlock <= channels; c += kPoolBlock)
+    for (int64_t k = 0; k < kPoolBlock; ++k)
+      o[c + k] = std::max(o[c + k], tap[c + k]);
+  for (; c < channels; ++c) o[c] = std::max(o[c], tap[c]);
+}
+
+struct PoolCtx {
+  const PoolGeometry* p;
+  const uint8_t* in;
+  uint8_t* out;
+};
+
+/// Size 2, stride 1 or 2, output rows [lo, hi) of one HWC map. Darknet
+/// pads right and bottom: output row oh maxes input rows oh·stride and the
+/// next one (the same row again past the last), and a window whose right
+/// tap is past the row keeps its left tap. Each run below is contiguous
+/// over the channels, so it vectorises.
+void pool_rows_size2(int64_t lo, int64_t hi, void* arg) {
+  const auto& ctx = *static_cast<const PoolCtx*>(arg);
+  const PoolGeometry& p = *ctx.p;
+  const int64_t C = p.channels, W = p.in_width, s = p.stride;
+  const int64_t out_w = p.out_width(), row = W * C;
+  // Windows [0, full) have both taps in the row.
+  const int64_t full = W >= 2 ? std::min(out_w, (W - 2) / s + 1) : 0;
+  for (int64_t oh = lo; oh < hi; ++oh) {
+    const uint8_t* __restrict r0 = ctx.in + oh * s * row;
+    const uint8_t* __restrict r1 = oh * s + 1 < p.in_height ? r0 + row : r0;
+    uint8_t* __restrict o = ctx.out + oh * out_w * C;
+    if (s == 1)  // out[i] and in[i], in[i + C] line up across the row
+      max_2x2(r0, r1, full * C, C, o);
+    else
+      for (int64_t ow = 0; ow < full; ++ow)
+        max_2x2(r0 + 2 * ow * C, r1 + 2 * ow * C, C, C, o + ow * C);
+    for (int64_t ow = full; ow < out_w; ++ow) {  // the right tap is padding
+      std::memcpy(o + ow * C, r0 + ow * s * C, static_cast<size_t>(C));
+      max_into(o + ow * C, r1 + ow * s * C, C);
+    }
   }
-  for (; i < full; ++i)
-    out[i] = std::max(std::max(r0[2 * i], r1[2 * i]),
-                      std::max(r0[2 * i + 1], r1[2 * i + 1]));
-  // Odd width: the last window's right tap is padding.
-  if (full < out_w) out[full] = std::max(r0[in_w - 1], r1[in_w - 1]);
 }
 
-/// Size 2, stride 1: out[i] = max of taps i, i + 1 of rows r0 and r1.
-void pool_row_s1(const uint8_t* __restrict r0, const uint8_t* __restrict r1,
-                 int64_t in_w, uint8_t* __restrict out) {
-  const int64_t full = in_w - 1;
-  int64_t i = 0;
-  for (; i + kPoolBlock <= full; i += kPoolBlock)
-    for (int64_t k = 0; k < kPoolBlock; ++k)
-      out[i + k] = std::max(std::max(r0[i + k], r1[i + k]),
-                            std::max(r0[i + k + 1], r1[i + k + 1]));
-  for (; i < full; ++i)
-    out[i] = std::max(std::max(r0[i], r1[i]), std::max(r0[i + 1], r1[i + 1]));
-  out[full] = std::max(r0[full], r1[full]);
-}
-
-/// Any other geometry: each output scans its in-image taps.
-void pool_plane_generic(const PoolGeometry& p, const uint8_t* plane,
-                        uint8_t* out) {
+/// Any other geometry, output rows [lo, hi): each output pixel's channel
+/// vector is its first in-image tap, maxed with the others.
+void pool_rows_generic(int64_t lo, int64_t hi, void* arg) {
+  const auto& ctx = *static_cast<const PoolCtx*>(arg);
+  const PoolGeometry& p = *ctx.p;
+  const int64_t C = p.channels, out_w = p.out_width();
   const int64_t pad_left = (p.size - 1) / 2;
-  const int64_t out_h = p.out_height(), out_w = p.out_width();
-  for (int64_t oh = 0; oh < out_h; ++oh) {
+  for (int64_t oh = lo; oh < hi; ++oh) {
     const int64_t ih0 = oh * p.stride - pad_left;
     const int64_t kh_lo = std::max<int64_t>(0, -ih0);
     const int64_t kh_hi = std::min(p.size, p.in_height - ih0);
@@ -142,11 +154,13 @@ void pool_plane_generic(const PoolGeometry& p, const uint8_t* plane,
       const int64_t iw0 = ow * p.stride - pad_left;
       const int64_t kw_lo = std::max<int64_t>(0, -iw0);
       const int64_t kw_hi = std::min(p.size, p.in_width - iw0);
-      uint8_t best = 0;
+      uint8_t* o = ctx.out + (oh * out_w + ow) * C;
+      std::memcpy(o, ctx.in + ((ih0 + kh_lo) * p.in_width + iw0 + kw_lo) * C,
+                  static_cast<size_t>(C));
       for (int64_t kh = kh_lo; kh < kh_hi; ++kh)
         for (int64_t kw = kw_lo; kw < kw_hi; ++kw)
-          best = std::max(best, plane[(ih0 + kh) * p.in_width + iw0 + kw]);
-      out[oh * out_w + ow] = best;
+          if (kh != kh_lo || kw != kw_lo)
+            max_into(o, ctx.in + ((ih0 + kh) * p.in_width + iw0 + kw) * C, C);
     }
   }
 }
@@ -178,28 +192,24 @@ void max_pool_codes(const PoolGeometry& p, const uint8_t* in, uint8_t* out) {
                       p.out_width() > 0,
                   "pool " << p.size << "/" << p.stride << " over "
                           << p.in_height << "x" << p.in_width);
-  const int64_t in_plane = p.in_height * p.in_width;
-  const int64_t out_h = p.out_height(), out_w = p.out_width();
-  for (int64_t c = 0; c < p.channels; ++c) {
-    const uint8_t* plane = in + c * in_plane;
-    uint8_t* out_plane = out + c * out_h * out_w;
-    if (p.size != 2 || p.stride > 2) {
-      pool_plane_generic(p, plane, out_plane);
-      continue;
-    }
-    // Size 2 pads right/bottom: window rows oh·stride and the next one,
-    // which is padding past the last row.
-    for (int64_t oh = 0; oh < out_h; ++oh) {
-      const uint8_t* r0 = plane + oh * p.stride * p.in_width;
-      const uint8_t* r1 =
-          oh * p.stride + 1 < p.in_height ? r0 + p.in_width : r0;
-      uint8_t* o = out_plane + oh * out_w;
-      if (p.stride == 2)
-        pool_row_s2(r0, r1, p.in_width, o, out_w);
-      else
-        pool_row_s1(r0, r1, p.in_width, o);
-    }
-  }
+  PoolCtx ctx{&p, in, out};
+  // Memory-bound and vectorised: shard by output rows only for maps big
+  // enough to repay the hand-off (Tincy's L2 input, 2.8 MB, is).
+  core::ThreadPool& pool = core::ThreadPool::shared();
+  const bool shard = p.channels * p.in_height * p.in_width >= (1 << 20);
+  pool.parallel_for(0, p.out_height(), shard ? pool.threads() : 1,
+                    p.size == 2 && p.stride <= 2 ? pool_rows_size2
+                                                 : pool_rows_generic,
+                    &ctx);
+}
+
+void threshold_columns(const ThresholdTable& table, const int32_t* acc,
+                       int64_t count, uint8_t* level) {
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2) return threshold_columns_avx2(table, acc, count, level);
+#endif
+  threshold_columns_body(table, acc, count, level);
 }
 
 Shape CodeLayer::out_shape() const {
@@ -239,7 +249,7 @@ void run_code_layer(const CodeLayer& layer, const uint8_t* in, int64_t batch,
   const int64_t conv_numel = w.rows * positions;
   uint8_t* conv =
       layer.pool_size > 0 ? arena.alloc<uint8_t>(batch * conv_numel) : out;
-  const CodeEpilogue epilogue{layer.thresholds, positions, conv};
+  const CodeEpilogue epilogue{layer.thresholds, conv};
   // Passed by reference, so the std::function does not allocate.
   bitserial_gemm(w, planes, batch * positions, layer.bits, layer.bipolar,
                  std::cref(epilogue));

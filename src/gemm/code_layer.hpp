@@ -5,13 +5,21 @@
 /// (nn::ConvLayer, kQuantReference, and nn::Network's code handoff) and
 /// the fabric accelerator (fabric::QnnAccelerator::run_layer_batched).
 ///
-/// A-bit activation codes come in as bytes (CHW, `batch` maps stacked),
-/// are im2col'd into bit-planes (im2col_bitplanes), multiplied against the
-/// packed ±1 / {−1, 0, +1} weights on the bit-serial kernel
-/// (bitserial_gemm), thresholded to output codes by a table that compares
-/// 16 channels at a time, optionally max-pooled on codes, and leave as
-/// bytes. Every buffer is scratch from the thread arena, so a warm call
-/// does not touch the heap.
+/// A-bit activation codes come in as bytes, are im2col'd into bit-planes
+/// (im2col_bitplanes), multiplied against the packed ±1 / {−1, 0, +1}
+/// weights on the bit-serial kernel (bitserial_gemm), thresholded to
+/// output codes by a table that compares 16 channels at a time,
+/// optionally max-pooled on codes, and leave as bytes. Every buffer is
+/// scratch from the thread arena, so a warm call does not touch the heap.
+///
+/// Layout. Codes in and out are pixel-major (HWC, gemm/layout.hpp): pixel
+/// p's C codes are the bytes [p·C, (p+1)·C), and `batch` maps are
+/// stacked. That is the order each stage produces and consumes them in:
+/// the threshold epilogue computes an output column's channels together
+/// and stores them as one run, im2col reads each input pixel's channels
+/// as one run, and the pool maxes whole channel vectors. There is no
+/// other layout; callers holding CHW maps convert with
+/// chw_to_hwc / hwc_to_chw.
 ///
 /// Pooling on codes is exact: on a grid with positive scale the code
 /// order is the order of the real values, so the max of the codes is the
@@ -43,7 +51,15 @@ struct ThresholdTable {
   explicit ThresholdTable(std::span<const quant::ThresholdChannel> channels);
 };
 
-/// Darknet max-pool geometry over a CHW map (implicit total padding of
+/// The output codes of `count` accumulator columns: level[jj·channels + c]
+/// is the code channel c's thresholds give acc[jj·channels + c]. Each
+/// column's codes are one HWC pixel, so a block of columns lands in the
+/// output map as one contiguous run. Compares 16 channels at a time (an
+/// AVX2 build is picked when cpuid has it).
+void threshold_columns(const ThresholdTable& table, const int32_t* acc,
+                       int64_t count, uint8_t* level);
+
+/// Darknet max-pool geometry over a code map (implicit total padding of
 /// size − 1: a size-2 pool pads right/bottom, so 13×13 at stride 1 stays
 /// 13×13).
 struct PoolGeometry {
@@ -61,9 +77,10 @@ struct PoolGeometry {
   }
 };
 
-/// Max pool of one CHW code map. Padding taps never win (codes are
-/// unsigned and every window holds an in-image tap). The size-2 pools
-/// (stride 1 and 2) run 16 outputs at a time.
+/// Max pool of one HWC code map: each output pixel's channel vector is
+/// the elementwise max of its window's in-image pixels. Padding taps never
+/// win (codes are unsigned and every window holds an in-image tap).
+/// Sharded over output rows for large maps.
 void max_pool_codes(const PoolGeometry& p, const uint8_t* in, uint8_t* out);
 
 /// One W1A<bits> conv (an FC layer is a 1×1 conv over a 1×1 map) with an
@@ -87,14 +104,15 @@ struct CodeLayer {
   int64_t in_numel() const {
     return geom.in_channels * geom.in_height * geom.in_width;
   }
-  /// Output map shape (after the pool when there is one).
+  /// Output map shape (after the pool when there is one), as C × H × W;
+  /// the codes themselves are stored HWC.
   Shape out_shape() const;
 };
 
-/// Runs `layer` over `batch` stacked input code maps (in_numel() bytes
-/// each) into `batch` stacked output code maps (out_shape().numel() bytes
-/// each). One call streams the weights once for the whole batch; each
-/// frame's codes are exactly those of a batch-1 call.
+/// Runs `layer` over `batch` stacked HWC input code maps (in_numel() bytes
+/// each) into `batch` stacked HWC output code maps (out_shape().numel()
+/// bytes each). One call streams the weights once for the whole batch;
+/// each frame's codes are exactly those of a batch-1 call.
 void run_code_layer(const CodeLayer& layer, const uint8_t* in, int64_t batch,
                     uint8_t* out);
 

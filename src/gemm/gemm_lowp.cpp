@@ -142,17 +142,19 @@ struct FloatSink {
 };
 
 /// The code sink: y quantised onto the consumer's unsigned grid, as
-/// CodeGrid::quantize does.
+/// CodeGrid::quantize does, and stored pixel-major (HWC, the layout of
+/// every code map; gemm/layout.hpp): channel m of column j goes to
+/// out[j·channels + m].
 struct CodeSink {
   uint8_t* out;
-  int64_t n;
+  int64_t channels;
   quant::UniformActQuant q;
   void operator()(int64_t m, int64_t col0, int64_t width,
                   const float* y) const {
     uint8_t codes[kNr];
     for (int64_t j = 0; j < kNr; ++j) codes[j] = q.quantize(y[j]);
-    uint8_t* dst = out + m * n + col0;
-    for (int64_t j = 0; j < width; ++j) dst[j] = codes[j];
+    uint8_t* dst = out + col0 * channels + m;
+    for (int64_t j = 0; j < width; ++j) dst[j * channels] = codes[j];
   }
 };
 
@@ -273,7 +275,7 @@ void fused_conv_lowp_codes(const uint8_t* qimage, const ConvGeometry& g,
                            const quant::CodeGrid& grid, uint8_t* out) {
   TINCY_CHECK_MSG(!grid.bipolar, "the code sink writes unsigned grids only");
   run_lowp(qimage, g, input_params, weights, weight_params, epilogue,
-           CodeSink{out, g.num_patches(), {grid.bits, grid.scale}});
+           CodeSink{out, weights.rows, {grid.bits, grid.scale}});
 }
 
 }  // namespace tincy::gemm

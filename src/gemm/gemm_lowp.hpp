@@ -69,10 +69,12 @@ quant::AffineParams quantize_frame(const float* image, int64_t n,
 ///  * the code sink (fused_conv_lowp_codes) writes grid.quantize(y), the
 ///    codes a consumer reading the unsigned `grid` gets by quantising that
 ///    activation — byte-identical to the float sink followed by
-///    CodeGrid::quantize.
+///    CodeGrid::quantize and chw_to_hwc.
 ///
-/// Output is C' × (out_h·out_w) row-major. Column panels are sharded over
-/// core::ThreadPool::shared(); zero heap allocations in steady state.
+/// Float output is C' × (out_h·out_w) row-major (CHW); code output is
+/// pixel-major (HWC, gemm/layout.hpp), the layout every code consumer
+/// reads. Column panels are sharded over core::ThreadPool::shared(); zero
+/// heap allocations in steady state.
 void fused_conv_lowp_f32out(const uint8_t* qimage, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
                             const PackedLhsView& weights,

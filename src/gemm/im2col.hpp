@@ -15,7 +15,8 @@
 
 namespace tincy::gemm {
 
-/// Static geometry of a 2-d convolution over a CHW feature map.
+/// Static geometry of a 2-d convolution over a C × H × W feature map (CHW
+/// floats for the float im2col; the bit-plane im2col reads HWC codes).
 struct ConvGeometry {
   int64_t in_channels = 0;
   int64_t in_height = 0;

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "gemm/gemm_lowp.hpp"
+#include "gemm/layout.hpp"
 #include "gemm/gemm_simd.hpp"
 #include "gemm/scratch.hpp"
 #include "nn/weights_io.hpp"
@@ -267,13 +268,17 @@ void ConvLayer::forward_quant_reference(const Tensor& in, Tensor& out) {
   const gemm::CodeLayer layer = code_layer();
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
-  // Incoming floats sit on the activation grid; recover the integer codes.
-  // Zero padding is exact on the unsigned grid: real 0.0 is code 0.
+  // Incoming floats sit on the activation grid; recover the integer codes
+  // in the engine's HWC layout, and turn its HWC output codes back into
+  // CHW floats, each in one pass. Zero padding is exact on the unsigned
+  // grid: real 0.0 is code 0.
   uint8_t* codes = arena.alloc<uint8_t>(in.numel());
-  grid(cfg_.in_scale).quantize(in.data(), in.numel(), codes);
+  gemm::quantize_to_hwc(grid(cfg_.in_scale), in.data(), geom_.in_channels,
+                        geom_.in_height * geom_.in_width, codes);
   uint8_t* out_codes = arena.alloc<uint8_t>(out.numel());
   gemm::run_code_layer(layer, codes, 1, out_codes);
-  grid(cfg_.out_scale).dequantize(out_codes, out.numel(), out.data());
+  gemm::dequantize_to_chw(grid(cfg_.out_scale), out_codes, cfg_.filters,
+                          geom_.num_patches(), out.data());
 }
 
 void ConvLayer::forward(const Tensor& in, Tensor& out) {

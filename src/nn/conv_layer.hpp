@@ -87,15 +87,15 @@ class ConvLayer final : public Layer {
   OpsCount ops() const override;
   Precision precision() const override;
 
-  /// Code hooks of the kQuantReference path: reads codes on its input
-  /// grid (act_bits, in_scale) and emits codes on its output grid
+  /// Code hooks of the kQuantReference path: reads HWC codes on its input
+  /// grid (act_bits, in_scale) and emits HWC codes on its output grid
   /// (act_bits, out_scale). Other kernels compute on floats only.
   std::optional<CodeGrid> code_output(const CodeGrid& in) const override;
   std::optional<CodeGrid> code_input() const override;
   void forward_codes(const uint8_t* in, uint8_t* out) override;
 
   /// Producer emission of the kLowp path: the driver's code sink writes
-  /// the codes of `g` (an unsigned grid) straight from the accumulators,
+  /// the HWC codes of `g` (an unsigned grid) straight from the accumulators,
   /// for a linear, ReLU or leaky activation. The quantised frame and its
   /// calibration stay in the layer, so replay_emitted() can recompute the
   /// floats.

@@ -71,7 +71,9 @@ class Layer {
   /// computes on codes (nullopt for every other layer).
   virtual std::optional<CodeGrid> code_input() const { return std::nullopt; }
   /// Forward over codes: `in` holds input_shape().numel() codes on a grid
-  /// code_output() accepts; writes output_shape().numel() codes.
+  /// code_output() accepts; writes output_shape().numel() codes. Codes are
+  /// pixel-major (HWC, gemm/layout.hpp) on both sides: pixel p's C codes
+  /// are bytes [p·C, (p+1)·C), whatever the C × H × W shape says.
   virtual void forward_codes(const uint8_t* /*in*/, uint8_t* /*out*/) {
     TINCY_CHECK_MSG(false, type_name() << " has no code-domain forward");
   }
@@ -82,7 +84,8 @@ class Layer {
   /// emit codes on `g`.
   virtual bool emits_codes(const CodeGrid& /*g*/) const { return false; }
   /// Float input in, codes on `g` out: byte-identical to forward() followed
-  /// by g.quantize(). Keeps what replay_emitted() needs.
+  /// by g.quantize(), written pixel-major (HWC) like forward_codes()'s
+  /// codes. Keeps what replay_emitted() needs.
   virtual void forward_emit(const Tensor& /*in*/, const CodeGrid& /*g*/,
                             uint8_t* /*out*/) {
     TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");

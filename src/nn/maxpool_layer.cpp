@@ -73,6 +73,7 @@ std::optional<CodeGrid> MaxPoolLayer::code_output(const CodeGrid& in) const {
 }
 
 void MaxPoolLayer::forward_codes(const uint8_t* in, uint8_t* out) {
+  // HWC codes in and out, like every code map.
   gemm::max_pool_codes({in_shape_.channels(), in_shape_.height(),
                         in_shape_.width(), cfg_.size, cfg_.stride},
                        in, out);

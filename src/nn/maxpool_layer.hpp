@@ -9,6 +9,8 @@
 /// Between two quantized convs the pool runs on activation codes
 /// (forward_codes, gemm::max_pool_codes): on an exact grid the codes
 /// order like their values, so pooling codes equals pooling the values.
+/// The codes are pixel-major (HWC), so each output pixel maxes whole
+/// channel vectors.
 
 #include "nn/layer.hpp"
 

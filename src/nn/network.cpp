@@ -1,5 +1,6 @@
 #include "nn/network.hpp"
 
+#include "gemm/layout.hpp"
 #include "gemm/scratch.hpp"
 
 namespace tincy::nn {
@@ -88,9 +89,11 @@ const Tensor& Network::float_output(int64_t i) const {
   if (!slot.out_current) {
     if (slot.mode == Mode::kEmit)
       layers_[static_cast<size_t>(i)]->replay_emitted(out);
-    else
-      slot.grid_out->dequantize(slot.codes.data(), slot.codes.numel(),
-                                out.data());
+    else  // codes are HWC, floats CHW
+      gemm::dequantize_to_chw(*slot.grid_out, slot.codes.data(),
+                              out.shape().channels(),
+                              out.numel() / out.shape().channels(),
+                              out.data());
     slot.out_current = true;
   }
   return out;
@@ -133,7 +136,8 @@ const Tensor& Network::forward(const Tensor& input) {
       TINCY_CHECK(in.shape() == layer_input_shape(i));
       gemm::ScratchScope quantize_scope(arena);
       uint8_t* codes = arena.alloc<uint8_t>(in.numel());
-      slot.grid_in->quantize(in.data(), in.numel(), codes);
+      gemm::quantize_to_hwc(*slot.grid_in, in.data(), in.shape().channels(),
+                            in.numel() / in.shape().channels(), codes);
       layer.forward_codes(codes, slot.codes.data());
     }
     slot.out_current = false;

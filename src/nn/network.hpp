@@ -15,6 +15,12 @@
 /// conv directly or through a max pool that pools codes; they are
 /// dequantised only where a float layer reads them.
 ///
+/// Handed codes are pixel-major (HWC, gemm/layout.hpp), the layout of the
+/// code-domain engine, while float activations stay CHW. The layout
+/// changes only at the float boundary, in the same pass as the quantise
+/// of a kQuantize layer's input and the dequantise of a code layer's
+/// output on float read (gemm::quantize_to_hwc / dequantize_to_chw).
+///
 /// The hand-off also reaches back into the float producer of a quantized
 /// layer: when a layer quantises its input onto grid G and the float
 /// layer before it can emit G (Layer::emits_codes; today an 8-bit kLowp
@@ -105,7 +111,8 @@ class Network {
     std::optional<CodeGrid> grid_in;   ///< kQuantize: the input grid
     std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes/kEmit: output grid
     /// kQuantize/kCodes: allocated by the first forward(); a kEmit layer's
-    /// codes live in forward()'s arena scratch.
+    /// codes live in forward()'s arena scratch. Shaped C × H × W, stored
+    /// HWC.
     TensorU8 codes;
     Tensor out;  ///< kFloat: allocated by the next add(); else on first use
     bool out_current = true;  ///< `out` holds the latest activation

@@ -117,7 +117,10 @@ void feed(StreamServer& server,
     for (size_t i = 0; i < n; ++i) {
       if (sent[i] == frames) continue;
       if (!held[i]) held[i] = sources[i]();
-      const ServeResult r = server.submit(static_cast<int64_t>(i), *held[i]);
+      // The held frame moves into the server only on acceptance; a
+      // kOverloaded refusal leaves it here for the next round, uncopied.
+      const ServeResult r =
+          server.try_submit(static_cast<int64_t>(i), *held[i]);
       if (r == ServeResult::kOverloaded) continue;
       held[i].reset();
       // Accepted, or the session will never accept again.

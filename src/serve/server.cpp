@@ -175,6 +175,10 @@ void StreamServer::start() {
 }
 
 ServeResult StreamServer::submit(int64_t session, video::Frame frame) {
+  return try_submit(session, frame);
+}
+
+ServeResult StreamServer::try_submit(int64_t session, video::Frame& frame) {
   std::unique_lock lock(mutex_);
   TINCY_CHECK_MSG(
       session >= 0 && session < static_cast<int64_t>(sessions_.size()),

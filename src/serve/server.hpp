@@ -221,6 +221,12 @@ class StreamServer {
   /// threads may submit concurrently.
   ServeResult submit(int64_t session, video::Frame frame);
 
+  /// submit() for a producer that retries: `frame` is moved into the
+  /// queue only when the answer is kAccepted. On any refusal (kOverloaded,
+  /// kClosed, kQuarantined) it stays with the caller untouched, ready for
+  /// the next attempt without a copy.
+  ServeResult try_submit(int64_t session, video::Frame& frame);
+
   /// Blocks until every admitted frame has been delivered or discarded
   /// (or stop() is requested from elsewhere).
   void drain();

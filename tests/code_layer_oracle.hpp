@@ -4,19 +4,41 @@
 // built from pieces that share no code with it: a Darknet-order footprint
 // gather with code-0 padding, the bit-serial kernel's scalar reference
 // (gemm::bitserial_gemm_reference), one ThresholdChannel::apply per output
-// and a max pool that bounds-checks every tap. test_code_layer pins the
-// engine to it bit for bit. Nothing outside tests/ includes this.
+// and a max pool that bounds-checks every tap. It works on CHW maps; the
+// engine reads and writes pixel-major (HWC) ones, so the tests convert
+// with to_hwc / to_chw, which share no code with gemm/layout.hpp.
+// test_code_layer and test_code_layer_conformance pin the engine to it
+// bit for bit. Nothing outside tests/ and bench/ includes this.
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/errors.hpp"
+#include "core/rng.hpp"
 #include "gemm/bitserial.hpp"
 #include "gemm/code_layer.hpp"
+#include "quant/binary.hpp"
+#include "quant/ternary.hpp"
 #include "quant/thresholds.hpp"
 
 namespace tincy::oracle {
+
+/// out[p·channels + c] = in[c·pixels + p]: a CHW map to HWC, one element
+/// at a time.
+template <typename T>
+inline void to_hwc(const T* in, int64_t channels, int64_t pixels, T* out) {
+  for (int64_t c = 0; c < channels; ++c)
+    for (int64_t p = 0; p < pixels; ++p) out[p * channels + c] = in[c * pixels + p];
+}
+
+/// out[c·pixels + p] = in[p·channels + c]: an HWC map to CHW.
+template <typename T>
+inline void to_chw(const T* in, int64_t channels, int64_t pixels, T* out) {
+  for (int64_t c = 0; c < channels; ++c)
+    for (int64_t p = 0; p < pixels; ++p) out[c * pixels + p] = in[p * channels + c];
+}
 
 /// Max pool of one CHW code map, one bounds test per tap.
 inline void max_pool_codes(const gemm::PoolGeometry& spec, const uint8_t* in,
@@ -89,5 +111,97 @@ inline std::vector<uint8_t> code_layer(
   oracle::max_pool_codes(p, conv.data(), pooled.data());
   return pooled;
 }
+
+// --- A random layer and its oracle ----------------------------------------
+
+enum class Weights { kBinary, kTernary, kBipolar };
+
+/// Random per-channel thresholds around the accumulator's spread, in both
+/// directions, with a few saturated entries.
+inline std::vector<quant::ThresholdChannel> random_thresholds(Rng& rng, int64_t rows,
+                                                       int levels,
+                                                       int64_t spread) {
+  std::vector<quant::ThresholdChannel> all(static_cast<size_t>(rows));
+  for (auto& ch : all) {
+    ch.ascending = rng.bernoulli(0.7);
+    for (int k = 0; k < levels; ++k)
+      ch.thresholds.push_back(
+          static_cast<int32_t>(rng.uniform_int(-spread, spread)));
+    std::sort(ch.thresholds.begin(), ch.thresholds.end());
+    if (!ch.ascending) std::reverse(ch.thresholds.begin(), ch.thresholds.end());
+    if (rng.bernoulli(0.1))
+      ch.thresholds[static_cast<size_t>(rng.uniform_int(0, levels - 1))] =
+          rng.bernoulli(0.5) ? std::numeric_limits<int32_t>::min()
+                             : std::numeric_limits<int32_t>::max();
+  }
+  return all;
+}
+
+/// One layer under test: the packed engine inputs and the oracle's. Its
+/// random codes are CHW maps, the oracle's layout.
+struct LayerRig {
+  gemm::ConvGeometry g;
+  int64_t rows = 0;
+  int bits = 1;
+  bool bipolar = false;
+  std::vector<int8_t> w;  ///< Darknet order, for the oracle
+  gemm::BitSerialWeights packed;
+  std::vector<quant::ThresholdChannel> thresholds;
+  gemm::ThresholdTable table;
+
+  LayerRig(Rng& rng, const gemm::ConvGeometry& geom, int64_t r, int b,
+           Weights kind)
+      : g(geom), rows(r), bits(b), bipolar(kind == Weights::kBipolar) {
+    Tensor real(Shape{rows, g.patch_size()});
+    for (int64_t i = 0; i < real.numel(); ++i) real[i] = rng.normal();
+    if (kind == Weights::kTernary) {
+      const quant::TernaryMatrix tm = quant::ternarize(real);
+      packed = gemm::pack_bitserial(tm, g.kernel);
+      // value() is ±row_scale, which rounds to 0 below 1: take its sign.
+      for (int64_t i = 0; i < rows; ++i)
+        for (int64_t k = 0; k < g.patch_size(); ++k) {
+          const float v = tm.value(i, k);
+          w.push_back(static_cast<int8_t>((v > 0.0f) - (v < 0.0f)));
+        }
+    } else {
+      const quant::BinaryMatrix bm = quant::binarize(real);
+      packed = gemm::pack_bitserial(bm, g.kernel);
+      for (int64_t i = 0; i < rows; ++i)
+        for (int64_t k = 0; k < g.patch_size(); ++k)
+          w.push_back(static_cast<int8_t>(bm.value(i, k)));
+    }
+    const int levels = bipolar ? 1 : (1 << bits) - 1;
+    const int64_t spread =
+        bipolar ? g.patch_size() : g.patch_size() * levels / 4 + 1;
+    thresholds = random_thresholds(rng, rows, levels, spread);
+    table = gemm::ThresholdTable(thresholds);
+  }
+
+  gemm::CodeLayer layer(int64_t pool_size, int64_t pool_stride) const {
+    gemm::CodeLayer l;
+    l.geom = g;
+    l.bits = bits;
+    l.bipolar = bipolar;
+    l.weights = &packed;
+    l.thresholds = &table;
+    l.pool_size = pool_size;
+    l.pool_stride = pool_stride;
+    return l;
+  }
+
+  std::vector<uint8_t> random_codes(Rng& rng, int64_t batch) const {
+    std::vector<uint8_t> codes(
+        static_cast<size_t>(batch * g.in_channels * g.in_height * g.in_width));
+    for (auto& c : codes)
+      c = static_cast<uint8_t>(rng.uniform_int(0, (1 << bits) - 1));
+    return codes;
+  }
+
+  std::vector<uint8_t> oracle(const uint8_t* frame, int64_t pool_size,
+                              int64_t pool_stride) const {
+    return code_layer(w, rows, g, thresholds, bipolar, pool_size, pool_stride,
+                      frame);
+  }
+};
 
 }  // namespace tincy::oracle

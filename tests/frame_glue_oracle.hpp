@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "code_layer_oracle.hpp"
 #include "core/tensor.hpp"
 #include "gemm/bitserial.hpp"
 #include "gemm/gemm_packed.hpp"
@@ -108,6 +109,34 @@ inline void maxpool(const Tensor& in, int64_t size, int64_t stride,
       }
     }
   }
+}
+
+/// Packed bit-plane columns of an HWC code map, one bit at a time: bit
+/// t·C + c of plane b of column (oh, ow) is bit b of channel c at kernel
+/// tap t = kh·K + kw, zero for padding taps (gemm::im2col_bitplanes).
+inline void im2col_bitplanes(const uint8_t* hwc, const gemm::ConvGeometry& g,
+                             int bits, uint64_t* planes) {
+  const int64_t words = gemm::bitplane_words(g.patch_size());
+  const int64_t C = g.in_channels;
+  for (int64_t oh = 0; oh < g.out_height(); ++oh)
+    for (int64_t ow = 0; ow < g.out_width(); ++ow) {
+      uint64_t* col = planes + (oh * g.out_width() + ow) * bits * words;
+      std::fill(col, col + bits * words, uint64_t{0});
+      for (int64_t kh = 0; kh < g.kernel; ++kh)
+        for (int64_t kw = 0; kw < g.kernel; ++kw) {
+          const int64_t ih = oh * g.stride - g.pad + kh;
+          const int64_t iw = ow * g.stride - g.pad + kw;
+          if (ih < 0 || ih >= g.in_height || iw < 0 || iw >= g.in_width)
+            continue;
+          for (int64_t c = 0; c < C; ++c) {
+            const uint8_t code = hwc[(ih * g.in_width + iw) * C + c];
+            const int64_t bit = (kh * g.kernel + kw) * C + c;
+            for (int b = 0; b < bits; ++b)
+              if ((code >> b) & 1)
+                col[b * words + bit / 64] |= uint64_t{1} << (bit % 64);
+          }
+        }
+    }
 }
 
 /// UniformActQuant::quantize with early returns.
@@ -266,9 +295,13 @@ inline void golden_conv(const nn::ConvLayer& layer,
   }
   const int bits = cfg_.act_bits;
   const int64_t n = geom_.num_patches();
+  // The bit-plane im2col reads pixel-major (HWC) codes.
+  TensorU8 hwc(in.shape());
+  to_hwc(codes.data(), geom_.in_channels, geom_.in_height * geom_.in_width,
+         hwc.data());
   const auto planes = std::make_unique_for_overwrite<uint64_t[]>(
       static_cast<size_t>(n * bits * gemm::bitplane_words(geom_.patch_size())));
-  gemm::im2col_bitplanes(codes.data(), geom_, bits, planes.get());
+  gemm::im2col_bitplanes(hwc.data(), geom_, bits, planes.get());
 
   const auto& thresholds = layer.quant_thresholds();
   const int64_t filters = cfg_.filters;

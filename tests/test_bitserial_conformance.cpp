@@ -98,18 +98,25 @@ std::vector<uint8_t> random_codes(Rng& rng, int64_t n, int bits) {
 }
 
 /// Packs `n` Darknet-ordered columns as the MVTU does: each column is
-/// the single footprint of a K×K, C-channel image.
+/// the single footprint of a K×K, C-channel image (c·K² + t, i.e. CHW),
+/// handed to the im2col pixel-major (t·C + c).
 std::vector<uint64_t> pack_columns(const std::vector<uint8_t>& codes,
                                    int64_t n, int64_t cols, int64_t kernel,
                                    int bits) {
   ConvGeometry g;
   g.in_channels = cols / (kernel * kernel);
   g.in_height = g.in_width = g.kernel = kernel;
+  const int64_t taps = kernel * kernel;
   const int64_t col_words = bits * bitplane_words(cols);
   std::vector<uint64_t> planes(static_cast<size_t>(n * col_words));
-  for (int64_t j = 0; j < n; ++j)
-    im2col_bitplanes(codes.data() + j * cols, g, bits,
-                     planes.data() + j * col_words);
+  std::vector<uint8_t> hwc(static_cast<size_t>(cols));
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t c = 0; c < g.in_channels; ++c)
+      for (int64_t t = 0; t < taps; ++t)
+        hwc[static_cast<size_t>(t * g.in_channels + c)] =
+            codes[static_cast<size_t>(j * cols + c * taps + t)];
+    im2col_bitplanes(hwc.data(), g, bits, planes.data() + j * col_words);
+  }
   return planes;
 }
 
@@ -321,10 +328,18 @@ TEST(BitSerialConformance, ConvIm2colMatchesDarknetIm2col) {
       const std::vector<int32_t> expected =
           oracle(m, columns, frames * n, bipolar);
 
+      // im2col_bitplanes reads pixel-major (HWC) maps.
+      const int64_t pixels = c.height * c.width;
+      std::vector<uint8_t> hwc(images.size());
+      for (int64_t f = 0; f < frames; ++f)
+        for (int64_t ch = 0; ch < c.channels; ++ch)
+          for (int64_t p = 0; p < pixels; ++p)
+            hwc[static_cast<size_t>(f * image + p * c.channels + ch)] =
+                images[static_cast<size_t>(f * image + ch * pixels + p)];
       const int64_t col_words = bits * bitplane_words(patch);
       std::vector<uint64_t> planes(static_cast<size_t>(frames * n * col_words));
       for (int64_t f = 0; f < frames; ++f)
-        im2col_bitplanes(images.data() + f * image, g, bits,
+        im2col_bitplanes(hwc.data() + f * image, g, bits,
                          planes.data() + f * n * col_words);
       for (const PopcountKernel k : dispatchable_popcount_kernels())
         ASSERT_EQ(run(m.packed, planes, frames * n, bits, bipolar, k),

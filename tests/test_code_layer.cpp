@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,91 +24,8 @@
 namespace tincy {
 namespace {
 
-enum class Weights { kBinary, kTernary, kBipolar };
-
-/// Random per-channel thresholds around the accumulator's spread, in both
-/// directions, with a few saturated entries.
-std::vector<quant::ThresholdChannel> random_thresholds(Rng& rng, int64_t rows,
-                                                       int levels,
-                                                       int64_t spread) {
-  std::vector<quant::ThresholdChannel> all(static_cast<size_t>(rows));
-  for (auto& ch : all) {
-    ch.ascending = rng.bernoulli(0.7);
-    for (int k = 0; k < levels; ++k)
-      ch.thresholds.push_back(
-          static_cast<int32_t>(rng.uniform_int(-spread, spread)));
-    std::sort(ch.thresholds.begin(), ch.thresholds.end());
-    if (!ch.ascending) std::reverse(ch.thresholds.begin(), ch.thresholds.end());
-    if (rng.bernoulli(0.1))
-      ch.thresholds[static_cast<size_t>(rng.uniform_int(0, levels - 1))] =
-          rng.bernoulli(0.5) ? std::numeric_limits<int32_t>::min()
-                             : std::numeric_limits<int32_t>::max();
-  }
-  return all;
-}
-
-/// One layer under test: the packed engine inputs and the oracle's.
-struct LayerRig {
-  gemm::ConvGeometry g;
-  int64_t rows = 0;
-  int bits = 1;
-  bool bipolar = false;
-  std::vector<int8_t> w;  ///< Darknet order, for the oracle
-  gemm::BitSerialWeights packed;
-  std::vector<quant::ThresholdChannel> thresholds;
-  gemm::ThresholdTable table;
-
-  LayerRig(Rng& rng, const gemm::ConvGeometry& geom, int64_t r, int b,
-           Weights kind)
-      : g(geom), rows(r), bits(b), bipolar(kind == Weights::kBipolar) {
-    Tensor real(Shape{rows, g.patch_size()});
-    for (int64_t i = 0; i < real.numel(); ++i) real[i] = rng.normal();
-    if (kind == Weights::kTernary) {
-      const quant::TernaryMatrix tm = quant::ternarize(real);
-      packed = gemm::pack_bitserial(tm, g.kernel);
-      for (int64_t i = 0; i < rows; ++i)
-        for (int64_t k = 0; k < g.patch_size(); ++k)
-          w.push_back(static_cast<int8_t>(tm.value(i, k)));
-    } else {
-      const quant::BinaryMatrix bm = quant::binarize(real);
-      packed = gemm::pack_bitserial(bm, g.kernel);
-      for (int64_t i = 0; i < rows; ++i)
-        for (int64_t k = 0; k < g.patch_size(); ++k)
-          w.push_back(static_cast<int8_t>(bm.value(i, k)));
-    }
-    const int levels = bipolar ? 1 : (1 << bits) - 1;
-    const int64_t spread =
-        bipolar ? g.patch_size() : g.patch_size() * levels / 4 + 1;
-    thresholds = random_thresholds(rng, rows, levels, spread);
-    table = gemm::ThresholdTable(thresholds);
-  }
-
-  gemm::CodeLayer layer(int64_t pool_size, int64_t pool_stride) const {
-    gemm::CodeLayer l;
-    l.geom = g;
-    l.bits = bits;
-    l.bipolar = bipolar;
-    l.weights = &packed;
-    l.thresholds = &table;
-    l.pool_size = pool_size;
-    l.pool_stride = pool_stride;
-    return l;
-  }
-
-  std::vector<uint8_t> random_codes(Rng& rng, int64_t batch) const {
-    std::vector<uint8_t> codes(
-        static_cast<size_t>(batch * g.in_channels * g.in_height * g.in_width));
-    for (auto& c : codes)
-      c = static_cast<uint8_t>(rng.uniform_int(0, (1 << bits) - 1));
-    return codes;
-  }
-
-  std::vector<uint8_t> oracle(const uint8_t* frame, int64_t pool_size,
-                              int64_t pool_stride) const {
-    return oracle::code_layer(w, rows, g, thresholds, bipolar, pool_size,
-                              pool_stride, frame);
-  }
-};
+using oracle::LayerRig;
+using oracle::Weights;
 
 struct Case {
   std::string name;
@@ -128,14 +44,24 @@ TEST_P(CodeLayerOracle, EngineMatchesScalarOracle) {
   Rng rng(4242 + static_cast<uint64_t>(c.rows * 31 + c.g.in_height));
   const LayerRig rig(rng, c.g, c.rows, c.bits, c.weights);
   const gemm::CodeLayer layer = rig.layer(c.pool_size, c.pool_stride);
+  // The oracle works on CHW maps, the engine on HWC ones.
   const std::vector<uint8_t> in = rig.random_codes(rng, c.batch);
-  const int64_t out_n = layer.out_shape().numel();
+  const int64_t in_n = layer.in_numel();
+  std::vector<uint8_t> in_hwc(in.size());
+  for (int64_t f = 0; f < c.batch; ++f)
+    oracle::to_hwc(in.data() + f * in_n, c.g.in_channels,
+                   c.g.in_height * c.g.in_width, in_hwc.data() + f * in_n);
+  const Shape out_shape = layer.out_shape();
+  const int64_t out_n = out_shape.numel();
   std::vector<uint8_t> got(static_cast<size_t>(c.batch * out_n), 0xAB);
-  gemm::run_code_layer(layer, in.data(), c.batch, got.data());
+  gemm::run_code_layer(layer, in_hwc.data(), c.batch, got.data());
+  std::vector<uint8_t> want(static_cast<size_t>(out_n));
   for (int64_t f = 0; f < c.batch; ++f) {
-    const std::vector<uint8_t> want = rig.oracle(
-        in.data() + f * layer.in_numel(), c.pool_size, c.pool_stride);
-    ASSERT_EQ(static_cast<int64_t>(want.size()), out_n);
+    const std::vector<uint8_t> chw =
+        rig.oracle(in.data() + f * in_n, c.pool_size, c.pool_stride);
+    ASSERT_EQ(static_cast<int64_t>(chw.size()), out_n);
+    oracle::to_hwc(chw.data(), out_shape.channels(),
+                   out_shape.height() * out_shape.width(), want.data());
     for (int64_t i = 0; i < out_n; ++i)
       ASSERT_EQ(got[static_cast<size_t>(f * out_n + i)],
                 want[static_cast<size_t>(i)])
@@ -223,11 +149,16 @@ TEST(CodePool, MatchesOracleOnOddGeometries) {
           const gemm::PoolGeometry p{3, h, w, size, stride};
           std::vector<uint8_t> in(static_cast<size_t>(3 * h * w));
           for (auto& v : in) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-          const int64_t out_n = 3 * p.out_height() * p.out_width();
-          std::vector<uint8_t> got(static_cast<size_t>(out_n), 0xCD),
-              want(static_cast<size_t>(out_n));
-          gemm::max_pool_codes(p, in.data(), got.data());
-          oracle::max_pool_codes(p, in.data(), want.data());
+          const int64_t out_hw = p.out_height() * p.out_width();
+          const int64_t out_n = 3 * out_hw;
+          std::vector<uint8_t> in_hwc(in.size()),
+              got(static_cast<size_t>(out_n), 0xCD),
+              chw(static_cast<size_t>(out_n)), want(static_cast<size_t>(out_n));
+          // The engine pools HWC maps, the oracle CHW ones.
+          oracle::to_hwc(in.data(), 3, h * w, in_hwc.data());
+          gemm::max_pool_codes(p, in_hwc.data(), got.data());
+          oracle::max_pool_codes(p, in.data(), chw.data());
+          oracle::to_hwc(chw.data(), 3, out_hw, want.data());
           EXPECT_EQ(got, want) << "size " << size << " stride " << stride
                                << " map " << h << "x" << w;
         }

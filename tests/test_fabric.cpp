@@ -67,9 +67,10 @@ TEST(PoolUnit, MatchesFloatSemantics) {
         uint8_t m = 0;
         for (int64_t dy = 0; dy < 2; ++dy)
           for (int64_t dx = 0; dx < 2; ++dx)
-            m = std::max(m, in[static_cast<size_t>((c * 6 + 2 * y + dy) * 6 +
-                                                   2 * x + dx)]);
-        EXPECT_EQ(out[static_cast<size_t>((c * 3 + y) * 3 + x)], m);
+            m = std::max(m, in[static_cast<size_t>(
+                                ((2 * y + dy) * 6 + 2 * x + dx) * 4 + c)]);
+        // Code maps are pixel-major (HWC).
+        EXPECT_EQ(out[static_cast<size_t>((y * 3 + x) * 4 + c)], m);
       }
 }
 

@@ -456,8 +456,12 @@ TEST(LowpCodeSink, BitIdenticalToQuantisedFloats) {
       for (const quant::CodeGrid grid :
            {quant::CodeGrid{3, 1.0f, false}, quant::CodeGrid{2, 0.37f, false},
             quant::CodeGrid{8, 0.01f, false}}) {
-        TensorU8 want(layer->output_shape()), got(layer->output_shape());
-        grid.quantize(floats.data(), floats.numel(), want.data());
+        TensorU8 chw(layer->output_shape()), want(layer->output_shape()),
+            got(layer->output_shape());
+        grid.quantize(floats.data(), floats.numel(), chw.data());
+        // The sink writes pixel-major (HWC) codes.
+        oracle::to_hwc(chw.data(), chw.shape().channels(),
+                       chw.numel() / chw.shape().channels(), want.data());
         layer->forward_emit(in, grid, got.data());
         ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               static_cast<size_t>(got.numel())),
@@ -494,8 +498,11 @@ TEST(LowpCodeSink, RoundsTiesLikeTheGrid) {
   for (int64_t i = 0; i < in.numel(); ++i) in[i] = rng.uniform(-1.0f, 1.0f);
   Tensor floats(layer->output_shape());
   layer->forward(in, floats);
-  TensorU8 want(layer->output_shape()), got(layer->output_shape());
-  grid.quantize(floats.data(), floats.numel(), want.data());
+  TensorU8 chw(layer->output_shape()), want(layer->output_shape()),
+      got(layer->output_shape());
+  grid.quantize(floats.data(), floats.numel(), chw.data());
+  oracle::to_hwc(chw.data(), chw.shape().channels(),
+                 chw.numel() / chw.shape().channels(), want.data());
   layer->forward_emit(in, grid, got.data());
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         static_cast<size_t>(got.numel())),

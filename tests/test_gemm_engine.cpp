@@ -483,6 +483,16 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   Tensor golden_out(golden.output_shape());
   nn::MaxPoolLayer pool({2, 2}, golden.output_shape());
   Tensor pooled(pool.output_shape());
+  // The same conv and pool on pixel-major (HWC) codes, as Network::forward
+  // hands them: no layout conversion, no float.
+  std::vector<uint8_t> hwc_in(static_cast<size_t>(codes_in.numel()));
+  for (auto& x : hwc_in) x = static_cast<uint8_t>(rng.uniform_int(0, 7));
+  std::vector<uint8_t> hwc_conv(static_cast<size_t>(golden_out.numel())),
+      hwc_pooled(static_cast<size_t>(pooled.numel()));
+  // A code pool large enough (64 × 128 × 128) to shard over its rows.
+  nn::MaxPoolLayer big_pool({2, 2}, Shape{64, 128, 128});
+  std::vector<uint8_t> big_in(64 * 128 * 128, 3),
+      big_out(static_cast<size_t>(big_pool.output_shape().numel()));
 
   // A miniature of the W1A3 hidden ladder under Network::forward: codes
   // handed conv → pool → conv → pool → conv → conv, quantised once on the
@@ -541,7 +551,11 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
                  w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);
     pool.forward(golden_out, pooled);
+    golden.forward_codes(hwc_in.data(), hwc_conv.data());
+    pool.forward_codes(hwc_conv.data(), hwc_pooled.data());
+    big_pool.forward_codes(big_in.data(), big_out.data());
     ladder->forward(ladder_in);
+    // CHW maps in and out: both passes convert at entry and exit.
     accel.run_layer_batched(
         0, std::span<const uint8_t>(gang_in.data(), one_in), 1,
         std::span<uint8_t>(gang_out.data(), one_out));

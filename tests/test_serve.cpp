@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -337,6 +339,98 @@ TEST(StreamServer, FourStreamsPreserveOrderLoseNothing) {
 }
 
 // --- Backpressure and graceful rejection ---
+
+/// A frame whose image holds `seq` in every element.
+video::Frame make_image_frame(int64_t seq) {
+  video::Frame f = make_frame(seq);
+  f.image = Tensor(Shape{3, 8, 8}, static_cast<float>(seq));
+  return f;
+}
+
+TEST(StreamServer, RefusedTrySubmitLeavesTheFrameWithTheCaller) {
+  telemetry::MetricsRegistry registry;
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.metrics = &registry;
+  StreamServer server(opts);
+  std::atomic<bool> release{false};
+  SessionConfig sc;
+  sc.stages = {{"block", [&release](video::Frame&) {
+                  while (!release.load())
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(100));
+                }, false}};
+  sc.queue_capacity = 1;
+  server.open_session(std::move(sc));
+  server.start();
+
+  // Submit until the queue refuses; every refused frame keeps its buffer.
+  int64_t seq = 0;
+  for (;; ++seq) {
+    video::Frame f = make_image_frame(seq);
+    const float* buffer = f.image.data();
+    const ServeResult r = server.try_submit(0, f);
+    if (r == ServeResult::kAccepted) {
+      EXPECT_TRUE(f.image.empty()) << "accepted frames move in";
+      ASSERT_LT(seq, 100) << "the queue never filled";
+      continue;
+    }
+    ASSERT_EQ(r, ServeResult::kOverloaded);
+    EXPECT_EQ(f.sequence, seq);
+    EXPECT_EQ(f.image.data(), buffer);
+    EXPECT_EQ(f.image, Tensor(Shape{3, 8, 8}, static_cast<float>(seq)));
+    break;
+  }
+  release.store(true);
+  server.drain();
+  server.stop();
+  video::Frame late = make_image_frame(99);
+  const float* buffer = late.image.data();
+  EXPECT_EQ(server.try_submit(0, late), ServeResult::kClosed);
+  EXPECT_EQ(late.image.data(), buffer);
+  EXPECT_EQ(late.sequence, 99);
+}
+
+TEST(StreamServer, FeedMovesEachFrameInWithoutACopy) {
+  // A stage held shut and a one-frame queue make feed() retry on
+  // kOverloaded; each delivered image must still be the buffer the source
+  // allocated.
+  telemetry::MetricsRegistry registry;
+  ServerOptions opts;
+  opts.num_workers = 1;
+  opts.metrics = &registry;
+  StreamServer server(opts);
+  std::atomic<bool> release{false};
+  std::mutex mu;
+  std::vector<const float*> created, delivered;
+  SessionConfig sc;
+  sc.stages = {{"gated", [&](video::Frame& f) {
+                  while (!release.load())
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(100));
+                  std::lock_guard lock(mu);
+                  delivered.push_back(f.image.data());
+                }, false}};
+  sc.queue_capacity = 1;
+  server.open_session(std::move(sc));
+  server.start();
+  int64_t next = 0;
+  const std::function<video::Frame()> source = [&] {
+    video::Frame f = make_image_frame(next++);
+    std::lock_guard lock(mu);
+    created.push_back(f.image.data());
+    return f;
+  };
+  std::thread feeder([&] { feed(server, std::span(&source, 1), 12); });
+  while (server.rejected(0) == 0)  // a held frame was refused at least once
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  release.store(true);
+  feeder.join();
+  server.drain();
+  server.stop();
+  std::lock_guard lock(mu);
+  EXPECT_EQ(delivered, created);
+}
 
 TEST(StreamServer, OverloadRejectsInsteadOfBlocking) {
   telemetry::MetricsRegistry registry;
