@@ -7,7 +7,8 @@
 // (tests/frame_glue_oracle.hpp) is timed against the single-pass kernel
 // the frame runs:
 //
-//   letterbox  640×480 → 416 (paper Fig. 5 stage #1),
+//   letterbox  640×480 → 416 (paper Fig. 5 stage #1), rows sharded over
+//              the shared pool,
 //   L2/L4/L10  the size-2 max pools (stride 2, 2, 1),
 //   L1/L3      the golden bit-serial conv: activation quantisation, bit-
 //              plane im2col, popcount GEMM and threshold epilogue. The
@@ -48,10 +49,19 @@
 //   L1-L12 ladder        Network::forward over the hidden ladder (codes
 //                        handed layer to layer) against run_layer on
 //                        floats layer by layer; exact iff the L12 outputs
-//                        are byte-identical.
+//                        are byte-identical;
+//   L13 from codes       L13 reading L12's HWC codes (its 8-bit frame
+//                        made by table, gemm::quantize_code_frame)
+//                        against L12's codes dequantised to floats and
+//                        L13's float forward;
+//   NMS                  detect::nms (kept boxes bucketed by class) on
+//                        the 416 frame's decoded boxes (threshold 0.05, as
+//                        perfbench) against the scalar greedy pass.
 //
 // Each pair runs alternately, so both see the same host noise; the
-// median of the trials is reported. Gate: every kernel's output is byte-
+// median of the trials is reported. One process's medians swing 2–3×
+// against another's on a shared host: bench/glue_spread.py runs several
+// processes and records each row's spread with the host's steal time. Gate: every kernel's output is byte-
 // identical to its oracle's, else exit 1. Writes out.json (default
 // BENCH_glue.json in the working directory; run from the repo root to
 // refresh the committed copy).
@@ -70,6 +80,8 @@
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "data/image.hpp"
+#include "detect/decode.hpp"
+#include "detect/nms.hpp"
 #include "frame_glue_oracle.hpp"
 #include "gemm/code_layer.hpp"
 #include "gemm/gemm_lowp.hpp"
@@ -77,6 +89,7 @@
 #include "nn/builder.hpp"
 #include "nn/maxpool_layer.hpp"
 #include "nn/network.hpp"
+#include "nn/region_layer.hpp"
 #include "nn/zoo.hpp"
 
 using namespace tincy;
@@ -177,14 +190,14 @@ int main(int argc, char** argv) {
 
   // Each layer's real input: the frame run through the network so far.
   std::vector<Tensor> inputs{data::letterbox(frame, 416)};
-  for (int64_t i = 0; i <= 10; ++i)
+  for (int64_t i = 0; i < net->num_layers(); ++i)
     inputs.push_back(net->run_layer(i, inputs.back()));
 
   std::vector<Row> rows;
   {
     Tensor want, got;
     rows.push_back(time_pair(
-        "letterbox", "(3, 480, 640) -> 416", kTrials,
+        "letterbox (sharded)", "(3, 480, 640) -> 416", kTrials,
         [&] { want = oracle::letterbox(frame, 416); },
         [&] { got = data::letterbox(frame, 416); }, want, got));
   }
@@ -438,6 +451,45 @@ int main(int argc, char** argv) {
         },
         [&] { got = &coded->forward(in); },
         [&] { return bytes_equal(*want, *got); }));
+  }
+
+  {
+    // L13 on L12's codes: the float path dequantised them into L13's
+    // input, which L13 quantised again on its own calibration.
+    auto& conv = dynamic_cast<nn::ConvLayer&>(net->layer(13));
+    const nn::ConvConfig& c12 =
+        dynamic_cast<const nn::ConvLayer&>(net->layer(12)).config();
+    const quant::CodeGrid grid{c12.act_bits, c12.out_scale, c12.bipolar};
+    const Tensor& in = inputs[13];
+    const int64_t C = in.shape().channels(), P = in.numel() / C;
+    TensorU8 codes(in.shape());
+    gemm::quantize_to_hwc(grid, in.data(), C, P, codes.data());
+    Tensor floats(in.shape()), want(conv.output_shape()),
+        got(conv.output_shape());
+    rows.push_back(time_pair(
+        "L13 from codes", shape_of(in), kTrials,
+        [&] {
+          gemm::dequantize_to_chw(grid, codes.data(), C, P, floats.data());
+          conv.forward(floats, want);
+        },
+        [&] { conv.forward_from_codes(codes.data(), grid, got); }, want,
+        got));
+  }
+  {
+    const auto& region =
+        dynamic_cast<const nn::RegionLayer&>(net->layer(14)).config();
+    const std::vector<detect::Detection> boxes =
+        detect::decode_region(inputs[15], region, 0.05f);
+    std::vector<detect::Detection> want, got;
+    rows.push_back(time_pair(
+        "NMS", std::to_string(boxes.size()) + " boxes", kTrials,
+        [&] { want = oracle::nms(boxes, 0.45f); },
+        [&] { got = detect::nms(boxes, 0.45f); },
+        [&] {
+          return want.size() == got.size() &&
+                 std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(detect::Detection)) == 0;
+        }));
   }
 
   const int threads = core::ThreadPool::shared().threads();

@@ -804,8 +804,38 @@ int run_soak(const SoakConfig& cfg) {
   int64_t total_delivered = 0, total_shed = 0, total_dropped = 0,
           total_faults = 0, quarantined_count = 0;
   double worst_p99 = 0.0;
+  // A closed session's metrics are dropped once it retires, its counts
+  // folded into serve.closed.*: those sessions are accounted through the
+  // server's own per-session counts, and summed against the totals.
+  int64_t closed_sessions = 0, closed_frames = 0, closed_discarded = 0;
   for (const StreamRecord& r : records) {
     const std::string prefix = "serve.session." + r.name + ".";
+    if (r.probe->order_violations.load() != 0)
+      violation(r.name + ": " +
+                std::to_string(r.probe->order_violations.load()) +
+                " out-of-order deliveries");
+    if (snap.find_counter(prefix + "frames") == nullptr) {
+      const int64_t frames = server.delivered(r.id);
+      const int64_t discarded = server.discarded(r.id);
+      if (!server.closed(r.id))
+        violation(r.name + ": metrics dropped but the session is open");
+      if (r.probe->delivered.load() != frames)
+        violation(r.name + ": probe saw " +
+                  std::to_string(r.probe->delivered.load()) +
+                  " deliveries but the server delivered " +
+                  std::to_string(frames));
+      if (frames + discarded != r.accepted)
+        violation(r.name + ": accounting " + std::to_string(frames) + "+" +
+                  std::to_string(discarded) + " != accepted " +
+                  std::to_string(r.accepted));
+      if (r.poisoned) violation(r.name + ": poisoned but closed");
+      ++closed_sessions;
+      closed_frames += frames;
+      closed_discarded += discarded;
+      continue;
+    }
+    if (server.closed(r.id))
+      violation(r.name + ": closed and drained but its metrics remain");
     const int64_t frames = snap.counter_value(prefix + "frames");
     const int64_t shed = snap.counter_value(prefix + "shed");
     const int64_t dropped = snap.counter_value(prefix + "dropped");
@@ -815,10 +845,6 @@ int run_soak(const SoakConfig& cfg) {
     total_dropped += dropped;
     total_faults += faults;
 
-    if (r.probe->order_violations.load() != 0)
-      violation(r.name + ": " +
-                std::to_string(r.probe->order_violations.load()) +
-                " out-of-order deliveries");
     if (r.probe->delivered.load() != frames)
       violation(r.name + ": probe saw " +
                 std::to_string(r.probe->delivered.load()) +
@@ -850,6 +876,35 @@ int run_soak(const SoakConfig& cfg) {
       }
     }
   }
+
+  if (closed_sessions != snap.counter_value("serve.closed.sessions") ||
+      closed_frames != snap.counter_value("serve.closed.frames") ||
+      closed_discarded != snap.counter_value("serve.closed.shed") +
+                              snap.counter_value("serve.closed.dropped"))
+    violation("serve.closed.* totals disagree with the " +
+              std::to_string(closed_sessions) + " closed sessions' counts");
+  total_delivered += snap.counter_value("serve.closed.frames");
+  total_shed += snap.counter_value("serve.closed.shed");
+  total_dropped += snap.counter_value("serve.closed.dropped");
+  total_faults += snap.counter_value("serve.closed.faults");
+  const double closed_p99 = snap.gauge_value("serve.closed.latency_p99_max_ms");
+  worst_p99 = std::max(worst_p99, closed_p99);
+  if (closed_p99 > cfg.p99_ms)
+    violation("a closed session's p99 " + std::to_string(closed_p99) +
+              " ms exceeds SLO " + std::to_string(cfg.p99_ms) + " ms");
+  // The registry is bounded by the sessions open at once, not by every
+  // session ever opened: a session exports at most 2 latency histograms
+  // and 2 per stage (3 stages at most). Quarantined sessions stay open.
+  int64_t session_histograms = 0;
+  for (const auto& h : snap.histograms)
+    session_histograms += h.name.rfind("serve.session.", 0) == 0;
+  constexpr int64_t kHistogramsPerSession = 2 + 2 * 3;
+  if (session_histograms >
+      kHistogramsPerSession * (cfg.concurrent + cfg.faults))
+    violation(std::to_string(session_histograms) +
+              " session histograms exported for at most " +
+              std::to_string(cfg.concurrent + cfg.faults) +
+              " sessions open at once");
 
   // Gang-scheduling probes: batches must actually have formed under
   // churn, and the batch_size histogram must balance frame-for-frame with
@@ -913,6 +968,9 @@ int run_soak(const SoakConfig& cfg) {
               ", quarantined %" PRId64 "\n",
               cfg.sessions, elapsed_s, total_delivered, total_shed,
               total_dropped, total_faults, quarantined_count);
+  std::printf("soak: %" PRId64 " session histograms exported, %" PRId64
+              " closed sessions folded into serve.closed.*\n",
+              session_histograms, closed_sessions);
   std::printf("soak: worst session p99 %.2f ms (SLO %.1f ms), engine grants "
               "%lld\n",
               worst_p99, cfg.p99_ms,

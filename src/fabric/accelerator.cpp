@@ -1,5 +1,6 @@
 #include "fabric/accelerator.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -137,12 +138,29 @@ void QnnAccelerator::run_layer_batched(int64_t i,
                                        std::span<uint8_t> outputs) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
-  const Stage& stage = layers_[static_cast<size_t>(i)];
-  const auto& s = stage.spec;
+  const auto& s = layers_[static_cast<size_t>(i)].spec;
   const int64_t in_numel = s.in_channels * s.in_height * s.in_width;
   const int64_t out_numel = s.output_shape().numel();
   TINCY_CHECK(static_cast<int64_t>(inputs.size()) == batch * in_numel);
   TINCY_CHECK(static_cast<int64_t>(outputs.size()) == batch * out_numel);
+  // The engine computes on HWC codes; this call's contract is CHW.
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  uint8_t* in_hwc = arena.alloc<uint8_t>(batch * in_numel);
+  uint8_t* out_hwc = arena.alloc<uint8_t>(batch * out_numel);
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::chw_to_hwc(inputs.data() + f * in_numel, s.in_channels,
+                     s.in_height * s.in_width, in_hwc + f * in_numel);
+  run_stage_hwc(i, in_hwc, batch, out_hwc);
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::hwc_to_chw(out_hwc + f * out_numel, s.filters,
+                     out_numel / s.filters, outputs.data() + f * out_numel);
+}
+
+void QnnAccelerator::run_stage_hwc(int64_t i, const uint8_t* in,
+                                   int64_t batch, uint8_t* out) const {
+  const Stage& stage = layers_[static_cast<size_t>(i)];
+  const auto& s = stage.spec;
 
   // One span per engine pass, annotated with the cycle-model split so a
   // Perfetto timeline shows where each pass's cycles went. The frame
@@ -180,20 +198,7 @@ void QnnAccelerator::run_layer_batched(int64_t i,
     layer.pool_size = s.pool_size;
     layer.pool_stride = s.pool_stride;
   }
-  // The engine computes on HWC codes; this call's contract is CHW.
-  const int64_t in_pixels = s.in_height * s.in_width;
-  const int64_t out_pixels = out_numel / s.filters;
-  auto& arena = gemm::thread_arena();
-  gemm::ScratchScope scope(arena);
-  uint8_t* in_hwc = arena.alloc<uint8_t>(batch * in_numel);
-  uint8_t* out_hwc = arena.alloc<uint8_t>(batch * out_numel);
-  for (int64_t f = 0; f < batch; ++f)
-    gemm::chw_to_hwc(inputs.data() + f * in_numel, s.in_channels, in_pixels,
-                     in_hwc + f * in_numel);
-  gemm::run_code_layer(layer, in_hwc, batch, out_hwc);
-  for (int64_t f = 0; f < batch; ++f)
-    gemm::hwc_to_chw(out_hwc + f * out_numel, s.filters, out_pixels,
-                     outputs.data() + f * out_numel);
+  gemm::run_code_layer(layer, in, batch, out);
 
   if (batch > 1) {
     // A sequential per-frame run would have streamed the weights batch
@@ -211,15 +216,41 @@ std::vector<uint8_t> QnnAccelerator::forward_codes_batched(
   TINCY_CHECK_MSG(batch >= 1, "batch " << batch);
   TINCY_CHECK(static_cast<int64_t>(inputs.size()) ==
               batch * input_shape().numel());
-  std::vector<uint8_t> current = inputs;
+  // The maps stay HWC from stage to stage: CHW at the two ends, and
+  // before an FC stage over a spatial map, whose input order is the CHW
+  // flattening (a 1 × 1 map is the same bytes in both layouts).
+  int64_t largest = input_shape().numel();
+  for (const Stage& stage : layers_)
+    largest = std::max(largest, stage.spec.output_shape().numel());
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  uint8_t* cur = arena.alloc<uint8_t>(batch * largest);
+  uint8_t* next = arena.alloc<uint8_t>(batch * largest);
+  const auto& first = layers_.front().spec;
+  const int64_t in_numel = input_shape().numel();
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::chw_to_hwc(inputs.data() + f * in_numel, first.in_channels,
+                     first.in_height * first.in_width, cur + f * in_numel);
   for (int64_t i = 0; i < num_layers(); ++i) {
-    const int64_t out_numel =
-        layers_[static_cast<size_t>(i)].spec.output_shape().numel();
-    std::vector<uint8_t> next(static_cast<size_t>(batch * out_numel));
-    run_layer_batched(i, current, batch, next);
-    current = std::move(next);
+    const auto& s = layers_[static_cast<size_t>(i)].spec;
+    const Shape prev = i > 0 ? spec(i - 1).output_shape() : input_shape();
+    const int64_t prev_pixels = prev.height() * prev.width();
+    if (i > 0 && s.in_height * s.in_width == 1 && prev_pixels > 1) {
+      for (int64_t f = 0; f < batch; ++f)
+        gemm::hwc_to_chw(cur + f * prev.numel(), prev.channels(),
+                         prev_pixels, next + f * prev.numel());
+      std::swap(cur, next);
+    }
+    run_stage_hwc(i, cur, batch, next);
+    std::swap(cur, next);
   }
-  return current;
+  const Shape out = output_shape();
+  std::vector<uint8_t> outputs(static_cast<size_t>(batch * out.numel()));
+  for (int64_t f = 0; f < batch; ++f)
+    gemm::hwc_to_chw(cur + f * out.numel(), out.channels(),
+                     out.height() * out.width(),
+                     outputs.data() + f * out.numel());
+  return outputs;
 }
 
 Tensor QnnAccelerator::forward(const Tensor& input) const {

@@ -130,7 +130,10 @@ class QnnAccelerator {
 
   /// Whole-network batched execution: layer-at-a-time across the batch,
   /// each layer one weight-streaming phase. forward_codes(x) is exactly
-  /// forward_codes_batched(x, 1).
+  /// forward_codes_batched(x, 1). Byte-identical to chained
+  /// run_layer_batched calls, but the maps stay HWC between stages: they
+  /// are converted at entry and exit only, and before an FC stage over a
+  /// spatial map (its input order is the CHW flattening).
   std::vector<uint8_t> forward_codes_batched(
       const std::vector<uint8_t>& inputs, int64_t batch) const;
 
@@ -165,6 +168,11 @@ class QnnAccelerator {
     QnnLayerSpec spec;
     Mvtu mvtu;
   };
+
+  /// One engine pass of layer `i` over `batch` HWC maps, with its trace
+  /// span and batching telemetry.
+  void run_stage_hwc(int64_t i, const uint8_t* in, int64_t batch,
+                     uint8_t* out) const;
 
   CycleModel model_;
   Device device_;

@@ -6,6 +6,7 @@
 #include <emmintrin.h>
 #endif
 
+#include "gemm/layout.hpp"
 #include "gemm/scratch.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -122,6 +123,57 @@ quant::AffineParams quantize_frame(const float* image, int64_t n,
   const auto [lo, hi] = quant::min_max(image, n, pool);
   const quant::AffineParams params = quant::choose_affine_params(lo, hi);
   quant::quantize(image, n, params, codes, pool);
+  return params;
+}
+
+namespace {
+
+/// Smallest and largest of n > 0 codes.
+std::pair<uint8_t, uint8_t> code_range(const uint8_t* codes, int64_t n) {
+  uint8_t lo = codes[0], hi = codes[0];
+  int64_t i = 0;
+#if defined(__SSE2__)
+  if (n >= 16) {
+    __m128i vlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes));
+    __m128i vhi = vlo;
+    for (i = 16; i + 16 <= n; i += 16) {
+      const __m128i x =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i));
+      vlo = _mm_min_epu8(vlo, x);
+      vhi = _mm_max_epu8(vhi, x);
+    }
+    alignas(16) uint8_t l[16], h[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(l), vlo);
+    _mm_store_si128(reinterpret_cast<__m128i*>(h), vhi);
+    for (int k = 0; k < 16; ++k) {
+      lo = std::min(lo, l[k]);
+      hi = std::max(hi, h[k]);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    lo = std::min(lo, codes[i]);
+    hi = std::max(hi, codes[i]);
+  }
+  return {lo, hi};
+}
+
+}  // namespace
+
+quant::AffineParams quantize_code_frame(const quant::CodeGrid& g,
+                                        const uint8_t* codes,
+                                        int64_t channels, int64_t pixels,
+                                        uint8_t* frame) {
+  TINCY_CHECK_MSG(g.exact(), "codes on an inexact grid");
+  TINCY_CHECK(channels > 0 && pixels > 0);
+  const auto [lo, hi] = code_range(codes, channels * pixels);
+  const quant::AffineParams params =
+      quant::choose_affine_params(g.dequantize(lo), g.dequantize(hi));
+  uint8_t table[256];
+  for (int c = 0; c <= hi; ++c)
+    table[c] = params.quantize(g.dequantize(static_cast<uint8_t>(c)));
+  hwc_to_chw(codes, channels, pixels, frame,
+             [&table](uint8_t c) { return table[c]; });
   return params;
 }
 

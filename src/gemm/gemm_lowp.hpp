@@ -54,6 +54,18 @@ struct LowpEpilogue {
 quant::AffineParams quantize_frame(const float* image, int64_t n,
                                    uint8_t* codes);
 
+/// quantize_frame over the floats of an HWC map of activation codes on
+/// the exact grid `g` (`channels` × `pixels`), without making the floats:
+/// returns the same calibration and writes the same 8-bit codes, CHW, to
+/// `frame`. Dequantise is monotone on an exact grid, so the frame's
+/// min/max are the dequantised min/max codes, and each code's 8-bit code
+/// is an entry of a table built with AffineParams::quantize on the
+/// dequantised code, applied inside the one HWC → CHW pass.
+quant::AffineParams quantize_code_frame(const quant::CodeGrid& g,
+                                        const uint8_t* codes,
+                                        int64_t channels, int64_t pixels,
+                                        uint8_t* frame);
+
 /// Quantized convolution in the paper's §III-D style — the one 8-bit conv
 /// driver. The quantized image `qimage` (codes on `input_params`, e.g.
 /// from quantize_frame) is im2col'd strip by strip straight into packed

@@ -230,6 +230,25 @@ void ConvLayer::replay_emitted(Tensor& out) {
                                out.data());
 }
 
+bool ConvLayer::reads_codes(const CodeGrid& g) const {
+  return cfg_.kernel == ConvKernel::kLowp && g.exact();
+}
+
+void ConvLayer::forward_from_codes(const uint8_t* in, const CodeGrid& g,
+                                   Tensor& out) {
+  TINCY_CHECK_MSG(reads_codes(g), "layer cannot read codes on this grid");
+  TINCY_CHECK(out.shape() == output_shape());
+  const gemm::PackedLhs& weights = lowp_weights();
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  const int64_t pixels = geom_.in_height * geom_.in_width;
+  uint8_t* frame = arena.alloc<uint8_t>(geom_.in_channels * pixels);
+  const quant::AffineParams params = gemm::quantize_code_frame(
+      g, in, geom_.in_channels, pixels, frame);
+  gemm::fused_conv_lowp_f32out(frame, geom_, params, weights, *lowp_params_,
+                               lowp_epilogue(arena), out.data());
+}
+
 gemm::CodeLayer ConvLayer::code_layer() const {
   TINCY_CHECK_MSG(cfg_.binary_weights && cfg_.act_bits < 8,
                   "quant reference path needs binary=1 and abits<8");

@@ -10,7 +10,8 @@
 ///    layer's cached weight panels, with batch-norm, bias and activation
 ///    in the driver's epilogue (gemm/gemm_lowp.hpp). Inside
 ///    Network::forward it can write the next layer's input codes instead
-///    of its floats (forward_emit),
+///    of its floats (forward_emit), and read the previous layer's codes
+///    instead of their floats (forward_from_codes),
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
 ///    weights, thresholded activations) on the code-domain layer engine
 ///    (gemm/code_layer.hpp) that the fabric accelerator runs too; this is
@@ -103,6 +104,13 @@ class ConvLayer final : public Layer {
   void forward_emit(const Tensor& in, const CodeGrid& g,
                     uint8_t* out) override;
   void replay_emitted(Tensor& out) override;
+
+  /// Consumer reading of the kLowp path: codes on an exact grid in, the
+  /// frame's 8-bit codes made from them by table
+  /// (gemm::quantize_code_frame), floats out.
+  bool reads_codes(const CodeGrid& g) const override;
+  void forward_from_codes(const uint8_t* in, const CodeGrid& g,
+                          Tensor& out) override;
 
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }

@@ -96,6 +96,17 @@ class Layer {
     TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
   }
 
+  /// Consumer reading: a float layer whose producer emits codes on grid
+  /// `g` can read those codes itself, skipping the producer's dequantise
+  /// pass. Whether forward_from_codes() can read codes on `g`.
+  virtual bool reads_codes(const CodeGrid& /*g*/) const { return false; }
+  /// Codes on `g` in (HWC, input_shape().numel() of them), floats out:
+  /// byte-identical to forward() on the dequantised codes.
+  virtual void forward_from_codes(const uint8_t* /*in*/, const CodeGrid& /*g*/,
+                                  Tensor& /*out*/) {
+    TINCY_CHECK_MSG(false, type_name() << " cannot read codes");
+  }
+
   /// Operations per frame in the paper's accounting (see ops.hpp).
   virtual OpsCount ops() const { return {}; }
 

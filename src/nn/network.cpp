@@ -51,11 +51,16 @@ void Network::add(LayerPtr layer) {
       prev_slot->grid_out = slot.grid_in;
       slot.mode = Mode::kCodes;
     }
+  } else if (prev && prev->exact() && layer->reads_codes(*prev)) {
+    slot.mode = Mode::kFromCodes;
+    slot.grid_in = prev;
   }
-  // The previous layer's hand-off is settled now. Float layers need their
-  // buffer every frame; any other layer's float buffer is only allocated
-  // if its activation is read as floats (the last layer's on first use).
-  if (!slots_.empty() && slots_.back().mode == Mode::kFloat)
+  // The previous layer's hand-off is settled now. Layers writing floats
+  // need their buffer every frame; any other layer's float buffer is only
+  // allocated if its activation is read as floats (the last layer's on
+  // first use).
+  if (!slots_.empty() && (slots_.back().mode == Mode::kFloat ||
+                          slots_.back().mode == Mode::kFromCodes))
     slots_.back().out = Tensor(layers_.back()->output_shape());
   slots_.push_back(std::move(slot));
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
@@ -112,8 +117,18 @@ const Tensor& Network::forward(const Tensor& input) {
     Layer& layer = *layers_[u];
     Slot& slot = slots_[u];
     LayerSpan layer_span(*layer_hist_[u], layer_trace_names_[u]);
+    // The codes a kCodes or kFromCodes layer reads.
+    const uint8_t* prev_codes =
+        i == 0 ? nullptr
+               : slots_[u - 1].mode == Mode::kEmit ? emitted
+                                                   : slots_[u - 1].codes.data();
     if (slot.mode == Mode::kFloat) {
       layer.forward(i == 0 ? input : float_output(i - 1), float_buffer(i));
+      slot.out_current = true;
+      continue;
+    }
+    if (slot.mode == Mode::kFromCodes) {
+      layer.forward_from_codes(prev_codes, *slot.grid_in, float_buffer(i));
       slot.out_current = true;
       continue;
     }
@@ -127,10 +142,7 @@ const Tensor& Network::forward(const Tensor& input) {
     }
     if (slot.codes.empty()) slot.codes = TensorU8(layer.output_shape());
     if (slot.mode == Mode::kCodes) {
-      layer.forward_codes(slots_[u - 1].mode == Mode::kEmit
-                              ? emitted
-                              : slots_[u - 1].codes.data(),
-                          slot.codes.data());
+      layer.forward_codes(prev_codes, slot.codes.data());
     } else {
       const Tensor& in = i == 0 ? input : float_output(i - 1);
       TINCY_CHECK(in.shape() == layer_input_shape(i));

@@ -31,6 +31,15 @@
 /// recomputes it on first read from the quantised frame the producer
 /// keeps (Layer::replay_emitted), with no per-frame copy of the input.
 ///
+/// The hand-off also reaches forward into a float consumer of codes:
+/// when a float layer follows a code producer on an exact grid and can
+/// read that grid (Layer::reads_codes; today an 8-bit kLowp conv), it
+/// takes the codes in and writes its floats out ("codes in, floats out"),
+/// and the producer's dequantise pass is gone. On zoo:tincy-w1a3, L13
+/// reads L12's 3-bit codes: its 8-bit frame is made from them through a
+/// table (gemm::quantize_code_frame), byte-identical to quantising L12's
+/// floats. layer_output() of the producer still dequantises on read.
+///
 /// The hand-off depends on the layers' grids alone, and every activation
 /// is bit-identical to running the layers one by one on floats.
 ///
@@ -105,16 +114,18 @@ class Network {
     kQuantize,  ///< floats in, quantised onto code_input(), codes out
     kCodes,     ///< the previous layer's codes in, codes out
     kEmit,      ///< floats in, the next layer's input codes out
+    kFromCodes, ///< the previous layer's codes in, floats out
   };
   struct Slot {
     Mode mode = Mode::kFloat;
-    std::optional<CodeGrid> grid_in;   ///< kQuantize: the input grid
+    std::optional<CodeGrid> grid_in;   ///< kQuantize/kFromCodes: input grid
     std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes/kEmit: output grid
     /// kQuantize/kCodes: allocated by the first forward(); a kEmit layer's
     /// codes live in forward()'s arena scratch. Shaped C × H × W, stored
     /// HWC.
     TensorU8 codes;
-    Tensor out;  ///< kFloat: allocated by the next add(); else on first use
+    /// kFloat/kFromCodes: allocated by the next add(); else on first use.
+    Tensor out;
     bool out_current = true;  ///< `out` holds the latest activation
   };
 

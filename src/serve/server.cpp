@@ -41,7 +41,15 @@ StreamServer::StreamServer(ServerOptions options)
                                 : &telemetry::MetricsRegistry::global()),
       trace_(options_.trace ? options_.trace
                             : &telemetry::TraceCollector::global()),
-      arbiter_(metrics_, options_.arbiter) {
+      arbiter_(metrics_, options_.arbiter),
+      closed_{&metrics_->counter("serve.closed.sessions"),
+              &metrics_->counter("serve.closed.frames"),
+              &metrics_->counter("serve.closed.rejected"),
+              &metrics_->counter("serve.closed.shed"),
+              &metrics_->counter("serve.closed.degraded"),
+              &metrics_->counter("serve.closed.dropped"),
+              &metrics_->counter("serve.closed.faults"),
+              &metrics_->gauge("serve.closed.latency_p99_max_ms")} {
   TINCY_CHECK_MSG(
       options_.num_workers >= 1 && options_.num_workers <= kMaxWorkers,
       "num_workers " << options_.num_workers << " outside [1, "
@@ -82,36 +90,74 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
   s->cfg = std::move(cfg);
   if (s->cfg.name.empty()) s->cfg.name = "s" + std::to_string(id);
   // Normalize once so the session name, its metric names and its
-  // flight-recorder file all agree (and stay JSON/path-safe).
+  // flight-recorder file all agree (and stay JSON/path-safe). Without a
+  // '.', one session's serve.session.<name>. prefix never covers another
+  // session's metrics, so a retired session's can be dropped by prefix.
   s->cfg.name = metric_label(s->cfg.name);
+  std::replace(s->cfg.name.begin(), s->cfg.name.end(), '.', '_');
   s->slots.resize(s->cfg.stages.size());
   s->stage_trace_names.reserve(s->cfg.stages.size());
   for (const auto& st : s->cfg.stages)
     s->stage_trace_names.push_back("stage:" + st.name);
-  const std::string prefix = "serve.session." + s->cfg.name + ".";
-  s->stage_metrics.reserve(s->cfg.stages.size());
-  for (const auto& st : s->cfg.stages) {
-    const std::string stage = prefix + "stage." + metric_label(st.name) + ".";
-    s->stage_metrics.push_back({&metrics_->histogram(stage + "busy_ms"),
-                                &metrics_->histogram(stage + "wait_ms"),
-                                &metrics_->counter(stage + "jobs")});
-  }
-  s->frames_counter = &metrics_->counter(prefix + "frames");
-  s->latency_hist = &metrics_->histogram(prefix + "latency_ms");
-  s->latency_window = &metrics_->windowed_histogram(prefix + "latency_ms.window");
-  s->fps_window = &metrics_->windowed_rate(prefix + "fps.window");
-  s->queue_depth_gauge = &metrics_->gauge(prefix + "queue_depth");
-  s->rejected_counter = &metrics_->counter(prefix + "rejected");
-  s->shed_counter = &metrics_->counter(prefix + "shed");
-  s->degraded_counter = &metrics_->counter(prefix + "degraded");
-  s->dropped_counter = &metrics_->counter(prefix + "dropped");
-  s->faults_counter = &metrics_->counter(prefix + "faults");
-  s->quarantined_gauge = &metrics_->gauge(prefix + "quarantined");
+  bind_metrics_locked(*s);
   arbiter_.add_session(id, s->cfg.weight, s->cfg.priority);
   sessions_.push_back(std::move(s));
   lock.unlock();
   cv_.notify_all();  // live churn: workers should see the new session
   return id;
+}
+
+void StreamServer::bind_metrics_locked(Session& s) {
+  const std::string prefix = "serve.session." + s.cfg.name + ".";
+  s.stage_metrics.clear();
+  s.stage_metrics.reserve(s.cfg.stages.size());
+  for (const auto& st : s.cfg.stages) {
+    const std::string stage = prefix + "stage." + metric_label(st.name) + ".";
+    s.stage_metrics.push_back({&metrics_->histogram(stage + "busy_ms"),
+                               &metrics_->histogram(stage + "wait_ms"),
+                               &metrics_->counter(stage + "jobs")});
+  }
+  s.frames_counter = &metrics_->counter(prefix + "frames");
+  s.latency_hist = &metrics_->histogram(prefix + "latency_ms");
+  s.latency_window = &metrics_->windowed_histogram(prefix + "latency_ms.window");
+  s.fps_window = &metrics_->windowed_rate(prefix + "fps.window");
+  s.queue_depth_gauge = &metrics_->gauge(prefix + "queue_depth");
+  s.rejected_counter = &metrics_->counter(prefix + "rejected");
+  s.shed_counter = &metrics_->counter(prefix + "shed");
+  s.degraded_counter = &metrics_->counter(prefix + "degraded");
+  s.dropped_counter = &metrics_->counter(prefix + "dropped");
+  s.faults_counter = &metrics_->counter(prefix + "faults");
+  s.quarantined_gauge = &metrics_->gauge(prefix + "quarantined");
+  s.metrics_bound = true;
+}
+
+void StreamServer::drop_metrics_locked(Session& s) {
+  if (!s.metrics_bound || !s.retired || !s.closed) return;
+  // Sessions of one name share their metric objects: those go once the
+  // last of them is closed and retired, with the shared counts folded in
+  // once.
+  std::vector<Session*> sharing;
+  for (const auto& o : sessions_) {
+    if (!o->metrics_bound || o->cfg.name != s.cfg.name) continue;
+    if (!o->retired || !o->closed) return;
+    sharing.push_back(o.get());
+  }
+  closed_.sessions->add(static_cast<int64_t>(sharing.size()));
+  closed_.frames->add(s.frames_counter->value());
+  closed_.rejected->add(s.rejected_counter->value());
+  closed_.shed->add(s.shed_counter->value());
+  closed_.degraded->add(s.degraded_counter->value());
+  closed_.dropped->add(s.dropped_counter->value());
+  closed_.faults->add(s.faults_counter->value());
+  if (s.latency_hist->count() > 0)
+    closed_.worst_p99_ms->set(std::max(closed_.worst_p99_ms->value(),
+                                       s.latency_hist->quantile(0.99)));
+  const int64_t rejected = s.rejected_counter->value();
+  for (Session* o : sharing) {
+    o->rejected_total = rejected;
+    o->metrics_bound = false;
+  }
+  metrics_->remove("serve.session." + s.cfg.name + ".");
 }
 
 void StreamServer::close_session(int64_t session) {
@@ -155,6 +201,7 @@ void StreamServer::start() {
   TINCY_CHECK_MSG(!sessions_.empty(), "start() with no sessions");
   for (size_t i = 0; i < sessions_.size(); ++i) {
     Session& s = *sessions_[i];
+    if (!s.metrics_bound) bind_metrics_locked(s);
     reset_session_locked(s);
     // Retired sessions were forgotten by the arbiter; re-registering all
     // of them (remove is a no-op for the still-known ones) restarts every
@@ -163,6 +210,8 @@ void StreamServer::start() {
     arbiter_.add_session(static_cast<int64_t>(i), s.cfg.weight,
                          s.cfg.priority);
   }
+  // Every session starts afresh, so the totals of closed ones do too.
+  metrics_->reset("serve.closed.");
   rr_next_ = 0;
   // grant_seq_/wait_seq_ deliberately keep counting across start() calls
   // so trace ids stay unique over a whole process's trace.
@@ -637,17 +686,23 @@ void StreamServer::quarantine_locked(int64_t session,
 
 void StreamServer::maybe_retire_locked(int64_t session) {
   Session& s = *sessions_[static_cast<size_t>(session)];
-  if (s.retired || !(s.closed || s.quarantined)) return;
-  if (!s.queue.empty()) return;
-  for (const auto& slot : s.slots)
-    if (slot.frame.has_value() || slot.reserved) return;
-  // No slot is reserved, so no stage of this session is running and the
-  // engine release (which precedes clearing the reservation) has happened:
-  // the arbiter can forget the session safely — and with it any pending
-  // (session, layer) gang-queue entry, so a retired session never joins a
-  // forming batch.
-  s.retired = true;
-  arbiter_.remove_session(session);
+  if (!s.retired) {
+    if (!(s.closed || s.quarantined)) return;
+    if (!s.queue.empty()) return;
+    for (const auto& slot : s.slots)
+      if (slot.frame.has_value() || slot.reserved) return;
+    // No slot is reserved, so no stage of this session is running and the
+    // engine release (which precedes clearing the reservation) has
+    // happened: the arbiter can forget the session safely — and with it
+    // any pending (session, layer) gang-queue entry, so a retired session
+    // never joins a forming batch.
+    s.retired = true;
+    arbiter_.remove_session(session);
+  }
+  // Nothing records into a retired session's metrics any more; a closed
+  // one takes no submissions either, so they go (a quarantined one keeps
+  // them until it is closed: its fault is what an operator reads).
+  drop_metrics_locked(s);
 }
 
 void StreamServer::reset_session_locked(Session& s) {
@@ -744,7 +799,16 @@ int64_t StreamServer::rejected(int64_t session) const {
   TINCY_CHECK_MSG(
       session >= 0 && session < static_cast<int64_t>(sessions_.size()),
       "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->rejected_counter->value();
+  const Session& s = *sessions_[static_cast<size_t>(session)];
+  return s.metrics_bound ? s.rejected_counter->value() : s.rejected_total;
+}
+
+int64_t StreamServer::discarded(int64_t session) const {
+  std::lock_guard lock(mutex_);
+  TINCY_CHECK_MSG(
+      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
+      "unknown session " << session);
+  return sessions_[static_cast<size_t>(session)]->discarded;
 }
 
 bool StreamServer::closed(int64_t session) const {

@@ -58,6 +58,18 @@
 ///   serve.session.<name>.stage.<stage>.jobs     counter == frames run
 ///   serve.arbiter.grants / .queue_depth / .batch_size (EngineArbiter)
 ///
+/// A closed session's serve.session.<name>.* metrics are dropped from the
+/// registry once it has retired (drained: nothing records into them any
+/// more), so a churning server's registry stays bounded by the sessions
+/// open at once. Its final counts are folded into server-level totals
+/// first:
+///   serve.closed.sessions            counter, sessions folded in
+///   serve.closed.frames / .rejected / .shed / .degraded / .dropped /
+///   .faults                          counters, their sessions' sums
+///   serve.closed.latency_p99_max_ms  gauge, worst per-session p99
+/// Session names hold no '.', so one session's prefix never covers
+/// another's metrics.
+///
 /// Tracing (docs/observability.md "Tracing"): when ServerOptions::trace
 /// is enabled, every frame leaves an async "frame" span (submit ->
 /// delivery/drop), an async "queue" span (admission dwell), per-stage
@@ -208,12 +220,14 @@ class StreamServer {
   /// inside the stage chain run to delivery, and further submissions
   /// answer kClosed. Works while the server is running — the churn path.
   /// A closed session's pending gang-queue entry is withdrawn, so it can
-  /// never join a batch forming after this call.
+  /// never join a batch forming after this call. Once drained, its
+  /// serve.session.<name>.* metrics go, folded into serve.closed.*.
   void close_session(int64_t session);
 
   /// Spawns the worker pool and begins accepting submissions. Resets
   /// every registered session to a fresh open state (clears closed /
-  /// quarantined flags and the serve.* metrics of this server's sessions).
+  /// quarantined flags and the serve.* metrics of this server's sessions,
+  /// re-registering those dropped at close, and zeroes serve.closed.*).
   void start();
 
   /// Admits one frame into the session's queue, applying the overload
@@ -238,6 +252,9 @@ class StreamServer {
   int64_t queue_depth(int64_t session) const;   ///< admitted, not yet started
   int64_t delivered(int64_t session) const;
   int64_t rejected(int64_t session) const;
+  /// Frames admitted but never delivered: shed, or dropped at close or
+  /// quarantine. delivered + discarded == admitted once drained.
+  int64_t discarded(int64_t session) const;
   bool closed(int64_t session) const;
   bool quarantined(int64_t session) const;
   /// what() of the exception that quarantined the session ("" if healthy).
@@ -300,6 +317,23 @@ class StreamServer {
     telemetry::Counter* dropped_counter;
     telemetry::Counter* faults_counter;
     telemetry::Gauge* quarantined_gauge;
+    /// The metric pointers above are registered; false once the session
+    /// closed and retired and its metrics were dropped.
+    bool metrics_bound = false;
+    /// rejected() once the metrics are dropped.
+    int64_t rejected_total = 0;
+  };
+
+  /// The serve.closed.* totals of sessions whose metrics were dropped.
+  struct ClosedTotals {
+    telemetry::Counter* sessions;
+    telemetry::Counter* frames;
+    telemetry::Counter* rejected;
+    telemetry::Counter* shed;
+    telemetry::Counter* degraded;
+    telemetry::Counter* dropped;
+    telemetry::Counter* faults;
+    telemetry::Gauge* worst_p99_ms;
   };
 
   /// One (session, stage) membership of a claimed job.
@@ -331,6 +365,11 @@ class StreamServer {
   /// the arbiter.
   void maybe_retire_locked(int64_t session);
   void reset_session_locked(Session& s);
+  /// Registers the session's serve.session.<name>.* metrics.
+  void bind_metrics_locked(Session& s);
+  /// For a closed, retired session: folds its counts into closed_ and
+  /// drops its metrics (deferred while a same-named session is live).
+  void drop_metrics_locked(Session& s);
   /// Emits async-end events for every frame the session still owns
   /// (queued + slot deposits) with the given outcome. Trace-gated.
   void trace_drop_owned_locked(const Session& s, int64_t session,
@@ -347,6 +386,7 @@ class StreamServer {
   telemetry::MetricsRegistry* metrics_;
   telemetry::TraceCollector* trace_;
   EngineArbiter arbiter_;
+  ClosedTotals closed_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

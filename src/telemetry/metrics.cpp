@@ -399,6 +399,24 @@ void MetricsRegistry::reset(std::string_view prefix) {
     if (has_prefix(name, prefix)) w->reset();
 }
 
+int64_t MetricsRegistry::remove(std::string_view prefix) {
+  std::lock_guard lock(mutex_);
+  int64_t removed = 0;
+  // Names sharing a prefix are one contiguous run of each sorted map.
+  const std::string first(prefix);
+  auto drop = [&](auto& metrics) {
+    auto it = metrics.lower_bound(first);
+    for (; it != metrics.end() && has_prefix(it->first, prefix); ++removed)
+      it = metrics.erase(it);
+  };
+  drop(counters_);
+  drop(gauges_);
+  drop(histograms_);
+  drop(windowed_rates_);
+  drop(windowed_hists_);
+  return removed;
+}
+
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -223,6 +223,12 @@ class MetricsRegistry {
   /// Metric objects stay registered; cached pointers remain valid.
   void reset(std::string_view prefix = {});
 
+  /// Unregisters and destroys every metric whose name starts with
+  /// `prefix`; returns how many went. Pointers and references to them
+  /// dangle afterwards, so their holder must have let go of them first
+  /// (StreamServer drops a retired session's `serve.session.<name>.`).
+  int64_t remove(std::string_view prefix);
+
   /// The process-wide default registry used by components that are not
   /// handed an explicit one (gemm kernels, the CLI).
   static MetricsRegistry& global();

@@ -1,10 +1,11 @@
 #pragma once
 
-// Scalar oracles of the W1A3 frame's per-element CPU stages: the plain
-// per-element loops these stages ran before they were rewritten as
-// single-pass kernels. The differential tests (test_frame_glue) pin each
-// kernel to its oracle bit for bit, and bench/frame_glue times the two
-// against each other. Nothing outside tests/ and bench/ includes this.
+// Scalar oracles of the W1A3 frame's CPU stages: the plain per-element
+// loops these stages ran before they were rewritten as single-pass
+// kernels, and the NMS before its per-class buckets. The differential
+// tests (test_frame_glue, test_detect) pin each kernel to its oracle bit
+// for bit, and bench/frame_glue times the two against each other.
+// Nothing outside tests/ and bench/ includes this.
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +17,7 @@
 
 #include "code_layer_oracle.hpp"
 #include "core/tensor.hpp"
+#include "detect/box.hpp"
 #include "gemm/bitserial.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
@@ -80,6 +82,30 @@ inline Tensor letterbox(const Tensor& image, int64_t size) {
       for (int64_t x = 0; x < new_w; ++x)
         boxed.at(c, y + off_y, x + off_x) = resized.at(c, y, x);
   return boxed;
+}
+
+/// Greedy per-class NMS checking each candidate against every kept box
+/// (skipping other classes one by one), after the same stable sort.
+inline std::vector<detect::Detection> nms(
+    std::vector<detect::Detection> detections, float iou_threshold) {
+  std::stable_sort(detections.begin(), detections.end(),
+                   [](const detect::Detection& a, const detect::Detection& b) {
+                     const float sa = a.score(), sb = b.score();
+                     return !std::isnan(sa) && (std::isnan(sb) || sa > sb);
+                   });
+  std::vector<detect::Detection> kept;
+  for (const detect::Detection& d : detections) {
+    bool suppressed = false;
+    for (const detect::Detection& k : kept) {
+      if (k.class_id == d.class_id &&
+          detect::iou(k.box, d.box) > iou_threshold) {
+        suppressed = true;
+        break;
+      }
+    }
+    if (!suppressed) kept.push_back(d);
+  }
+  return kept;
 }
 
 /// Darknet max pool (implicit total padding size − 1) with a bounds test

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <climits>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "detect/box.hpp"
 #include "detect/decode.hpp"
 #include "detect/map.hpp"
 #include "detect/nms.hpp"
+#include "frame_glue_oracle.hpp"
 
 namespace tincy::detect {
 namespace {
@@ -102,6 +106,82 @@ TEST(Nms, NanScoresStillSuppressOverlaps) {
   const auto kept = nms(dets, 0.45f);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_FLOAT_EQ(kept[0].objectness, 0.3f);
+}
+
+// --- NMS against the scalar oracle (frame_glue_oracle.hpp) -------------
+
+/// Bitwise equality of two detection lists (NaN scores included).
+void expect_same_detections(const std::vector<Detection>& got,
+                            const std::vector<Detection>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  auto bits = [](float x) { return std::bit_cast<uint32_t>(x); };
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Detection& g = got[i];
+    const Detection& w = want[i];
+    ASSERT_TRUE(g.class_id == w.class_id && bits(g.box.x) == bits(w.box.x) &&
+                bits(g.box.y) == bits(w.box.y) &&
+                bits(g.box.w) == bits(w.box.w) &&
+                bits(g.box.h) == bits(w.box.h) &&
+                bits(g.objectness) == bits(w.objectness) &&
+                bits(g.class_prob) == bits(w.class_prob))
+        << "position " << i << ": class " << g.class_id << " vs "
+        << w.class_id;
+  }
+}
+
+/// How the boxes of a random detection set are laid out.
+enum class Layout { kMixed, kAllOverlapping, kDisjoint };
+
+/// Seeded detections with NaN and ±inf scores, tied scores, negative and
+/// extreme class ids, on one of three box layouts.
+std::vector<Detection> random_detections(uint64_t seed, int n,
+                                         Layout layout) {
+  Rng rng(seed);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const int classes[] = {0, 1, 2, -1, -7, INT_MIN, INT_MAX, 1000000000};
+  std::vector<Detection> dets;
+  for (int i = 0; i < n; ++i) {
+    Detection d;
+    switch (layout) {
+      case Layout::kMixed:
+        d.box = {rng.uniform(0.0f, 1.0f), rng.uniform(0.0f, 1.0f),
+                 rng.uniform(0.0f, 0.5f), rng.uniform(0.0f, 0.5f)};
+        break;
+      case Layout::kAllOverlapping:
+        d.box = {0.5f + rng.uniform(-0.01f, 0.01f),
+                 0.5f + rng.uniform(-0.01f, 0.01f), 0.4f, 0.4f};
+        break;
+      case Layout::kDisjoint:
+        d.box = {0.01f + 0.02f * static_cast<float>(i % 50),
+                 0.01f + 0.02f * static_cast<float>(i / 50), 0.01f, 0.01f};
+        break;
+    }
+    d.class_id = classes[rng.uniform_int(0, 7)];
+    // Scores from a small set tie often; some are non-finite outright or
+    // through inf · 0.
+    const float values[] = {0.25f, 0.5f, 0.75f, nan, inf, -inf, 0.0f};
+    d.objectness = rng.bernoulli(0.5) ? values[rng.uniform_int(0, 6)]
+                                      : rng.uniform(0.0f, 1.0f);
+    d.class_prob = rng.bernoulli(0.1) ? 0.0f : rng.uniform(0.5f, 1.0f);
+    dets.push_back(d);
+  }
+  return dets;
+}
+
+TEST(NmsOracle, BucketedByClassMatchesScalarGreedyPass) {
+  for (const Layout layout :
+       {Layout::kMixed, Layout::kAllOverlapping, Layout::kDisjoint})
+    for (const int n : {0, 1, 2, 17, 600})
+      for (const float threshold : {0.0f, 0.3f, 0.45f, 1.0f})
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+          SCOPED_TRACE(::testing::Message()
+                       << "layout " << static_cast<int>(layout) << " n " << n
+                       << " threshold " << threshold << " seed " << seed);
+          const auto dets = random_detections(seed * 977 + n, n, layout);
+          expect_same_detections(nms(dets, threshold),
+                                 oracle::nms(dets, threshold));
+        }
 }
 
 TEST(Decode, RecoversPlantedBox) {

@@ -313,6 +313,79 @@ TEST(Accelerator, BatchedBitExactOnQuantSubnet) {
   }
 }
 
+/// The outputs of chained public run_layer_batched calls (CHW maps
+/// between the layers): what forward_codes_batched must reproduce.
+std::vector<uint8_t> chained_run_layer_batched(const QnnAccelerator& acc,
+                                               std::vector<uint8_t> maps,
+                                               int64_t batch) {
+  for (int64_t i = 0; i < acc.num_layers(); ++i) {
+    std::vector<uint8_t> next(
+        static_cast<size_t>(batch * acc.spec(i).output_shape().numel()));
+    acc.run_layer_batched(i, maps, batch, next);
+    maps = std::move(next);
+  }
+  return maps;
+}
+
+void expect_hwc_chain_matches_chained_calls(const QnnAccelerator& acc,
+                                            Rng& rng, int top_code) {
+  for (const int64_t batch : {1, 3}) {
+    std::vector<uint8_t> inputs(
+        static_cast<size_t>(batch * acc.input_shape().numel()));
+    for (auto& v : inputs)
+      v = static_cast<uint8_t>(rng.uniform_int(0, top_code));
+    EXPECT_EQ(acc.forward_codes_batched(inputs, batch),
+              chained_run_layer_batched(acc, inputs, batch))
+        << "batch " << batch;
+  }
+}
+
+TEST(Accelerator, HwcChainMatchesChainedCallsOnTincyHiddenStackAt64) {
+  // Layers 1..12 of zoo:tincy-w1a3 at 64: the six conv(+pool) stages of
+  // the offload, on L0's 16 × 32 × 32 output.
+  const std::string cfg = nn::zoo::tiny_yolo_cfg(
+      nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kW1A3, 64,
+      nn::zoo::CpuProfile::kOptimized);
+  size_t begin = 0;
+  for (int header = 0; header < 3; ++header)
+    begin = cfg.find("\n[", begin) + 1;
+  const size_t end = cfg.find("[convolutional]\nfilters=125");
+  ASSERT_TRUE(begin > 0 && end != std::string::npos && end > begin);
+  auto subnet = nn::build_network_from_string(
+      "[net]\nwidth=32\nheight=32\nchannels=16\n\n" +
+      cfg.substr(begin, end - begin));
+  Rng rng(311);
+  nn::zoo::randomize(*subnet, rng);
+  const QnnAccelerator acc = offload::import_accelerator(*subnet);
+  ASSERT_GE(acc.num_layers(), 6);
+  expect_hwc_chain_matches_chained_calls(acc, rng, 7);
+}
+
+TEST(Accelerator, HwcChainMatchesChainedCallsThroughAnFcStage) {
+  // conv + pool to a 8 × 3 × 3 map, then an FC stage over its CHW
+  // flattening (72 × 1 × 1), then a second FC stage over a 1 × 1 map.
+  Rng rng(312);
+  QnnAccelerator acc;
+  QnnLayerSpec conv;
+  conv.in_channels = 4;
+  conv.in_height = conv.in_width = 6;
+  conv.filters = 8;
+  conv.pool_after = true;
+  acc.add_layer(conv, random_binary(rng, 8, 4 * 9), identity_thresholds(8, 7));
+  QnnLayerSpec fc;
+  fc.in_channels = 8 * 3 * 3;
+  fc.in_height = fc.in_width = 1;
+  fc.filters = 10;
+  fc.kernel = 1;
+  fc.pad = 0;
+  acc.add_layer(fc, random_binary(rng, 10, 72), identity_thresholds(10, 7));
+  QnnLayerSpec fc2 = fc;
+  fc2.in_channels = 10;
+  fc2.filters = 5;
+  acc.add_layer(fc2, random_binary(rng, 5, 10), identity_thresholds(5, 7));
+  expect_hwc_chain_matches_chained_calls(acc, rng, 7);
+}
+
 /// CNV-style bipolar chain (W1A1, valid convs, mid-chain max pool).
 QnnAccelerator bipolar_accelerator(Rng& rng) {
   QnnAccelerator acc;

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <limits>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -75,6 +76,59 @@ INSTANTIATE_TEST_SUITE_P(
                       LetterboxCase{3, 96, 128, 416},   // upscale
                       LetterboxCase{1, 96, 128, 416},
                       LetterboxCase{3, 480, 640, 64}));  // serving size
+
+// The letterbox with its rows sharded over pools of 1, 2 and 4 threads,
+// into a frame pre-filled with NaN: every element must be written, the
+// pad rows and columns with 0.5 and the rest bit-identical to the oracle.
+using ShardedCase = std::tuple<LetterboxCase, int>;  // (shape, pool threads)
+
+class ShardedLetterbox : public ::testing::TestWithParam<ShardedCase> {};
+
+core::ThreadPool& pool_of(int threads) {
+  static core::ThreadPool one(1), two(2), four(4);
+  return threads == 1 ? one : threads == 2 ? two : four;
+}
+
+TEST_P(ShardedLetterbox, BitIdenticalToOracleOnEveryPool) {
+  const auto [shape, threads] = GetParam();
+  const auto [C, H, W, size] = shape;
+  Rng rng(static_cast<uint64_t>(C * 7 + H * 131 + W + size));
+  const Tensor image = random_image(rng, Shape{C, H, W});
+  Tensor boxed(Shape{C, size, size}, kNaN);
+  data::letterbox_into(image, boxed, pool_of(threads));
+  expect_same_bits(boxed, oracle::letterbox(image, size));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ShardedLetterbox,
+    ::testing::Combine(
+        ::testing::Values(LetterboxCase{3, 480, 640, 416},  // landscape
+                          LetterboxCase{3, 640, 480, 416},  // portrait
+                          LetterboxCase{3, 300, 300, 416},  // square
+                          LetterboxCase{3, 1, 1, 416},      // 1×1 source
+                          LetterboxCase{3, 1, 57, 416},     // 1×N
+                          LetterboxCase{2, 57, 1, 416},     // N×1
+                          LetterboxCase{3, 37, 53, 417},    // odd sizes
+                          LetterboxCase{1, 101, 67, 255},
+                          LetterboxCase{3, 480, 640, 64},   // serving, inline
+                          LetterboxCase{3, 7, 5, 9}),
+        ::testing::Values(1, 2, 4)));
+
+TEST(ShardedLetterbox, ConcurrentCallersShareOnePool) {
+  // Server workers letterbox their sessions' frames at once, all through
+  // the shared pool (a TSan target).
+  Rng rng(61);
+  const Tensor image = random_image(rng, Shape{3, 480, 640});
+  const Tensor want = oracle::letterbox(image, 416);
+  std::vector<Tensor> got(4);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < got.size(); ++t)
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) got[t] = data::letterbox(image, 416);
+    });
+  for (auto& c : callers) c.join();
+  for (const Tensor& g : got) expect_same_bits(g, want);
+}
 
 TEST(ResizeOracle, BitIdenticalOnOddSizes) {
   Rng rng(5);

@@ -18,6 +18,7 @@
 
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
+#include "data/image.hpp"
 #include "fabric/accelerator.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
@@ -514,6 +515,26 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   for (int64_t i = 0; i < ladder_in.numel(); ++i)
     ladder_in[i] = static_cast<float>(rng.uniform_int(0, 7));
 
+  // The W1A3 frame's last two convs under Network::forward: L13 (kLowp,
+  // 1 × 1) reads L12's codes and writes its floats, with no dequantise
+  // pass and its 8-bit frame made from the codes by table.
+  const auto tail = nn::build_network_from_string(
+      "[net]\nwidth=8\nheight=8\nchannels=16\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=32\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n\n"
+      "[convolutional]\nfilters=24\nsize=1\nactivation=linear\n"
+      "kernel=lowp\n");
+  nn::zoo::randomize(*tail, rng);
+
+  // The sharded letterbox's interior: a camera frame into a 416 frame the
+  // caller owns (only letterbox()'s returned Tensor is allocated). The
+  // column taps stay in this thread's arena; the pool's share is
+  // allocation-free.
+  Tensor camera(Shape{3, 480, 640});
+  for (int64_t i = 0; i < camera.numel(); ++i)
+    camera[i] = rng.uniform(0.0f, 1.0f);
+  Tensor boxed(Shape{3, 416, 416});
+
   // One fabric engine stage (conv + pool), run alone and as a gang of 4.
   fabric::QnnLayerSpec spec;
   spec.in_channels = 16;
@@ -555,6 +576,8 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
     pool.forward_codes(hwc_conv.data(), hwc_pooled.data());
     big_pool.forward_codes(big_in.data(), big_out.data());
     ladder->forward(ladder_in);
+    tail->forward(ladder_in);
+    data::letterbox_into(camera, boxed, core::ThreadPool::shared());
     // CHW maps in and out: both passes convert at entry and exit.
     accel.run_layer_batched(
         0, std::span<const uint8_t>(gang_in.data(), one_in), 1,

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
+#include "gemm/gemm_lowp.hpp"
 #include "nn/activation.hpp"
 #include "nn/builder.hpp"
 #include "nn/connected_layer.hpp"
@@ -266,6 +270,155 @@ TEST(Network, ForwardChainsShapes) {
   EXPECT_EQ(out.shape(), Shape({4, 8, 8}));
   EXPECT_NE(net.snapshot().find_histogram("net.layer.0.convolutional.ms"),
             nullptr);
+}
+
+// --- Codes in, floats out: a float consumer reading its producer's codes
+
+/// forward() on zoo:tincy-w1a3 at `size` (L13 reads L12's codes) against
+/// run_layer on floats on a twin with the same parameters: every
+/// layer_output must be byte-identical.
+void expect_tincy_forward_matches_run_layer(int64_t size) {
+  const std::string cfg = zoo::tiny_yolo_cfg(
+      zoo::TinyVariant::kTincy, zoo::QuantMode::kW1A3, size,
+      zoo::CpuProfile::kOptimized);
+  auto coded = zoo::build(cfg);
+  auto floats = zoo::build(cfg);
+  Rng a(23), b(23);
+  zoo::randomize(*coded, a);
+  zoo::randomize(*floats, b);
+  for (const uint64_t seed : {31u, 32u}) {
+    Rng rng(seed);
+    const Tensor x = random_tensor(rng, coded->input_shape(), 0.0f, 1.0f);
+    coded->forward(x);
+    const Tensor* in = &x;
+    for (int64_t i = 0; i < floats->num_layers(); ++i)
+      in = &floats->run_layer(i, *in);
+    for (int64_t i = 0; i < coded->num_layers(); ++i) {
+      const Tensor& got = coded->layer_output(i);
+      const Tensor& want = floats->layer_output(i);
+      ASSERT_EQ(got.shape(), want.shape()) << "layer " << i;
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<size_t>(got.numel()) * sizeof(float)),
+                0)
+          << "layer " << i << " at " << size << ", input " << seed;
+    }
+  }
+}
+
+TEST(CodesInFloatsOut, TincyW1A3At416MatchesRunLayerOnEveryLayer) {
+  expect_tincy_forward_matches_run_layer(416);
+}
+
+TEST(CodesInFloatsOut, TincyW1A3At64MatchesRunLayerOnEveryLayer) {
+  expect_tincy_forward_matches_run_layer(64);
+}
+
+/// A float layer that can read codes on one grid, recording how forward()
+/// fed it.
+class CodeReadingSpy final : public Layer {
+ public:
+  CodeReadingSpy(Shape shape, CodeGrid grid) : shape_(shape), grid_(grid) {}
+  std::string type_name() const override { return "spy"; }
+  Shape output_shape() const override { return shape_; }
+  void forward(const Tensor& in, Tensor& out) override {
+    ++float_calls;
+    out = in;
+  }
+  bool reads_codes(const CodeGrid& g) const override { return g == grid_; }
+  void forward_from_codes(const uint8_t* in, const CodeGrid& g,
+                          Tensor& out) override {
+    ++code_calls;
+    first_code = in[0];
+    const int64_t C = shape_.channels(), P = out.numel() / C;
+    for (int64_t c = 0; c < C; ++c)
+      for (int64_t p = 0; p < P; ++p)
+        out[c * P + p] = g.dequantize(in[p * C + c]);
+  }
+  int float_calls = 0, code_calls = 0;
+  uint8_t first_code = 0;
+
+ private:
+  Shape shape_;
+  CodeGrid grid_;
+};
+
+TEST(CodesInFloatsOut, ForwardHandsCodesToAFloatLayerThatReadsThem) {
+  const auto head = build_network_from_string(
+      "[net]\nwidth=6\nheight=6\nchannels=4\n\n"
+      "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
+      "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n"
+      "out_scale=0.5\n");
+  Rng rng(41);
+  zoo::randomize(*head, rng);
+  const CodeGrid grid{3, 0.5f, false};
+  auto reading = std::make_unique<CodeReadingSpy>(head->output_shape(), grid);
+  auto other = std::make_unique<CodeReadingSpy>(head->output_shape(),
+                                                CodeGrid{3, 0.25f, false});
+  CodeReadingSpy& spy = *reading;
+  CodeReadingSpy& spy_other = *other;
+  head->add(std::move(reading));
+  head->add(std::move(other));  // after a float layer: floats in
+  const Tensor x = random_tensor(rng, head->input_shape(), 0.0f, 1.0f);
+  const Tensor out = head->forward(x);
+  EXPECT_EQ(spy.code_calls, 1);
+  EXPECT_EQ(spy.float_calls, 0);
+  EXPECT_EQ(spy_other.code_calls, 0);
+  EXPECT_EQ(spy_other.float_calls, 1);
+  // The spy's floats are the conv's dequantised codes, and the conv's
+  // layer_output still dequantises them on read.
+  EXPECT_EQ(head->layer_output(1), head->layer_output(0));
+  EXPECT_EQ(out, head->layer_output(0));
+}
+
+/// The codes of `hwc` (channels × pixels, HWC) dequantised into CHW floats.
+Tensor dequantised_chw(const CodeGrid& g, const std::vector<uint8_t>& hwc,
+                       int64_t channels, int64_t pixels) {
+  Tensor t(Shape{channels, pixels, 1});
+  for (int64_t c = 0; c < channels; ++c)
+    for (int64_t p = 0; p < pixels; ++p)
+      t[c * pixels + p] =
+          g.dequantize(hwc[static_cast<size_t>(p * channels + c)]);
+  return t;
+}
+
+TEST(CodesInFloatsOut, CodeFrameTableEqualsQuantizeFrame) {
+  Rng rng(43);
+  const std::vector<CodeGrid> grids = {
+      {3, 1.0f, false}, {3, 0.25f, false}, {3, 0.37f, false},
+      {1, 0.5f, false}, {2, 3.0f, false},  {4, 0.1f, false},
+      {1, 0.75f, true}};
+  for (const CodeGrid& g : grids) {
+    const int top = g.bipolar ? 1 : (1 << g.bits) - 1;
+    // (lowest, highest) code of each frame: all equal, all 0, all top,
+    // only two codes, and every code.
+    std::vector<std::pair<int, int>> spans = {{0, 0}, {top, top}, {0, top}};
+    for (int c = 0; c <= top; ++c) spans.push_back({c, c});
+    for (int k = 0; k < 4; ++k) {
+      const int lo = static_cast<int>(rng.uniform_int(0, top));
+      spans.push_back({lo, static_cast<int>(rng.uniform_int(lo, top))});
+    }
+    for (const auto& [lo, hi] : spans)
+      for (const auto& [C, P] : {std::pair<int64_t, int64_t>{5, 7}, {16, 37}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "bits " << g.bits << " scale " << g.scale
+                     << (g.bipolar ? " bipolar" : "") << " codes " << lo
+                     << ".." << hi << " map " << C << "x" << P);
+        // Codes drawn from {lo, hi} only, plus the two ends once each.
+        std::vector<uint8_t> hwc(static_cast<size_t>(C * P));
+        for (auto& v : hwc)
+          v = static_cast<uint8_t>(rng.bernoulli(0.5) ? lo : hi);
+        hwc.front() = static_cast<uint8_t>(lo);
+        hwc.back() = static_cast<uint8_t>(hi);
+        const Tensor floats = dequantised_chw(g, hwc, C, P);
+        std::vector<uint8_t> want(hwc.size()), got(hwc.size());
+        const quant::AffineParams want_params =
+            gemm::quantize_frame(floats.data(), floats.numel(), want.data());
+        const quant::AffineParams got_params =
+            gemm::quantize_code_frame(g, hwc.data(), C, P, got.data());
+        EXPECT_EQ(got_params, want_params);
+        EXPECT_EQ(got, want);
+      }
+  }
 }
 
 TEST(WeightsIO, RoundTripThroughStream) {

@@ -616,9 +616,72 @@ TEST(StreamServer, CloseMidStreamDropsQueuedDeliversInFlight) {
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0], 0);
   EXPECT_EQ(server.delivered(0), 1);
+  EXPECT_EQ(server.discarded(0), 4);
+  // Retired after its in-flight frame: the session's own metrics are
+  // gone, its counts live on in the server-level totals.
   const auto snap = server.snapshot();
-  EXPECT_EQ(snap.counter_value("serve.session.s0.frames"), 1);
-  EXPECT_EQ(snap.counter_value("serve.session.s0.dropped"), 4);
+  EXPECT_EQ(snap.find_counter("serve.session.s0.frames"), nullptr);
+  EXPECT_EQ(snap.counter_value("serve.closed.sessions"), 1);
+  EXPECT_EQ(snap.counter_value("serve.closed.frames"), 1);
+  EXPECT_EQ(snap.counter_value("serve.closed.dropped"), 4);
+}
+
+TEST(StreamServer, ClosedSessionMetricsGoOnceTheLastSharerRetires) {
+  telemetry::MetricsRegistry registry;
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.metrics = &registry;
+  StreamServer server(opts);
+  auto config = [](const std::string& name) {
+    SessionConfig sc;
+    sc.name = name;
+    sc.stages = {{"work", [](video::Frame&) {}, false}};
+    sc.deliver = [](video::Frame&&) {};
+    return sc;
+  };
+  // Two sessions share the name "cam" (and so their metric objects); a
+  // '.' in a name becomes '_', so "cam.hd" cannot fall under "cam.".
+  const int64_t a = server.open_session(config("cam"));
+  const int64_t b = server.open_session(config("cam"));
+  const int64_t c = server.open_session(config("cam.hd"));
+  server.start();
+  for (const int64_t id : {a, b, c})
+    for (int64_t seq = 0; seq < 3; ++seq)
+      ASSERT_EQ(server.submit(id, make_frame(seq)), ServeResult::kAccepted);
+  server.drain();
+  auto has = [&](const std::string& name) {
+    return registry.snapshot().find_counter(name) != nullptr;
+  };
+  ASSERT_TRUE(has("serve.session.cam_hd.frames"));
+
+  server.close_session(a);  // "cam" is still live through b
+  EXPECT_TRUE(has("serve.session.cam.frames"));
+  EXPECT_EQ(registry.snapshot().counter_value("serve.closed.sessions"), 0);
+  server.close_session(c);
+  EXPECT_FALSE(has("serve.session.cam_hd.frames"));
+  EXPECT_FALSE(has("serve.session.cam_hd.stage.work.jobs"));
+  EXPECT_TRUE(has("serve.session.cam.frames"));
+  server.close_session(b);
+  EXPECT_FALSE(has("serve.session.cam.frames"));
+  EXPECT_TRUE(registry.snapshot("serve.session.").histograms.empty());
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("serve.closed.sessions"), 3);
+  EXPECT_EQ(snap.counter_value("serve.closed.frames"), 9);
+  EXPECT_GT(snap.gauge_value("serve.closed.latency_p99_max_ms"), 0.0);
+  EXPECT_EQ(server.delivered(a) + server.delivered(b), 6);
+  EXPECT_EQ(server.rejected(a), 0);
+  server.stop();
+
+  // start() reopens every session: the dropped metrics come back, and the
+  // closed totals start afresh.
+  server.start();
+  ASSERT_EQ(server.submit(a, make_frame(0)), ServeResult::kAccepted);
+  server.drain();
+  server.stop();
+  const auto reopened = registry.snapshot();
+  EXPECT_EQ(reopened.counter_value("serve.session.cam.frames"), 1);
+  EXPECT_NE(reopened.find_counter("serve.session.cam_hd.frames"), nullptr);
+  EXPECT_EQ(reopened.counter_value("serve.closed.sessions"), 0);
 }
 
 TEST(StreamServer, OpenSessionWhileRunningServesNewStream) {

@@ -121,6 +121,30 @@ TEST(Telemetry, RegistrySnapshotFiltersByPrefix) {
   EXPECT_EQ(only_a.counter_value("b.y"), 0);  // filtered out
 }
 
+TEST(Telemetry, RegistryRemoveDropsOnlyThePrefix) {
+  MetricsRegistry registry;
+  registry.counter("s.a.x").add(1);
+  registry.gauge("s.a.g").set(2.0);
+  registry.histogram("s.a.h").record(1.0);
+  registry.windowed_histogram("s.a.w").record(1.0);
+  registry.windowed_rate("s.a.r").add(1);
+  Counter& kept = registry.counter("s.ab.x");
+  kept.add(3);
+  registry.counter("s.b.x").add(4);
+  EXPECT_EQ(registry.remove("s.a."), 5);
+  const Snapshot after = registry.snapshot();
+  EXPECT_TRUE(registry.snapshot("s.a.").counters.empty());
+  EXPECT_TRUE(registry.snapshot("s.a.").gauges.empty());
+  EXPECT_TRUE(registry.snapshot("s.a.").histograms.empty());
+  EXPECT_EQ(after.counter_value("s.ab.x"), 3);
+  EXPECT_EQ(after.counter_value("s.b.x"), 4);
+  kept.add(1);  // the other metrics' objects are untouched
+  EXPECT_EQ(registry.snapshot().counter_value("s.ab.x"), 4);
+  EXPECT_EQ(registry.remove("s.a."), 0);
+  // A removed name registers afresh.
+  EXPECT_EQ(registry.counter("s.a.x").value(), 0);
+}
+
 // --- JSON round trip ---
 
 TEST(Telemetry, JsonExportRoundTrips) {

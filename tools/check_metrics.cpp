@@ -11,7 +11,9 @@
 //
 // With --slo it gates a soak run (`multistream --soak --metrics-json`):
 // every session latency histogram must carry a p99 estimate within the
-// bound (default 150 ms, override with --p99-ms X) — both the
+// bound (default 150 ms, override with --p99-ms X), as must
+// serve.closed.latency_p99_max_ms, the worst p99 of the closed sessions
+// whose metrics were dropped — both the
 // cumulative histogram and, when it holds samples, the sliding-window
 // one (`.latency_ms.window`, the live tail) — and the quarantine
 // surface must be consistent — a session is quarantined iff it recorded
@@ -396,10 +398,25 @@ int main(int argc, char** argv) {
       if (!snapshot.find_counter(base + ".dropped"))
         return fail(base + ".dropped missing");
     }
-    if (sessions == 0) return fail("no serve.session.*.frames counters");
-    std::printf("metrics OK: %lld session(s), %lld with latency gated, "
-                "worst p99 %.2f ms <= SLO %.1f ms, %lld quarantined\n",
+    // A closed session's metrics are dropped once it retires; its worst
+    // p99 lives on in the server-level serve.closed.* totals.
+    const int64_t closed = snapshot.counter_value("serve.closed.sessions");
+    if (closed > 0) {
+      const double p99 =
+          snapshot.gauge_value("serve.closed.latency_p99_max_ms");
+      if (p99 > slo_p99_ms)
+        return fail("serve.closed.latency_p99_max_ms: p99 " +
+                    std::to_string(p99) + " ms exceeds SLO " +
+                    std::to_string(slo_p99_ms) + " ms");
+      worst_p99 = p99 > worst_p99 ? p99 : worst_p99;
+    }
+    if (sessions + closed == 0)
+      return fail("no serve.session.*.frames counters");
+    std::printf("metrics OK: %lld session(s) and %lld closed, %lld with "
+                "latency gated, worst p99 %.2f ms <= SLO %.1f ms, %lld "
+                "quarantined\n",
                 static_cast<long long>(sessions),
+                static_cast<long long>(closed),
                 static_cast<long long>(gated), worst_p99, slo_p99_ms,
                 static_cast<long long>(quarantined));
     return 0;
