@@ -43,8 +43,8 @@
 // quantized convs against the float path it replaces (the "oracle"
 // column holds the float path):
 //
-//   L2/L4/L10 code pool  MaxPoolLayer::forward_codes on the layer's input
-//                        codes against the float pool on their values;
+//   L2/L4/L10 code pool  MaxPoolLayer::forward on the layer's input codes
+//                        against the float pool on their values;
 //                        exact iff the dequantised codes equal the floats;
 //   L1-L12 ladder        Network::forward over the hidden ladder (codes
 //                        handed layer to layer) against run_layer on
@@ -334,8 +334,11 @@ int main(int argc, char** argv) {
           oracle::to_hwc(chw_codes.data(), l1.geometry().in_channels,
                          l1_pixels, want_codes.data());
         },
-        [&] { conv.forward_emit(in, grid, got_codes.data()); }, want_codes,
-        got_codes));
+        [&] {
+          conv.forward(nn::LayerIn{&in},
+                       nn::LayerOut{nullptr, got_codes.data(), grid});
+        },
+        want_codes, got_codes));
   }
 
   // The pixel-major code engine's stages on L1's and L3's real input
@@ -345,7 +348,8 @@ int main(int argc, char** argv) {
     const auto& conv = dynamic_cast<const nn::ConvLayer&>(net->layer(l));
     const Tensor& in = inputs[static_cast<size_t>(l)];
     hwc_codes[static_cast<size_t>(l)] = TensorU8(in.shape());
-    gemm::quantize_to_hwc(*conv.code_input(), in.data(), in.shape().channels(),
+    gemm::quantize_to_hwc(*conv.read_grid(std::nullopt), in.data(),
+                          in.shape().channels(),
                           in.shape().height() * in.shape().width(),
                           hwc_codes[static_cast<size_t>(l)].data());
   }
@@ -422,7 +426,10 @@ int main(int argc, char** argv) {
     rows.push_back(time_pair(
         "L" + std::to_string(l) + " code pool", shape_of(in), kTrials,
         [&] { pool.forward(in, want); },
-        [&] { pool.forward_codes(codes.data(), pooled.data()); },
+        [&] {
+          pool.forward(nn::LayerIn{nullptr, codes.data(), grid},
+                       nn::LayerOut{nullptr, pooled.data(), grid});
+        },
         [&] {
           oracle::to_chw(pooled.data(), out.channels(),
                          out.height() * out.width(), pooled_chw.data());
@@ -472,8 +479,11 @@ int main(int argc, char** argv) {
           gemm::dequantize_to_chw(grid, codes.data(), C, P, floats.data());
           conv.forward(floats, want);
         },
-        [&] { conv.forward_from_codes(codes.data(), grid, got); }, want,
-        got));
+        [&] {
+          conv.forward(nn::LayerIn{nullptr, codes.data(), grid},
+                       nn::LayerOut{&got});
+        },
+        want, got));
   }
   {
     const auto& region =

@@ -12,9 +12,10 @@
 /// epilogue computes an output column. On a 1×1 map (an FC layer) the two
 /// layouts coincide.
 ///
-/// Codes change layout only where they meet floats (Network's quantise
-/// and dequantise, ConvLayer's float forward) and at the fabric's public
-/// CHW boundary (fabric::QnnAccelerator::run_layer_batched). Every such
+/// Codes change layout only where they meet floats (a layer's forward
+/// at a float boundary, Network::layer_output's dequantise on read) and
+/// at the fabric's public CHW boundary
+/// (fabric::QnnAccelerator::run_layer_batched). Every such
 /// conversion is one of the two functions below; the mapped forms apply
 /// a per-element function (a quantiser or dequantiser) in the same pass.
 /// Both walk the map in 16 × 16 tiles, so each tile's reads and writes

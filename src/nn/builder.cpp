@@ -1,5 +1,7 @@
 #include "nn/builder.hpp"
 
+#include <initializer_list>
+
 #include "core/errors.hpp"
 #include "nn/connected_layer.hpp"
 #include "nn/conv_layer.hpp"
@@ -45,12 +47,41 @@ int64_t positive_int(const Section& s, const std::string& key,
   return v;
 }
 
+/// The most elements a cfg may ask of one weight, input or output tensor;
+/// larger ones are rejected before anything is allocated.
+constexpr int64_t kMaxElements = int64_t{1} << 31;
+
+/// Throws unless `dims` multiply to at most kMaxElements, without
+/// overflow. A dimension below 1 is left to the layer's own checks.
+void check_elements(const Section& s, const std::string& what,
+                    std::initializer_list<int64_t> dims) {
+  int64_t n = 1;
+  for (const int64_t d : dims) {
+    if (d < 1) return;
+    if (__builtin_mul_overflow(n, d, &n) || n > kMaxElements)
+      throw Error("[" + s.name + "] " + what + " has more than " +
+                  std::to_string(kMaxElements) + " elements (line " +
+                  std::to_string(s.line) + ")");
+  }
+}
+
 LayerPtr make_conv(const Section& s, Shape in_shape) {
   ConvConfig cfg;
   cfg.filters = positive_int(s, "filters", 1);
   cfg.size = positive_int(s, "size", 3);
   cfg.stride = positive_int(s, "stride", 1);
   cfg.pad = s.get_int("pad", 0) != 0;
+  if (in_shape.rank() == 3) {  // else ConvLayer rejects the input
+    // The weights bound the kernel size, which keeps the output geometry
+    // below from overflowing.
+    check_elements(s, "weight tensor",
+                   {cfg.filters, in_shape.channels(), cfg.size, cfg.size});
+    const int64_t pad = cfg.pad ? cfg.size / 2 : 0;
+    check_elements(s, "output",
+                   {cfg.filters,
+                    (in_shape.height() + 2 * pad - cfg.size) / cfg.stride + 1,
+                    (in_shape.width() + 2 * pad - cfg.size) / cfg.stride + 1});
+  }
   cfg.activation =
       parse_activation(s.get_string("activation", "leaky"));
   cfg.batch_normalize = s.get_int("batch_normalize", 0) != 0;
@@ -73,6 +104,7 @@ LayerPtr make_maxpool(const Section& s, Shape in_shape) {
 LayerPtr make_connected(const Section& s, Shape in_shape) {
   ConnectedConfig cfg;
   cfg.outputs = s.get_int("output", 1);
+  check_elements(s, "weight tensor", {cfg.outputs, in_shape.numel()});
   cfg.activation = parse_activation(s.get_string("activation", "linear"));
   cfg.binary_weights = s.get_int("binary", 0) != 0;
   cfg.act_bits = static_cast<int>(s.get_int("abits", 32));
@@ -104,6 +136,7 @@ LayerPtr make_offload(const Section& s, Shape in_shape) {
   TINCY_CHECK_MSG(c > 0 && h > 0 && w > 0,
                   "[offload] needs positive output geometry "
                   "height/width/channel (line " << s.line << ")");
+  check_elements(s, "output", {c, h, w});
   cfg.output_shape = Shape{c, h, w};
   for (const auto& [k, v] : s.kv) {
     if (k != "library" && k != "network" && k != "weights" && k != "channel" &&
@@ -122,6 +155,8 @@ std::unique_ptr<Network> build_network(const std::vector<Section>& sections,
   const Section& net_s = sections.front();
   const Shape input{net_s.get_int("channels", 3), net_s.get_int("height", 416),
                     net_s.get_int("width", 416)};
+  check_elements(net_s, "input",
+                 {input.channels(), input.height(), input.width()});
   auto net = std::make_unique<Network>(input, metrics);
 
   for (size_t i = 1; i < sections.size(); ++i) {

@@ -180,43 +180,33 @@ gemm::LowpEpilogue ConvLayer::lowp_epilogue(gemm::Arena& arena) const {
   return {mul, add, biases_.data(), cfg_.activation, snap_grid()};
 }
 
-void ConvLayer::forward_lowp(const Tensor& in, Tensor& out) {
+void ConvLayer::forward_lowp(const LayerIn& in, const LayerOut& out) {
   // The image data is quantized on the fly (paper: "an im2col
   // implementation that quantized the image data while arranging the
-  // multiplicand matrix"); range calibration comes from the frame itself.
-  // Per-call buffers come from the arena: run_layer keeps no frame state.
+  // multiplicand matrix"); range calibration comes from the frame itself,
+  // or from its codes by table. A frame whose output leaves as codes stays
+  // in the layer for replay_emitted(); any other lives in arena scratch.
   const gemm::PackedLhs& weights = lowp_weights();
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
-  uint8_t* frame = arena.alloc<uint8_t>(in.numel());
+  const int64_t pixels = geom_.in_height * geom_.in_width;
+  if (out.codes && emitted_frame_.empty())
+    emitted_frame_ =
+        TensorU8(Shape{geom_.in_channels, geom_.in_height, geom_.in_width});
+  uint8_t* frame = out.codes ? emitted_frame_.data()
+                             : arena.alloc<uint8_t>(geom_.in_channels * pixels);
   const quant::AffineParams params =
-      gemm::quantize_frame(in.data(), in.numel(), frame);
-  gemm::fused_conv_lowp_f32out(frame, geom_, params, weights, *lowp_params_,
-                               lowp_epilogue(arena), out.data());
-}
-
-bool ConvLayer::emits_codes(const CodeGrid& g) const {
-  const Activation a = cfg_.activation;
-  return cfg_.kernel == ConvKernel::kLowp && !g.bipolar &&
-         (a == Activation::kLinear || a == Activation::kRelu ||
-          a == Activation::kLeaky);
-}
-
-void ConvLayer::forward_emit(const Tensor& in, const CodeGrid& g,
-                             uint8_t* out) {
-  TINCY_CHECK(in.shape() ==
-              Shape({geom_.in_channels, geom_.in_height, geom_.in_width}));
-  TINCY_CHECK_MSG(emits_codes(g), "layer cannot emit codes on this grid");
-  const gemm::PackedLhs& weights = lowp_weights();
-  // The frame's codes stay in the layer for replay_emitted().
-  if (emitted_frame_.empty()) emitted_frame_ = TensorU8(in.shape());
-  emitted_params_ =
-      gemm::quantize_frame(in.data(), in.numel(), emitted_frame_.data());
-  auto& arena = gemm::thread_arena();
-  gemm::ScratchScope scope(arena);
-  gemm::fused_conv_lowp_codes(emitted_frame_.data(), geom_, emitted_params_,
-                              weights, *lowp_params_, lowp_epilogue(arena), g,
-                              out);
+      in.codes ? gemm::quantize_code_frame(in.grid, in.codes,
+                                           geom_.in_channels, pixels, frame)
+               : gemm::quantize_frame(in.floats->data(), in.floats->numel(),
+                                      frame);
+  if (!out.codes)
+    return gemm::fused_conv_lowp_f32out(frame, geom_, params, weights,
+                                        *lowp_params_, lowp_epilogue(arena),
+                                        out.floats->data());
+  emitted_params_ = params;
+  gemm::fused_conv_lowp_codes(frame, geom_, params, weights, *lowp_params_,
+                              lowp_epilogue(arena), out.grid, out.codes);
 }
 
 void ConvLayer::replay_emitted(Tensor& out) {
@@ -228,25 +218,6 @@ void ConvLayer::replay_emitted(Tensor& out) {
   gemm::fused_conv_lowp_f32out(emitted_frame_.data(), geom_, emitted_params_,
                                weights, *lowp_params_, lowp_epilogue(arena),
                                out.data());
-}
-
-bool ConvLayer::reads_codes(const CodeGrid& g) const {
-  return cfg_.kernel == ConvKernel::kLowp && g.exact();
-}
-
-void ConvLayer::forward_from_codes(const uint8_t* in, const CodeGrid& g,
-                                   Tensor& out) {
-  TINCY_CHECK_MSG(reads_codes(g), "layer cannot read codes on this grid");
-  TINCY_CHECK(out.shape() == output_shape());
-  const gemm::PackedLhs& weights = lowp_weights();
-  auto& arena = gemm::thread_arena();
-  gemm::ScratchScope scope(arena);
-  const int64_t pixels = geom_.in_height * geom_.in_width;
-  uint8_t* frame = arena.alloc<uint8_t>(geom_.in_channels * pixels);
-  const quant::AffineParams params = gemm::quantize_code_frame(
-      g, in, geom_.in_channels, pixels, frame);
-  gemm::fused_conv_lowp_f32out(frame, geom_, params, weights, *lowp_params_,
-                               lowp_epilogue(arena), out.data());
 }
 
 gemm::CodeLayer ConvLayer::code_layer() const {
@@ -264,58 +235,75 @@ gemm::CodeLayer ConvLayer::code_layer() const {
   return layer;
 }
 
+void ConvLayer::forward_quant(const LayerIn& in, const LayerOut& out) {
+  TINCY_CHECK_MSG((!in.codes || in.grid == grid(cfg_.in_scale)) &&
+                      (!out.codes || out.grid == grid(cfg_.out_scale)),
+                  "codes off the layer's grids");
+  const gemm::CodeLayer layer = code_layer();
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  // Incoming floats sit on the activation grid; recover the integer codes
+  // in the engine's HWC layout, and turn its HWC output codes into CHW
+  // floats only where floats leave, each in one pass. Zero padding is
+  // exact on the unsigned grid: real 0.0 is code 0.
+  const int64_t pixels = geom_.in_height * geom_.in_width;
+  uint8_t* quantized =
+      in.codes ? nullptr : arena.alloc<uint8_t>(geom_.in_channels * pixels);
+  if (quantized)
+    gemm::quantize_to_hwc(grid(cfg_.in_scale), in.floats->data(),
+                          geom_.in_channels, pixels, quantized);
+  uint8_t* out_codes =
+      out.codes ? out.codes : arena.alloc<uint8_t>(output_shape().numel());
+  gemm::run_code_layer(layer, in.codes ? in.codes : quantized, 1, out_codes);
+  if (out.floats)
+    gemm::dequantize_to_chw(grid(cfg_.out_scale), out_codes, cfg_.filters,
+                            geom_.num_patches(), out.floats->data());
+}
+
 bool ConvLayer::computes_on_codes() const {
   return cfg_.kernel == ConvKernel::kQuantReference && cfg_.binary_weights &&
          cfg_.act_bits >= 1 && cfg_.act_bits < 8;
 }
 
-std::optional<CodeGrid> ConvLayer::code_output(const CodeGrid& in) const {
-  if (!computes_on_codes() || in != grid(cfg_.in_scale)) return std::nullopt;
-  return grid(cfg_.out_scale);
+MaybeGrid ConvLayer::read_grid(MaybeGrid offered) const {
+  if (computes_on_codes()) return grid(cfg_.in_scale);
+  if (cfg_.kernel == ConvKernel::kLowp && offered && offered->exact())
+    return offered;
+  return std::nullopt;
 }
 
-std::optional<CodeGrid> ConvLayer::code_input() const {
-  if (!computes_on_codes()) return std::nullopt;
-  return grid(cfg_.in_scale);
+MaybeGrid ConvLayer::write_grid(MaybeGrid /*in*/, MaybeGrid wanted) const {
+  if (computes_on_codes()) return grid(cfg_.out_scale);
+  const Activation a = cfg_.activation;
+  if (cfg_.kernel == ConvKernel::kLowp && wanted && !wanted->bipolar &&
+      (a == Activation::kLinear || a == Activation::kRelu ||
+       a == Activation::kLeaky))
+    return wanted;
+  return std::nullopt;
 }
 
-void ConvLayer::forward_codes(const uint8_t* in, uint8_t* out) {
-  gemm::run_code_layer(code_layer(), in, 1, out);
-}
-
-void ConvLayer::forward_quant_reference(const Tensor& in, Tensor& out) {
-  const gemm::CodeLayer layer = code_layer();
-  auto& arena = gemm::thread_arena();
-  gemm::ScratchScope scope(arena);
-  // Incoming floats sit on the activation grid; recover the integer codes
-  // in the engine's HWC layout, and turn its HWC output codes back into
-  // CHW floats, each in one pass. Zero padding is exact on the unsigned
-  // grid: real 0.0 is code 0.
-  uint8_t* codes = arena.alloc<uint8_t>(in.numel());
-  gemm::quantize_to_hwc(grid(cfg_.in_scale), in.data(), geom_.in_channels,
-                        geom_.in_height * geom_.in_width, codes);
-  uint8_t* out_codes = arena.alloc<uint8_t>(out.numel());
-  gemm::run_code_layer(layer, codes, 1, out_codes);
-  gemm::dequantize_to_chw(grid(cfg_.out_scale), out_codes, cfg_.filters,
-                          geom_.num_patches(), out.data());
-}
-
-void ConvLayer::forward(const Tensor& in, Tensor& out) {
-  TINCY_CHECK(in.shape() ==
-              Shape({geom_.in_channels, geom_.in_height, geom_.in_width}));
-  TINCY_CHECK(out.shape() == output_shape());
+void ConvLayer::forward(const LayerIn& in, const LayerOut& out) {
+  TINCY_CHECK(!in.floats ||
+              in.floats->shape() == Shape({geom_.in_channels, geom_.in_height,
+                                           geom_.in_width}));
+  TINCY_CHECK(!out.floats || out.floats->shape() == output_shape());
   switch (cfg_.kernel) {
     case ConvKernel::kReference:
     case ConvKernel::kFused:
-      forward_float(in, out);
+      TINCY_CHECK_MSG(in.floats && out.floats, "a float conv has no codes");
+      forward_float(*in.floats, *out.floats);
       break;
     case ConvKernel::kLowp:
       forward_lowp(in, out);
       break;
     case ConvKernel::kQuantReference:
-      forward_quant_reference(in, out);
+      forward_quant(in, out);
       break;
   }
+}
+
+void ConvLayer::forward(const Tensor& in, Tensor& out) {
+  forward(LayerIn{&in}, LayerOut{&out});
 }
 
 void ConvLayer::load_weights(WeightReader& r) {

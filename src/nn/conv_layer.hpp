@@ -9,15 +9,15 @@
 ///    and im2col'd straight into the packed GEMM engine against the
 ///    layer's cached weight panels, with batch-norm, bias and activation
 ///    in the driver's epilogue (gemm/gemm_lowp.hpp). Inside
-///    Network::forward it can write the next layer's input codes instead
-///    of its floats (forward_emit), and read the previous layer's codes
-///    instead of their floats (forward_from_codes),
+///    Network::forward it can read the previous layer's codes instead of
+///    their floats, and write the next layer's input codes instead of its
+///    own floats,
 ///  * kQuantReference — bit-exact W1A<abits> QNN semantics (binarized
 ///    weights, thresholded activations) on the code-domain layer engine
 ///    (gemm/code_layer.hpp) that the fabric accelerator runs too; this is
-///    the golden model. Its float forward() quantizes the input onto the
-///    layer's input grid and dequantizes the output codes; inside
-///    Network::forward it reads and emits codes (forward_codes).
+///    the golden model. Float input is quantized onto the layer's input
+///    grid and float output dequantized from its output codes; inside
+///    Network::forward it reads and writes codes instead.
 ///
 /// The paper's specialized 16×27 first-layer kernels are not runtime
 /// paths: their timing lives in the perf model (perf::FirstLayerImpl) and
@@ -88,29 +88,18 @@ class ConvLayer final : public Layer {
   OpsCount ops() const override;
   Precision precision() const override;
 
-  /// Code hooks of the kQuantReference path: reads HWC codes on its input
-  /// grid (act_bits, in_scale) and emits HWC codes on its output grid
-  /// (act_bits, out_scale). Other kernels compute on floats only.
-  std::optional<CodeGrid> code_output(const CodeGrid& in) const override;
-  std::optional<CodeGrid> code_input() const override;
-  void forward_codes(const uint8_t* in, uint8_t* out) override;
-
-  /// Producer emission of the kLowp path: the driver's code sink writes
-  /// the HWC codes of `g` (an unsigned grid) straight from the accumulators,
-  /// for a linear, ReLU or leaky activation. The quantised frame and its
-  /// calibration stay in the layer, so replay_emitted() can recompute the
-  /// floats.
-  bool emits_codes(const CodeGrid& g) const override;
-  void forward_emit(const Tensor& in, const CodeGrid& g,
-                    uint8_t* out) override;
+  /// The code hand-off (Layer::read_grid). kQuantReference reads HWC
+  /// codes on its input grid (act_bits, in_scale) and writes them on its
+  /// output grid (act_bits, out_scale); kLowp reads codes on any exact
+  /// grid and, for a linear, ReLU or leaky activation, writes the codes of
+  /// the unsigned grid its consumer reads. The float kernels neither read
+  /// nor write codes.
+  MaybeGrid read_grid(MaybeGrid offered) const override;
+  MaybeGrid write_grid(MaybeGrid in, MaybeGrid wanted) const override;
+  void forward(const LayerIn& in, const LayerOut& out) override;
+  /// kLowp: the floats of the latest forward() that wrote codes, from the
+  /// quantised frame and calibration it kept.
   void replay_emitted(Tensor& out) override;
-
-  /// Consumer reading of the kLowp path: codes on an exact grid in, the
-  /// frame's 8-bit codes made from them by table
-  /// (gemm::quantize_code_frame), floats out.
-  bool reads_codes(const CodeGrid& g) const override;
-  void forward_from_codes(const uint8_t* in, const CodeGrid& g,
-                          Tensor& out) override;
 
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }
@@ -141,8 +130,12 @@ class ConvLayer final : public Layer {
 
  private:
   void forward_float(const Tensor& in, Tensor& out);
-  void forward_lowp(const Tensor& in, Tensor& out);
-  void forward_quant_reference(const Tensor& in, Tensor& out);
+  /// The one 8-bit path: floats (quantize_frame) or codes
+  /// (quantize_code_frame) in, the driver's float sink or code sink out.
+  void forward_lowp(const LayerIn& in, const LayerOut& out);
+  /// The one code-domain path: float input is quantised onto the input
+  /// grid, run_code_layer runs, and float output is dequantised.
+  void forward_quant(const LayerIn& in, const LayerOut& out);
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
   /// Channel c's batch-norm as out = x · first + second ({1, 0} without).
@@ -182,8 +175,9 @@ class ConvLayer final : public Layer {
   /// packed once per weight mutation, reused every frame).
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
 
-  /// The frame of the latest forward_emit(), quantised, and its
-  /// calibration: what replay_emitted() recomputes the floats from.
+  /// The frame of the latest kLowp forward() that wrote codes, quantised,
+  /// and its calibration: what replay_emitted() recomputes the floats
+  /// from.
   TensorU8 emitted_frame_;
   quant::AffineParams emitted_params_;
 };

@@ -30,6 +30,21 @@ struct OpsCount {
 };
 
 using quant::CodeGrid;
+/// What one layer boundary carries: codes on this grid, or floats
+/// (nullopt).
+using MaybeGrid = std::optional<CodeGrid>;
+
+/// One side of a layer boundary in Network::forward: CHW floats, or u8
+/// codes on `grid`, pixel-major (HWC, gemm/layout.hpp) whatever the
+/// C × H × W shape says. Exactly one of `floats` and `codes` is set.
+template <typename Floats, typename Code>
+struct Handoff {
+  Floats* floats = nullptr;
+  Code* codes = nullptr;
+  CodeGrid grid{};  ///< the codes' grid
+};
+using LayerIn = Handoff<const Tensor, const uint8_t>;
+using LayerOut = Handoff<Tensor, uint8_t>;
 
 /// Abstract network layer. Construction plays the role of Darknet's init
 /// hook (the layer sizes its buffers from the incoming shape); the other
@@ -55,56 +70,42 @@ class Layer {
   /// `out` is pre-allocated to output_shape().
   virtual void forward(const Tensor& in, Tensor& out) = 0;
 
-  /// Code-domain hooks. Network::forward hands activation codes from
-  /// layer to layer, instead of dequantising and re-quantising them,
-  /// whenever the producer's output grid is the consumer's input grid.
+  /// The code hand-off of Network::forward (nn/network.hpp): a layer
+  /// boundary carries u8 codes on grid G, instead of floats, when the
+  /// producer can write G and the consumer reads G (and G is exact,
+  /// CodeGrid::exact). Two queries settle each boundary once, in
+  /// Network::add; forward(LayerIn, LayerOut) then runs it every frame.
   ///
-  /// The grid of the codes forward_codes() emits when it reads codes on
-  /// `in`, or nullopt when it cannot read them. A quantized conv reads its
-  /// input grid and emits its output grid; a max pool passes the grid
-  /// through. Network only hands codes on an exact grid
-  /// (CodeGrid::exact).
-  virtual std::optional<CodeGrid> code_output(const CodeGrid& /*in*/) const {
+  /// The grid this layer reads codes on when its producer offers
+  /// `offered` (nullopt: the producer offers none, but writes what its
+  /// consumer asks for if it can). nullopt: this layer reads floats.
+  virtual MaybeGrid read_grid(MaybeGrid /*offered*/) const {
     return std::nullopt;
   }
-  /// The grid forward() quantizes its float input onto, for a layer that
-  /// computes on codes (nullopt for every other layer).
-  virtual std::optional<CodeGrid> code_input() const { return std::nullopt; }
-  /// Forward over codes: `in` holds input_shape().numel() codes on a grid
-  /// code_output() accepts; writes output_shape().numel() codes. Codes are
-  /// pixel-major (HWC, gemm/layout.hpp) on both sides: pixel p's C codes
-  /// are bytes [p·C, (p+1)·C), whatever the C × H × W shape says.
-  virtual void forward_codes(const uint8_t* /*in*/, uint8_t* /*out*/) {
-    TINCY_CHECK_MSG(false, type_name() << " has no code-domain forward");
+  /// The grid this layer writes codes on, given its input (`in`: the grid
+  /// of its input codes, nullopt for floats) and the grid its consumer
+  /// reads (`wanted`, nullopt for none). Asked with no `wanted` grid, the
+  /// grid it offers on its own: codes whose dequantised values are its
+  /// float activation. A grid written only because it is wanted quantises
+  /// that activation instead, and replay_emitted() recomputes the floats.
+  virtual MaybeGrid write_grid(MaybeGrid /*in*/, MaybeGrid /*wanted*/) const {
+    return std::nullopt;
   }
-
-  /// Producer emission: a float layer whose consumer quantises its output
-  /// onto grid `g` can write those codes itself, skipping its float
-  /// output and the consumer's quantise pass. Whether forward_emit() can
-  /// emit codes on `g`.
-  virtual bool emits_codes(const CodeGrid& /*g*/) const { return false; }
-  /// Float input in, codes on `g` out: byte-identical to forward() followed
-  /// by g.quantize(), written pixel-major (HWC) like forward_codes()'s
-  /// codes. Keeps what replay_emitted() needs.
-  virtual void forward_emit(const Tensor& /*in*/, const CodeGrid& /*g*/,
-                            uint8_t* /*out*/) {
-    TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
+  /// Forward across one boundary on each side: each of `in` and `out` is
+  /// floats or codes, as the two queries above allow. Byte-identical to
+  /// forward(const Tensor&, Tensor&) on the dequantised input, with the
+  /// output quantised onto out.grid. A layer without codes needs no
+  /// override: floats in and out run the float forward.
+  virtual void forward(const LayerIn& in, const LayerOut& out) {
+    TINCY_CHECK_MSG(in.floats && out.floats,
+                    type_name() << " has no code-domain forward");
+    forward(*in.floats, *out.floats);
   }
-  /// The float output of the latest forward_emit(), byte-identical to what
-  /// forward() writes for that input.
+  /// The float output of the latest forward() that wrote codes on a grid
+  /// it does not offer (write_grid), byte-identical to what the float
+  /// forward writes for that input.
   virtual void replay_emitted(Tensor& /*out*/) {
     TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
-  }
-
-  /// Consumer reading: a float layer whose producer emits codes on grid
-  /// `g` can read those codes itself, skipping the producer's dequantise
-  /// pass. Whether forward_from_codes() can read codes on `g`.
-  virtual bool reads_codes(const CodeGrid& /*g*/) const { return false; }
-  /// Codes on `g` in (HWC, input_shape().numel() of them), floats out:
-  /// byte-identical to forward() on the dequantised codes.
-  virtual void forward_from_codes(const uint8_t* /*in*/, const CodeGrid& /*g*/,
-                                  Tensor& /*out*/) {
-    TINCY_CHECK_MSG(false, type_name() << " cannot read codes");
   }
 
   /// Operations per frame in the paper's accounting (see ops.hpp).

@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "gemm/code_layer.hpp"
+#include "gemm/layout.hpp"
+#include "gemm/scratch.hpp"
 
 namespace tincy::nn {
 
@@ -68,15 +70,31 @@ void MaxPoolLayer::forward(const Tensor& in, Tensor& out) {
   }
 }
 
-std::optional<CodeGrid> MaxPoolLayer::code_output(const CodeGrid& in) const {
+MaybeGrid MaxPoolLayer::read_grid(MaybeGrid offered) const {
+  return offered;
+}
+
+MaybeGrid MaxPoolLayer::write_grid(MaybeGrid in, MaybeGrid /*wanted*/) const {
   return in;
 }
 
-void MaxPoolLayer::forward_codes(const uint8_t* in, uint8_t* out) {
+void MaxPoolLayer::forward(const LayerIn& in, const LayerOut& out) {
+  if (in.floats) {
+    TINCY_CHECK_MSG(out.floats, "a pool on floats writes floats");
+    forward(*in.floats, *out.floats);
+    return;
+  }
   // HWC codes in and out, like every code map.
-  gemm::max_pool_codes({in_shape_.channels(), in_shape_.height(),
-                        in_shape_.width(), cfg_.size, cfg_.stride},
-                       in, out);
+  TINCY_CHECK(!out.codes || out.grid == in.grid);
+  auto& arena = gemm::thread_arena();
+  gemm::ScratchScope scope(arena);
+  const int64_t C = in_shape_.channels(), pixels = out_h_ * out_w_;
+  uint8_t* pooled = out.codes ? out.codes : arena.alloc<uint8_t>(C * pixels);
+  gemm::max_pool_codes({C, in_shape_.height(), in_shape_.width(), cfg_.size,
+                        cfg_.stride},
+                       in.codes, pooled);
+  if (out.floats)
+    gemm::dequantize_to_chw(in.grid, pooled, C, pixels, out.floats->data());
 }
 
 OpsCount MaxPoolLayer::ops() const {

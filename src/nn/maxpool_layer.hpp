@@ -6,11 +6,11 @@
 /// YOLO's last pool working (13×13 stays 13×13), while the usual 2×2
 /// stride-2 pools halve the map.
 ///
-/// Between two quantized convs the pool runs on activation codes
-/// (forward_codes, gemm::max_pool_codes): on an exact grid the codes
-/// order like their values, so pooling codes equals pooling the values.
-/// The codes are pixel-major (HWC), so each output pixel maxes whole
-/// channel vectors.
+/// Fed codes in Network::forward (between two quantized convs), the pool
+/// runs on them (gemm::max_pool_codes): on an exact grid the codes order
+/// like their values, so pooling codes equals pooling the values. The
+/// codes are pixel-major (HWC), so each output pixel maxes whole channel
+/// vectors.
 
 #include "nn/layer.hpp"
 
@@ -29,10 +29,12 @@ class MaxPoolLayer final : public Layer {
   Shape output_shape() const override;
   void forward(const Tensor& in, Tensor& out) override;
 
-  /// Passes the grid through: Network hands a pool codes only on an exact
-  /// grid, where they order like their values.
-  std::optional<CodeGrid> code_output(const CodeGrid& in) const override;
-  void forward_codes(const uint8_t* in, uint8_t* out) override;
+  /// Reads the offered grid and writes its input grid: Network hands a
+  /// pool codes only on an exact grid, where they order like their
+  /// values. Codes in, floats out pools the codes and dequantises them.
+  MaybeGrid read_grid(MaybeGrid offered) const override;
+  MaybeGrid write_grid(MaybeGrid in, MaybeGrid wanted) const override;
+  void forward(const LayerIn& in, const LayerOut& out) override;
 
   /// The paper's Table I counts pooling as the per-channel comparison
   /// count K²·outH·outW (it is channel-independent in their accounting).

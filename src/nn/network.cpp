@@ -1,7 +1,6 @@
 #include "nn/network.hpp"
 
 #include "gemm/layout.hpp"
-#include "gemm/scratch.hpp"
 
 namespace tincy::nn {
 
@@ -31,38 +30,23 @@ Network::Network(Shape input_shape, telemetry::MetricsRegistry* metrics)
 
 void Network::add(LayerPtr layer) {
   TINCY_CHECK(layer != nullptr);
-  // Plan forward()'s hand-off: codes pass on whenever this layer reads
-  // the previous layer's (exact) output grid.
-  Slot slot;
-  const std::optional<CodeGrid> prev =
-      slots_.empty() ? std::nullopt : slots_.back().grid_out;
-  if (prev && prev->exact()) slot.grid_out = layer->code_output(*prev);
-  if (slot.grid_out) {
-    slot.mode = Mode::kCodes;
-  } else if ((slot.grid_in = layer->code_input())) {
-    slot.grid_out = layer->code_output(*slot.grid_in);
-    TINCY_CHECK(slot.grid_out.has_value());
-    slot.mode = Mode::kQuantize;
-    // A float producer that can write this layer's input codes does so.
-    Slot* prev_slot = slots_.empty() ? nullptr : &slots_.back();
-    if (prev_slot && prev_slot->mode == Mode::kFloat &&
-        slot.grid_in->exact() && layers_.back()->emits_codes(*slot.grid_in)) {
-      prev_slot->mode = Mode::kEmit;
-      prev_slot->grid_out = slot.grid_in;
-      slot.mode = Mode::kCodes;
-    }
-  } else if (prev && prev->exact() && layer->reads_codes(*prev)) {
-    slot.mode = Mode::kFromCodes;
-    slot.grid_in = prev;
+  if (!layers_.empty()) {
+    // Settle the boundary into this layer: codes on G when the producer
+    // can write G and this layer reads G, floats otherwise.
+    const Layer& producer = *layers_.back();
+    const MaybeGrid producer_in =
+        plan_.size() < 2 ? std::nullopt : plan_[plan_.size() - 2];
+    const MaybeGrid wanted =
+        layer->read_grid(producer.write_grid(producer_in, std::nullopt));
+    if (wanted && wanted->exact() &&
+        producer.write_grid(producer_in, wanted) == wanted)
+      plan_.back() = wanted;
+    else  // floats cross this boundary every frame
+      slots_.back().out = Tensor(producer.output_shape());
   }
-  // The previous layer's hand-off is settled now. Layers writing floats
-  // need their buffer every frame; any other layer's float buffer is only
-  // allocated if its activation is read as floats (the last layer's on
-  // first use).
-  if (!slots_.empty() && (slots_.back().mode == Mode::kFloat ||
-                          slots_.back().mode == Mode::kFromCodes))
-    slots_.back().out = Tensor(layers_.back()->output_shape());
-  slots_.push_back(std::move(slot));
+  // The network's output is floats, its buffer allocated on first use.
+  plan_.emplace_back();
+  slots_.emplace_back();
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
                             "." + layer->type_name();
   layer_hist_.push_back(&metrics_->histogram(label + ".ms"));
@@ -88,15 +72,23 @@ Tensor& Network::float_buffer(int64_t i) const {
   return slot.out;
 }
 
+bool Network::emits(int64_t i) const {
+  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
+  const auto u = static_cast<size_t>(i);
+  return plan_[u] &&
+         layers_[u]->write_grid(i == 0 ? std::nullopt : plan_[u - 1],
+                                std::nullopt) != plan_[u];
+}
+
 const Tensor& Network::float_output(int64_t i) const {
   Tensor& out = float_buffer(i);
   Slot& slot = slots_[static_cast<size_t>(i)];
   if (!slot.out_current) {
-    if (slot.mode == Mode::kEmit)
+    if (emits(i))
       layers_[static_cast<size_t>(i)]->replay_emitted(out);
     else  // codes are HWC, floats CHW
-      gemm::dequantize_to_chw(*slot.grid_out, slot.codes.data(),
-                              out.shape().channels(),
+      gemm::dequantize_to_chw(*plan_[static_cast<size_t>(i)],
+                              slot.codes.data(), out.shape().channels(),
                               out.numel() / out.shape().channels(),
                               out.data());
     slot.out_current = true;
@@ -107,52 +99,20 @@ const Tensor& Network::float_output(int64_t i) const {
 const Tensor& Network::forward(const Tensor& input) {
   TINCY_CHECK_MSG(!layers_.empty(), "empty network");
   telemetry::ScopedTimer span(*forward_hist_);
-  // Codes only the next layer reads (a kEmit producer's, or the input
-  // codes of a kQuantize layer) live in arena scratch for this call.
-  auto& arena = gemm::thread_arena();
-  gemm::ScratchScope scope(arena);
-  const uint8_t* emitted = nullptr;  // the kEmit layer's codes
+  LayerIn in{&input};
   for (int64_t i = 0; i < num_layers(); ++i) {
     const auto u = static_cast<size_t>(i);
     Layer& layer = *layers_[u];
     Slot& slot = slots_[u];
     LayerSpan layer_span(*layer_hist_[u], layer_trace_names_[u]);
-    // The codes a kCodes or kFromCodes layer reads.
-    const uint8_t* prev_codes =
-        i == 0 ? nullptr
-               : slots_[u - 1].mode == Mode::kEmit ? emitted
-                                                   : slots_[u - 1].codes.data();
-    if (slot.mode == Mode::kFloat) {
-      layer.forward(i == 0 ? input : float_output(i - 1), float_buffer(i));
-      slot.out_current = true;
-      continue;
-    }
-    if (slot.mode == Mode::kFromCodes) {
-      layer.forward_from_codes(prev_codes, *slot.grid_in, float_buffer(i));
-      slot.out_current = true;
-      continue;
-    }
-    if (slot.mode == Mode::kEmit) {
-      uint8_t* codes = arena.alloc<uint8_t>(layer.output_shape().numel());
-      layer.forward_emit(i == 0 ? input : float_output(i - 1),
-                         *slot.grid_out, codes);
-      emitted = codes;
-      slot.out_current = false;
-      continue;
-    }
-    if (slot.codes.empty()) slot.codes = TensorU8(layer.output_shape());
-    if (slot.mode == Mode::kCodes) {
-      layer.forward_codes(prev_codes, slot.codes.data());
-    } else {
-      const Tensor& in = i == 0 ? input : float_output(i - 1);
-      TINCY_CHECK(in.shape() == layer_input_shape(i));
-      gemm::ScratchScope quantize_scope(arena);
-      uint8_t* codes = arena.alloc<uint8_t>(in.numel());
-      gemm::quantize_to_hwc(*slot.grid_in, in.data(), in.shape().channels(),
-                            in.numel() / in.shape().channels(), codes);
-      layer.forward_codes(codes, slot.codes.data());
-    }
-    slot.out_current = false;
+    if (plan_[u] && slot.codes.empty())
+      slot.codes = TensorU8(layer.output_shape());
+    const LayerOut out = plan_[u]
+                             ? LayerOut{nullptr, slot.codes.data(), *plan_[u]}
+                             : LayerOut{&float_buffer(i)};
+    layer.forward(in, out);
+    slot.out_current = out.floats != nullptr;
+    in = {out.floats, out.codes, out.grid};
   }
   return float_output(num_layers() - 1);
 }

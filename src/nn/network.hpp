@@ -8,40 +8,29 @@
 /// access is first-class.
 ///
 /// Inside forward() the W1A<bits> hidden stack runs on activation codes,
-/// as the paper's offload segment does (Fig. 3/4): a layer that computes
-/// on codes hands its u8 codes straight to the next one whenever the
-/// producer's output grid is the consumer's input grid
-/// (Layer::code_output). A quantized conv's codes go to the next quantized
-/// conv directly or through a max pool that pools codes; they are
-/// dequantised only where a float layer reads them.
+/// as the paper's offload segment does (Fig. 3/4): batch-norm and
+/// activation fold into the quantiser, so codes are what cross a layer
+/// boundary. One rule, applied by add() to each boundary, says what
+/// crosses it: u8 codes on grid G when the producer can write G
+/// (Layer::write_grid) and the consumer reads G (Layer::read_grid), G
+/// being exact (CodeGrid::exact); CHW floats otherwise. The plan is one
+/// optional grid per boundary (plan()), and forward() runs each layer
+/// through one Layer::forward(LayerIn, LayerOut) call across its two
+/// boundaries. Handed codes are pixel-major (HWC, gemm/layout.hpp); a
+/// layer that meets floats on one side converts in the same pass as its
+/// quantise or dequantise.
 ///
-/// Handed codes are pixel-major (HWC, gemm/layout.hpp), the layout of the
-/// code-domain engine, while float activations stay CHW. The layout
-/// changes only at the float boundary, in the same pass as the quantise
-/// of a kQuantize layer's input and the dequantise of a code layer's
-/// output on float read (gemm::quantize_to_hwc / dequantize_to_chw).
+/// On zoo:tincy-w1a3 this gives: L0 (an 8-bit kLowp conv) writes L1's
+/// 3-bit codes from its accumulators, the quantized convs and the max
+/// pools between them hand codes on, L13 (kLowp) reads L12's codes, and
+/// only L13's output and the region layer's are floats.
 ///
-/// The hand-off also reaches back into the float producer of a quantized
-/// layer: when a layer quantises its input onto grid G and the float
-/// layer before it can emit G (Layer::emits_codes; today an 8-bit kLowp
-/// conv with a linear, ReLU or leaky activation), the producer writes G's
-/// codes from its accumulators and the consumer reads them directly. On
-/// zoo:tincy-w1a3, L0 writes L1's 3-bit codes and L1's quantise pass is
-/// gone. Such a producer's float output is not written; layer_output()
-/// recomputes it on first read from the quantised frame the producer
-/// keeps (Layer::replay_emitted), with no per-frame copy of the input.
-///
-/// The hand-off also reaches forward into a float consumer of codes:
-/// when a float layer follows a code producer on an exact grid and can
-/// read that grid (Layer::reads_codes; today an 8-bit kLowp conv), it
-/// takes the codes in and writes its floats out ("codes in, floats out"),
-/// and the producer's dequantise pass is gone. On zoo:tincy-w1a3, L13
-/// reads L12's 3-bit codes: its 8-bit frame is made from them through a
-/// table (gemm::quantize_code_frame), byte-identical to quantising L12's
-/// floats. layer_output() of the producer still dequantises on read.
-///
-/// The hand-off depends on the layers' grids alone, and every activation
-/// is bit-identical to running the layers one by one on floats.
+/// layer_output() makes the floats of a code boundary on first read: it
+/// dequantises codes the producer offers on its own (its activation), and
+/// has a producer that wrote codes only because its consumer reads them
+/// (emits(): L0) recompute its floats from the frame it kept
+/// (Layer::replay_emitted). Every activation is bit-identical to running
+/// the layers one by one on floats.
 ///
 /// Per-layer timing is reported through the telemetry registry: every
 /// run_layer/run_layer_into span and every layer of forward() records into
@@ -94,11 +83,21 @@ class Network {
   void run_layer_into(int64_t i, const Tensor& in, Tensor& out);
 
   /// Float activation of layer i after the last forward/run_layer. A layer
-  /// that emitted codes in forward() dequantises them on the first read; a
-  /// float producer that emitted its consumer's codes recomputes its floats
+  /// that wrote codes in forward() dequantises them on the first read; one
+  /// that emitted its consumer's codes (emits()) recomputes its floats
   /// then, byte-identical to run_layer(i). Like forward(), not safe to call
   /// concurrently.
   const Tensor& layer_output(int64_t i) const;
+
+  /// The hand-off plan forward() runs: entry i is the grid of the codes
+  /// layer i writes for layer i + 1, or nullopt where floats cross. The
+  /// last entry, the network's output, is always nullopt.
+  const std::vector<MaybeGrid>& plan() const { return plan_; }
+
+  /// Whether layer i writes codes in forward() that quantise its float
+  /// activation onto its consumer's grid, rather than codes whose values
+  /// are that activation (Layer::write_grid).
+  bool emits(int64_t i) const;
 
   /// Sample of this network's metrics (the `net.` namespace of its
   /// registry): per-layer latency histograms plus `net.forward.ms`.
@@ -108,23 +107,10 @@ class Network {
   telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// How forward() runs a layer.
-  enum class Mode {
-    kFloat,     ///< floats in (dequantised if need be), floats out
-    kQuantize,  ///< floats in, quantised onto code_input(), codes out
-    kCodes,     ///< the previous layer's codes in, codes out
-    kEmit,      ///< floats in, the next layer's input codes out
-    kFromCodes, ///< the previous layer's codes in, floats out
-  };
+  /// Layer i's activation buffers. `out` of a float boundary is allocated
+  /// by the next add(); the others on first use.
   struct Slot {
-    Mode mode = Mode::kFloat;
-    std::optional<CodeGrid> grid_in;   ///< kQuantize/kFromCodes: input grid
-    std::optional<CodeGrid> grid_out;  ///< kQuantize/kCodes/kEmit: output grid
-    /// kQuantize/kCodes: allocated by the first forward(); a kEmit layer's
-    /// codes live in forward()'s arena scratch. Shaped C × H × W, stored
-    /// HWC.
-    TensorU8 codes;
-    /// kFloat/kFromCodes: allocated by the next add(); else on first use.
+    TensorU8 codes;  ///< shaped C × H × W, stored HWC
     Tensor out;
     bool out_current = true;  ///< `out` holds the latest activation
   };
@@ -137,6 +123,7 @@ class Network {
   Shape input_shape_;
   telemetry::MetricsRegistry* metrics_;
   std::vector<LayerPtr> layers_;
+  std::vector<MaybeGrid> plan_;  ///< see plan()
   /// Mutable: layer_output() dequantises a layer's codes on first read.
   mutable std::vector<Slot> slots_;
   std::vector<telemetry::Histogram*> layer_hist_;  ///< net.layer.<i>.<type>.ms

@@ -275,6 +275,25 @@ void expect_forward_matches_run_layer(const std::string& cfg,
   }
 }
 
+/// The hand-off plan of `net`, one letter per boundary (Network::plan):
+/// 'e' codes the producer emits for its consumer (Network::emits), 'c'
+/// codes that are the producer's activation, 'f' floats.
+std::string plan_of(const nn::Network& net) {
+  std::string plan;
+  for (int64_t i = 0; i < net.num_layers(); ++i)
+    plan += !net.plan()[static_cast<size_t>(i)] ? 'f'
+            : net.emits(i)                        ? 'e'
+                                                  : 'c';
+  return plan;
+}
+
+/// Layer i's input grid (in) or output grid (out); layer i is a conv.
+quant::CodeGrid conv_grid(const nn::Network& net, int64_t i, bool in) {
+  const nn::ConvConfig& c =
+      dynamic_cast<const nn::ConvLayer&>(net.layer(i)).config();
+  return {c.act_bits, in ? c.in_scale : c.out_scale, c.bipolar};
+}
+
 TEST(CodeHandoff, TincyW1A3ForwardMatchesPerLayerFloats) {
   // 96 → L0 48 → pools 24, 12, 6, 3, 3: odd maps at the stride-1 pool.
   expect_forward_matches_run_layer(nn::zoo::tiny_yolo_cfg(
@@ -286,26 +305,81 @@ TEST(CodeHandoff, Cnv6ForwardMatchesPerLayerFloats) {
   expect_forward_matches_run_layer(nn::zoo::cnv6_cfg());
 }
 
+/// Codes pass L0 → pool → L2 (grids match), L2 → pool → L4 does not
+/// (in_scale differs), the bipolar pair hands codes on again.
+const std::string kMismatchedLadder =
+    "[net]\nwidth=12\nheight=12\nchannels=4\n\n"
+    "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
+    "activation=relu\nbinary=1\nabits=2\nout_scale=0.5\n"
+    "kernel=quant_reference\n\n"
+    "[maxpool]\nsize=2\nstride=2\n\n"
+    "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
+    "activation=relu\nbinary=1\nabits=2\nin_scale=0.5\nout_scale=0.25\n"
+    "kernel=quant_reference\n\n"
+    "[maxpool]\nsize=2\nstride=1\n\n"
+    "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
+    "activation=relu\nbinary=1\nabits=2\nin_scale=0.5\n"
+    "kernel=quant_reference\n\n"
+    "[convolutional]\nfilters=6\nsize=3\npad=0\nactivation=linear\n"
+    "binary=1\nabits=1\nbipolar=1\nkernel=quant_reference\n\n"
+    "[convolutional]\nfilters=5\nsize=1\npad=0\nactivation=linear\n"
+    "binary=1\nabits=1\nbipolar=1\nkernel=quant_reference\n";
+
 TEST(CodeHandoff, MismatchedGridsFallBackToFloats) {
-  // Codes pass L0 → pool → L2 (grids match), L2 → pool → L4 does not
-  // (in_scale differs), the bipolar pair hands codes on again.
+  expect_forward_matches_run_layer(kMismatchedLadder);
+}
+
+/// A W1A3 conv on `in_scale` → `out_scale`.
+std::string a3_conv(const std::string& in_scale, const std::string& out_scale) {
+  return "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
+         "activation=relu\nbinary=1\nabits=3\nin_scale=" +
+         in_scale + "\nout_scale=" + out_scale +
+         "\nkernel=quant_reference\n\n";
+}
+/// An 8-bit conv with activation `act`.
+std::string lowp_conv(const std::string& act) {
+  return "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
+         "activation=" +
+         act + "\nkernel=lowp\n\n";
+}
+const std::string kNet12 = "[net]\nwidth=12\nheight=12\nchannels=4\n\n";
+
+TEST(CodeHandoff, CodePoolIntoCodePoolIntoAnEightBitConv) {
+  // The second pool pools the first one's codes, and the 8-bit conv
+  // makes its frame from the pooled codes.
+  const std::string cfg = kNet12 + a3_conv("1", "0.5") +
+                          "[maxpool]\nsize=2\nstride=2\n\n"
+                          "[maxpool]\nsize=2\nstride=1\n\n" +
+                          lowp_conv("linear");
+  EXPECT_EQ(plan_of(*twin(cfg, 5)), "cccf");
+  expect_forward_matches_run_layer(cfg);
+}
+
+TEST(CodeHandoff, CodePoolIntoAFloatLayer) {
+  // The pool reads codes and, its consumer a float conv, writes floats.
+  const std::string cfg = kNet12 + a3_conv("1", "0.5") +
+                          "[maxpool]\nsize=2\nstride=2\n\n"
+                          "[convolutional]\nfilters=5\nsize=3\npad=1\n"
+                          "activation=leaky\nkernel=fused\n";
+  EXPECT_EQ(plan_of(*twin(cfg, 5)), "cff");
+  expect_forward_matches_run_layer(cfg);
+}
+
+TEST(CodeHandoff, EightBitConvIntoEightBitConv) {
+  // Floats cross between the 8-bit convs (neither offers codes); the
+  // second emits the quantized conv's codes.
   const std::string cfg =
-      "[net]\nwidth=12\nheight=12\nchannels=4\n\n"
-      "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
-      "activation=relu\nbinary=1\nabits=2\nout_scale=0.5\n"
-      "kernel=quant_reference\n\n"
-      "[maxpool]\nsize=2\nstride=2\n\n"
-      "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
-      "activation=relu\nbinary=1\nabits=2\nin_scale=0.5\nout_scale=0.25\n"
-      "kernel=quant_reference\n\n"
-      "[maxpool]\nsize=2\nstride=1\n\n"
-      "[convolutional]\nbatch_normalize=1\nfilters=6\nsize=3\npad=1\n"
-      "activation=relu\nbinary=1\nabits=2\nin_scale=0.5\n"
-      "kernel=quant_reference\n\n"
-      "[convolutional]\nfilters=6\nsize=3\npad=0\nactivation=linear\n"
-      "binary=1\nabits=1\nbipolar=1\nkernel=quant_reference\n\n"
-      "[convolutional]\nfilters=5\nsize=1\npad=0\nactivation=linear\n"
-      "binary=1\nabits=1\nbipolar=1\nkernel=quant_reference\n";
+      kNet12 + lowp_conv("leaky") + lowp_conv("relu") + a3_conv("0.5", "1");
+  EXPECT_EQ(plan_of(*twin(cfg, 5)), "fef");
+  expect_forward_matches_run_layer(cfg);
+}
+
+TEST(CodeHandoff, EightBitConvReadsCodesAndEmitsCodes) {
+  // Between two quantized convs the 8-bit conv reads codes and writes
+  // its consumer's codes; its floats are replayed from the kept frame.
+  const std::string cfg = kNet12 + a3_conv("1", "0.5") + lowp_conv("relu") +
+                          a3_conv("0.25", "1");
+  EXPECT_EQ(plan_of(*twin(cfg, 5)), "cef");
   expect_forward_matches_run_layer(cfg);
 }
 
@@ -327,18 +401,6 @@ TEST(CodeHandoff, InexactGridsFallBackToFloats) {
   expect_forward_matches_run_layer(ladder("6e37", "3"), 3e38f);
 }
 
-/// Whether forward() ran layer i of `net` (a kLowp conv) as a producer
-/// emitting its consumer's codes: only then is there a frame to replay.
-bool emitted(nn::Network& net, int64_t i) {
-  Tensor out(net.layer(i).output_shape());
-  try {
-    net.layer(i).replay_emitted(out);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
 /// An 8-bit first layer (activation `act`) feeding the quantized conv
 /// `consumer`.
 std::string lowp_head(const std::string& act, const std::string& consumer) {
@@ -356,16 +418,12 @@ TEST(CodeHandoff, LowpProducerEmitsItsConsumersCodes) {
   for (const std::string act : {"relu", "leaky", "linear"}) {
     const std::string cfg = lowp_head(act, a3);
     expect_forward_matches_run_layer(cfg);
-    const auto net = twin(cfg, 5);
-    net->forward(random_input(*net, 1));
-    EXPECT_TRUE(emitted(*net, 0)) << act;
+    EXPECT_EQ(plan_of(*twin(cfg, 5)), "ef") << act;
   }
   // A logistic producer is not an emitter: its consumer quantises.
   const std::string cfg = lowp_head("logistic", a3);
   expect_forward_matches_run_layer(cfg);
-  const auto net = twin(cfg, 5);
-  net->forward(random_input(*net, 1));
-  EXPECT_FALSE(emitted(*net, 0));
+  EXPECT_EQ(plan_of(*twin(cfg, 5)), "ff");
 }
 
 TEST(CodeHandoff, BipolarOrInexactConsumerGridsDoNotTriggerEmission) {
@@ -384,20 +442,39 @@ TEST(CodeHandoff, BipolarOrInexactConsumerGridsDoNotTriggerEmission) {
   for (const std::string& consumer : consumers) {
     const std::string cfg = lowp_head("relu", consumer);
     expect_forward_matches_run_layer(cfg);
-    const auto net = twin(cfg, 5);
-    net->forward(random_input(*net, 1));
-    EXPECT_FALSE(emitted(*net, 0)) << consumer;
+    EXPECT_EQ(plan_of(*twin(cfg, 5)), "ff") << consumer;
   }
 }
 
-TEST(CodeHandoff, TincyW1A3L0EmitsL1Codes) {
-  const auto net = twin(nn::zoo::tiny_yolo_cfg(
-                            nn::zoo::TinyVariant::kTincy,
-                            nn::zoo::QuantMode::kW1A3, 64,
-                            nn::zoo::CpuProfile::kOptimized),
-                        3);
-  net->forward(random_input(*net, 1));
-  EXPECT_TRUE(emitted(*net, 0));
+TEST(HandoffPlan, TincyW1A3) {
+  // L0 emits L1's codes, codes cross L1 … L12 (pools included), L13 reads
+  // L12's codes, and L13 → region and the output are floats.
+  const auto net = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
+      nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kW1A3, 64,
+      nn::zoo::CpuProfile::kOptimized));
+  ASSERT_EQ(net->num_layers(), 15);
+  EXPECT_EQ(plan_of(*net), "e" + std::string(12, 'c') + "ff");
+  EXPECT_EQ(net->plan()[0], conv_grid(*net, 1, true));
+  EXPECT_EQ(net->plan()[12], conv_grid(*net, 12, false));
+  EXPECT_EQ(dynamic_cast<const nn::ConvLayer&>(net->layer(13)).config().kernel,
+            nn::ConvKernel::kLowp);
+}
+
+TEST(HandoffPlan, Cnv6) {
+  // zoo:cnv6's W1A1 convs read the unsigned 1-bit grid (abits=1, not
+  // bipolar), which the 8-bit L0 (ReLU) emits; the convs and pools hand
+  // codes on, and the binary FC layers read floats.
+  const auto net = nn::zoo::build(nn::zoo::cnv6_cfg());
+  EXPECT_EQ(plan_of(*net), "ecccccc" + std::string(4, 'f'));
+  EXPECT_EQ(net->plan()[0], (quant::CodeGrid{1, 1.0f, false}));
+}
+
+TEST(HandoffPlan, MismatchedGridLadder) {
+  // Codes cross conv → pool → conv → pool. Floats cross twice: the
+  // pool's 0.25 grid is not the next conv's 0.5, and that conv's unsigned
+  // grid is not the bipolar conv's. The bipolar pair hands codes on.
+  const auto net = nn::zoo::build(kMismatchedLadder);
+  EXPECT_EQ(plan_of(*net), "cccffcf");
 }
 
 TEST(CodeHandoff, LayerOutputFollowsTheLatestRun) {

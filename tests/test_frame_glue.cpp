@@ -516,7 +516,8 @@ TEST(LowpCodeSink, BitIdenticalToQuantisedFloats) {
         // The sink writes pixel-major (HWC) codes.
         oracle::to_hwc(chw.data(), chw.shape().channels(),
                        chw.numel() / chw.shape().channels(), want.data());
-        layer->forward_emit(in, grid, got.data());
+        layer->forward(nn::LayerIn{&in},
+                       nn::LayerOut{nullptr, got.data(), grid});
         ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               static_cast<size_t>(got.numel())),
                   0)
@@ -557,7 +558,7 @@ TEST(LowpCodeSink, RoundsTiesLikeTheGrid) {
   grid.quantize(floats.data(), floats.numel(), chw.data());
   oracle::to_hwc(chw.data(), chw.shape().channels(),
                  chw.numel() / chw.shape().channels(), want.data());
-  layer->forward_emit(in, grid, got.data());
+  layer->forward(nn::LayerIn{&in}, nn::LayerOut{nullptr, got.data(), grid});
   EXPECT_EQ(std::memcmp(got.data(), want.data(),
                         static_cast<size_t>(got.numel())),
             0);

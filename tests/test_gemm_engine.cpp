@@ -484,8 +484,10 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   Tensor golden_out(golden.output_shape());
   nn::MaxPoolLayer pool({2, 2}, golden.output_shape());
   Tensor pooled(pool.output_shape());
-  // The same conv and pool on pixel-major (HWC) codes, as Network::forward
-  // hands them: no layout conversion, no float.
+  // The same conv and pool on pixel-major (HWC) codes on their grid, as
+  // Network::forward hands them: no layout conversion, no float; and the
+  // pool on codes writing floats, as before a layer that reads floats.
+  const quant::CodeGrid grid_1{3, 1.0f, false};
   std::vector<uint8_t> hwc_in(static_cast<size_t>(codes_in.numel()));
   for (auto& x : hwc_in) x = static_cast<uint8_t>(rng.uniform_int(0, 7));
   std::vector<uint8_t> hwc_conv(static_cast<size_t>(golden_out.numel())),
@@ -564,7 +566,8 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
     fused_conv_lowp_f32out(qimage.data(), g, frame_params, lhs, w_params,
                            epilogue, out.data());
     lowp.forward(lowp_in, lowp_out);
-    lowp.forward_emit(lowp_in, grid3, lowp_codes.data());
+    lowp.forward(nn::LayerIn{&lowp_in},
+                 nn::LayerOut{nullptr, lowp_codes.data(), grid3});
     lowp.replay_emitted(lowp_out);
     head->forward(lowp_in);
     head->layer_output(0);
@@ -572,9 +575,14 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
                  w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);
     pool.forward(golden_out, pooled);
-    golden.forward_codes(hwc_in.data(), hwc_conv.data());
-    pool.forward_codes(hwc_conv.data(), hwc_pooled.data());
-    big_pool.forward_codes(big_in.data(), big_out.data());
+    golden.forward(nn::LayerIn{nullptr, hwc_in.data(), grid_1},
+                   nn::LayerOut{nullptr, hwc_conv.data(), grid_1});
+    pool.forward(nn::LayerIn{nullptr, hwc_conv.data(), grid_1},
+                 nn::LayerOut{nullptr, hwc_pooled.data(), grid_1});
+    pool.forward(nn::LayerIn{nullptr, hwc_conv.data(), grid_1},
+                 nn::LayerOut{&pooled});
+    big_pool.forward(nn::LayerIn{nullptr, big_in.data(), grid_1},
+                     nn::LayerOut{nullptr, big_out.data(), grid_1});
     ladder->forward(ladder_in);
     tail->forward(ladder_in);
     data::letterbox_into(camera, boxed, core::ThreadPool::shared());

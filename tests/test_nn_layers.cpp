@@ -324,15 +324,18 @@ class CodeReadingSpy final : public Layer {
     ++float_calls;
     out = in;
   }
-  bool reads_codes(const CodeGrid& g) const override { return g == grid_; }
-  void forward_from_codes(const uint8_t* in, const CodeGrid& g,
-                          Tensor& out) override {
+  MaybeGrid read_grid(MaybeGrid offered) const override {
+    if (offered == grid_) return grid_;
+    return std::nullopt;
+  }
+  void forward(const LayerIn& in, const LayerOut& out) override {
+    if (!in.codes) return forward(*in.floats, *out.floats);
     ++code_calls;
-    first_code = in[0];
-    const int64_t C = shape_.channels(), P = out.numel() / C;
+    first_code = in.codes[0];
+    const int64_t C = shape_.channels(), P = out.floats->numel() / C;
     for (int64_t c = 0; c < C; ++c)
       for (int64_t p = 0; p < P; ++p)
-        out[c * P + p] = g.dequantize(in[p * C + c]);
+        (*out.floats)[c * P + p] = in.grid.dequantize(in.codes[p * C + c]);
   }
   int float_calls = 0, code_calls = 0;
   uint8_t first_code = 0;
