@@ -21,17 +21,21 @@ ConnectedLayer::ConnectedLayer(const ConnectedConfig& cfg, Shape input_shape)
 }
 
 void ConnectedLayer::invalidate_cached_quantization() {
+  std::lock_guard lock(cache_mutex_);
   lowp_params_.reset();
   packed_lowp_.reset();
 }
 
-void ConnectedLayer::forward_lowp(const Tensor& in, Tensor& out) {
-  if (!packed_lowp_) {
-    const auto [wlo, whi] = quant::min_max(weights_);
-    lowp_params_ = quant::choose_affine_params(wlo, whi);
-    const TensorU8 codes = quant::quantize(weights_, *lowp_params_);
-    packed_lowp_ = gemm::pack_lhs(codes.data(), cfg_.outputs, inputs_,
-                                  lowp_params_->zero_point);
+void ConnectedLayer::forward_lowp(const Tensor& in, Tensor& out) const {
+  {
+    std::lock_guard lock(cache_mutex_);
+    if (!packed_lowp_) {
+      const auto [wlo, whi] = quant::min_max(weights_);
+      lowp_params_ = quant::choose_affine_params(wlo, whi);
+      const TensorU8 codes = quant::quantize(weights_, *lowp_params_);
+      packed_lowp_ = gemm::pack_lhs(codes.data(), cfg_.outputs, inputs_,
+                                    lowp_params_->zero_point);
+    }
   }
   // Per-frame input calibration, as in the conv lowp path.
   const auto [lo, hi] = quant::min_max(in);
@@ -48,7 +52,7 @@ void ConnectedLayer::forward_lowp(const Tensor& in, Tensor& out) {
                    real_scale * static_cast<float>(acc[o]) + biases_[o]);
 }
 
-void ConnectedLayer::forward(const Tensor& in, Tensor& out) {
+void ConnectedLayer::forward(const Tensor& in, Tensor& out) const {
   TINCY_CHECK(in.numel() == inputs_);
   TINCY_CHECK(out.numel() == cfg_.outputs);
   if (cfg_.lowp && !cfg_.binary_weights) {

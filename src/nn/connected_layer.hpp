@@ -6,6 +6,7 @@
 /// and quantized-activation labelling as the convolutional layer so the
 /// ops accounting buckets its work correctly.
 
+#include <mutex>
 #include <optional>
 
 #include "gemm/gemm_packed.hpp"
@@ -36,7 +37,7 @@ class ConnectedLayer final : public Layer {
 
   std::string type_name() const override { return "connected"; }
   Shape output_shape() const override { return Shape{cfg_.outputs}; }
-  void forward(const Tensor& in, Tensor& out) override;
+  void forward(const Tensor& in, Tensor& out) const override;
   void load_weights(WeightReader& r) override;
   void save_weights(WeightWriter& w) const override;
   OpsCount ops() const override;
@@ -53,7 +54,7 @@ class ConnectedLayer final : public Layer {
   void invalidate_cached_quantization();
 
  private:
-  void forward_lowp(const Tensor& in, Tensor& out);
+  void forward_lowp(const Tensor& in, Tensor& out) const;
 
   ConnectedConfig cfg_;
   int64_t inputs_ = 0;
@@ -61,7 +62,9 @@ class ConnectedLayer final : public Layer {
   Tensor biases_;   // outputs
 
   // Lazy caches of the lowp path's derived weight forms (quantized codes
-  // and the GEMM engine's packed panels), built once per weight mutation.
+  // and the GEMM engine's packed panels), built once per weight mutation,
+  // under the lock.
+  mutable std::mutex cache_mutex_;
   mutable std::optional<quant::AffineParams> lowp_params_;
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
 };

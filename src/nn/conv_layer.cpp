@@ -45,6 +45,7 @@ Shape ConvLayer::output_shape() const {
 }
 
 void ConvLayer::invalidate_cached_quantization() {
+  std::lock_guard lock(cache_mutex_);
   binary_cache_.reset();
   bitserial_cache_.reset();
   binary_float_cache_.reset();
@@ -55,11 +56,22 @@ void ConvLayer::invalidate_cached_quantization() {
 }
 
 const quant::BinaryMatrix& ConvLayer::binary_weights() const {
+  std::lock_guard lock(cache_mutex_);
+  return binary_weights_locked();
+}
+
+const quant::BinaryMatrix& ConvLayer::binary_weights_locked() const {
   if (!binary_cache_) binary_cache_ = quant::binarize(weights_);
   return *binary_cache_;
 }
 
 const std::vector<quant::ThresholdChannel>& ConvLayer::quant_thresholds()
+    const {
+  std::lock_guard lock(cache_mutex_);
+  return thresholds_locked();
+}
+
+const std::vector<quant::ThresholdChannel>& ConvLayer::thresholds_locked()
     const {
   if (threshold_cache_) return *threshold_cache_;
   TINCY_CHECK_MSG(cfg_.act_bits < 8,
@@ -143,11 +155,12 @@ void ConvLayer::apply_post(Tensor& out) const {
     with_snap([](float x) { return x; });
 }
 
-void ConvLayer::forward_float(const Tensor& in, Tensor& out) {
+void ConvLayer::forward_float(const Tensor& in, Tensor& out) const {
   const float* w = weights_.data();
   if (cfg_.binary_weights) {
+    std::lock_guard lock(cache_mutex_);
     if (!binary_float_cache_)
-      binary_float_cache_ = quant::dequantize(binary_weights());
+      binary_float_cache_ = quant::dequantize(binary_weights_locked());
     w = binary_float_cache_->data();
   }
   if (cfg_.kernel == ConvKernel::kFused)
@@ -160,6 +173,7 @@ void ConvLayer::forward_float(const Tensor& in, Tensor& out) {
 }
 
 const gemm::PackedLhs& ConvLayer::lowp_weights() const {
+  std::lock_guard lock(cache_mutex_);
   if (!packed_lowp_) {
     const auto [wlo, whi] = quant::min_max(weights_);
     lowp_params_ = quant::choose_affine_params(wlo, whi);
@@ -180,21 +194,23 @@ gemm::LowpEpilogue ConvLayer::lowp_epilogue(gemm::Arena& arena) const {
   return {mul, add, biases_.data(), cfg_.activation, snap_grid()};
 }
 
-void ConvLayer::forward_lowp(const LayerIn& in, const LayerOut& out) {
+void ConvLayer::forward_lowp(const LayerIn& in, const LayerOut& out) const {
   // The image data is quantized on the fly (paper: "an im2col
   // implementation that quantized the image data while arranging the
   // multiplicand matrix"); range calibration comes from the frame itself,
-  // or from its codes by table. A frame whose output leaves as codes stays
-  // in the layer for replay_emitted(); any other lives in arena scratch.
+  // or from its codes by table. A frame whose output leaves as codes is
+  // kept in out.emitted for replay_emitted(); any other lives in arena
+  // scratch.
   const gemm::PackedLhs& weights = lowp_weights();
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
   const int64_t pixels = geom_.in_height * geom_.in_width;
-  if (out.codes && emitted_frame_.empty())
-    emitted_frame_ =
+  EmittedFrame* kept = out.codes ? out.emitted : nullptr;
+  if (kept && kept->frame.empty())
+    kept->frame =
         TensorU8(Shape{geom_.in_channels, geom_.in_height, geom_.in_width});
-  uint8_t* frame = out.codes ? emitted_frame_.data()
-                             : arena.alloc<uint8_t>(geom_.in_channels * pixels);
+  uint8_t* frame = kept ? kept->frame.data()
+                        : arena.alloc<uint8_t>(geom_.in_channels * pixels);
   const quant::AffineParams params =
       in.codes ? gemm::quantize_code_frame(in.grid, in.codes,
                                            geom_.in_channels, pixels, frame)
@@ -204,18 +220,20 @@ void ConvLayer::forward_lowp(const LayerIn& in, const LayerOut& out) {
     return gemm::fused_conv_lowp_f32out(frame, geom_, params, weights,
                                         *lowp_params_, lowp_epilogue(arena),
                                         out.floats->data());
-  emitted_params_ = params;
+  if (kept) kept->params = params;
   gemm::fused_conv_lowp_codes(frame, geom_, params, weights, *lowp_params_,
                               lowp_epilogue(arena), out.grid, out.codes);
 }
 
-void ConvLayer::replay_emitted(Tensor& out) {
-  TINCY_CHECK_MSG(!emitted_frame_.empty(), "no emitted frame to replay");
+void ConvLayer::replay_emitted(const EmittedFrame& kept, Tensor& out) const {
+  TINCY_CHECK_MSG(!kept.frame.empty(), "no emitted frame to replay");
+  TINCY_CHECK(kept.frame.shape() ==
+              Shape({geom_.in_channels, geom_.in_height, geom_.in_width}));
   TINCY_CHECK(out.shape() == output_shape());
   const gemm::PackedLhs& weights = lowp_weights();
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
-  gemm::fused_conv_lowp_f32out(emitted_frame_.data(), geom_, emitted_params_,
+  gemm::fused_conv_lowp_f32out(kept.frame.data(), geom_, kept.params,
                                weights, *lowp_params_, lowp_epilogue(arena),
                                out.data());
 }
@@ -223,9 +241,11 @@ void ConvLayer::replay_emitted(Tensor& out) {
 gemm::CodeLayer ConvLayer::code_layer() const {
   TINCY_CHECK_MSG(cfg_.binary_weights && cfg_.act_bits < 8,
                   "quant reference path needs binary=1 and abits<8");
+  std::lock_guard lock(cache_mutex_);
   if (!bitserial_cache_)
-    bitserial_cache_ = gemm::pack_bitserial(binary_weights(), geom_.kernel);
-  if (!threshold_table_) threshold_table_.emplace(quant_thresholds());
+    bitserial_cache_ =
+        gemm::pack_bitserial(binary_weights_locked(), geom_.kernel);
+  if (!threshold_table_) threshold_table_.emplace(thresholds_locked());
   gemm::CodeLayer layer;
   layer.geom = geom_;
   layer.bits = cfg_.act_bits;  // 1 for bipolar layers
@@ -235,7 +255,7 @@ gemm::CodeLayer ConvLayer::code_layer() const {
   return layer;
 }
 
-void ConvLayer::forward_quant(const LayerIn& in, const LayerOut& out) {
+void ConvLayer::forward_quant(const LayerIn& in, const LayerOut& out) const {
   TINCY_CHECK_MSG((!in.codes || in.grid == grid(cfg_.in_scale)) &&
                       (!out.codes || out.grid == grid(cfg_.out_scale)),
                   "codes off the layer's grids");
@@ -282,7 +302,7 @@ MaybeGrid ConvLayer::write_grid(MaybeGrid /*in*/, MaybeGrid wanted) const {
   return std::nullopt;
 }
 
-void ConvLayer::forward(const LayerIn& in, const LayerOut& out) {
+void ConvLayer::forward(const LayerIn& in, const LayerOut& out) const {
   TINCY_CHECK(!in.floats ||
               in.floats->shape() == Shape({geom_.in_channels, geom_.in_height,
                                            geom_.in_width}));
@@ -302,7 +322,7 @@ void ConvLayer::forward(const LayerIn& in, const LayerOut& out) {
   }
 }
 
-void ConvLayer::forward(const Tensor& in, Tensor& out) {
+void ConvLayer::forward(const Tensor& in, Tensor& out) const {
   forward(LayerIn{&in}, LayerOut{&out});
 }
 

@@ -28,6 +28,7 @@
 /// in the quantized path it folds into the activation thresholds just as
 /// FINN folds it in hardware.
 
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -82,7 +83,7 @@ class ConvLayer final : public Layer {
 
   std::string type_name() const override { return "convolutional"; }
   Shape output_shape() const override;
-  void forward(const Tensor& in, Tensor& out) override;
+  void forward(const Tensor& in, Tensor& out) const override;
   void load_weights(WeightReader& r) override;
   void save_weights(WeightWriter& w) const override;
   OpsCount ops() const override;
@@ -96,10 +97,12 @@ class ConvLayer final : public Layer {
   /// nor write codes.
   MaybeGrid read_grid(MaybeGrid offered) const override;
   MaybeGrid write_grid(MaybeGrid in, MaybeGrid wanted) const override;
-  void forward(const LayerIn& in, const LayerOut& out) override;
-  /// kLowp: the floats of the latest forward() that wrote codes, from the
-  /// quantised frame and calibration it kept.
-  void replay_emitted(Tensor& out) override;
+  /// kLowp writing codes keeps its quantised frame and calibration in
+  /// out.emitted when given.
+  void forward(const LayerIn& in, const LayerOut& out) const override;
+  /// kLowp: the floats of a forward() that wrote codes, from the frame it
+  /// kept.
+  void replay_emitted(const EmittedFrame& kept, Tensor& out) const override;
 
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }
@@ -118,24 +121,25 @@ class ConvLayer final : public Layer {
 
   /// Per-output-channel activation thresholds of the quantized path, as the
   /// fabric consumes them: the fold of bias/BN/activation over the raw
-  /// ±1/A-bit accumulator (derived once and cached). Only valid for
-  /// quantized layers.
+  /// ±1/A-bit accumulator (derived once and cached, like every weight form
+  /// below, under the cache lock). Only valid for quantized layers.
   const std::vector<quant::ThresholdChannel>& quant_thresholds() const;
 
   /// Binarized weight matrix of the quantized path (bit = sign).
   const quant::BinaryMatrix& binary_weights() const;
 
-  /// Invalidate caches after mutating weights (training, quantizing).
+  /// Invalidate caches after mutating weights (training, quantizing); not
+  /// while a forward runs.
   void invalidate_cached_quantization();
 
  private:
-  void forward_float(const Tensor& in, Tensor& out);
+  void forward_float(const Tensor& in, Tensor& out) const;
   /// The one 8-bit path: floats (quantize_frame) or codes
   /// (quantize_code_frame) in, the driver's float sink or code sink out.
-  void forward_lowp(const LayerIn& in, const LayerOut& out);
+  void forward_lowp(const LayerIn& in, const LayerOut& out) const;
   /// The one code-domain path: float input is quantised onto the input
   /// grid, run_code_layer runs, and float output is dequantised.
-  void forward_quant(const LayerIn& in, const LayerOut& out);
+  void forward_quant(const LayerIn& in, const LayerOut& out) const;
   /// Applies BN (from statistics), bias and activation in place.
   void apply_post(Tensor& out) const;
   /// Channel c's batch-norm as out = x · first + second ({1, 0} without).
@@ -144,6 +148,10 @@ class ConvLayer final : public Layer {
   std::optional<CodeGrid> snap_grid() const;
   /// kLowp: the cached weight panels (built on first use).
   const gemm::PackedLhs& lowp_weights() const;
+  /// binary_weights() and quant_thresholds() for a caller holding
+  /// cache_mutex_.
+  const quant::BinaryMatrix& binary_weights_locked() const;
+  const std::vector<quant::ThresholdChannel>& thresholds_locked() const;
   /// kLowp: the driver's epilogue, its BN fold in `arena` scratch.
   gemm::LowpEpilogue lowp_epilogue(gemm::Arena& arena) const;
 
@@ -164,7 +172,9 @@ class ConvLayer final : public Layer {
   Tensor bn_mean_;    // filters
   Tensor bn_var_;     // filters
 
-  // Lazy caches of derived quantized weight forms.
+  // Lazy caches of derived quantized weight forms, built under the lock so
+  // frames in flight through one layer may meet them cold.
+  mutable std::mutex cache_mutex_;
   mutable std::optional<quant::BinaryMatrix> binary_cache_;
   mutable std::optional<gemm::BitSerialWeights> bitserial_cache_;
   mutable std::optional<Tensor> binary_float_cache_;
@@ -174,12 +184,6 @@ class ConvLayer final : public Layer {
   /// Weight panels pre-packed for the GEMM engine (pack/compute split:
   /// packed once per weight mutation, reused every frame).
   mutable std::optional<gemm::PackedLhs> packed_lowp_;
-
-  /// The frame of the latest kLowp forward() that wrote codes, quantised,
-  /// and its calibration: what replay_emitted() recomputes the floats
-  /// from.
-  TensorU8 emitted_frame_;
-  quant::AffineParams emitted_params_;
 };
 
 /// Batch-norm epsilon shared by inference and the threshold fold.

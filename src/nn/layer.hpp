@@ -16,6 +16,7 @@
 
 #include "core/tensor.hpp"
 #include "nn/precision.hpp"
+#include "quant/affine.hpp"
 #include "quant/thresholds.hpp"
 
 namespace tincy::nn {
@@ -34,21 +35,39 @@ using quant::CodeGrid;
 /// (nullopt).
 using MaybeGrid = std::optional<CodeGrid>;
 
-/// One side of a layer boundary in Network::forward: CHW floats, or u8
-/// codes on `grid`, pixel-major (HWC, gemm/layout.hpp) whatever the
+/// The quantised input frame and calibration an 8-bit layer keeps when it
+/// writes codes on a grid it does not offer (Layer::write_grid): what
+/// Layer::replay_emitted recomputes its floats from. Per frame, so it
+/// lives in the frame's nn::FrameState, not in the layer.
+struct EmittedFrame {
+  TensorU8 frame;  ///< the layer's input, quantised (C × H × W)
+  quant::AffineParams params;
+};
+
+/// The input side of a layer boundary in Network::forward: CHW floats, or
+/// u8 codes on `grid`, pixel-major (HWC, gemm/layout.hpp) whatever the
 /// C × H × W shape says. Exactly one of `floats` and `codes` is set.
-template <typename Floats, typename Code>
-struct Handoff {
-  Floats* floats = nullptr;
-  Code* codes = nullptr;
+struct LayerIn {
+  const Tensor* floats = nullptr;
+  const uint8_t* codes = nullptr;
   CodeGrid grid{};  ///< the codes' grid
 };
-using LayerIn = Handoff<const Tensor, const uint8_t>;
-using LayerOut = Handoff<Tensor, uint8_t>;
+
+/// The output side, as LayerIn, plus where an emitting layer keeps its
+/// frame (null: nowhere, and the floats cannot be replayed).
+struct LayerOut {
+  Tensor* floats = nullptr;
+  uint8_t* codes = nullptr;
+  CodeGrid grid{};
+  EmittedFrame* emitted = nullptr;
+};
 
 /// Abstract network layer. Construction plays the role of Darknet's init
 /// hook (the layer sizes its buffers from the incoming shape); the other
-/// three hooks map to the virtuals below. Layers own their parameters.
+/// three hooks map to the virtuals below. Layers own their parameters and
+/// hold no per-frame state: forward is const, so frames with their own
+/// buffers can run through one layer at once. Lazy caches derived from
+/// the parameters are built under a lock.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -68,7 +87,7 @@ class Layer {
 
   /// forward hook: computes the output feature map from the input.
   /// `out` is pre-allocated to output_shape().
-  virtual void forward(const Tensor& in, Tensor& out) = 0;
+  virtual void forward(const Tensor& in, Tensor& out) const = 0;
 
   /// The code hand-off of Network::forward (nn/network.hpp): a layer
   /// boundary carries u8 codes on grid G, instead of floats, when the
@@ -96,15 +115,16 @@ class Layer {
   /// forward(const Tensor&, Tensor&) on the dequantised input, with the
   /// output quantised onto out.grid. A layer without codes needs no
   /// override: floats in and out run the float forward.
-  virtual void forward(const LayerIn& in, const LayerOut& out) {
+  virtual void forward(const LayerIn& in, const LayerOut& out) const {
     TINCY_CHECK_MSG(in.floats && out.floats,
                     type_name() << " has no code-domain forward");
     forward(*in.floats, *out.floats);
   }
-  /// The float output of the latest forward() that wrote codes on a grid
-  /// it does not offer (write_grid), byte-identical to what the float
-  /// forward writes for that input.
-  virtual void replay_emitted(Tensor& /*out*/) {
+  /// The float output of a forward() that wrote codes on a grid it does
+  /// not offer (write_grid), from the frame it kept in out.emitted;
+  /// byte-identical to what the float forward writes for that input.
+  virtual void replay_emitted(const EmittedFrame& /*kept*/,
+                              Tensor& /*out*/) const {
     TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
   }
 

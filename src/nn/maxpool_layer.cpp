@@ -23,7 +23,7 @@ Shape MaxPoolLayer::output_shape() const {
   return Shape{in_shape_.channels(), out_h_, out_w_};
 }
 
-void MaxPoolLayer::forward(const Tensor& in, Tensor& out) {
+void MaxPoolLayer::forward(const Tensor& in, Tensor& out) const {
   TINCY_CHECK(in.shape() == in_shape_);
   TINCY_CHECK(out.shape() == output_shape());
   const int64_t C = in_shape_.channels(), H = in_shape_.height(),
@@ -78,7 +78,7 @@ MaybeGrid MaxPoolLayer::write_grid(MaybeGrid in, MaybeGrid /*wanted*/) const {
   return in;
 }
 
-void MaxPoolLayer::forward(const LayerIn& in, const LayerOut& out) {
+void MaxPoolLayer::forward(const LayerIn& in, const LayerOut& out) const {
   if (in.floats) {
     TINCY_CHECK_MSG(out.floats, "a pool on floats writes floats");
     forward(*in.floats, *out.floats);

@@ -27,14 +27,14 @@ class MaxPoolLayer final : public Layer {
 
   std::string type_name() const override { return "maxpool"; }
   Shape output_shape() const override;
-  void forward(const Tensor& in, Tensor& out) override;
+  void forward(const Tensor& in, Tensor& out) const override;
 
   /// Reads the offered grid and writes its input grid: Network hands a
   /// pool codes only on an exact grid, where they order like their
   /// values. Codes in, floats out pools the codes and dequantises them.
   MaybeGrid read_grid(MaybeGrid offered) const override;
   MaybeGrid write_grid(MaybeGrid in, MaybeGrid wanted) const override;
-  void forward(const LayerIn& in, const LayerOut& out) override;
+  void forward(const LayerIn& in, const LayerOut& out) const override;
 
   /// The paper's Table I counts pooling as the per-channel comparison
   /// count K²·outH·outW (it is channel-independent in their accounting).

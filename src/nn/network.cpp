@@ -41,12 +41,8 @@ void Network::add(LayerPtr layer) {
     if (wanted && wanted->exact() &&
         producer.write_grid(producer_in, wanted) == wanted)
       plan_.back() = wanted;
-    else  // floats cross this boundary every frame
-      slots_.back().out = Tensor(producer.output_shape());
   }
-  // The network's output is floats, its buffer allocated on first use.
-  plan_.emplace_back();
-  slots_.emplace_back();
+  plan_.emplace_back();  // the network's output is floats
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
                             "." + layer->type_name();
   layer_hist_.push_back(&metrics_->histogram(label + ".ms"));
@@ -65,11 +61,19 @@ Shape Network::output_shape() const {
   return layers_.back()->output_shape();
 }
 
-Tensor& Network::float_buffer(int64_t i) const {
-  Slot& slot = slots_[static_cast<size_t>(i)];
-  if (slot.out.empty())
-    slot.out = Tensor(layers_[static_cast<size_t>(i)]->output_shape());
-  return slot.out;
+void Network::bind(FrameState& state) const {
+  auto& boundaries = state.boundaries_;
+  if (boundaries.size() == layers_.size()) return;
+  // A network only grows (add()); a longer state ran another network.
+  TINCY_CHECK_MSG(boundaries.size() < layers_.size(),
+                  "a frame state of another network");
+  boundaries.resize(layers_.size());
+}
+
+Tensor& Network::float_buffer(int64_t i, FrameState& state) const {
+  Tensor& out = state.boundaries_[static_cast<size_t>(i)].floats;
+  if (out.empty()) out = Tensor(layers_[static_cast<size_t>(i)]->output_shape());
+  return out;
 }
 
 bool Network::emits(int64_t i) const {
@@ -80,60 +84,81 @@ bool Network::emits(int64_t i) const {
                                 std::nullopt) != plan_[u];
 }
 
-const Tensor& Network::float_output(int64_t i) const {
-  Tensor& out = float_buffer(i);
-  Slot& slot = slots_[static_cast<size_t>(i)];
-  if (!slot.out_current) {
+void Network::forward_layer(int64_t i, const Tensor& input,
+                            FrameState& state) const {
+  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
+  bind(state);
+  const auto u = static_cast<size_t>(i);
+  LayerIn in{&input};
+  if (i > 0) {
+    const FrameState::Boundary& prev = state.boundaries_[u - 1];
+    TINCY_CHECK_MSG(!plan_[u - 1] || !prev.codes.empty(),
+                    "layer " << i - 1 << " has not run in this state");
+    in = plan_[u - 1] ? LayerIn{nullptr, prev.codes.data(), *plan_[u - 1]}
+                      : LayerIn{&prev.floats};
+  }
+  const Layer& layer = *layers_[u];
+  FrameState::Boundary& here = state.boundaries_[u];
+  LayerSpan span(*layer_hist_[u], layer_trace_names_[u]);
+  LayerOut out;
+  if (plan_[u]) {
+    if (here.codes.empty()) here.codes = TensorU8(layer.output_shape());
+    out = {nullptr, here.codes.data(), *plan_[u], &here.emitted};
+  } else {
+    out.floats = &float_buffer(i, state);
+  }
+  layer.forward(in, out);
+  here.floats_current = out.floats != nullptr;
+}
+
+const Tensor& Network::forward(const Tensor& input, FrameState& state) const {
+  TINCY_CHECK_MSG(!layers_.empty(), "empty network");
+  telemetry::ScopedTimer span(*forward_hist_);
+  for (int64_t i = 0; i < num_layers(); ++i) forward_layer(i, input, state);
+  return layer_output(num_layers() - 1, state);
+}
+
+const Tensor& Network::forward(const Tensor& input) {
+  return forward(input, state_);
+}
+
+const Tensor& Network::layer_output(int64_t i, FrameState& state) const {
+  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
+  bind(state);
+  const auto u = static_cast<size_t>(i);
+  FrameState::Boundary& here = state.boundaries_[u];
+  Tensor& out = float_buffer(i, state);
+  if (!here.floats_current) {
     if (emits(i))
-      layers_[static_cast<size_t>(i)]->replay_emitted(out);
+      layers_[u]->replay_emitted(here.emitted, out);
     else  // codes are HWC, floats CHW
-      gemm::dequantize_to_chw(*plan_[static_cast<size_t>(i)],
-                              slot.codes.data(), out.shape().channels(),
+      gemm::dequantize_to_chw(*plan_[u], here.codes.data(),
+                              out.shape().channels(),
                               out.numel() / out.shape().channels(),
                               out.data());
-    slot.out_current = true;
+    here.floats_current = true;
   }
   return out;
 }
 
-const Tensor& Network::forward(const Tensor& input) {
-  TINCY_CHECK_MSG(!layers_.empty(), "empty network");
-  telemetry::ScopedTimer span(*forward_hist_);
-  LayerIn in{&input};
-  for (int64_t i = 0; i < num_layers(); ++i) {
-    const auto u = static_cast<size_t>(i);
-    Layer& layer = *layers_[u];
-    Slot& slot = slots_[u];
-    LayerSpan layer_span(*layer_hist_[u], layer_trace_names_[u]);
-    if (plan_[u] && slot.codes.empty())
-      slot.codes = TensorU8(layer.output_shape());
-    const LayerOut out = plan_[u]
-                             ? LayerOut{nullptr, slot.codes.data(), *plan_[u]}
-                             : LayerOut{&float_buffer(i)};
-    layer.forward(in, out);
-    slot.out_current = out.floats != nullptr;
-    in = {out.floats, out.codes, out.grid};
-  }
-  return float_output(num_layers() - 1);
+const Tensor& Network::layer_output(int64_t i) {
+  return layer_output(i, state_);
 }
 
 const Tensor& Network::run_layer(int64_t i, const Tensor& in) {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  run_layer_into(i, in, float_buffer(i));
-  slots_[static_cast<size_t>(i)].out_current = true;
-  return slots_[static_cast<size_t>(i)].out;
+  bind(state_);
+  Tensor& out = float_buffer(i, state_);
+  run_layer_into(i, in, out);
+  state_.boundaries_[static_cast<size_t>(i)].floats_current = true;
+  return out;
 }
 
-void Network::run_layer_into(int64_t i, const Tensor& in, Tensor& out) {
+void Network::run_layer_into(int64_t i, const Tensor& in, Tensor& out) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   const auto u = static_cast<size_t>(i);
   LayerSpan span(*layer_hist_[u], layer_trace_names_[u]);
   layers_[u]->forward(in, out);
-}
-
-const Tensor& Network::layer_output(int64_t i) const {
-  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
-  return float_output(i);
 }
 
 telemetry::Snapshot Network::snapshot() const {

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file network.hpp
-/// The network container: an ordered list of layers plus their activation
-/// buffers. Besides the classic whole-net forward() it exposes per-layer
+/// The network container: an ordered list of layers and the hand-off plan
+/// between them. Besides the classic whole-net forward() it exposes per-layer
 /// invocation — the paper had to "disintegrate" Darknet's forward pass to
 /// feed individual layers into the frame pipeline (§III-F); here that
 /// access is first-class.
@@ -25,15 +25,25 @@
 /// pools between them hand codes on, L13 (kLowp) reads L12's codes, and
 /// only L13's output and the region layer's are floats.
 ///
+/// A frame's activations live in a caller-owned FrameState
+/// (nn/frame_state.hpp): forward(input, state) runs one frame through
+/// forward_layer(), the one per-layer step, which the Fig. 5 demo stages
+/// call too (serve/demo.hpp). The network holds only the plan and the
+/// layers, which keep no per-frame state, so two frames with their own
+/// states can be in flight through one network. The single-frame calls
+/// (forward(input), layer_output(i), run_layer) run on a state the
+/// network owns.
+///
 /// layer_output() makes the floats of a code boundary on first read: it
 /// dequantises codes the producer offers on its own (its activation), and
 /// has a producer that wrote codes only because its consumer reads them
-/// (emits(): L0) recompute its floats from the frame it kept
+/// (emits(): L0) recompute its floats from the frame it kept in the state
 /// (Layer::replay_emitted). Every activation is bit-identical to running
-/// the layers one by one on floats.
+/// the layers one by one on floats, which run_layer_into does: the
+/// per-layer float oracle of tests and benches.
 ///
 /// Per-layer timing is reported through the telemetry registry: every
-/// run_layer/run_layer_into span and every layer of forward() records into
+/// layer run (forward_layer, run_layer, run_layer_into) records into
 /// `net.layer.<i>.<type>.ms`, and forward() additionally into
 /// `net.forward.ms`.
 
@@ -41,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/frame_state.hpp"
 #include "nn/layer.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -68,26 +79,35 @@ class Network {
   /// Output shape of the whole network.
   Shape output_shape() const;
 
-  /// Whole-network inference; returns the final feature map. Each layer
-  /// records a telemetry span, sampled by snapshot().
+  /// Whole-network inference of one frame in `state`; returns the final
+  /// feature map, which lives in `state`. Each layer records a telemetry
+  /// span, sampled by snapshot(). Safe to call concurrently on distinct
+  /// states.
+  const Tensor& forward(const Tensor& input, FrameState& state) const;
+  /// forward() on the network's own state.
   const Tensor& forward(const Tensor& input);
 
-  /// Runs a single layer on an explicit input (pipeline mode). The result
-  /// lands in this layer's activation buffer and is returned.
+  /// The per-layer step of forward(input, state): runs layer i, reading
+  /// `input` (layer 0) or layer i − 1's output in `state`, and writing its
+  /// own output there as the plan says (codes or floats).
+  void forward_layer(int64_t i, const Tensor& input, FrameState& state) const;
+
+  /// Float activation of layer i in `state`. A layer that wrote codes
+  /// dequantises them on the first read; one that emitted its consumer's
+  /// codes (emits()) recomputes its floats then from the frame it kept,
+  /// byte-identical to run_layer(i).
+  const Tensor& layer_output(int64_t i, FrameState& state) const;
+  /// layer_output() of the network's own state, after the last forward()
+  /// or run_layer().
+  const Tensor& layer_output(int64_t i);
+
+  /// Runs a single layer on floats into the network's own state, where
+  /// layer_output(i) reads it. The result is returned.
   const Tensor& run_layer(int64_t i, const Tensor& in);
 
-  /// Runs a single layer into an external output buffer — the demo's
-  /// per-frame-buffer mode, where concurrent frames must not share
-  /// activation storage. Records the same telemetry span as run_layer, so
-  /// per-layer timings stay fresh in demo mode.
-  void run_layer_into(int64_t i, const Tensor& in, Tensor& out);
-
-  /// Float activation of layer i after the last forward/run_layer. A layer
-  /// that wrote codes in forward() dequantises them on the first read; one
-  /// that emitted its consumer's codes (emits()) recomputes its floats
-  /// then, byte-identical to run_layer(i). Like forward(), not safe to call
-  /// concurrently.
-  const Tensor& layer_output(int64_t i) const;
+  /// Runs a single layer on floats into a caller buffer: the per-layer
+  /// float oracle. Records the same telemetry span as forward_layer.
+  void run_layer_into(int64_t i, const Tensor& in, Tensor& out) const;
 
   /// The hand-off plan forward() runs: entry i is the grid of the codes
   /// layer i writes for layer i + 1, or nullopt where floats cross. The
@@ -107,25 +127,16 @@ class Network {
   telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
-  /// Layer i's activation buffers. `out` of a float boundary is allocated
-  /// by the next add(); the others on first use.
-  struct Slot {
-    TensorU8 codes;  ///< shaped C × H × W, stored HWC
-    Tensor out;
-    bool out_current = true;  ///< `out` holds the latest activation
-  };
-
-  /// The float buffer of layer i, allocated on first use.
-  Tensor& float_buffer(int64_t i) const;
-  /// float_buffer(i) holding the latest activation of layer i.
-  const Tensor& float_output(int64_t i) const;
+  /// Layer i's float buffer in `state`, allocated on first use.
+  Tensor& float_buffer(int64_t i, FrameState& state) const;
+  /// `state` sized for this network on its first frame.
+  void bind(FrameState& state) const;
 
   Shape input_shape_;
   telemetry::MetricsRegistry* metrics_;
   std::vector<LayerPtr> layers_;
   std::vector<MaybeGrid> plan_;  ///< see plan()
-  /// Mutable: layer_output() dequantises a layer's codes on first read.
-  mutable std::vector<Slot> slots_;
+  FrameState state_;             ///< the single-frame calls' state
   std::vector<telemetry::Histogram*> layer_hist_;  ///< net.layer.<i>.<type>.ms
   std::vector<std::string> layer_trace_names_;     ///< net.layer.<i>.<type>
   telemetry::Histogram* forward_hist_;             ///< net.forward.ms

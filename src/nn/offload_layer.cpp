@@ -41,7 +41,7 @@ OffloadLayer::~OffloadLayer() {
   if (backend_) backend_->destroy();  // Fig. 3: resource cleanup
 }
 
-void OffloadLayer::forward(const Tensor& in, Tensor& out) {
+void OffloadLayer::forward(const Tensor& in, Tensor& out) const {
   TINCY_CHECK(out.shape() == cfg_.output_shape);
   telemetry::ScopedTimer span(*forward_hist_);
   backend_->forward(in, out);

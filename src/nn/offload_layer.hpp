@@ -88,7 +88,10 @@ class OffloadLayer final : public Layer {
 
   std::string type_name() const override { return "offload"; }
   Shape output_shape() const override { return cfg_.output_shape; }
-  void forward(const Tensor& in, Tensor& out) override;
+  /// Runs the backend, whose hooks may keep state of their own: a network
+  /// with an offload layer takes one frame at a time through it (the demo
+  /// runs it as an engine stage).
+  void forward(const Tensor& in, Tensor& out) const override;
   void load_weights(WeightReader&) override;
   OpsCount ops() const override { return backend_->ops(); }
   Precision precision() const override { return backend_->precision(); }

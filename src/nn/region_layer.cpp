@@ -17,7 +17,7 @@ RegionLayer::RegionLayer(const RegionConfig& cfg, Shape input_shape)
   TINCY_CHECK(static_cast<int64_t>(cfg_.anchors.size()) == 2 * cfg.num);
 }
 
-void RegionLayer::forward(const Tensor& in, Tensor& out) {
+void RegionLayer::forward(const Tensor& in, Tensor& out) const {
   TINCY_CHECK(in.shape() == in_shape_);
   TINCY_CHECK(out.shape() == in_shape_);
   const int64_t H = in_shape_.height(), W = in_shape_.width();

@@ -28,7 +28,7 @@ class RegionLayer final : public Layer {
 
   std::string type_name() const override { return "region"; }
   Shape output_shape() const override { return in_shape_; }
-  void forward(const Tensor& in, Tensor& out) override;
+  void forward(const Tensor& in, Tensor& out) const override;
 
   const RegionConfig& config() const { return cfg_; }
 

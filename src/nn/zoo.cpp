@@ -108,7 +108,9 @@ std::string tiny_yolo_cfg(TinyVariant v, QuantMode q, int input_size,
 
 std::string mlp4_cfg() {
   std::ostringstream os;
-  os << "# MLP-4 (MNIST, W1A1)\n"
+  // Binary weights and 1-bit activations on the unsigned {0, 1} grid
+  // (abits=1 with a ReLU, not bipolar=1).
+  os << "# MLP-4 (MNIST, W1A1: +-1 weights, {0, 1} activations)\n"
         "[net]\nwidth=28\nheight=28\nchannels=1\n\n";
   for (int i = 0; i < 3; ++i)
     os << "[connected]\noutput=1024\nactivation=relu\nbinary=1\nabits=1\n\n";
@@ -118,7 +120,11 @@ std::string mlp4_cfg() {
 
 std::string cnv6_cfg() {
   std::ostringstream os;
-  os << "# CNV-6 (CIFAR-10 class, 8-bit first conv + W1A1)\n"
+  // The binary layers' activations are 1-bit codes on the unsigned {0, 1}
+  // grid (abits=1 with a ReLU, not bipolar=1), so the 8-bit first conv
+  // emits their codes (HandoffPlan.Cnv6).
+  os << "# CNV-6 (CIFAR-10 class, 8-bit first conv + W1A1: +-1 weights, "
+        "{0, 1} activations)\n"
         "[net]\nwidth=32\nheight=32\nchannels=3\n\n";
   // First conv: quantization-sensitive, 8-bit (the paper's 3.1 M bucket).
   os << "[convolutional]\nbatch_normalize=1\nfilters=64\nsize=3\nstride=1\n"

@@ -44,11 +44,13 @@ enum class CpuProfile {
 std::string tiny_yolo_cfg(TinyVariant v, QuantMode q, int input_size = 416,
                           CpuProfile p = CpuProfile::kReference);
 
-/// cfg text for the fully binarized 4-layer MNIST MLP (Table II MLP-4).
+/// cfg text for the 4-layer MNIST MLP (Table II MLP-4): W1A1 with ±1
+/// weights and 1-bit activations on the unsigned {0, 1} grid, not bipolar.
 std::string mlp4_cfg();
 
 /// cfg text for the 6-conv CIFAR-10-class network (Table II CNV-6):
-/// 8-bit first conv, W1A1 everywhere else.
+/// 8-bit first conv, W1A1 everywhere else (±1 weights, 1-bit activations
+/// on the unsigned {0, 1} grid, not bipolar).
 std::string cnv6_cfg();
 
 /// Human-readable variant name ("Tiny YOLO", "Tincy YOLO", ...).

@@ -17,12 +17,14 @@ namespace tincy::serve {
 namespace {
 
 /// Whether network layer `layer` runs on the shared engine under `policy`.
-bool uses_engine(nn::Network& net, int64_t layer, EnginePolicy policy) {
+bool uses_engine(const nn::Network& net, int64_t layer,
+                 EnginePolicy policy) {
   switch (policy) {
     case EnginePolicy::kNone:
       return false;
     case EnginePolicy::kOffloadLayers:
-      return dynamic_cast<nn::OffloadLayer*>(&net.layer(layer)) != nullptr;
+      return dynamic_cast<const nn::OffloadLayer*>(&net.layer(layer)) !=
+             nullptr;
     case EnginePolicy::kHiddenLayers:
       // First conv (layer 0), last conv (L-2) and region (L-1) stay on
       // the CPU, as in the paper's deployment.
@@ -33,12 +35,12 @@ bool uses_engine(nn::Network& net, int64_t layer, EnginePolicy policy) {
 
 }  // namespace
 
-std::vector<ServeStage> make_demo_stages(nn::Network& net,
+std::vector<ServeStage> make_demo_stages(const nn::Network& net,
                                          const DemoConfig& cfg,
                                          EnginePolicy policy) {
   TINCY_CHECK_MSG(net.num_layers() >= 1, "empty network");
   auto* region =
-      dynamic_cast<nn::RegionLayer*>(&net.layer(net.num_layers() - 1));
+      dynamic_cast<const nn::RegionLayer*>(&net.layer(net.num_layers() - 1));
   TINCY_CHECK_MSG(region != nullptr,
                   "demo pipeline expects the network to end in [region]");
   const int64_t input_size = net.input_shape().height();
@@ -66,28 +68,24 @@ std::vector<ServeStage> make_demo_stages(nn::Network& net,
     f.boxed = data::letterbox(f.image, input_size);
   });
 
-  // #2 .. N+1: one stage per network layer, on per-frame buffers. Routing
-  // through run_layer_into (not Layer::forward directly) keeps per-layer
-  // telemetry fresh in demo mode.
-  for (int64_t i = 0; i < net.num_layers(); ++i) {
-    const Shape out_shape = net.layer(i).output_shape();
-    const bool first = i == 0;
+  // #2 .. N+1: one stage per network layer, each the per-layer step of
+  // Network::forward on the frame's own state: codes cross the hidden
+  // stages as they cross forward's layers, and per-layer telemetry stays
+  // fresh in demo mode.
+  for (int64_t i = 0; i < net.num_layers(); ++i)
     add("L[" + std::to_string(i) + "] " + net.layer(i).type_name(),
-        [&net, i, out_shape, first](video::Frame& f) {
-          Tensor out(out_shape);
-          net.run_layer_into(i, first ? f.boxed : f.features, out);
-          f.features = std::move(out);
-        },
+        [&net, i](video::Frame& f) { net.forward_layer(i, f.boxed, f.state); },
         uses_engine(net, i, policy));
-  }
 
   // #N+2 Object Boxing: decode + NMS, boxes mapped back to camera space.
   const nn::RegionConfig region_cfg = region->config();
   const float thresh = cfg.detect_threshold;
   const float nms_iou = cfg.nms_iou;
+  const int64_t last = net.num_layers() - 1;
   add("object_boxing",
-      [region_cfg, thresh, nms_iou, input_size](video::Frame& f) {
-        auto dets = detect::decode_region(f.features, region_cfg, thresh);
+      [&net, last, region_cfg, thresh, nms_iou, input_size](video::Frame& f) {
+        auto dets = detect::decode_region(net.layer_output(last, f.state),
+                                          region_cfg, thresh);
         dets = detect::nms(std::move(dets), nms_iou);
         const int64_t w = f.image.shape().width();
         const int64_t h = f.image.shape().height();
@@ -133,7 +131,8 @@ void feed(StreamServer& server,
   }
 }
 
-telemetry::Snapshot run_demo(video::SyntheticCamera& camera, nn::Network& net,
+telemetry::Snapshot run_demo(video::SyntheticCamera& camera,
+                             const nn::Network& net,
                              int64_t num_frames,
                              std::function<void(video::Frame&&)> deliver,
                              const DemoConfig& cfg) {

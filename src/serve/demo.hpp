@@ -8,8 +8,8 @@
 ///   #N+2 Object Boxing, #N+3 Frame Drawing —
 /// plus the round-robin feeder that `tincy demo` (one session) and
 /// `tincy serve-sim` (one session per stream) drive the server with.
-/// Every session gets its own network instance: sessions share no
-/// activation storage, only the (arbitrated) engine.
+/// Every frame carries its own activations (nn::FrameState), so sessions
+/// and frames share no activation storage, only the (arbitrated) engine.
 
 #include <functional>
 #include <span>
@@ -47,12 +47,14 @@ struct DemoConfig {
 
 /// Builds the Fig. 5 stage list around `net` and marks engine stages per
 /// `policy`. The network must end in a region layer; each layer becomes
-/// one stage operating on per-frame buffers so concurrent frames never
-/// share activation storage. Layer stages run through
-/// Network::run_layer_into, so per-layer telemetry
-/// (`net.layer.<i>.<type>.ms`) stays fresh in demo mode. The network
-/// outlives the session.
-std::vector<ServeStage> make_demo_stages(nn::Network& net,
+/// one stage running Network::forward_layer, the per-layer step of
+/// Network::forward, on the frame's own nn::FrameState (video::Frame):
+/// concurrent frames never share activation storage, the stages hand
+/// each other what the plan says (u8 HWC codes between the quantized
+/// layers), and per-layer telemetry (`net.layer.<i>.<type>.ms`) stays
+/// fresh in demo mode. Object boxing decodes the region layer's output
+/// from the state. The network outlives the session.
+std::vector<ServeStage> make_demo_stages(const nn::Network& net,
                                          const DemoConfig& cfg,
                                          EnginePolicy policy);
 
@@ -71,7 +73,8 @@ void feed(StreamServer& server,
 /// `serve.session.demo.`), fed by feed() and drained; `deliver` sees the
 /// drawn frames in order. Returns the server registry's snapshot. Throws
 /// tincy::Error if a stage faulted.
-telemetry::Snapshot run_demo(video::SyntheticCamera& camera, nn::Network& net,
+telemetry::Snapshot run_demo(video::SyntheticCamera& camera,
+                             const nn::Network& net,
                              int64_t num_frames,
                              std::function<void(video::Frame&&)> deliver,
                              const DemoConfig& cfg = {});

@@ -6,6 +6,9 @@
 #   cmake -DTINCY=<path to tincy> -DCFG=<cfg file> -P expect_cfg_error.cmake
 #   cmake -DTINCY=<path to tincy> "-DARGS=<arg> <arg> ..." [-DEXPECT=2]
 #         -P expect_cfg_error.cmake
+#
+# -DVMEM_KB=<KiB> runs tincy under `ulimit -v <KiB>` (through sh), so an
+# allocation past that cap fails instead of being granted.
 if(NOT DEFINED EXPECT)
   set(EXPECT 1)
 endif()
@@ -14,7 +17,11 @@ if(DEFINED ARGS)
 else()
   set(tincy_args summary ${CFG})
 endif()
-execute_process(COMMAND ${TINCY} ${tincy_args}
+set(command ${TINCY} ${tincy_args})
+if(DEFINED VMEM_KB)
+  set(command sh -c "ulimit -v ${VMEM_KB} && exec \"$0\" \"$@\"" ${command})
+endif()
+execute_process(COMMAND ${command}
                 RESULT_VARIABLE rc
                 ERROR_VARIABLE err)
 if(NOT rc STREQUAL "${EXPECT}")

@@ -506,6 +506,7 @@ TEST(LowpCodeSink, BitIdenticalToQuantisedFloats) {
       if (frame == 3) in[0] = kNaN;
       if (frame == 4) in[7] = -kInf;
       Tensor floats(layer->output_shape()), replayed(layer->output_shape());
+      nn::EmittedFrame kept;
       layer->forward(in, floats);
       for (const quant::CodeGrid grid :
            {quant::CodeGrid{3, 1.0f, false}, quant::CodeGrid{2, 0.37f, false},
@@ -517,14 +518,14 @@ TEST(LowpCodeSink, BitIdenticalToQuantisedFloats) {
         oracle::to_hwc(chw.data(), chw.shape().channels(),
                        chw.numel() / chw.shape().channels(), want.data());
         layer->forward(nn::LayerIn{&in},
-                       nn::LayerOut{nullptr, got.data(), grid});
+                       nn::LayerOut{nullptr, got.data(), grid, &kept});
         ASSERT_EQ(std::memcmp(got.data(), want.data(),
                               static_cast<size_t>(got.numel())),
                   0)
             << "activation " << static_cast<int>(act) << " frame " << frame
             << " bits " << grid.bits;
         // The floats come back from the kept frame, byte for byte.
-        layer->replay_emitted(replayed);
+        layer->replay_emitted(kept, replayed);
         ASSERT_EQ(std::memcmp(replayed.data(), floats.data(),
                               static_cast<size_t>(floats.numel()) *
                                   sizeof(float)),

@@ -445,9 +445,12 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   Tensor lowp_out(lowp.output_shape());
   const quant::CodeGrid grid3{3, 0.25f, false};
   TensorU8 lowp_codes(lowp.output_shape());
+  nn::EmittedFrame lowp_kept;  // the quantised frame the code sink keeps
 
   // The W1A3 frame's first two layers under Network::forward: L0 emits
-  // L1's codes, and L0's floats are replayed on read.
+  // L1's codes, and L0's floats are replayed on read. Run on the network's
+  // own state and on a second, caller-owned one, with L0's kept frame in
+  // each.
   const auto head = nn::build_network_from_string(
       "[net]\nwidth=24\nheight=24\nchannels=3\n\n"
       "[convolutional]\nbatch_normalize=1\nfilters=16\nsize=3\npad=1\n"
@@ -455,6 +458,7 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
       "[convolutional]\nbatch_normalize=1\nfilters=8\nsize=3\npad=1\n"
       "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n");
   nn::zoo::randomize(*head, rng);
+  nn::FrameState head_state;
 
   const int64_t M = 24, N = 96, K = 64;
   const auto a = random_codes(rng, M * K);
@@ -513,6 +517,7 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
       "[convolutional]\nbatch_normalize=1\nfilters=16\nsize=3\npad=1\n"
       "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n");
   nn::zoo::randomize(*ladder, rng);
+  nn::FrameState ladder_state;
   Tensor ladder_in(ladder->input_shape());
   for (int64_t i = 0; i < ladder_in.numel(); ++i)
     ladder_in[i] = static_cast<float>(rng.uniform_int(0, 7));
@@ -567,10 +572,12 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
                            epilogue, out.data());
     lowp.forward(lowp_in, lowp_out);
     lowp.forward(nn::LayerIn{&lowp_in},
-                 nn::LayerOut{nullptr, lowp_codes.data(), grid3});
-    lowp.replay_emitted(lowp_out);
+                 nn::LayerOut{nullptr, lowp_codes.data(), grid3, &lowp_kept});
+    lowp.replay_emitted(lowp_kept, lowp_out);
     head->forward(lowp_in);
     head->layer_output(0);
+    head->forward(lowp_in, head_state);
+    head->layer_output(0, head_state);
     gemm_lowp_u8(M, N, K, a.data(), in_params.zero_point, b.data(),
                  w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);
@@ -584,6 +591,7 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
     big_pool.forward(nn::LayerIn{nullptr, big_in.data(), grid_1},
                      nn::LayerOut{nullptr, big_out.data(), grid_1});
     ladder->forward(ladder_in);
+    ladder->forward(ladder_in, ladder_state);
     tail->forward(ladder_in);
     data::letterbox_into(camera, boxed, core::ThreadPool::shared());
     // CHW maps in and out: both passes convert at entry and exit.

@@ -320,7 +320,7 @@ class CodeReadingSpy final : public Layer {
   CodeReadingSpy(Shape shape, CodeGrid grid) : shape_(shape), grid_(grid) {}
   std::string type_name() const override { return "spy"; }
   Shape output_shape() const override { return shape_; }
-  void forward(const Tensor& in, Tensor& out) override {
+  void forward(const Tensor& in, Tensor& out) const override {
     ++float_calls;
     out = in;
   }
@@ -328,7 +328,7 @@ class CodeReadingSpy final : public Layer {
     if (offered == grid_) return grid_;
     return std::nullopt;
   }
-  void forward(const LayerIn& in, const LayerOut& out) override {
+  void forward(const LayerIn& in, const LayerOut& out) const override {
     if (!in.codes) return forward(*in.floats, *out.floats);
     ++code_calls;
     first_code = in.codes[0];
@@ -337,8 +337,8 @@ class CodeReadingSpy final : public Layer {
       for (int64_t p = 0; p < P; ++p)
         (*out.floats)[c * P + p] = in.grid.dequantize(in.codes[p * C + c]);
   }
-  int float_calls = 0, code_calls = 0;
-  uint8_t first_code = 0;
+  mutable int float_calls = 0, code_calls = 0;
+  mutable uint8_t first_code = 0;
 
  private:
   Shape shape_;

@@ -19,7 +19,11 @@
 
 #include "core/errors.hpp"
 #include "core/rng.hpp"
+#include "data/image.hpp"
+#include "detect/decode.hpp"
+#include "detect/nms.hpp"
 #include "nn/builder.hpp"
+#include "nn/region_layer.hpp"
 #include "nn/zoo.hpp"
 #include "serve/arbiter.hpp"
 #include "serve/demo.hpp"
@@ -1003,6 +1007,77 @@ TEST(StreamServer, GoldenMatchesSingleStreamPipeline) {
   const auto got = run_serving_session(29, kFrames);
   ASSERT_EQ(ref.size(), static_cast<size_t>(kFrames));
   expect_bit_identical(ref, got);
+}
+
+// The demo's layer stages are Network::forward's per-layer step on the
+// frame's own state: on the real W1A3 network a session delivers exactly
+// what a per-frame forward + decode + NMS finds, and the hidden stages
+// hand each other codes, with no float buffer made at a code boundary.
+TEST(StreamServer, W1A3DemoSessionMatchesPerFrameForward) {
+  constexpr int64_t kFrames = 8;
+  telemetry::MetricsRegistry registry;
+  auto net = nn::build_network_from_string(
+      nn::zoo::tiny_yolo_cfg(nn::zoo::TinyVariant::kTincy,
+                             nn::zoo::QuantMode::kW1A3, 64,
+                             nn::zoo::CpuProfile::kOptimized),
+      &registry);
+  Rng rng(11);
+  nn::zoo::randomize(*net, rng);
+  DemoConfig cfg;
+  cfg.detect_threshold = 0.05f;
+  const auto& region =
+      dynamic_cast<const nn::RegionLayer&>(net->layer(net->num_layers() - 1));
+
+  std::vector<FrameRecord> ref;
+  video::SyntheticCamera ref_camera({.width = 96, .height = 64, .seed = 29});
+  size_t boxes = 0;
+  for (int64_t i = 0; i < kFrames; ++i) {
+    const video::Frame f = ref_camera.read_frame();
+    auto dets = detect::nms(
+        detect::decode_region(net->forward(data::letterbox(f.image, 64)),
+                              region.config(), cfg.detect_threshold),
+        cfg.nms_iou);
+    for (auto& d : dets)
+      data::unletterbox_box(d.box.x, d.box.y, d.box.w, d.box.h,
+                            f.image.shape().width(), f.image.shape().height(),
+                            64);
+    boxes += dets.size();
+    ref.push_back({f.sequence, std::move(dets)});
+  }
+  ASSERT_GT(boxes, 0u) << "no detections to compare";
+
+  ServerOptions opts;
+  opts.num_workers = 2;
+  opts.metrics = &registry;
+  StreamServer server(opts);
+  std::vector<FrameRecord> got;
+  std::mutex m;
+  int64_t float_buffers_at_code_boundaries = 0, code_boundaries = 0;
+  SessionConfig sc;
+  sc.stages = make_demo_stages(*net, cfg, EnginePolicy::kNone);
+  sc.deliver = [&](video::Frame&& f) {
+    std::lock_guard lock(m);
+    for (int64_t i = 0; i < net->num_layers(); ++i) {
+      if (!net->plan()[static_cast<size_t>(i)]) continue;
+      ++code_boundaries;
+      EXPECT_TRUE(f.state.has_codes(i)) << "layer " << i;
+      float_buffers_at_code_boundaries += f.state.has_floats(i);
+    }
+    got.push_back({f.sequence, std::move(f.detections)});
+  };
+  sc.queue_capacity = kFrames;
+  server.open_session(std::move(sc));
+  server.start();
+  video::SyntheticCamera camera({.width = 96, .height = 64, .seed = 29});
+  for (int64_t i = 0; i < kFrames; ++i)
+    EXPECT_EQ(server.submit(0, camera.read_frame()), ServeResult::kAccepted);
+  server.drain();
+  server.stop();
+
+  expect_bit_identical(ref, got);
+  // L0 through L12 hand codes on zoo:tincy-w1a3 (HandoffPlan.TincyW1A3).
+  EXPECT_EQ(code_boundaries, 13 * kFrames);
+  EXPECT_EQ(float_buffers_at_code_boundaries, 0);
 }
 
 TEST(DemoRun, OneSessionDeliversInOrderAndCountsEveryStage) {

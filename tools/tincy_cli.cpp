@@ -6,6 +6,7 @@
 //   tincy detect <cfg> <weights|-> <in.ppm> [thresh] [out.ppm]
 //                                               single-image detection
 //   tincy demo [frames] [workers]               pipelined live demo (Fig. 5)
+//                                               of zoo:tincy-w1a3 at 416
 //   tincy serve-sim [streams] [frames] [workers]
 //                                               multi-stream serving over the
 //                                               shared fabric engine
@@ -31,6 +32,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -167,12 +169,10 @@ int cmd_demo(int argc, char** argv) {
                  serve::kMaxWorkers);
     return 2;
   }
-  // kOptimized runs the first and output layers on the packed lowp GEMM
-  // engine, so the demo's --metrics-json carries the gemm.* observability
-  // surface.
-  auto net = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
-      nn::zoo::TinyVariant::kTincy, nn::zoo::QuantMode::kFloat, 64,
-      nn::zoo::CpuProfile::kOptimized));
+  // The real frame path: W1A3 Tincy YOLO at 416, its hidden stages handing
+  // each other codes, the first and output layers on the packed lowp GEMM
+  // engine (so the demo's --metrics-json carries the gemm.* surface).
+  auto net = open_network("zoo:tincy-w1a3");
   Rng rng(3);
   nn::zoo::randomize(*net, rng);
   video::SyntheticCamera camera({.width = 128, .height = 96, .seed = 17});
@@ -433,6 +433,11 @@ int main(int argc, char** argv) {
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  } catch (const std::bad_alloc&) {
+    // A cfg under the builder's size caps can still ask for more memory
+    // than the process may have.
+    std::fprintf(stderr, "error: out of memory\n");
     return 1;
   }
   return usage();
