@@ -35,9 +35,14 @@
 //                        and movemask, whole C-bit field stores) against
 //                        a bit-by-bit gather;
 //   L1 epilogue          the bit-serial GEMM with the threshold table
+//                        (its int16 compare, as the engine runs it)
 //                        writing each column as one HWC pixel, against
 //                        the same GEMM with one ThresholdChannel::apply
-//                        per output.
+//                        per output;
+//   L1+L2, L3+L4         gemm::run_code_layer with the pool, one banded
+//   streamed             pass that pools each band while it is hot, as
+//                        Network::forward runs the pair, against the
+//                        unpooled conv map followed by max_pool_codes.
 //
 // The code-domain rows time what Network::forward runs between the
 // quantized convs against the float path it replaces (the "oracle"
@@ -384,6 +389,8 @@ int main(int argc, char** argv) {
         static_cast<size_t>(n * bits * gemm::bitplane_words(g.patch_size())));
     gemm::im2col_bitplanes(hwc_codes[1].data(), g, bits, planes.data());
     const auto& channels = conv.quant_thresholds();
+    // The engine's bound: with it the table compares on int16 lanes.
+    const int64_t bound = g.patch_size() * ((int64_t{1} << bits) - 1);
     TensorU8 want(conv.output_shape()), got(conv.output_shape());
     rows.push_back(time_pair(
         "L1 epilogue", shape_of(inputs[1]), kTrials,
@@ -403,10 +410,44 @@ int main(int argc, char** argv) {
               packed, planes.data(), n, bits, false,
               [&](int64_t j0, int64_t count, const int32_t* acc) {
                 gemm::threshold_columns(table, acc, count,
-                                        got.data() + j0 * rows_out);
+                                        got.data() + j0 * rows_out, bound);
               });
         },
         want, got));
+  }
+  for (const int64_t l : {1, 3}) {
+    // The conv and the pool after it as Network::forward runs them: one
+    // banded pass, each band pooled while hot, against the conv's whole
+    // unpooled map followed by the pool as a pass of its own.
+    const auto& conv = dynamic_cast<const nn::ConvLayer&>(net->layer(l));
+    const auto& pool = dynamic_cast<const nn::MaxPoolLayer&>(net->layer(l + 1));
+    const nn::ConvConfig& cc = conv.config();
+    const gemm::BitSerialWeights packed =
+        gemm::pack_bitserial(conv.binary_weights(), cc.size);
+    const gemm::ThresholdTable table(conv.quant_thresholds());
+    gemm::CodeLayer layer;
+    layer.geom = conv.geometry();
+    layer.bits = cc.act_bits;
+    layer.weights = &packed;
+    layer.thresholds = &table;
+    const gemm::PoolGeometry pg{cc.filters, layer.geom.out_height(),
+                                layer.geom.out_width(), pool.config().size,
+                                pool.config().stride};
+    gemm::CodeLayer pooled = layer;
+    pooled.pool_size = pg.size;
+    pooled.pool_stride = pg.stride;
+    TensorU8 map(conv.output_shape()), want(pool.output_shape()),
+        got(pool.output_shape());
+    const uint8_t* codes = hwc_codes[static_cast<size_t>(l)].data();
+    rows.push_back(time_pair(
+        "L" + std::to_string(l) + "+L" + std::to_string(l + 1) + " streamed",
+        shape_of(inputs[static_cast<size_t>(l)]), kTrials,
+        [&] {
+          gemm::run_code_layer(layer, codes, 1, map.data());
+          gemm::max_pool_codes(pg, map.data(), want.data());
+        },
+        [&] { gemm::run_code_layer(pooled, codes, 1, got.data()); }, want,
+        got));
   }
 
   for (const int64_t l : {2, 4, 10}) {

@@ -715,6 +715,9 @@ int run_soak(const SoakConfig& cfg) {
   }
   server.start();
 
+  // Sessions whose state the server holds: the live ones, quarantined
+  // ones (kept until closed) and closed ones still draining.
+  int64_t max_held = 0;
   while (finished < cfg.sessions) {
     // Churn: keep the live set topped up — open_session on a running
     // server is the join-mid-serve path.
@@ -785,6 +788,8 @@ int run_soak(const SoakConfig& cfg) {
       }
       ++it;
     }
+
+    max_held = std::max(max_held, server.held_sessions());
 
     // Random producer stalls let queues drain unevenly.
     if (rng.bernoulli(0.2))
@@ -906,6 +911,17 @@ int run_soak(const SoakConfig& cfg) {
               std::to_string(cfg.concurrent + cfg.faults) +
               " sessions open at once");
 
+  // The server releases a closed session once it drains: what it holds
+  // is bounded by the sessions open at once (plus those still draining),
+  // and in the end only the quarantined ones, never closed, are left.
+  if (max_held > 2 * cfg.concurrent + cfg.faults)
+    violation(std::to_string(max_held) + " sessions held at once for at most " +
+              std::to_string(cfg.concurrent) + " open");
+  if (server.held_sessions() != quarantined_count)
+    violation(std::to_string(server.held_sessions()) +
+              " sessions held after the soak, " +
+              std::to_string(quarantined_count) + " quarantined");
+
   // Gang-scheduling probes: batches must actually have formed under
   // churn, and the batch_size histogram must balance frame-for-frame with
   // the engine executions the stages counted.
@@ -969,8 +985,9 @@ int run_soak(const SoakConfig& cfg) {
               cfg.sessions, elapsed_s, total_delivered, total_shed,
               total_dropped, total_faults, quarantined_count);
   std::printf("soak: %" PRId64 " session histograms exported, %" PRId64
-              " closed sessions folded into serve.closed.*\n",
-              session_histograms, closed_sessions);
+              " closed sessions folded into serve.closed.*, at most %" PRId64
+              " sessions held\n",
+              session_histograms, closed_sessions, max_held);
   std::printf("soak: worst session p99 %.2f ms (SLO %.1f ms), engine grants "
               "%lld\n",
               worst_p99, cfg.p99_ms,

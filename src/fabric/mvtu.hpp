@@ -15,7 +15,9 @@
 /// engine consumes them (gemm/code_layer.hpp: bit-serial weights and a
 /// vectorised threshold table), and the cycle cost of its folding. The
 /// arithmetic itself is gemm::run_code_layer, the same function the CPU
-/// golden model runs.
+/// golden model runs: a banded stream in which each band's columns meet
+/// the weights and the thresholds block by block, as the sliding window
+/// feeds the MVTU.
 
 #include <cstdint>
 #include <vector>

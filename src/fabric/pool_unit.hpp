@@ -8,9 +8,10 @@
 /// fact: nn::Network pools the hidden ladder's codes between quantized
 /// convs.
 ///
-/// The functional unit is gemm::max_pool_codes, which the code-domain
-/// layer engine (gemm::run_code_layer) applies after the threshold unit;
-/// this file holds the unit's geometry and its cycle cost.
+/// The code-domain layer engine (gemm::run_code_layer) pools each band of
+/// threshold-unit output as it streams past, the way this unit sits on
+/// the MVTU's output stream; gemm::max_pool_codes is the same pool over a
+/// whole map. This file holds the unit's geometry and its cycle cost.
 
 #include <cstdint>
 

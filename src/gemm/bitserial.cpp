@@ -87,15 +87,6 @@ inline void or_bits(uint64_t* dst, int64_t off, const uint64_t* src,
   }
 }
 
-struct Im2colCtx {
-  const uint8_t* image;
-  const ConvGeometry* g;
-  int bits;
-  int64_t cw;  ///< words per pixel channel plane
-  uint64_t* pix;
-  uint64_t* planes;
-};
-
 constexpr uint64_t kByteLsb = 0x0101010101010101;
 
 /// Bit 0 of each of x's 8 bytes, gathered into bits 0–7: byte k's bit
@@ -117,20 +108,34 @@ inline void gather_planes_portable(const uint8_t* codes, int64_t n, int bits,
   }
 }
 
-/// Pixel planes of image rows [lo, hi): pix[(q·bits + b)·cw + c/64] holds
-/// bit b of pixel q's channels. The image is HWC, so a pixel's channels
-/// are one contiguous run of bytes, read once for all planes.
-void pixel_planes_portable(int64_t lo, int64_t hi, const Im2colCtx& ctx) {
-  const ConvGeometry& g = *ctx.g;
-  const int64_t C = g.in_channels, stride = ctx.bits * ctx.cw;
-  for (int64_t q = lo * g.in_width; q < hi * g.in_width; ++q) {
-    const uint8_t* px = ctx.image + q * C;
-    uint64_t* dst = ctx.pix + q * stride;
-    for (int64_t wi = 0; wi < ctx.cw; ++wi) {
+/// Where pixel planes go: word wi of pixel q's plane b at byte
+/// q·pixel_bytes + b·plane_bytes + 8·wi of `base`. Words are stored one
+/// by one, pixels in order, so a word whose upper bytes spill into the
+/// next pixel's field (row runs, pixel_bytes < 8·cw) is overwritten by it.
+struct PlaneStore {
+  unsigned char* base;
+  int64_t plane_bytes;
+  int64_t pixel_bytes;
+
+  void put(int64_t q, int b, int64_t wi, uint64_t w) const {
+    std::memcpy(base + q * pixel_bytes + b * plane_bytes + 8 * wi, &w,
+                sizeof w);
+  }
+};
+
+/// Pixel planes of `count` pixels: bit b of pixel q's channels. The image
+/// is HWC, so a pixel's channels are one contiguous run of bytes, read
+/// once for all planes.
+void pixel_planes_portable(const uint8_t* image, int64_t count, int64_t C,
+                           int bits, const PlaneStore& out) {
+  const int64_t cw = bitplane_words(C);
+  for (int64_t q = 0; q < count; ++q) {
+    const uint8_t* px = image + q * C;
+    for (int64_t wi = 0; wi < cw; ++wi) {
       uint64_t w[8] = {};
       gather_planes_portable(px + wi * 64, std::min<int64_t>(64, C - wi * 64),
-                             ctx.bits, 0, w);
-      for (int b = 0; b < ctx.bits; ++b) dst[b * ctx.cw + wi] = w[b];
+                             bits, 0, w);
+      for (int b = 0; b < bits; ++b) out.put(q, b, wi, w[b]);
     }
   }
 }
@@ -140,14 +145,13 @@ void pixel_planes_portable(int64_t lo, int64_t hi, const Im2colCtx& ctx) {
 // a movemask that packs those tops, so it is also built for AVX2 and
 // picked when cpuid has it (as the threshold epilogue is).
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-__attribute__((target("avx2"))) void pixel_planes_avx2(int64_t lo, int64_t hi,
-                                                       const Im2colCtx& ctx) {
-  const ConvGeometry& g = *ctx.g;
-  const int64_t C = g.in_channels, stride = ctx.bits * ctx.cw;
-  for (int64_t q = lo * g.in_width; q < hi * g.in_width; ++q) {
-    const uint8_t* px = ctx.image + q * C;
-    uint64_t* dst = ctx.pix + q * stride;
-    for (int64_t wi = 0; wi < ctx.cw; ++wi) {
+__attribute__((target("avx2"))) void pixel_planes_avx2(
+    const uint8_t* image, int64_t count, int64_t C, int bits,
+    const PlaneStore& out) {
+  const int64_t cw = bitplane_words(C);
+  for (int64_t q = 0; q < count; ++q) {
+    const uint8_t* px = image + q * C;
+    for (int64_t wi = 0; wi < cw; ++wi) {
       const uint8_t* codes = px + wi * 64;
       const int64_t n = std::min<int64_t>(64, C - wi * 64);
       uint64_t w[8] = {};
@@ -155,7 +159,7 @@ __attribute__((target("avx2"))) void pixel_planes_avx2(int64_t lo, int64_t hi,
       for (; c + 32 <= n; c += 32) {
         const __m256i v =
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + c));
-        for (int b = 0; b < ctx.bits; ++b) {
+        for (int b = 0; b < bits; ++b) {
           const __m256i top = _mm256_sll_epi16(v, _mm_cvtsi32_si128(7 - b));
           w[b] |= uint64_t{static_cast<uint32_t>(_mm256_movemask_epi8(top))}
                   << c;
@@ -164,103 +168,238 @@ __attribute__((target("avx2"))) void pixel_planes_avx2(int64_t lo, int64_t hi,
       for (; c + 16 <= n; c += 16) {
         const __m128i v =
             _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + c));
-        for (int b = 0; b < ctx.bits; ++b) {
+        for (int b = 0; b < bits; ++b) {
           const __m128i top = _mm_sll_epi16(v, _mm_cvtsi32_si128(7 - b));
           w[b] |= uint64_t{static_cast<uint32_t>(_mm_movemask_epi8(top))} << c;
         }
       }
-      gather_planes_portable(codes + c, n - c, ctx.bits, c, w);
-      for (int b = 0; b < ctx.bits; ++b) dst[b * ctx.cw + wi] = w[b];
+      gather_planes_portable(codes + c, n - c, bits, c, w);
+      for (int b = 0; b < bits; ++b) out.put(q, b, wi, w[b]);
     }
   }
 }
 #endif
 
-void pixel_planes(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<Im2colCtx*>(p);
+void pixel_planes_to(const uint8_t* image, int64_t count, int64_t C, int bits,
+                     const PlaneStore& out) {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
   static const bool avx2 = __builtin_cpu_supports("avx2");
-  if (avx2) return pixel_planes_avx2(lo, hi, ctx);
+  if (avx2) return pixel_planes_avx2(image, count, C, bits, out);
 #endif
-  pixel_planes_portable(lo, hi, ctx);
+  pixel_planes_portable(image, count, C, bits, out);
 }
 
-/// How a pixel's C-bit channel field goes into a patch column; the field
-/// of tap t starts at bit t·C.
+/// Pixel planes as row runs (C a multiple of 8): per input row and plane,
+/// the row's C-bit fields side by side as bytes, with the conv's `pad`
+/// zero pixels on each side and 8 bytes of slack, so a kernel row of a
+/// patch, K taps, is one K·C-bit window of a run, and a 64-bit load at
+/// any byte of it stays inside.
+struct RowRuns {
+  int64_t field_bytes;  ///< C / 8
+  int64_t words;        ///< per run
+
+  explicit RowRuns(const ConvGeometry& g)
+      : field_bytes(g.in_channels / 8),
+        words(((g.in_width + 2 * g.pad) * field_bytes + 8 + 7) / 8) {}
+};
+
+/// Kernel rows of up to this many taps keep their row pointers in
+/// registers; a taller kernel keeps per-pixel planes.
+constexpr int64_t kMaxRunKernel = 16;
+
+/// Whether `g`'s pixel planes are row runs: C a multiple of 8 (and a
+/// kernel no taller than kMaxRunKernel).
+bool row_runs(const ConvGeometry& g) {
+  return g.in_channels % 8 == 0 && g.kernel <= kMaxRunKernel;
+}
+
+/// Appends bit strings to a column plane, a word at a time.
+struct BitAppender {
+  uint64_t* out;
+  uint64_t word = 0;
+  int fill = 0;
+
+  /// The low `n` bits of v (1 <= n <= 64; the bits above are zero).
+  void put(uint64_t v, int n) {
+    word |= v << fill;
+    if (fill + n >= 64) {
+      *out++ = word;
+      word = fill != 0 ? v >> (64 - fill) : 0;
+      fill += n - 64;
+    } else {
+      fill += n;
+    }
+  }
+  void flush() {
+    if (fill != 0) *out++ = word;
+  }
+};
+
+/// Columns of output positions [j0, j1) from row runs: per plane, kernel
+/// row kh is its input row's run from the window's first tap on (padding
+/// pixels included), or zeros for a padding row, at bit kh·K·C of the
+/// column. A window of whole words is copied word by word; any other is
+/// appended 64 bits at a time.
+template <int kBits>
+void patch_columns_runs(const uint64_t* const pix, int64_t pix_row0,
+                        const ConvGeometry g, const int bits_arg, int64_t j0,
+                        int64_t j1, uint64_t* const planes) {
+  const int bits = kBits > 0 ? kBits : bits_arg;
+  const RowRuns runs(g);
+  const int64_t words = bitplane_words(g.patch_size());
+  const int64_t col_words = bits * words, window = g.kernel * g.in_channels;
+  const int64_t run_bytes = runs.words * 8, out_w = g.out_width();
+  const auto* base = reinterpret_cast<const unsigned char*>(pix);
+  int64_t oh = j0 / out_w, ow = j0 % out_w;
+  const unsigned char* rows[kMaxRunKernel];
+  for (int64_t j = j0; j < j1; ++j) {
+    uint64_t* col = planes + (j - j0) * col_words;
+    const int64_t first = ow * g.stride * runs.field_bytes;
+    for (int64_t kh = 0; kh < g.kernel; ++kh) {
+      const int64_t ih = oh * g.stride - g.pad + kh;
+      rows[kh] = ih >= 0 && ih < g.in_height
+                     ? base + (ih - pix_row0) * bits * run_bytes + first
+                     : nullptr;
+    }
+    if (window % 64 == 0) {
+      const int64_t n = window / 64;
+      for (int b = 0; b < bits; ++b)
+        for (int64_t kh = 0; kh < g.kernel; ++kh) {
+          uint64_t* dst = col + b * words + kh * n;
+          if (rows[kh] == nullptr)
+            std::fill(dst, dst + n, uint64_t{0});
+          else
+            std::memcpy(dst, rows[kh] + b * run_bytes,
+                        static_cast<size_t>(8 * n));
+        }
+    } else if (window < 64) {  // each kernel row is one masked load
+      const uint64_t mask = (uint64_t{1} << window) - 1;
+      const int n = static_cast<int>(window);
+      for (int b = 0; b < bits; ++b) {
+        BitAppender out{col + b * words};
+        for (int64_t kh = 0; kh < g.kernel; ++kh) {
+          uint64_t v = 0;
+          if (rows[kh] != nullptr)
+            std::memcpy(&v, rows[kh] + b * run_bytes, sizeof v);
+          out.put(v & mask, n);
+        }
+        out.flush();
+      }
+    } else {
+      for (int b = 0; b < bits; ++b) {
+        BitAppender out{col + b * words};
+        for (int64_t kh = 0; kh < g.kernel; ++kh)
+          for (int64_t k = 0; k < window; k += 64) {
+            const int n = static_cast<int>(std::min<int64_t>(64, window - k));
+            uint64_t v = 0;
+            if (rows[kh] != nullptr) {
+              std::memcpy(&v, rows[kh] + b * run_bytes + k / 8, sizeof v);
+              if (n < 64) v &= (uint64_t{1} << n) - 1;
+            }
+            out.put(v, n);
+          }
+        out.flush();
+      }
+    }
+    if (++ow == out_w) {
+      ow = 0;
+      ++oh;
+    }
+  }
+}
+
+/// How a pixel's C-bit channel field goes into a patch column when the
+/// planes are per pixel, not row runs; the field of tap t starts at bit
+/// t·C.
 enum class FieldStore {
-  kWords,   ///< C a multiple of 64: each field is C/64 whole words
   kPacked,  ///< C divides 64: fields never straddle a word, so each plane
             ///< word is assembled from 64/C fields in a register
   kBits,    ///< any other C: each field is ORed in at its bit offset
 };
 
-FieldStore field_store(int64_t channels) {
-  if (channels % 64 == 0) return FieldStore::kWords;
-  if (64 % channels == 0) return FieldStore::kPacked;
-  return FieldStore::kBits;
-}
-
-/// Packed columns of output rows [lo, hi). Each tap's pixel is located
-/// once and its `bits` plane fields stored together. The kWords and
-/// kPacked stores write every word of a column, padding taps as zero
-/// fields, so only kBits clears the column first.
+/// Packed columns of output positions [j0, j1) from per-pixel planes.
+/// Each tap's pixel is located once and its `bits` plane fields stored
+/// together. The kPacked store writes every word of a column, padding
+/// taps as zero fields, so only kBits clears the column first.
 template <FieldStore kStore>
-void patch_columns(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<Im2colCtx*>(p);
-  // Locals: the column stores are uint64_t, which may alias the int64_t
-  // geometry, so fields read through ctx would be reloaded after each.
-  const ConvGeometry g = *ctx.g;
-  const uint64_t* const pix = ctx.pix;
-  uint64_t* const planes = ctx.planes;
+void patch_columns_impl(const uint64_t* const pix, int64_t pix_row0,
+                        const ConvGeometry g, const int bits, int64_t j0,
+                        int64_t j1, uint64_t* const planes) {
+  // Parameters by value: the column stores are uint64_t, which may alias
+  // the int64_t geometry, so fields read through a pointer would be
+  // reloaded after each.
   const int64_t words = bitplane_words(g.patch_size());
-  const int64_t col_words = ctx.bits * words;
-  const int64_t pix_stride = ctx.bits * ctx.cw;
-  const int64_t out_w = g.out_width(), C = g.in_channels, cw = ctx.cw;
-  const int bits = ctx.bits;
-  for (int64_t oh = lo; oh < hi; ++oh)
-    for (int64_t ow = 0; ow < out_w; ++ow) {
-      uint64_t* col = planes + (oh * out_w + ow) * col_words;
-      if constexpr (kStore == FieldStore::kBits)
-        std::fill(col, col + col_words, uint64_t{0});
-      uint64_t word[8] = {};  // kPacked: the plane words being assembled
-      int64_t shift = 0, wi = 0;
-      for (int64_t kh = 0; kh < g.kernel; ++kh) {
-        const int64_t ih = oh * g.stride - g.pad + kh;
-        const bool row_in = ih >= 0 && ih < g.in_height;
-        for (int64_t kw = 0; kw < g.kernel; ++kw) {
-          const int64_t iw = ow * g.stride - g.pad + kw;
-          const uint64_t* px =
-              row_in && iw >= 0 && iw < g.in_width
-                  ? pix + (ih * g.in_width + iw) * pix_stride
-                  : nullptr;
-          if constexpr (kStore == FieldStore::kPacked) {
-            if (px != nullptr)
-              for (int b = 0; b < bits; ++b) word[b] |= px[b] << shift;
-            shift += C;
-            if (shift == 64) {
-              for (int b = 0; b < bits; ++b) {
-                col[b * words + wi] = word[b];
-                word[b] = 0;
-              }
-              shift = 0;
-              ++wi;
+  const int64_t col_words = bits * words;
+  const int64_t cw = bitplane_words(g.in_channels);
+  const int64_t pix_stride = bits * cw;
+  const int64_t out_w = g.out_width(), C = g.in_channels;
+  int64_t oh = j0 / out_w, ow = j0 % out_w;
+  for (int64_t j = j0; j < j1; ++j) {
+    uint64_t* col = planes + (j - j0) * col_words;
+    if constexpr (kStore == FieldStore::kBits)
+      std::fill(col, col + col_words, uint64_t{0});
+    uint64_t word[8] = {};  // kPacked: the plane words being assembled
+    int64_t shift = 0, wi = 0;
+    for (int64_t kh = 0; kh < g.kernel; ++kh) {
+      const int64_t ih = oh * g.stride - g.pad + kh;
+      const bool row_in = ih >= 0 && ih < g.in_height;
+      for (int64_t kw = 0; kw < g.kernel; ++kw) {
+        const int64_t iw = ow * g.stride - g.pad + kw;
+        const uint64_t* px =
+            row_in && iw >= 0 && iw < g.in_width
+                ? pix + ((ih - pix_row0) * g.in_width + iw) * pix_stride
+                : nullptr;
+        if constexpr (kStore == FieldStore::kPacked) {
+          if (px != nullptr)
+            for (int b = 0; b < bits; ++b) word[b] |= px[b] << shift;
+          shift += C;
+          if (shift == 64) {
+            for (int b = 0; b < bits; ++b) {
+              col[b * words + wi] = word[b];
+              word[b] = 0;
             }
-          } else if constexpr (kStore == FieldStore::kWords) {
-            for (int b = 0; b < bits; ++b)
-              for (int64_t i = 0; i < cw; ++i)
-                col[b * words + wi + i] = px != nullptr ? px[b * cw + i] : 0;
-            wi += cw;
-          } else if (px != nullptr) {
-            for (int b = 0; b < bits; ++b)
-              or_bits(col + b * words, (kh * g.kernel + kw) * C, px + b * cw,
-                      cw);
+            shift = 0;
+            ++wi;
           }
+        } else if (px != nullptr) {
+          for (int b = 0; b < bits; ++b)
+            or_bits(col + b * words, (kh * g.kernel + kw) * C, px + b * cw,
+                    cw);
         }
       }
-      if constexpr (kStore == FieldStore::kPacked)
-        if (shift != 0)
-          for (int b = 0; b < bits; ++b) col[b * words + wi] = word[b];
     }
+    if constexpr (kStore == FieldStore::kPacked)
+      if (shift != 0)
+        for (int b = 0; b < bits; ++b) col[b * words + wi] = word[b];
+    if (++ow == out_w) {
+      ow = 0;
+      ++oh;
+    }
+  }
+}
+
+/// im2col_bitplanes' two passes, sharded by rows.
+struct Im2colCtx {
+  const uint8_t* image;
+  const ConvGeometry* g;
+  int bits;
+  uint64_t* pix;
+  uint64_t* planes;
+};
+
+void pixel_plane_rows(int64_t lo, int64_t hi, void* p) {
+  const auto& ctx = *static_cast<Im2colCtx*>(p);
+  pixel_planes(ctx.image, *ctx.g, ctx.bits, lo, hi,
+               ctx.pix + pixel_plane_words(*ctx.g, ctx.bits, lo));
+}
+
+void patch_column_rows(int64_t lo, int64_t hi, void* p) {
+  const auto& ctx = *static_cast<Im2colCtx*>(p);
+  const ConvGeometry& g = *ctx.g;
+  const int64_t out_w = g.out_width();
+  patch_columns(ctx.pix, 0, g, ctx.bits, lo * out_w, hi * out_w,
+                ctx.planes + lo * out_w * ctx.bits *
+                                 bitplane_words(g.patch_size()));
 }
 
 struct GemmCtx {
@@ -314,34 +453,64 @@ BitSerialWeights pack_bitserial(const quant::TernaryMatrix& m,
   return p;
 }
 
+int64_t pixel_plane_words(const ConvGeometry& g, int bits, int64_t rows) {
+  if (row_runs(g)) return rows * bits * RowRuns(g).words;
+  return rows * g.in_width * bits * bitplane_words(g.in_channels);
+}
+
+void pixel_planes(const uint8_t* image, const ConvGeometry& g, int bits,
+                  int64_t row_lo, int64_t row_hi, uint64_t* pix) {
+  const int64_t C = g.in_channels, cw = bitplane_words(C);
+  auto* out = reinterpret_cast<unsigned char*>(pix);
+  if (!row_runs(g))
+    return pixel_planes_to(image + row_lo * g.in_width * C,
+                           (row_hi - row_lo) * g.in_width, C, bits,
+                           {out, 8 * cw, 8 * bits * cw});
+  const RowRuns runs(g);
+  const int64_t run_bytes = runs.words * 8, fb = runs.field_bytes;
+  const int64_t left = g.pad * fb, end = left + g.in_width * fb;
+  for (int64_t ih = row_lo; ih < row_hi; ++ih) {
+    unsigned char* row = out + (ih - row_lo) * bits * run_bytes;
+    for (int b = 0; b < bits; ++b)
+      std::memset(row + b * run_bytes, 0, static_cast<size_t>(left));
+    pixel_planes_to(image + ih * g.in_width * C, g.in_width, C, bits,
+                    {row + left, run_bytes, fb});
+    // The last field's word spilled zeros past `end`; clear the rest.
+    for (int b = 0; b < bits; ++b)
+      std::memset(row + b * run_bytes + end, 0,
+                  static_cast<size_t>(run_bytes - end));
+  }
+}
+
+void patch_columns(const uint64_t* pix, int64_t pix_row0,
+                   const ConvGeometry& g, int bits, int64_t j0, int64_t j1,
+                   uint64_t* planes) {
+  if (row_runs(g))  // 3-bit codes, the paper's A3, unrolled
+    return bits == 3
+               ? patch_columns_runs<3>(pix, pix_row0, g, bits, j0, j1, planes)
+               : patch_columns_runs<0>(pix, pix_row0, g, bits, j0, j1, planes);
+  if (64 % g.in_channels == 0)
+    return patch_columns_impl<FieldStore::kPacked>(pix, pix_row0, g, bits, j0,
+                                                   j1, planes);
+  patch_columns_impl<FieldStore::kBits>(pix, pix_row0, g, bits, j0, j1,
+                                        planes);
+}
+
 void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
                       uint64_t* planes) {
   TINCY_CHECK_MSG(bits >= 1 && bits <= 8, "bits " << bits);
   Arena& arena = thread_arena();
   ScratchScope scope(arena);
-  const int64_t cw = bitplane_words(g.in_channels);
-  Im2colCtx ctx{image, &g, bits, cw,
-                arena.alloc<uint64_t>(g.in_height * g.in_width * bits * cw),
+  Im2colCtx ctx{image, &g, bits,
+                arena.alloc<uint64_t>(pixel_plane_words(g, bits, g.in_height)),
                 planes};
   // Both passes are memory-bound and cheap per element; shard by rows
   // only for maps worth the hand-off.
   core::ThreadPool& pool = core::ThreadPool::shared();
   const bool shard = g.in_channels * g.in_height * g.in_width >= (1 << 16);
   const int64_t chunks = shard ? pool.threads() : 1;
-  pool.parallel_for(0, g.in_height, chunks, pixel_planes, &ctx);
-  void (*columns)(int64_t, int64_t, void*) = nullptr;
-  switch (field_store(g.in_channels)) {
-    case FieldStore::kWords:
-      columns = patch_columns<FieldStore::kWords>;
-      break;
-    case FieldStore::kPacked:
-      columns = patch_columns<FieldStore::kPacked>;
-      break;
-    case FieldStore::kBits:
-      columns = patch_columns<FieldStore::kBits>;
-      break;
-  }
-  pool.parallel_for(0, g.out_height(), chunks, columns, &ctx);
+  pool.parallel_for(0, g.in_height, chunks, pixel_plane_rows, &ctx);
+  pool.parallel_for(0, g.out_height(), chunks, patch_column_rows, &ctx);
 }
 
 BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
@@ -369,6 +538,17 @@ BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
     a.row_bias = row_bias;
   }
   return a;
+}
+
+BitSerialTileArgs slice_groups(const BitSerialTileArgs& a, int64_t g0,
+                               int64_t g1) {
+  BitSerialTileArgs s = a;
+  const int64_t first = g0 * kBitSerialGroupRows;
+  s.positive += first * a.words;
+  if (a.nonzero) s.nonzero += first * a.words;
+  if (a.row_bias) s.row_bias += first;
+  s.rows = std::min(a.rows, g1 * kBitSerialGroupRows) - first;
+  return s;
 }
 
 void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,

@@ -32,6 +32,12 @@
 /// channels in SIMD lanes, the way the paper's MVTU computes several
 /// output rows per PE (FINN-R's PE × SIMD folding). Rows are zero-padded
 /// to whole groups.
+///
+/// Im2col is two steps, each over a range: pixel_planes over input rows
+/// and patch_columns over output positions. The code-domain layer engine
+/// (gemm/code_layer.hpp) runs both per band of output rows, halo rows
+/// included, and hands the band's columns to the tile kernel block by
+/// block; im2col_bitplanes and bitserial_gemm are the whole-map forms.
 
 #include <cstdint>
 #include <functional>
@@ -79,10 +85,30 @@ BitSerialWeights pack_bitserial(const quant::BinaryMatrix& m,
 BitSerialWeights pack_bitserial(const quant::TernaryMatrix& m,
                                 int64_t kernel = 1);
 
-/// Im2col of an HWC map of A-bit codes (gemm/layout.hpp) straight into
-/// packed columns: column j (row-major over the output positions)
-/// occupies planes[j·bits·words, (j+1)·bits·words). Padding taps are
-/// code 0.
+/// Words of the pixel planes of `rows` input rows of `g`'s map (row r's
+/// start at pixel_plane_words(g, bits, r)).
+int64_t pixel_plane_words(const ConvGeometry& g, int bits, int64_t rows);
+
+/// The first of im2col's two steps, over input rows [row_lo, row_hi) of an
+/// HWC map of A-bit codes (gemm/layout.hpp): the `bits` bit-planes of each
+/// pixel's channels, read once per pixel. When C is a multiple of 8 each
+/// row's plane is one run of bytes with the conv's padding pixels on both
+/// sides, so the gather moves a kernel row of a patch as one window;
+/// otherwise pixel (row_lo + r, w)'s planes are bitplane_words(C) words
+/// each at pix + (r·W + w)·bits·bitplane_words(C).
+void pixel_planes(const uint8_t* image, const ConvGeometry& g, int bits,
+                  int64_t row_lo, int64_t row_hi, uint64_t* pix);
+
+/// The second step: the packed columns of output positions [j0, j1)
+/// (j = oh·out_w + ow), column j at planes + (j − j0)·bits·words, from
+/// pixel planes of input rows pix_row0 on (every row those columns read).
+/// Padding taps are code 0.
+void patch_columns(const uint64_t* pix, int64_t pix_row0,
+                   const ConvGeometry& g, int bits, int64_t j0, int64_t j1,
+                   uint64_t* planes);
+
+/// Both steps over a whole map: column j (row-major over the output
+/// positions) occupies planes[j·bits·words, (j+1)·bits·words).
 void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
                       uint64_t* planes);
 
@@ -96,6 +122,11 @@ using BitSerialEpilogue =
 /// storage for groups()·kBitSerialGroupRows entries; others ignore it.
 BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
                             int64_t* row_bias = nullptr);
+
+/// `a` restricted to row groups [g0, g1): a kernel given the result writes
+/// acc[j·rows' + r − 8·g0] for the slice's live rows (rows' of them).
+BitSerialTileArgs slice_groups(const BitSerialTileArgs& a, int64_t g0,
+                               int64_t g1);
 
 /// Dot products of every weight row with `n` packed columns, handed to
 /// `epilogue` in column blocks. `bipolar` selects ±1 activation codes

@@ -259,7 +259,11 @@ void ConvLayer::forward_quant(const LayerIn& in, const LayerOut& out) const {
   TINCY_CHECK_MSG((!in.codes || in.grid == grid(cfg_.in_scale)) &&
                       (!out.codes || out.grid == grid(cfg_.out_scale)),
                   "codes off the layer's grids");
-  const gemm::CodeLayer layer = code_layer();
+  gemm::CodeLayer layer = code_layer();
+  layer.pool_size = out.pool.size;
+  layer.pool_stride = out.pool.stride;
+  const Shape shape = layer.out_shape();
+  TINCY_CHECK(!out.floats || out.floats->shape() == shape);
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
   // Incoming floats sit on the activation grid; recover the integer codes
@@ -273,11 +277,12 @@ void ConvLayer::forward_quant(const LayerIn& in, const LayerOut& out) const {
     gemm::quantize_to_hwc(grid(cfg_.in_scale), in.floats->data(),
                           geom_.in_channels, pixels, quantized);
   uint8_t* out_codes =
-      out.codes ? out.codes : arena.alloc<uint8_t>(output_shape().numel());
+      out.codes ? out.codes : arena.alloc<uint8_t>(shape.numel());
   gemm::run_code_layer(layer, in.codes ? in.codes : quantized, 1, out_codes);
   if (out.floats)
     gemm::dequantize_to_chw(grid(cfg_.out_scale), out_codes, cfg_.filters,
-                            geom_.num_patches(), out.floats->data());
+                            shape.height() * shape.width(),
+                            out.floats->data());
 }
 
 bool ConvLayer::computes_on_codes() const {
@@ -306,7 +311,10 @@ void ConvLayer::forward(const LayerIn& in, const LayerOut& out) const {
   TINCY_CHECK(!in.floats ||
               in.floats->shape() == Shape({geom_.in_channels, geom_.in_height,
                                            geom_.in_width}));
-  TINCY_CHECK(!out.floats || out.floats->shape() == output_shape());
+  TINCY_CHECK_MSG(out.pool.size == 0 || runs_code_pool(),
+                  "only a quantized conv pools its output");
+  TINCY_CHECK(!out.floats || out.pool.size > 0 ||
+              out.floats->shape() == output_shape());
   switch (cfg_.kernel) {
     case ConvKernel::kReference:
     case ConvKernel::kFused:

@@ -17,7 +17,8 @@
 ///    (gemm/code_layer.hpp) that the fabric accelerator runs too; this is
 ///    the golden model. Float input is quantized onto the layer's input
 ///    grid and float output dequantized from its output codes; inside
-///    Network::forward it reads and writes codes instead.
+///    Network::forward it reads and writes codes instead, and runs the
+///    max pool after it in the same banded pass.
 ///
 /// The paper's specialized 16×27 first-layer kernels are not runtime
 /// paths: their timing lives in the perf model (perf::FirstLayerImpl) and
@@ -103,6 +104,9 @@ class ConvLayer final : public Layer {
   /// kLowp: the floats of a forward() that wrote codes, from the frame it
   /// kept.
   void replay_emitted(const EmittedFrame& kept, Tensor& out) const override;
+  /// kQuantReference runs a code pool on its output bands (LayerOut::pool)
+  /// in the same pass as the conv.
+  bool runs_code_pool() const override { return computes_on_codes(); }
 
   const ConvConfig& config() const { return cfg_; }
   const gemm::ConvGeometry& geometry() const { return geom_; }

@@ -6,7 +6,10 @@
 /// FrameState holds what one frame leaves along it: per boundary, the
 /// codes Network::forward hands across it, the floats it writes there or
 /// Network::layer_output makes on read, and the frame an emitting layer
-/// kept for replay. It is caller-owned, one per frame in flight, so frames
+/// kept for replay. A conv that ran the pool after it
+/// (Network::fuses_pool) leaves its own boundary empty until
+/// Network::layer_output recomputes it. It is caller-owned, one per frame
+/// in flight, so frames
 /// with their own states can run through one network at once; a demo
 /// stage carries its frame's state to the next stage (video::Frame).
 ///
@@ -28,7 +31,8 @@ class FrameState {
     return in_range(i) && !boundaries_[static_cast<size_t>(i)].floats.empty();
   }
   /// Whether a code buffer was made for layer i's output: by a forward
-  /// that handed layer i + 1 codes.
+  /// that handed layer i + 1 codes (not by a conv that ran the pool after
+  /// it, which writes the pool's).
   bool has_codes(int64_t i) const {
     return in_range(i) && !boundaries_[static_cast<size_t>(i)].codes.empty();
   }

@@ -53,13 +53,23 @@ struct LayerIn {
   CodeGrid grid{};  ///< the codes' grid
 };
 
+/// A max pool over codes: size × size windows at `stride`, Darknet's
+/// geometry (nn/maxpool_layer.hpp). Size 0 is no pool.
+struct CodePool {
+  int64_t size = 0;
+  int64_t stride = 0;
+};
+
 /// The output side, as LayerIn, plus where an emitting layer keeps its
-/// frame (null: nowhere, and the floats cannot be replayed).
+/// frame (null: nowhere, and the floats cannot be replayed), and the code
+/// pool it runs on its output before writing it (Layer::runs_code_pool):
+/// `floats` or `codes` then hold the pooled map.
 struct LayerOut {
   Tensor* floats = nullptr;
   uint8_t* codes = nullptr;
   CodeGrid grid{};
   EmittedFrame* emitted = nullptr;
+  CodePool pool{};
 };
 
 /// Abstract network layer. Construction plays the role of Darknet's init
@@ -127,6 +137,17 @@ class Layer {
                               Tensor& /*out*/) const {
     TINCY_CHECK_MSG(false, type_name() << " cannot emit codes");
   }
+
+  /// Conv + pool fusion: Network::add has a layer that runs_code_pool()
+  /// run the code pool after it (code_pool()) in its own forward, when
+  /// codes cross the boundary between them (nn/network.hpp).
+  ///
+  /// The pool this layer is, when a producer may run it instead; nullopt
+  /// for any other layer.
+  virtual std::optional<CodePool> code_pool() const { return std::nullopt; }
+  /// Whether this layer's code-domain forward pools its output when
+  /// LayerOut::pool asks it to.
+  virtual bool runs_code_pool() const { return false; }
 
   /// Operations per frame in the paper's accounting (see ops.hpp).
   virtual OpsCount ops() const { return {}; }

@@ -6,11 +6,13 @@
 /// YOLO's last pool working (13×13 stays 13×13), while the usual 2×2
 /// stride-2 pools halve the map.
 ///
-/// Fed codes in Network::forward (between two quantized convs), the pool
-/// runs on them (gemm::max_pool_codes): on an exact grid the codes order
-/// like their values, so pooling codes equals pooling the values. The
-/// codes are pixel-major (HWC), so each output pixel maxes whole channel
-/// vectors.
+/// Fed codes in Network::forward, the pool runs on them
+/// (gemm::max_pool_codes): on an exact grid the codes order like their
+/// values, so pooling codes equals pooling the values. The codes are
+/// pixel-major (HWC), so each output pixel maxes whole channel vectors.
+/// After a quantized conv the pool does no work of its own: the conv
+/// pools each band of its output in the same pass (code_pool(),
+/// gemm/code_layer.hpp).
 
 #include "nn/layer.hpp"
 
@@ -35,6 +37,11 @@ class MaxPoolLayer final : public Layer {
   MaybeGrid read_grid(MaybeGrid offered) const override;
   MaybeGrid write_grid(MaybeGrid in, MaybeGrid wanted) const override;
   void forward(const LayerIn& in, const LayerOut& out) const override;
+  /// This pool, for a producer that runs it on its output codes (a
+  /// quantized conv under Network::forward).
+  std::optional<CodePool> code_pool() const override {
+    return CodePool{cfg_.size, cfg_.stride};
+  }
 
   /// The paper's Table I counts pooling as the per-channel comparison
   /// count K²·outH·outW (it is channel-independent in their accounting).

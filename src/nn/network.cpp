@@ -41,8 +41,13 @@ void Network::add(LayerPtr layer) {
     if (wanted && wanted->exact() &&
         producer.write_grid(producer_in, wanted) == wanted)
       plan_.back() = wanted;
+    // A code pool after a layer that runs it, with a producer of its own
+    // whose output the state keeps: one pass, no unpooled map.
+    fused_.back() = plan_.back() && layers_.size() >= 2 &&
+                    layer->code_pool() && producer.runs_code_pool();
   }
   plan_.emplace_back();  // the network's output is floats
+  fused_.push_back(false);
   const std::string label = "net.layer." + std::to_string(layers_.size()) +
                             "." + layer->type_name();
   layer_hist_.push_back(&metrics_->histogram(label + ".ms"));
@@ -84,30 +89,53 @@ bool Network::emits(int64_t i) const {
                                 std::nullopt) != plan_[u];
 }
 
+bool Network::fuses_pool(int64_t i) const {
+  TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
+  return fused_[static_cast<size_t>(i)];
+}
+
+LayerIn Network::input_of(int64_t i, const Tensor* input,
+                          const FrameState& state) const {
+  if (i == 0) return LayerIn{input};
+  const auto u = static_cast<size_t>(i);
+  const FrameState::Boundary& prev = state.boundaries_[u - 1];
+  TINCY_CHECK_MSG(!plan_[u - 1] || !prev.codes.empty(),
+                  "layer " << i - 1 << " has not run in this state");
+  return plan_[u - 1] ? LayerIn{nullptr, prev.codes.data(), *plan_[u - 1]}
+                      : LayerIn{&prev.floats};
+}
+
 void Network::forward_layer(int64_t i, const Tensor& input,
                             FrameState& state) const {
   TINCY_CHECK_MSG(i >= 0 && i < num_layers(), "layer " << i);
   bind(state);
   const auto u = static_cast<size_t>(i);
-  LayerIn in{&input};
-  if (i > 0) {
-    const FrameState::Boundary& prev = state.boundaries_[u - 1];
-    TINCY_CHECK_MSG(!plan_[u - 1] || !prev.codes.empty(),
-                    "layer " << i - 1 << " has not run in this state");
-    in = plan_[u - 1] ? LayerIn{nullptr, prev.codes.data(), *plan_[u - 1]}
-                      : LayerIn{&prev.floats};
-  }
-  const Layer& layer = *layers_[u];
-  FrameState::Boundary& here = state.boundaries_[u];
   LayerSpan span(*layer_hist_[u], layer_trace_names_[u]);
-  LayerOut out;
-  if (plan_[u]) {
-    if (here.codes.empty()) here.codes = TensorU8(layer.output_shape());
-    out = {nullptr, here.codes.data(), *plan_[u], &here.emitted};
-  } else {
-    out.floats = &float_buffer(i, state);
+  if (i > 0 && fused_[u - 1]) {
+    // The conv before this pool wrote its pooled output here already.
+    const FrameState::Boundary& here = state.boundaries_[u];
+    TINCY_CHECK_MSG(plan_[u] ? !here.codes.empty() : here.floats_current,
+                    "layer " << i - 1 << " has not run in this state");
+    return;
   }
-  layer.forward(in, out);
+  const LayerIn in = input_of(i, &input, state);
+  // A fused conv writes its pool's output; its own boundary stays empty
+  // and layer_output recomputes it.
+  const size_t w = fused_[u] ? u + 1 : u;
+  const Layer& writer = *layers_[w];
+  FrameState::Boundary& here = state.boundaries_[w];
+  LayerOut out;
+  if (plan_[w]) {
+    if (here.codes.empty()) here.codes = TensorU8(writer.output_shape());
+    out = {nullptr, here.codes.data(), *plan_[w], &here.emitted};
+  } else {
+    out.floats = &float_buffer(static_cast<int64_t>(w), state);
+  }
+  if (fused_[u]) {
+    out.pool = *writer.code_pool();
+    state.boundaries_[u].floats_current = false;
+  }
+  layers_[u]->forward(in, out);
   here.floats_current = out.floats != nullptr;
 }
 
@@ -129,7 +157,9 @@ const Tensor& Network::layer_output(int64_t i, FrameState& state) const {
   FrameState::Boundary& here = state.boundaries_[u];
   Tensor& out = float_buffer(i, state);
   if (!here.floats_current) {
-    if (emits(i))
+    if (fused_[u])  // the unpooled map, from the input the state keeps
+      layers_[u]->forward(input_of(i, nullptr, state), LayerOut{&out});
+    else if (emits(i))
       layers_[u]->replay_emitted(here.emitted, out);
     else  // codes are HWC, floats CHW
       gemm::dequantize_to_chw(*plan_[u], here.codes.data(),

@@ -34,13 +34,21 @@
 /// (forward(input), layer_output(i), run_layer) run on a state the
 /// network owns.
 ///
+/// A quantized conv followed by a max pool on codes runs as one layer
+/// (fuses_pool(): L1+L2 … L9+L10 on zoo:tincy-w1a3): the conv pools each
+/// band of its output in the same pass (gemm/code_layer.hpp) and writes
+/// the pool's boundary, so the unpooled map never exists; the pool's step
+/// does no work.
+///
 /// layer_output() makes the floats of a code boundary on first read: it
-/// dequantises codes the producer offers on its own (its activation), and
-/// has a producer that wrote codes only because its consumer reads them
+/// dequantises codes the producer offers on its own (its activation), has
+/// a producer that wrote codes only because its consumer reads them
 /// (emits(): L0) recompute its floats from the frame it kept in the state
-/// (Layer::replay_emitted). Every activation is bit-identical to running
-/// the layers one by one on floats, which run_layer_into does: the
-/// per-layer float oracle of tests and benches.
+/// (Layer::replay_emitted), and has a conv that ran its pool recompute its
+/// unpooled map from its input, which the state still holds. Every
+/// activation is bit-identical to running the layers one by one on floats,
+/// which run_layer_into does: the per-layer float oracle of tests and
+/// benches.
 ///
 /// Per-layer timing is reported through the telemetry registry: every
 /// layer run (forward_layer, run_layer, run_layer_into) records into
@@ -95,6 +103,7 @@ class Network {
   /// Float activation of layer i in `state`. A layer that wrote codes
   /// dequantises them on the first read; one that emitted its consumer's
   /// codes (emits()) recomputes its floats then from the frame it kept,
+  /// and a conv that ran its pool (fuses_pool()) from its input; all
   /// byte-identical to run_layer(i).
   const Tensor& layer_output(int64_t i, FrameState& state) const;
   /// layer_output() of the network's own state, after the last forward()
@@ -114,6 +123,12 @@ class Network {
   /// last entry, the network's output, is always nullopt.
   const std::vector<MaybeGrid>& plan() const { return plan_; }
 
+  /// Whether layer i runs layer i + 1's code pool in forward(): a layer
+  /// that runs_code_pool() before a code_pool(), with codes crossing
+  /// between them and a producer of its own. It then writes the pool's
+  /// output, and its own boundary stays empty.
+  bool fuses_pool(int64_t i) const;
+
   /// Whether layer i writes codes in forward() that quantise its float
   /// activation onto its consumer's grid, rather than codes whose values
   /// are that activation (Layer::write_grid).
@@ -131,11 +146,15 @@ class Network {
   Tensor& float_buffer(int64_t i, FrameState& state) const;
   /// `state` sized for this network on its first frame.
   void bind(FrameState& state) const;
+  /// Layer i's input in `state` (`input` for layer 0), as forward reads it.
+  LayerIn input_of(int64_t i, const Tensor* input,
+                   const FrameState& state) const;
 
   Shape input_shape_;
   telemetry::MetricsRegistry* metrics_;
   std::vector<LayerPtr> layers_;
   std::vector<MaybeGrid> plan_;  ///< see plan()
+  std::vector<bool> fused_;      ///< see fuses_pool()
   FrameState state_;             ///< the single-frame calls' state
   std::vector<telemetry::Histogram*> layer_hist_;  ///< net.layer.<i>.<type>.ms
   std::vector<std::string> layer_trace_names_;     ///< net.layer.<i>.<type>

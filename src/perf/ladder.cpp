@@ -1,6 +1,8 @@
 #include "perf/ladder.hpp"
 
+#include "nn/builder.hpp"
 #include "nn/zoo.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace tincy::perf {
 
@@ -27,10 +29,17 @@ std::vector<LadderStep> optimization_ladder(const ZynqPlatform& platform) {
   using nn::zoo::QuantMode;
   using nn::zoo::TinyVariant;
 
-  const auto tiny = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
-      TinyVariant::kTiny, QuantMode::kFloat, 416, CpuProfile::kReference));
-  const auto tincy = nn::zoo::build(nn::zoo::tiny_yolo_cfg(
-      TinyVariant::kTincy, QuantMode::kFloat, 416, CpuProfile::kReference));
+  // The networks are only described, never run: their per-layer
+  // histograms go to a registry of their own, not the process-wide one.
+  telemetry::MetricsRegistry unused;
+  const auto tiny = nn::build_network_from_string(
+      nn::zoo::tiny_yolo_cfg(TinyVariant::kTiny, QuantMode::kFloat, 416,
+                             CpuProfile::kReference),
+      &unused);
+  const auto tincy = nn::build_network_from_string(
+      nn::zoo::tiny_yolo_cfg(TinyVariant::kTincy, QuantMode::kFloat, 416,
+                             CpuProfile::kReference),
+      &unused);
 
   struct Config {
     std::string name;

@@ -102,6 +102,8 @@ int64_t StreamServer::open_session(SessionConfig cfg) {
   bind_metrics_locked(*s);
   arbiter_.add_session(id, s->cfg.weight, s->cfg.priority);
   sessions_.push_back(std::move(s));
+  released_.emplace_back();
+  ++held_;
   lock.unlock();
   cv_.notify_all();  // live churn: workers should see the new session
   return id;
@@ -128,21 +130,18 @@ void StreamServer::bind_metrics_locked(Session& s) {
   s.dropped_counter = &metrics_->counter(prefix + "dropped");
   s.faults_counter = &metrics_->counter(prefix + "faults");
   s.quarantined_gauge = &metrics_->gauge(prefix + "quarantined");
-  s.metrics_bound = true;
+  NameShare& share = names_[s.cfg.name];
+  ++share.bound;
+  ++share.live;
 }
 
 void StreamServer::drop_metrics_locked(Session& s) {
-  if (!s.metrics_bound || !s.retired || !s.closed) return;
   // Sessions of one name share their metric objects: those go once the
   // last of them is closed and retired, with the shared counts folded in
   // once.
-  std::vector<Session*> sharing;
-  for (const auto& o : sessions_) {
-    if (!o->metrics_bound || o->cfg.name != s.cfg.name) continue;
-    if (!o->retired || !o->closed) return;
-    sharing.push_back(o.get());
-  }
-  closed_.sessions->add(static_cast<int64_t>(sharing.size()));
+  const auto share = names_.find(s.cfg.name);
+  if (--share->second.live > 0) return;
+  closed_.sessions->add(share->second.bound);
   closed_.frames->add(s.frames_counter->value());
   closed_.rejected->add(s.rejected_counter->value());
   closed_.shed->add(s.shed_counter->value());
@@ -152,21 +151,37 @@ void StreamServer::drop_metrics_locked(Session& s) {
   if (s.latency_hist->count() > 0)
     closed_.worst_p99_ms->set(std::max(closed_.worst_p99_ms->value(),
                                        s.latency_hist->quantile(0.99)));
-  const int64_t rejected = s.rejected_counter->value();
-  for (Session* o : sharing) {
-    o->rejected_total = rejected;
-    o->metrics_bound = false;
-  }
+  names_.erase(share);
   metrics_->remove("serve.session." + s.cfg.name + ".");
+}
+
+StreamServer::Session* StreamServer::find_locked(int64_t session) const {
+  TINCY_CHECK_MSG(
+      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
+      "unknown session " << session);
+  return sessions_[static_cast<size_t>(session)].get();
+}
+
+void StreamServer::release_locked(int64_t session) {
+  // Taken out of sessions_ and destroyed on return: its stage closures,
+  // slots and queues go, its id stays unused.
+  const std::unique_ptr<Session> s =
+      std::move(sessions_[static_cast<size_t>(session)]);
+  Released& r = released_[static_cast<size_t>(session)];
+  r.done = s->done;
+  r.discarded = s->discarded;
+  r.rejected = s->rejected_counter->value();
+  r.quarantined = s->quarantined;
+  r.last_fault = s->last_fault;
+  --held_;
+  drop_metrics_locked(*s);
 }
 
 void StreamServer::close_session(int64_t session) {
   std::unique_lock lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  Session& s = *sessions_[static_cast<size_t>(session)];
-  if (s.closed) return;
+  Session* held = find_locked(session);
+  if (held == nullptr || held->closed) return;  // released: closed already
+  Session& s = *held;
   s.closed = true;
   // Frames that never entered the stage chain are dropped; in-flight
   // frames (slots + running stages) keep their submit_times front entries
@@ -200,8 +215,8 @@ void StreamServer::start() {
   TINCY_CHECK_MSG(!running_, "start() while already running");
   TINCY_CHECK_MSG(!sessions_.empty(), "start() with no sessions");
   for (size_t i = 0; i < sessions_.size(); ++i) {
+    if (!sessions_[i]) continue;  // released sessions stay closed
     Session& s = *sessions_[i];
-    if (!s.metrics_bound) bind_metrics_locked(s);
     reset_session_locked(s);
     // Retired sessions were forgotten by the arbiter; re-registering all
     // of them (remove is a no-op for the still-known ones) restarts every
@@ -229,11 +244,13 @@ ServeResult StreamServer::submit(int64_t session, video::Frame frame) {
 
 ServeResult StreamServer::try_submit(int64_t session, video::Frame& frame) {
   std::unique_lock lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  Session& s = *sessions_[static_cast<size_t>(session)];
+  Session* held = find_locked(session);
   if (!running_ || stopping_) return ServeResult::kClosed;
+  if (held == nullptr)
+    return released_[static_cast<size_t>(session)].quarantined
+               ? ServeResult::kQuarantined
+               : ServeResult::kClosed;
+  Session& s = *held;
   if (s.quarantined) return ServeResult::kQuarantined;
   if (s.closed) return ServeResult::kClosed;
   if (static_cast<int64_t>(s.queue.size()) >= s.cfg.queue_capacity) {
@@ -306,6 +323,7 @@ bool StreamServer::find_job_locked(Job& job) {
   const size_t n = sessions_.size();
   for (size_t k = 0; k < n; ++k) {
     const size_t si = (rr_next_ + k) % n;
+    if (!sessions_[si]) continue;  // released
     Session& s = *sessions_[si];
     // Quarantined sessions hold no claimable frames (they were discarded
     // at the poison point); retired ones additionally left the arbiter.
@@ -347,7 +365,7 @@ bool StreamServer::find_job_locked(Job& job) {
       std::vector<int64_t> cands;
       std::vector<int64_t> cand_stage(n, -1);
       for (size_t oj = 0; oj < n; ++oj) {
-        if (oj == si) continue;
+        if (oj == si || !sessions_[oj]) continue;
         Session& o = *sessions_[oj];
         if (o.retired || o.quarantined) continue;
         for (int64_t m = static_cast<int64_t>(o.cfg.stages.size()) - 1;
@@ -588,7 +606,12 @@ void StreamServer::worker_loop() {
         mout.frame = std::move(frames[m]);
         mout.deposited = returned;
       }
-      if (ms.closed || ms.quarantined) maybe_retire_locked(job.members[m].session);
+    }
+    // Retiring may release a session, so it waits until no member's
+    // state is touched any more.
+    for (const Claim& c : job.members) {
+      const Session* ms = sessions_[static_cast<size_t>(c.session)].get();
+      if (ms && (ms->closed || ms->quarantined)) maybe_retire_locked(c.session);
     }
     lock.unlock();
     cv_.notify_all();  // deposited outputs / deliveries may unblock drain()
@@ -699,10 +722,10 @@ void StreamServer::maybe_retire_locked(int64_t session) {
     s.retired = true;
     arbiter_.remove_session(session);
   }
-  // Nothing records into a retired session's metrics any more; a closed
-  // one takes no submissions either, so they go (a quarantined one keeps
-  // them until it is closed: its fault is what an operator reads).
-  drop_metrics_locked(s);
+  // Nothing records into a retired session any more; a closed one takes
+  // no submissions either, so it is released (a quarantined one is kept
+  // until it is closed: its fault is what an operator reads).
+  if (s.closed) release_locked(session);
 }
 
 void StreamServer::reset_session_locked(Session& s) {
@@ -741,7 +764,7 @@ void StreamServer::drain() {
   cv_.wait(lock, [&] {
     if (stopping_ || !running_) return true;
     for (const auto& s : sessions_)
-      if (s->done + s->discarded != s->admitted) return false;
+      if (s && s->done + s->discarded != s->admitted) return false;
     return true;
   });
 }
@@ -777,62 +800,53 @@ int64_t StreamServer::num_sessions() const {
   return static_cast<int64_t>(sessions_.size());
 }
 
+int64_t StreamServer::held_sessions() const {
+  std::lock_guard lock(mutex_);
+  return held_;
+}
+
 int64_t StreamServer::queue_depth(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return static_cast<int64_t>(
-      sessions_[static_cast<size_t>(session)]->queue.size());
+  const Session* s = find_locked(session);
+  return s ? static_cast<int64_t>(s->queue.size()) : 0;
 }
 
 int64_t StreamServer::delivered(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->done;
+  const Session* s = find_locked(session);
+  return s ? s->done : released_[static_cast<size_t>(session)].done;
 }
 
 int64_t StreamServer::rejected(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  const Session& s = *sessions_[static_cast<size_t>(session)];
-  return s.metrics_bound ? s.rejected_counter->value() : s.rejected_total;
+  const Session* s = find_locked(session);
+  return s ? s->rejected_counter->value()
+           : released_[static_cast<size_t>(session)].rejected;
 }
 
 int64_t StreamServer::discarded(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->discarded;
+  const Session* s = find_locked(session);
+  return s ? s->discarded : released_[static_cast<size_t>(session)].discarded;
 }
 
 bool StreamServer::closed(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->closed;
+  const Session* s = find_locked(session);
+  return s ? s->closed : true;
 }
 
 bool StreamServer::quarantined(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->quarantined;
+  const Session* s = find_locked(session);
+  return s ? s->quarantined
+           : released_[static_cast<size_t>(session)].quarantined;
 }
 
 std::string StreamServer::fault_message(int64_t session) const {
   std::lock_guard lock(mutex_);
-  TINCY_CHECK_MSG(
-      session >= 0 && session < static_cast<int64_t>(sessions_.size()),
-      "unknown session " << session);
-  return sessions_[static_cast<size_t>(session)]->last_fault;
+  const Session* s = find_locked(session);
+  return s ? s->last_fault : released_[static_cast<size_t>(session)].last_fault;
 }
 
 }  // namespace tincy::serve

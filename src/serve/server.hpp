@@ -90,6 +90,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/arbiter.hpp"
@@ -220,14 +221,18 @@ class StreamServer {
   /// inside the stage chain run to delivery, and further submissions
   /// answer kClosed. Works while the server is running — the churn path.
   /// A closed session's pending gang-queue entry is withdrawn, so it can
-  /// never join a batch forming after this call. Once drained, its
-  /// serve.session.<name>.* metrics go, folded into serve.closed.*.
+  /// never join a batch forming after this call. Once drained, the server
+  /// releases it (its stage closures, slots and queues; its id keeps
+  /// answering the accessors below from its final counts), and its
+  /// serve.session.<name>.* metrics go, folded into serve.closed.*, once
+  /// no live session shares its name.
   void close_session(int64_t session);
 
   /// Spawns the worker pool and begins accepting submissions. Resets
-  /// every registered session to a fresh open state (clears closed /
+  /// every session the server still holds to a fresh open state (clears
   /// quarantined flags and the serve.* metrics of this server's sessions,
   /// re-registering those dropped at close, and zeroes serve.closed.*).
+  /// Released sessions stay closed.
   void start();
 
   /// Admits one frame into the session's queue, applying the overload
@@ -248,7 +253,11 @@ class StreamServer {
   void stop();
 
   bool running() const;
+  /// Sessions ever opened (ids are 0 … num_sessions() − 1).
   int64_t num_sessions() const;
+  /// Sessions whose state the server still holds: all but the closed and
+  /// drained ones it released.
+  int64_t held_sessions() const;
   int64_t queue_depth(int64_t session) const;   ///< admitted, not yet started
   int64_t delivered(int64_t session) const;
   int64_t rejected(int64_t session) const;
@@ -317,11 +326,15 @@ class StreamServer {
     telemetry::Counter* dropped_counter;
     telemetry::Counter* faults_counter;
     telemetry::Gauge* quarantined_gauge;
-    /// The metric pointers above are registered; false once the session
-    /// closed and retired and its metrics were dropped.
-    bool metrics_bound = false;
-    /// rejected() once the metrics are dropped.
-    int64_t rejected_total = 0;
+  };
+
+  /// What a released session leaves behind: the accessors' answers.
+  struct Released {
+    int64_t done = 0;
+    int64_t discarded = 0;
+    int64_t rejected = 0;
+    bool quarantined = false;
+    std::string last_fault;
   };
 
   /// The serve.closed.* totals of sessions whose metrics were dropped.
@@ -362,14 +375,25 @@ class StreamServer {
   /// withdraws its engine claim and stops admissions. Server keeps going.
   void quarantine_locked(int64_t session, const std::string& what);
   /// Marks a drained closed/quarantined session retired and forgets it at
-  /// the arbiter.
+  /// the arbiter; a closed one is then released (release_locked).
   void maybe_retire_locked(int64_t session);
+  /// Frees a closed, retired session, keeping its final counts.
+  void release_locked(int64_t session);
+  /// The session's state, or null once released; checks the id.
+  Session* find_locked(int64_t session) const;
   void reset_session_locked(Session& s);
-  /// Registers the session's serve.session.<name>.* metrics.
+  /// Registers the session's serve.session.<name>.* metrics (names_).
   void bind_metrics_locked(Session& s);
-  /// For a closed, retired session: folds its counts into closed_ and
+  /// For a session being released: folds its counts into closed_ and
   /// drops its metrics (deferred while a same-named session is live).
   void drop_metrics_locked(Session& s);
+  /// Per session name, the sessions whose metrics are bound under it and
+  /// how many of them are not yet closed and retired; drop_metrics_locked
+  /// reads it instead of scanning every session ever opened.
+  struct NameShare {
+    int64_t bound = 0;
+    int64_t live = 0;
+  };
   /// Emits async-end events for every frame the session still owns
   /// (queued + slot deposits) with the given outcome. Trace-gated.
   void trace_drop_owned_locked(const Session& s, int64_t session,
@@ -390,7 +414,11 @@ class StreamServer {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  /// Indexed by id; null once released (released_ then holds its counts).
   std::vector<std::unique_ptr<Session>> sessions_;
+  std::vector<Released> released_;
+  std::unordered_map<std::string, NameShare> names_;
+  int64_t held_ = 0;
   std::vector<std::thread> workers_;
   size_t rr_next_ = 0;  ///< next session the job scan starts from
   int64_t grant_seq_ = 0;  ///< trace-visible engine grant ids

@@ -1,6 +1,6 @@
 // Differential conformance of the pixel-major code-domain layer engine
-// (gemm/code_layer.hpp) and of the CHW <-> HWC conversions
-// (gemm/layout.hpp).
+// (gemm/code_layer.hpp), of its threshold step and of the CHW <-> HWC
+// conversions (gemm/layout.hpp).
 //
 // The engine reads and writes HWC code maps; its scalar oracle
 // (code_layer_oracle.hpp) reads and writes CHW ones. Every case converts
@@ -12,6 +12,14 @@
 // 1–4 bits and bipolar W1A1, strides 1 and 2, padding 0 and 1, no pool and
 // the 2/1, 2/2 and 3/2 pools, and batches of 1 and 3 frames.
 //
+// The engine streams bands of output rows through the shared pool, split
+// by the layer's shape; the streamed cases run maps of many heights, so
+// bands straddle pool windows (odd conv heights under a stride-2 pool,
+// the 3/2 pool's top and left padding, the 2/1 pool's repeated last row
+// and column), maps shorter than one band, and Tincy YOLO's L1 and L3 at
+// 416, whose bands shard across threads. The threshold step is pinned to
+// quant::ThresholdChannel::apply on both its int32 and int16 compares.
+//
 // Rep count scales with TINCY_CONFORMANCE_REPS (default 1, one pass over
 // the sweep), like the GEMM and bit-serial conformance suites; the
 // tier2-conformance label marks this binary for the sanitizer presets.
@@ -21,6 +29,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -248,6 +257,210 @@ TEST(CodeLayerConformance, FcOverOneByOneMapIsLayoutFree) {
           << weights_name(kind) << " frame " << f;
     }
   }
+}
+
+TEST(CodeLayerConformance, StreamedBandsMatchOracle) {
+  // Big enough to shard (64 rows × 27 words per column), over conv heights
+  // odd and even, so the bands' pool windows straddle them every way.
+  struct Pool {
+    int64_t size, stride;
+  };
+  Rng rng(7);
+  int64_t turn = 0;
+  for (const int64_t height : {5, 7, 9, 13, 17, 23})
+    for (const Pool pool : {Pool{2, 2}, Pool{3, 2}, Pool{2, 1}})
+      for (const int64_t stride : {1, 2})
+        for (const int64_t pad : {0, 1}) {
+          const gemm::ConvGeometry g{64, height, height + 4, 3, stride, pad};
+          const Weights kind = turn % 3 == 2 ? Weights::kTernary
+                                             : Weights::kBinary;
+          const int64_t rows = turn % 2 ? 64 : 40;  // 40: a partial group
+          const int64_t batch = turn % 4 == 1 ? 3 : 1;
+          ++turn;
+          const LayerRig rig(rng, g, rows, 3, kind);
+          expect_engine_matches_oracle(
+              rng, rig, pool.size, pool.stride, batch,
+              std::string(weights_name(kind)) + " " +
+                  std::to_string(height) + "x" + std::to_string(height + 4) +
+                  " s" + std::to_string(stride) + " p" + std::to_string(pad) +
+                  " pool " + std::to_string(pool.size) + "/" +
+                  std::to_string(pool.stride) + " rows " +
+                  std::to_string(rows) + " batch " + std::to_string(batch));
+          if (HasFatalFailure()) return;
+        }
+}
+
+TEST(CodeLayerConformance, KernelSizesOverRowRuns) {
+  // Row runs (C a multiple of 8) move a kernel row of K·C bits per plane:
+  // whole words (K·C a multiple of 64), one masked load (below 64) or
+  // several pieces; a 17-tap kernel keeps per-pixel planes instead.
+  Rng rng(12);
+  int64_t turn = 0;
+  for (const int64_t kernel : {1, 2, 5, 17})
+    for (const int64_t channels : {8, 24, 64})
+      for (const int64_t stride : {1, 2})
+        for (const int64_t pad : {int64_t{0}, kernel / 2}) {
+          const int64_t height = kernel + rng.uniform_int(0, 6);
+          const gemm::ConvGeometry g{channels, height, height + 3, kernel,
+                                     stride, pad};
+          const Weights kind =
+              turn % 2 ? Weights::kTernary : Weights::kBinary;
+          const int64_t pool = turn % 3 == 0 ? 2 : 0;
+          ++turn;
+          const LayerRig rig(rng, g, 19, 3, kind);
+          expect_engine_matches_oracle(
+              rng, rig, pool, pool, 1 + turn % 2 * 2,
+              "K=" + std::to_string(kernel) + " C=" +
+                  std::to_string(channels) + " s" + std::to_string(stride) +
+                  " p" + std::to_string(pad) + " pool " +
+                  std::to_string(pool));
+          if (HasFatalFailure()) return;
+        }
+}
+
+TEST(CodeLayerConformance, LastPoolRepeatsTheEdgeAt13x13) {
+  // Tincy YOLO's L9 + L10 in miniature: a 13 × 13 conv and the size-2,
+  // stride-1 pool that keeps it 13 × 13 by repeating the last row and
+  // column, deep enough to split into channel slices.
+  Rng rng(8);
+  for (const int64_t batch : {1, 3}) {
+    const LayerRig rig(rng, {256, 13, 13, 3, 1, 1}, 512, 3, Weights::kBinary);
+    expect_engine_matches_oracle(rng, rig, 2, 1, batch, "13x13 pool 2/1");
+    if (HasFatalFailure()) return;
+    expect_engine_matches_oracle(rng, rig, 0, 0, batch, "13x13 no pool");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CodeLayerConformance, MapsShorterThanOneBand) {
+  Rng rng(9);
+  for (const int64_t height : {1, 2, 3})
+    for (const int64_t pad : {0, 1}) {
+      if (height + 2 * pad < 3) continue;  // no output
+      const LayerRig rig(rng, {32, height, height + 1, 3, 1, pad}, 24, 2,
+                         Weights::kTernary);
+      for (const int64_t batch : {1, 3}) {
+        expect_engine_matches_oracle(rng, rig, 0, 0, batch, "short, no pool");
+        expect_engine_matches_oracle(rng, rig, 2, 2, batch, "short, pool 2/2");
+        expect_engine_matches_oracle(rng, rig, 3, 2, batch, "short, pool 3/2");
+        if (HasFatalFailure()) return;
+      }
+    }
+}
+
+TEST(CodeLayerConformance, TincyL1AndL3At416) {
+  // The two largest hidden convs of zoo:tincy-w1a3 at 416 with their
+  // pools: dozens of bands, claimed by every thread of the shared pool.
+  Rng rng(10);
+  {
+    const LayerRig l1(rng, {16, 208, 208, 3, 1, 1}, 64, 3, Weights::kBinary);
+    expect_engine_matches_oracle(rng, l1, 2, 2, 1, "L1 at 416");
+  }
+  if (HasFatalFailure()) return;
+  const LayerRig l3(rng, {64, 104, 104, 3, 1, 1}, 64, 3, Weights::kBinary);
+  expect_engine_matches_oracle(rng, l3, 2, 2, 1, "L3 at 416");
+}
+
+TEST(ThresholdConformance, BothComparesMatchApply) {
+  // threshold_columns against ThresholdChannel::apply, one channel at a
+  // time, for ascending and descending channels with sorted and unsorted
+  // thresholds, thresholds at the int32 ends and around the int16 ones,
+  // and accumulators up to ±K·(2^A − 1). With that bound the engine may
+  // compare on int16; without one it compares on int32. Both must agree
+  // with apply everywhere.
+  Rng rng(11);
+  const int32_t kMin = std::numeric_limits<int32_t>::min();
+  const int32_t kMax = std::numeric_limits<int32_t>::max();
+  for (const int bits : {1, 2, 3, 4})
+    for (const int64_t channels : {1, 7, 31, 32, 33, 64, 100}) {
+      const int levels = (1 << bits) - 1;
+      // The deepest patch whose bound still fits int16, as Tincy's L11.
+      const int64_t k = gemm::kNarrowAccBound / levels;
+      const int32_t bound = static_cast<int32_t>(k * levels);
+      const int32_t special[] = {kMin,       kMax,       -32769, -32768,
+                                 -32767,     32766,      32767,  32768,
+                                 -bound - 1, -bound,     bound,  bound + 1,
+                                 0,          1,          -1};
+      std::vector<quant::ThresholdChannel> per_channel(
+          static_cast<size_t>(channels));
+      for (auto& ch : per_channel) {
+        ch.ascending = rng.bernoulli(0.5);
+        for (int l = 0; l < levels; ++l)
+          ch.thresholds.push_back(
+              rng.bernoulli(0.5)
+                  ? special[rng.uniform_int(0, std::size(special) - 1)]
+                  : static_cast<int32_t>(rng.uniform_int(-bound, bound)));
+        if (rng.bernoulli(0.5)) {  // sorted the way the channel counts
+          std::sort(ch.thresholds.begin(), ch.thresholds.end());
+          if (!ch.ascending)
+            std::reverse(ch.thresholds.begin(), ch.thresholds.end());
+        }
+      }
+      const gemm::ThresholdTable table(per_channel);
+      const int32_t edges[] = {-bound, -bound + 1, -1, 0, 1, bound - 1, bound};
+      const int64_t columns = 23;
+      std::vector<int32_t> acc(static_cast<size_t>(columns * channels));
+      for (size_t i = 0; i < acc.size(); ++i)
+        acc[i] = i % 3 == 0
+                     ? edges[i / 3 % std::size(edges)]
+                     : static_cast<int32_t>(rng.uniform_int(-bound, bound));
+      for (const int64_t acc_bound : {int64_t{bound}, INT64_MAX}) {
+        std::vector<uint8_t> got(acc.size(), kSentinel);
+        gemm::threshold_columns(table, acc.data(), columns, got.data(),
+                                acc_bound);
+        for (int64_t j = 0; j < columns; ++j)
+          for (int64_t c = 0; c < channels; ++c) {
+            const size_t i = static_cast<size_t>(j * channels + c);
+            ASSERT_EQ(got[i],
+                      per_channel[static_cast<size_t>(c)].apply(acc[i]))
+                << "A" << bits << " C=" << channels << " column " << j
+                << " channel " << c << " acc " << acc[i] << " bound "
+                << acc_bound;
+          }
+      }
+    }
+}
+
+TEST(ThresholdConformance, EngineAtTheAccumulatorBound) {
+  // Every tap at the top code and every weight +1 (rows 0–7) or −1 (rows
+  // 8–15): the centre column's accumulators are exactly ±K·(2^A − 1) =
+  // ±32,256 at Tincy's L11 depth, with thresholds on and around it.
+  const gemm::ConvGeometry g{512, 3, 3, 3, 1, 1};
+  const int64_t rows = 16, k = g.patch_size();
+  Tensor real(Shape{rows, k});
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t i = 0; i < k; ++i) real[r * k + i] = r < 8 ? 1.0f : -1.0f;
+  const gemm::BitSerialWeights packed =
+      gemm::pack_bitserial(quant::binarize(real), g.kernel);
+  const int32_t bound = static_cast<int32_t>(k * 7);
+  ASSERT_EQ(bound, 32256);
+  const int32_t around[] = {-bound - 1, -bound, -bound + 1, bound - 1,
+                            bound,      bound + 1, 32767,   -32768,
+                            std::numeric_limits<int32_t>::min(),
+                            std::numeric_limits<int32_t>::max()};
+  std::vector<quant::ThresholdChannel> per_channel(static_cast<size_t>(rows));
+  for (int64_t r = 0; r < rows; ++r) {
+    auto& ch = per_channel[static_cast<size_t>(r)];
+    ch.ascending = r % 2 == 0;
+    for (int l = 0; l < 7; ++l)
+      ch.thresholds.push_back(around[(r + 3 * l) % std::size(around)]);
+  }
+  const gemm::ThresholdTable table(per_channel);
+  gemm::CodeLayer layer;
+  layer.geom = g;
+  layer.bits = 3;
+  layer.weights = &packed;
+  layer.thresholds = &table;
+  ASSERT_EQ(layer.accumulator_bound(), bound);
+  const std::vector<uint8_t> in(static_cast<size_t>(layer.in_numel()), 7);
+  std::vector<uint8_t> out(static_cast<size_t>(layer.out_shape().numel()));
+  gemm::run_code_layer(layer, in.data(), 1, out.data());
+  const int64_t centre = 1 * 3 + 1;  // the one column with no padding tap
+  for (int64_t r = 0; r < rows; ++r)
+    EXPECT_EQ(out[static_cast<size_t>(centre * rows + r)],
+              per_channel[static_cast<size_t>(r)].apply(r < 8 ? bound
+                                                              : -bound))
+        << "row " << r;
 }
 
 TEST(CodeLayerConformance, PoolsWholeChannelVectors) {

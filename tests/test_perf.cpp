@@ -4,6 +4,7 @@
 #include "perf/ladder.hpp"
 #include "perf/platform.hpp"
 #include "perf/stage_times.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace tincy::perf {
 namespace {
@@ -122,6 +123,26 @@ TEST(PipelinedStages, AccountsForExclusivePl) {
   // Fig. 5: four stages longer than the "network" portion; here the
   // network collapses into 3 stages (input, PL, output) + 4 = 7.
   EXPECT_EQ(stages.size(), 7u);
+}
+
+TEST(Ladder, LeavesTheGlobalRegistryAlone) {
+  // The ladder only describes its zoo networks; building them must not add
+  // (empty) net.layer.<i> histograms to the process-wide registry, which a
+  // metrics export would then carry.
+  auto names = [] {
+    std::vector<std::string> out;
+    for (const auto& h :
+         telemetry::MetricsRegistry::global().snapshot().histograms)
+      out.push_back(h.name);
+    return out;
+  };
+  // Earlier tests built zoo networks into the registry under the same
+  // names; none of them is alive any more, so their metrics can go.
+  telemetry::MetricsRegistry::global().remove("net.");
+  const std::vector<std::string> before = names();
+  const auto ladder = optimization_ladder(ZynqPlatform{});
+  ASSERT_FALSE(ladder.empty());
+  EXPECT_EQ(names(), before);
 }
 
 }  // namespace

@@ -674,18 +674,28 @@ TEST(StreamServer, ClosedSessionMetricsGoOnceTheLastSharerRetires) {
   EXPECT_GT(snap.gauge_value("serve.closed.latency_p99_max_ms"), 0.0);
   EXPECT_EQ(server.delivered(a) + server.delivered(b), 6);
   EXPECT_EQ(server.rejected(a), 0);
+  // Closed and drained, all three were released; their ids still answer.
+  EXPECT_EQ(server.held_sessions(), 0);
+  EXPECT_EQ(server.num_sessions(), 3);
+  EXPECT_TRUE(server.closed(c));
+  EXPECT_EQ(server.delivered(c), 3);
+  EXPECT_EQ(server.discarded(c), 0);
   server.stop();
 
-  // start() reopens every session: the dropped metrics come back, and the
-  // closed totals start afresh.
+  // Released sessions stay closed across a restart, which zeroes the
+  // closed totals; a new session under an old name gets fresh metrics.
+  const int64_t d = server.open_session(config("cam"));
+  EXPECT_EQ(d, 3);  // ids are never reused
   server.start();
-  ASSERT_EQ(server.submit(a, make_frame(0)), ServeResult::kAccepted);
+  EXPECT_EQ(server.submit(a, make_frame(0)), ServeResult::kClosed);
+  ASSERT_EQ(server.submit(d, make_frame(0)), ServeResult::kAccepted);
   server.drain();
   server.stop();
   const auto reopened = registry.snapshot();
   EXPECT_EQ(reopened.counter_value("serve.session.cam.frames"), 1);
-  EXPECT_NE(reopened.find_counter("serve.session.cam_hd.frames"), nullptr);
+  EXPECT_EQ(reopened.find_counter("serve.session.cam_hd.frames"), nullptr);
   EXPECT_EQ(reopened.counter_value("serve.closed.sessions"), 0);
+  EXPECT_EQ(server.held_sessions(), 1);
 }
 
 TEST(StreamServer, OpenSessionWhileRunningServesNewStream) {
@@ -1052,7 +1062,8 @@ TEST(StreamServer, W1A3DemoSessionMatchesPerFrameForward) {
   StreamServer server(opts);
   std::vector<FrameRecord> got;
   std::mutex m;
-  int64_t float_buffers_at_code_boundaries = 0, code_boundaries = 0;
+  int64_t float_buffers_at_code_boundaries = 0, code_boundaries = 0,
+          fused_convs = 0;
   SessionConfig sc;
   sc.stages = make_demo_stages(*net, cfg, EnginePolicy::kNone);
   sc.deliver = [&](video::Frame&& f) {
@@ -1060,7 +1071,9 @@ TEST(StreamServer, W1A3DemoSessionMatchesPerFrameForward) {
     for (int64_t i = 0; i < net->num_layers(); ++i) {
       if (!net->plan()[static_cast<size_t>(i)]) continue;
       ++code_boundaries;
-      EXPECT_TRUE(f.state.has_codes(i)) << "layer " << i;
+      // A conv that ran its pool wrote the pool's codes, not its own.
+      fused_convs += net->fuses_pool(i);
+      EXPECT_EQ(f.state.has_codes(i), !net->fuses_pool(i)) << "layer " << i;
       float_buffers_at_code_boundaries += f.state.has_floats(i);
     }
     got.push_back({f.sequence, std::move(f.detections)});
@@ -1077,6 +1090,8 @@ TEST(StreamServer, W1A3DemoSessionMatchesPerFrameForward) {
   expect_bit_identical(ref, got);
   // L0 through L12 hand codes on zoo:tincy-w1a3 (HandoffPlan.TincyW1A3).
   EXPECT_EQ(code_boundaries, 13 * kFrames);
+  // L1 … L9 each run the pool after them (L2 … L10).
+  EXPECT_EQ(fused_convs, 5 * kFrames);
   EXPECT_EQ(float_buffers_at_code_boundaries, 0);
 }
 

@@ -55,6 +55,7 @@
 #include "offload/import.hpp"
 #include "offload/registration.hpp"
 #include "perf/ladder.hpp"
+#include "pipeline/virtual_time.hpp"
 #include "serve/demo.hpp"
 #include "serve/server.hpp"
 #include "video/draw.hpp"
@@ -181,8 +182,17 @@ int cmd_demo(int argc, char** argv) {
   cfg.num_workers = static_cast<int>(workers);
   serve::run_demo(
       camera, *net, frames, [&sink](video::Frame&& f) { sink.push(f); }, cfg);
-  std::printf("%lld frames, %.1f fps, order %s\n",
+  // Host fps beside the paper's pipelined ZU3EG model (the perf ladder's
+  // final stage times on its four cores), as bench/fig5_pipeline prints.
+  const perf::ZynqPlatform platform;
+  const auto modeled = pipeline::simulate(
+      perf::pipelined_stages(platform,
+                             perf::optimization_ladder(platform).back().times),
+      platform.cores, 64);
+  std::printf("%lld frames, %.1f fps on this host (%d workers) vs %.1f fps "
+              "modeled on the ZU3EG (%d cores), order %s\n",
               static_cast<long long>(sink.frames_received()), sink.fps(),
+              cfg.num_workers, modeled.fps, platform.cores,
               sink.in_order() ? "preserved" : "VIOLATED");
   return sink.in_order() ? 0 : 1;
 }
