@@ -1,6 +1,7 @@
 #include "gemm/gemm_lowp.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -47,7 +48,7 @@ namespace {
 /// src[j·stride]. Full stride-1 and stride-2 panels are one vector move;
 /// the caller guarantees src[0, width·stride) is readable.
 void copy_taps(const uint8_t* __restrict src, int64_t stride, int64_t width,
-               uint8_t* __restrict out_row, int32_t* __restrict col_sums) {
+               uint8_t* __restrict out_row) {
   if (width == kNr && stride == 1) {
     for (int64_t j = 0; j < kNr; ++j) out_row[j] = src[j];
 #if defined(__SSE2__)
@@ -64,7 +65,6 @@ void copy_taps(const uint8_t* __restrict src, int64_t stride, int64_t width,
   } else {
     for (int64_t j = 0; j < width; ++j) out_row[j] = src[j * stride];
   }
-  for (int64_t j = 0; j < width; ++j) col_sums[j] += out_row[j];
 }
 
 }  // namespace
@@ -74,32 +74,49 @@ void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
                      uint8_t* panel, int32_t* col_sums) {
   const int64_t out_w = g.out_width();
   const int64_t oh0 = col0 / out_w, ow0 = col0 % out_w;
+  const int64_t plane_size = g.in_height * g.in_width;
+  // A 1×1, stride-1, unpadded conv reads pixel col of each plane for
+  // column col: every panel row is one contiguous run of its plane, however
+  // many output rows the panel crosses.
+  const bool pointwise = g.kernel == 1 && g.stride == 1 && g.pad == 0;
   // The panel's columns share one output row, so each panel row reads one
   // image row at iw0, iw0 + stride, ..., within [iw0, iw0 + span].
   const bool one_row = ow0 + width <= out_w;
   const int64_t span = width * g.stride - 1;
-  for (int64_t j = 0; j < kNr; ++j) col_sums[j] = 0;
   int64_t row = 0;
   for (int64_t c = 0; c < g.in_channels; ++c) {
-    const uint8_t* plane = image + c * g.in_height * g.in_width;
+    const uint8_t* plane = image + c * plane_size;
     for (int64_t kh = 0; kh < g.kernel; ++kh) {
       for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
         uint8_t* out_row = panel + row * kNr;
         int64_t ow = ow0;
         int64_t ih = oh0 * g.stride - g.pad + kh;
         int64_t iw = ow * g.stride - g.pad + kw;
-        if (one_row && ih >= 0 && ih < g.in_height && iw >= 0 &&
-            iw + span < g.in_width) {
-          copy_taps(plane + ih * g.in_width + iw, g.stride, width, out_row,
-                    col_sums);
+        if (pointwise) {
+          copy_taps(plane + col0, 1, width, out_row);
+        } else if (one_row && (ih < 0 || ih >= g.in_height)) {
+          // A padding row of the image: every lane is the pad value.
+          std::memset(out_row, pad_value, static_cast<size_t>(width));
+        } else if (one_row && iw >= 0 && iw + span < g.in_width) {
+          copy_taps(plane + ih * g.in_width + iw, g.stride, width, out_row);
+        } else if (one_row && span < 2 * kNr) {
+          // Taps past a side of the image (or a vector read that would
+          // run off it): stage the row's in-bounds pixels among pad
+          // values, then take the same strided copy from the stage.
+          uint8_t stage[2 * kNr];
+          std::memset(stage, pad_value, sizeof(stage));
+          const int64_t lo = std::max<int64_t>(iw, 0);
+          const int64_t hi = std::min<int64_t>(iw + span + 1, g.in_width);
+          if (lo < hi)
+            std::memcpy(stage + (lo - iw), plane + ih * g.in_width + lo,
+                        static_cast<size_t>(hi - lo));
+          copy_taps(stage, g.stride, width, out_row);
         } else {
           for (int64_t j = 0; j < width; ++j) {
-            const uint8_t v = (ih < 0 || ih >= g.in_height || iw < 0 ||
-                               iw >= g.in_width)
-                                  ? pad_value
-                                  : plane[ih * g.in_width + iw];
-            out_row[j] = v;
-            col_sums[j] += v;
+            out_row[j] = (ih < 0 || ih >= g.in_height || iw < 0 ||
+                          iw >= g.in_width)
+                             ? pad_value
+                             : plane[ih * g.in_width + iw];
             iw += g.stride;
             if (++ow == out_w) {
               ow = 0;
@@ -108,13 +125,18 @@ void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
             }
           }
         }
-        for (int64_t j = width; j < kNr; ++j) {
-          out_row[j] = pad_value;
-          col_sums[j] += pad_value;
-        }
+        if (width < kNr)
+          std::memset(out_row + width, pad_value,
+                      static_cast<size_t>(kNr - width));
       }
     }
   }
+  // Column sums over the whole panel, pad lanes included, in one
+  // fixed-width pass the compiler vectorises.
+  int32_t sums[kNr] = {};
+  for (int64_t r = 0; r < row; ++r)
+    for (int64_t j = 0; j < kNr; ++j) sums[j] += panel[r * kNr + j];
+  std::memcpy(col_sums, sums, sizeof(sums));
 }
 
 quant::AffineParams quantize_frame(const float* image, int64_t n,
@@ -223,6 +245,7 @@ struct LowpShardCtx {
   const LowpEpilogue* epilogue;
   Sink sink;
   int64_t n;
+  Kernel kernel;
 };
 
 template <typename Sink>
@@ -243,7 +266,7 @@ void run_lowp_shard(int64_t lo, int64_t hi, void* p) {
     im2col_panel_u8(ctx.qimage, *ctx.g, col0, width, pad, panel, col_sums);
     // All kNr lanes (padding lanes too), so the chain runs full width.
     gemm_lowp_packed_panel(ctx.weights, panel, col_sums, 0, kNr, kNr,
-                           ctx.input_zero, Accumulator::kI32, acc);
+                           ctx.input_zero, Accumulator::kI32, acc, ctx.kernel);
     for (int64_t m = 0; m < out_channels; ++m) {
       const float mul = epi.mul ? epi.mul[m] : 1.0f;
       const float add = epi.add ? epi.add[m] : 0.0f;
@@ -287,6 +310,9 @@ void run_lowp(const uint8_t* qimage, const ConvGeometry& g,
 
   const int64_t patch = g.patch_size(), n = g.num_patches();
   const int64_t out_channels = weights.rows;
+  // The micro-kernel is resolved once per call, not per panel: resolving
+  // scans the environment for TINCY_GEMM_KERNEL, which costs a sixth of
+  // a skinny panel's tiles (L0's K = 27).
   LowpShardCtx<Sink> ctx{qimage,
                          &g,
                          weights,
@@ -294,7 +320,8 @@ void run_lowp(const uint8_t* qimage, const ConvGeometry& g,
                          input_params.scale * weight_params.scale,
                          &epilogue,
                          sink,
-                         n};
+                         n,
+                         resolve_kernel(Kernel::kAuto)};
   core::ThreadPool& pool = core::ThreadPool::shared();
   const int64_t num_panels = (n + kNr - 1) / kNr;
   const int64_t total_ops = 2 * out_channels * n * patch;

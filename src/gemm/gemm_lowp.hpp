@@ -102,10 +102,15 @@ void fused_conv_lowp_codes(const uint8_t* qimage, const ConvGeometry& g,
 /// Strip im2col straight into a packed K×kNr RHS panel: columns
 /// [col0, col0+width) of the full column matrix (width <= kNr), row stride
 /// kNr, lanes past `width` filled with `pad_value`, per-column code sums
-/// into `col_sums` (kNr entries). A panel row whose taps all lie inside
-/// one image row (the interior of a map whose output width is a multiple
-/// of kNr, like Tincy YOLO's L0) is one strided copy; other rows walk
-/// (oh, ow) incrementally with a bounds check per element.
+/// into `col_sums` (kNr entries). When the panel's columns share one
+/// output row (any map whose output width is a multiple of kNr, like
+/// Tincy YOLO's L0), each panel row is one strided copy: straight from
+/// the image row, from a pad-filled stage holding the row's in-bounds
+/// pixels when taps fall off a side, or pad values alone on a padding
+/// row. A 1×1, stride-1, unpadded conv (L13) copies one contiguous run of
+/// each plane wherever the panel starts. Other rows (panels that cross
+/// output rows, strides above 2) walk (oh, ow) incrementally with a
+/// bounds check per element.
 void im2col_panel_u8(const uint8_t* image, const ConvGeometry& g,
                      int64_t col0, int64_t width, uint8_t pad_value,
                      uint8_t* panel, int32_t* col_sums);

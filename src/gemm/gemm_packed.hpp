@@ -18,17 +18,20 @@
 ///  * micro-kernel — a kMr×kNr output tile held in register blocks.
 ///    The i32 path uses the zero-point decomposition
 ///    C[i,j] = Σ a·b − za·colsum_j − zb·rowsum_i + K·za·zb
-///    so the inner loop is pure unsigned u8×u8→u16→u32 widening MACs
-///    (VMULL.U8/VADDW) — exact, and bit-identical to gemm_lowp_i32. The
-///    i16 path mirrors the paper's first-layer trick: every centered
-///    product is rounding-right-shifted by 4 (VRSHR) and added with
-///    saturation (VQADD) into 16-bit accumulators, rescaled by 16 on
-///    output — faster, slightly lossy, bit-identical to the scalar oracle
-///    gemm_lowp_i32_shift4. Each micro-kernel ships in several
-///    runtime-dispatched width variants (scalar baseline, portable NEON
-///    lane model, AVX2 intrinsics — see gemm/kernels.hpp); every variant
-///    is bit-identical to the others and to the scalar oracles, the
-///    contract enforced by tests/test_gemm_conformance.cpp;
+///    so the inner loop is pure unsigned u8×u8 multiply-accumulates into
+///    32-bit lanes — widening MACs (VMULL.U8/VADDW) in the NEON lane
+///    model, VPMADDWD over k-pairs on x86 (two panel rows interleaved
+///    into s16 column pairs against a broadcast LHS pair) — exact, and
+///    bit-identical to gemm_lowp_i32. The i16 path mirrors the paper's
+///    first-layer trick: every centered product is rounding-right-shifted
+///    by 4 (VRSHR) and added with saturation (VQADD) into 16-bit
+///    accumulators, rescaled by 16 on output — faster, slightly lossy,
+///    bit-identical to the scalar oracle gemm_lowp_i32_shift4. Each
+///    micro-kernel ships in several runtime-dispatched width variants
+///    (scalar baseline, portable NEON lane model, AVX2 and AVX-512BW
+///    intrinsics — see gemm/kernels.hpp); every variant is bit-identical
+///    to the others and to the scalar oracles, the contract enforced by
+///    tests/test_gemm_conformance.cpp;
 ///  * threading — column panels (row blocks for GEMV-shaped calls) are
 ///    sharded over core::ThreadPool::parallel_for; every worker packs into
 ///    its own thread arena, so the steady-state hot path performs zero

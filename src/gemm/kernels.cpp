@@ -189,6 +189,7 @@ const char* kernel_name(Kernel k) {
     case Kernel::kScalar: return "scalar";
     case Kernel::kLanes: return "lanes";
     case Kernel::kAvx2: return "avx2";
+    case Kernel::kAvx512: return "avx512";
   }
   return "?";
 }
@@ -198,6 +199,7 @@ Kernel parse_kernel_name(const char* name) {
   if (std::strcmp(name, "scalar") == 0) return Kernel::kScalar;
   if (std::strcmp(name, "lanes") == 0) return Kernel::kLanes;
   if (std::strcmp(name, "avx2") == 0) return Kernel::kAvx2;
+  if (std::strcmp(name, "avx512") == 0) return Kernel::kAvx512;
   return Kernel::kAuto;
 }
 
@@ -206,13 +208,17 @@ bool kernel_supported(Kernel k) {
     case Kernel::kAuto: return false;
     case Kernel::kScalar:
     case Kernel::kLanes: return true;
-    case Kernel::kAvx2: return avx2_micro_kernels() != nullptr;
+    case Kernel::kAvx2:
+    case Kernel::kAvx512: return x86_micro_kernels(k) != nullptr;
   }
   return false;
 }
 
 Kernel widest_supported_kernel() {
-  return kernel_supported(Kernel::kAvx2) ? Kernel::kAvx2 : Kernel::kLanes;
+  Kernel widest = Kernel::kLanes;
+  for (const Kernel k : kConcreteKernels)
+    if (kernel_supported(k)) widest = k;
+  return widest;
 }
 
 Kernel resolve_kernel(Kernel requested) {
@@ -227,19 +233,15 @@ Kernel resolve_kernel(Kernel requested) {
 }
 
 std::vector<Kernel> dispatchable_kernels() {
-  std::vector<Kernel> v{Kernel::kScalar, Kernel::kLanes};
-  if (kernel_supported(Kernel::kAvx2)) v.push_back(Kernel::kAvx2);
+  std::vector<Kernel> v;
+  for (const Kernel k : kConcreteKernels)
+    if (kernel_supported(k)) v.push_back(k);
   return v;
 }
 
 const MicroKernels& micro_kernels(Kernel resolved) {
-  switch (resolved) {
-    case Kernel::kScalar: return kScalarKernels;
-    case Kernel::kAvx2:
-      if (const MicroKernels* mk = avx2_micro_kernels()) return *mk;
-      break;
-    default: break;
-  }
+  if (resolved == Kernel::kScalar) return kScalarKernels;
+  if (const MicroKernels* mk = x86_micro_kernels(resolved)) return *mk;
   return kLanesKernels;
 }
 

@@ -5,7 +5,7 @@
 ///
 /// The paper's §III-D CPU kernels get their throughput from NEON widening
 /// i8 multiply-accumulates and saturating rounding narrows. This host is
-/// x86, so the engine ships the same micro-kernels at three width tiers
+/// x86, so the engine ships the same micro-kernels at four width tiers
 /// and picks the widest one the machine can run:
 ///
 ///   kScalar — plain scalar loops with auto-vectorization disabled. The
@@ -15,24 +15,32 @@
 ///             gemm_lowp_i32_shift4 oracles.
 ///   kLanes  — the portable NEON lane model (simd/vec.hpp): fixed
 ///             trip-count 16-lane loops over U32x16/I16x16 register
-///             blocks that compilers auto-vectorize to the host's
-///             baseline ISA (SSE2 on x86-64).
-///   kAvx2   — AVX2 intrinsics issuing the same arithmetic on 256-bit
-///             registers (one 16-lane row per VPMULLW + widening adds),
-///             compiled per-function with target("avx2") and selected at
-///             runtime via cpuid.
+///             blocks (VDUP + VMULL.U8 + VADDW per LHS byte) that
+///             compilers auto-vectorize to the host's baseline ISA (SSE2
+///             on x86-64).
+///   kAvx2   — AVX2 intrinsics. The exact-i32 tile runs over k-pairs:
+///             panel rows k and k+1 interleaved into s16 column pairs,
+///             the LHS pair (a[k][r], a[k+1][r]) broadcast as one i32,
+///             one VPMADDWD per 8 columns into i32 accumulators. The
+///             16-bit accumulator and GEMV kernels issue the lane model's
+///             arithmetic on 256-bit registers (VPMULLW + widening adds).
+///   kAvx512 — the same k-pair VPMADDWD tile on AVX-512BW, one zmm per
+///             LHS row holding all 16 columns × 2 k; its 16-bit
+///             accumulator and GEMV entries are kAvx2's.
 ///
-/// Every variant computes bit-identical results for all inputs — the
-/// contract enforced by tests/test_gemm_conformance.cpp, which sweeps
-/// randomized shapes and saturation-boundary values across every
-/// dispatchable variant against the scalar oracles.
+/// The x86 variants are compiled per-function with target attributes and
+/// selected at runtime via cpuid. Every variant computes bit-identical
+/// results for all inputs — the contract enforced by
+/// tests/test_gemm_conformance.cpp, which sweeps randomized shapes and
+/// saturation-boundary values across every dispatchable variant against
+/// the scalar oracles.
 ///
 /// Dispatch: GemmOptions::kernel defaults to Kernel::kAuto, which obeys
 /// the TINCY_GEMM_KERNEL environment override ("scalar", "lanes",
-/// "avx2") when set and valid, else picks the widest supported variant.
-/// Requesting an unsupported variant falls back to the widest supported
-/// one rather than failing — the override is a testing/benching knob,
-/// not a correctness switch.
+/// "avx2", "avx512") when set and valid, else picks the widest supported
+/// variant. Requesting an unsupported variant falls back to the widest
+/// supported one rather than failing — the override is a testing/benching
+/// knob, not a correctness switch.
 
 #include <cstdint>
 #include <vector>
@@ -45,14 +53,20 @@ enum class Kernel : int {
   kScalar,    ///< scalar loops, auto-vectorization disabled (baseline)
   kLanes,     ///< portable NEON lane model, compiler-auto-vectorized
   kAvx2,      ///< AVX2 intrinsics, runtime cpuid-dispatched (x86 only)
+  kAvx512,    ///< AVX-512BW i32 tile, runtime cpuid-dispatched (x86 only)
 };
+
+/// Every concrete variant, narrowest first.
+inline constexpr Kernel kConcreteKernels[] = {Kernel::kScalar, Kernel::kLanes,
+                                              Kernel::kAvx2, Kernel::kAvx512};
 
 /// One variant's micro-kernel entry points. All operate on the packed
 /// panel layouts of gemm_packed.hpp (kMr-row LHS panels, kNr-wide RHS
 /// panels) and are bit-identical across variants by contract.
 struct MicroKernels {
   /// 4×16 tile of the exact-i32 path: raw unsigned u8·u8 dot products
-  /// into u32 accumulators; zero-point corrections happen on write-back.
+  /// into u32 accumulators (modulo 2^32); zero-point corrections happen
+  /// on write-back.
   void (*i32)(const uint8_t* a, const uint8_t* b, int64_t K, uint32_t* tile);
   /// 4×16 tile of the paper's 16-bit accumulator path: centered products
   /// rounding-right-shifted by 4, saturating-added, rescaled by 16.
@@ -65,7 +79,8 @@ struct MicroKernels {
                int64_t* raw);
 };
 
-/// Human-readable variant name ("auto", "scalar", "lanes", "avx2").
+/// Human-readable variant name ("auto", "scalar", "lanes", "avx2",
+/// "avx512").
 const char* kernel_name(Kernel k);
 
 /// Parses a TINCY_GEMM_KERNEL-style name; returns kAuto for anything
@@ -73,8 +88,8 @@ const char* kernel_name(Kernel k);
 Kernel parse_kernel_name(const char* name);
 
 /// True when the variant can run on this machine (kScalar/kLanes always;
-/// kAvx2 requires x86 AVX2, probed once via cpuid). kAuto is not a
-/// concrete variant and reports false.
+/// kAvx2 requires x86 AVX2, kAvx512 AVX-512F and BW, probed once via
+/// cpuid). kAuto is not a concrete variant and reports false.
 bool kernel_supported(Kernel k);
 
 /// Widest supported concrete variant on this machine.
@@ -93,9 +108,10 @@ std::vector<Kernel> dispatchable_kernels();
 /// Entry points of a concrete (resolved) variant.
 const MicroKernels& micro_kernels(Kernel resolved);
 
-/// AVX2 entry points, or nullptr when the build or machine lacks AVX2.
-/// Defined in kernels_avx2.cpp; exposed for the dispatch table only.
-const MicroKernels* avx2_micro_kernels();
+/// Entry points of kAvx2 / kAvx512, or nullptr when the build or machine
+/// lacks the variant (or `k` is not an x86 one). Defined in
+/// kernels_avx2.cpp; exposed for the dispatch table only.
+const MicroKernels* x86_micro_kernels(Kernel k);
 
 // --- Bit-serial popcount variants (gemm/bitserial.hpp) ------------------
 //

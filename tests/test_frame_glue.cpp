@@ -371,7 +371,11 @@ INSTANTIATE_TEST_SUITE_P(
         gemm::ConvGeometry{2, 20, 20, 3, 1, 1},   // stride 1, pad 1
         gemm::ConvGeometry{2, 18, 37, 3, 1, 0},   // stride 1, pad 0
         gemm::ConvGeometry{2, 17, 33, 3, 2, 0},   // stride 2, pad 0
+        gemm::ConvGeometry{3, 96, 96, 3, 2, 1},   // L0's pads: 3 panels a row
+        gemm::ConvGeometry{2, 64, 63, 3, 2, 1},   // last lane past the right
+        gemm::ConvGeometry{2, 12, 48, 3, 1, 1},   // stride 1: 3 panels a row
         gemm::ConvGeometry{4, 16, 16, 1, 1, 0},   // 1×1 kernel
+        gemm::ConvGeometry{8, 13, 13, 1, 1, 0},   // L13: 13-wide rows
         gemm::ConvGeometry{3, 9, 40, 1, 2, 0},    // 1×1 kernel, stride 2
         gemm::ConvGeometry{5, 1, 1, 1, 1, 0},     // 1×1 map
         gemm::ConvGeometry{2, 1, 1, 3, 1, 1}));   // 1×1 map, all padding

@@ -1,8 +1,8 @@
 // Differential conformance harness of the packed GEMM micro-kernel
 // variants (gemm/kernels.hpp): every dispatchable variant (scalar
-// baseline, portable lane model, AVX2 when the machine has it) must be
-// *bit-identical* to the scalar reference oracles gemm_lowp_i32 and
-// gemm_lowp_i32_shift4 — on randomized shapes, on skinny-K/skinny-N
+// baseline, portable lane model, AVX2 and AVX-512 when the machine has
+// them) must be *bit-identical* to the scalar reference oracles
+// gemm_lowp_i32 and gemm_lowp_i32_shift4 — on randomized shapes, on skinny-K/skinny-N
 // shapes, on saturation-boundary inputs, at zero-point extremes, on the
 // GEMV fast path, and under forced thread sharding (the panel-chunking
 // path the TSan preset audits).
@@ -123,10 +123,14 @@ TEST(GemmConformance, RandomizedShapeSweep) {
 TEST(GemmConformance, SkinnyAndAwkwardShapes) {
   // The fixed shapes every kernel change must survive: single tiles,
   // nothing-divides-anything, GEMV (N=1), K=1, and the layer-0-like
-  // skinny-K wide-N shape that caught the threaded gate miss.
-  const Shape shapes[] = {{1, 1, 1},  {4, 16, 8},   {7, 13, 33},
-                          {1, 50, 9}, {5, 1, 64},   {3, 17, 1},
-                          {2, 3, 2},  {16, 1000, 27}, {33, 31, 130}};
+  // skinny-K wide-N shape that caught the threaded gate miss. The x86
+  // i32 tiles step over k-pairs, so K = 1, 2, 3, 27 and 28 against a
+  // ragged N end on a single k (zero partner) or a whole pair.
+  const Shape shapes[] = {{1, 1, 1},   {4, 16, 8},     {7, 13, 33},
+                          {1, 50, 9},  {5, 1, 64},     {3, 17, 1},
+                          {2, 3, 2},   {16, 1000, 27}, {33, 31, 130},
+                          {16, 37, 1}, {16, 37, 2},    {16, 37, 3},
+                          {16, 37, 27}, {16, 37, 28}};
   Rng rng(2019);
   for (const Shape& s : shapes) {
     const auto a = edge_biased_codes(rng, s.M * s.K);
@@ -150,6 +154,15 @@ TEST(GemmConformance, SaturationBoundaryInputs) {
     expect_all_variants_conform(s, za, zb, a, b);
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(GemmConformance, LargestAllMaxDotFitsTheAccumulator) {
+  // 33,025 · 255 · 255 = 2,147,450,625 is the largest all-255 dot under
+  // INT32_MAX, the oracle's signed accumulator bound: every lane of every
+  // tile accumulates its maximum pair sums all the way up to it.
+  const Shape s{5, 17, 33025};
+  const std::vector<uint8_t> a(s.M * s.K, 255), b(s.K * s.N, 255);
+  expect_all_variants_conform(s, 0, 0, a, b);
 }
 
 TEST(GemmConformance, ThreadedPanelChunkingConforms) {
@@ -191,10 +204,11 @@ TEST(KernelDispatch, ParseAndNames) {
   EXPECT_EQ(parse_kernel_name("scalar"), Kernel::kScalar);
   EXPECT_EQ(parse_kernel_name("lanes"), Kernel::kLanes);
   EXPECT_EQ(parse_kernel_name("avx2"), Kernel::kAvx2);
+  EXPECT_EQ(parse_kernel_name("avx512"), Kernel::kAvx512);
   EXPECT_EQ(parse_kernel_name("auto"), Kernel::kAuto);
   EXPECT_EQ(parse_kernel_name("bogus"), Kernel::kAuto);
   EXPECT_EQ(parse_kernel_name(nullptr), Kernel::kAuto);
-  for (Kernel k : dispatchable_kernels())
+  for (Kernel k : kConcreteKernels)
     EXPECT_EQ(parse_kernel_name(kernel_name(k)), k);
 }
 
@@ -210,9 +224,12 @@ TEST(KernelDispatch, AutoSelectsWidestSupported) {
   EXPECT_EQ(resolve_kernel(Kernel::kScalar), Kernel::kScalar);
   EXPECT_EQ(resolve_kernel(Kernel::kLanes), Kernel::kLanes);
   // An unsupported explicit request falls back to the widest variant.
-  if (!kernel_supported(Kernel::kAvx2)) {
-    EXPECT_EQ(resolve_kernel(Kernel::kAvx2), widest);
+  for (Kernel k : kConcreteKernels) {
+    if (!kernel_supported(k)) {
+      EXPECT_EQ(resolve_kernel(k), widest);
+    }
   }
+  EXPECT_EQ(widest, dispatchable_kernels().back());
 }
 
 TEST(KernelDispatch, EnvOverrideSteersAutoAndEndToEnd) {

@@ -307,8 +307,7 @@ int cmd_kernels() {
   const char* env = std::getenv("TINCY_GEMM_KERNEL");
   const gemm::Kernel resolved = gemm::resolve_kernel(gemm::Kernel::kAuto);
   std::printf("packed-GEMM micro-kernel variants (gemm/kernels.hpp):\n");
-  for (const gemm::Kernel k :
-       {gemm::Kernel::kScalar, gemm::Kernel::kLanes, gemm::Kernel::kAvx2}) {
+  for (const gemm::Kernel k : gemm::kConcreteKernels) {
     std::printf("  %-7s %-11s%s\n", gemm::kernel_name(k),
                 gemm::kernel_supported(k) ? "supported" : "unavailable",
                 k == resolved ? "  <- dispatched by kAuto" : "");
@@ -321,7 +320,7 @@ int cmd_kernels() {
                     ? "unrecognized -> auto selection"
                     : "honoured by kAuto dispatch");
   else
-    std::printf("TINCY_GEMM_KERNEL unset (set to scalar|lanes|avx2 to "
+    std::printf("TINCY_GEMM_KERNEL unset (set to scalar|lanes|avx2|avx512 to "
                 "override kAuto)\n");
 
   // The bit-serial W1A<bits> kernel's popcount variants.
