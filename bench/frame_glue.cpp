@@ -11,9 +11,9 @@
 //              the shared pool,
 //   L2/L4/L10  the size-2 max pools (stride 2, 2, 1),
 //   L1/L3      the golden bit-serial conv: activation quantisation, bit-
-//              plane im2col, popcount GEMM and threshold epilogue. The
-//              im2col and GEMM are shared, so the difference is the
-//              quantisation, the epilogue and the per-call buffers;
+//              plane im2col, popcount tile kernel and threshold epilogue;
+//              the oracle gathers bit by bit and runs the tile kernel on
+//              one thread, the layer runs gemm::run_code_layer's bands;
 //   L1 input   the activation quantisation on its own.
 //
 // L0, the 8-bit first layer, phase by phase (the driver's phase against
@@ -31,14 +31,16 @@
 // The pixel-major code engine's stages, each against its scalar oracle,
 // on L1's and L3's input codes in HWC order:
 //
-//   L1/L3 im2col         gemm::im2col_bitplanes (pixel planes by shift
-//                        and movemask, whole C-bit field stores) against
-//                        a bit-by-bit gather;
-//   L1 epilogue          the bit-serial GEMM with the threshold table
-//                        (its int16 compare, as the engine runs it)
-//                        writing each column as one HWC pixel, against
-//                        the same GEMM with one ThresholdChannel::apply
-//                        per output;
+//   L1/L3 im2col         gemm::pixel_planes + gemm::patch_columns over
+//                        the whole map on one thread (pixel planes by
+//                        shift and movemask, row-run or C-bit field
+//                        stores) against a bit-by-bit gather;
+//   L1 epilogue          the tile kernel 16 columns per call, as the
+//                        engine's bands run it, each block thresholded by
+//                        the table (its int16 compare) writing each
+//                        column as one HWC pixel, against the same tile
+//                        calls with one ThresholdChannel::apply per
+//                        output;
 //   L1+L2, L3+L4         gemm::run_code_layer with the pool, one banded
 //   streamed             pass that pools each band while it is hot, as
 //                        Network::forward runs the pair, against the
@@ -66,10 +68,10 @@
 // Each pair runs alternately, so both see the same host noise; the
 // median of the trials is reported. One process's medians swing 2–3×
 // against another's on a shared host: bench/glue_spread.py runs several
-// processes and records each row's spread with the host's steal time. Gate: every kernel's output is byte-
-// identical to its oracle's, else exit 1. Writes out.json (default
-// BENCH_glue.json in the working directory; run from the repo root to
-// refresh the committed copy).
+// processes and records each row's spread with the host's steal time.
+// Gate: every kernel's output is byte-identical to its oracle's, else
+// exit 1. Writes out.json (default BENCH_glue.json in the working
+// directory; run from the repo root to refresh the committed copy).
 
 #include <algorithm>
 #include <chrono>
@@ -365,19 +367,25 @@ int main(int argc, char** argv) {
     const int64_t words =
         g.num_patches() * bits * gemm::bitplane_words(g.patch_size());
     std::vector<uint64_t> want(static_cast<size_t>(words)),
-        got(static_cast<size_t>(words));
+        got(static_cast<size_t>(words)),
+        pix(static_cast<size_t>(
+            gemm::pixel_plane_words(g, bits, g.in_height)));
     const uint8_t* codes = hwc_codes[static_cast<size_t>(l)].data();
     rows.push_back(time_pair(
         "L" + std::to_string(l) + " im2col", shape_of(inputs[static_cast<size_t>(l)]),
         kTrials, [&] { oracle::im2col_bitplanes(codes, g, bits, want.data()); },
-        [&] { gemm::im2col_bitplanes(codes, g, bits, got.data()); },
+        [&] {
+          gemm::pixel_planes(codes, g, bits, 0, g.in_height, pix.data());
+          gemm::patch_columns(pix.data(), 0, g, bits, 0, g.num_patches(),
+                              got.data());
+        },
         [&] { return want == got; }));
   }
   {
-    // L1's threshold epilogue inside the bit-serial GEMM: one
+    // L1's threshold epilogue after the tile kernel: one
     // ThresholdChannel::apply per output against the table compare
     // writing each column's codes as one HWC pixel. Both arms run the
-    // same im2col'd columns through the same GEMM.
+    // same columns through the same tile calls, 16 columns each.
     auto& conv = dynamic_cast<nn::ConvLayer&>(net->layer(1));
     const gemm::ConvGeometry& g = conv.geometry();
     const int bits = conv.config().act_bits;
@@ -385,33 +393,42 @@ int main(int argc, char** argv) {
         gemm::pack_bitserial(conv.binary_weights(), conv.config().size);
     const gemm::ThresholdTable table(conv.quant_thresholds());
     const int64_t n = g.num_patches(), rows_out = conv.config().filters;
-    std::vector<uint64_t> planes(
-        static_cast<size_t>(n * bits * gemm::bitplane_words(g.patch_size())));
-    gemm::im2col_bitplanes(hwc_codes[1].data(), g, bits, planes.data());
+    const int64_t col_words = bits * gemm::bitplane_words(g.patch_size());
+    std::vector<uint64_t> planes(static_cast<size_t>(n * col_words));
+    oracle::im2col_bitplanes(hwc_codes[1].data(), g, bits, planes.data());
     const auto& channels = conv.quant_thresholds();
+    const gemm::BitSerialTileArgs args = gemm::tile_args(packed, bits, false);
+    const gemm::BitSerialFn fn = gemm::bitserial_kernel(
+        gemm::resolve_kernel(gemm::PopcountKernel::kAuto));
+    constexpr int64_t kBlock = 16;
+    std::vector<int32_t> acc(static_cast<size_t>(kBlock * rows_out));
+    // Runs the tile kernel block by block, handing each block to `epi`.
+    const auto blocks = [&](auto&& epi) {
+      for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
+        const int64_t count = std::min(kBlock, n - j0);
+        fn(args, planes.data() + j0 * col_words, count, acc.data());
+        epi(j0, count);
+      }
+    };
     // The engine's bound: with it the table compares on int16 lanes.
     const int64_t bound = g.patch_size() * ((int64_t{1} << bits) - 1);
     TensorU8 want(conv.output_shape()), got(conv.output_shape());
     rows.push_back(time_pair(
         "L1 epilogue", shape_of(inputs[1]), kTrials,
         [&] {
-          gemm::bitserial_gemm(
-              packed, planes.data(), n, bits, false,
-              [&](int64_t j0, int64_t count, const int32_t* acc) {
-                for (int64_t jj = 0; jj < count; ++jj)
-                  for (int64_t c = 0; c < rows_out; ++c)
-                    want[(j0 + jj) * rows_out + c] =
-                        channels[static_cast<size_t>(c)].apply(
-                            acc[jj * rows_out + c]);
-              });
+          blocks([&](int64_t j0, int64_t count) {
+            for (int64_t jj = 0; jj < count; ++jj)
+              for (int64_t c = 0; c < rows_out; ++c)
+                want[(j0 + jj) * rows_out + c] =
+                    channels[static_cast<size_t>(c)].apply(
+                        acc[static_cast<size_t>(jj * rows_out + c)]);
+          });
         },
         [&] {
-          gemm::bitserial_gemm(
-              packed, planes.data(), n, bits, false,
-              [&](int64_t j0, int64_t count, const int32_t* acc) {
-                gemm::threshold_columns(table, acc, count,
-                                        got.data() + j0 * rows_out, bound);
-              });
+          blocks([&](int64_t j0, int64_t count) {
+            gemm::threshold_columns(table, acc.data(), count,
+                                    got.data() + j0 * rows_out, bound);
+          });
         },
         want, got));
   }

@@ -7,7 +7,9 @@
 /// Tincy YOLO's modification (a) replaces leaky ReLU by plain ReLU, which
 /// folds away entirely into the FINN threshold units.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace tincy {
 
@@ -22,11 +24,21 @@ enum class Activation {
 /// (with_activation) instead of switching per element.
 template <Activation A>
 inline float activate(float x) {
-  if constexpr (A == Activation::kRelu) return x > 0.0f ? x : 0.0f;
-  else if constexpr (A == Activation::kLeaky) return x > 0.0f ? x : 0.1f * x;
-  else if constexpr (A == Activation::kLogistic)
+  if constexpr (A == Activation::kRelu) {
+    return x > 0.0f ? x : 0.0f;
+  } else if constexpr (A == Activation::kLeaky) {
+    // The product on every lane, then a mask select: `x > 0 ? x : 0.1f * x`
+    // keeps the multiply behind a branch (no float speculation under
+    // -ftrapping-math), while this form vectorises, same bits.
+    const uint32_t neg = std::bit_cast<uint32_t>(0.1f * x);
+    const uint32_t pos = 0u - static_cast<uint32_t>(x > 0.0f);  // all ones
+    return std::bit_cast<float>((std::bit_cast<uint32_t>(x) & pos) |
+                                (neg & ~pos));
+  } else if constexpr (A == Activation::kLogistic) {
     return 1.0f / (1.0f + std::exp(-x));
-  else return x;
+  } else {
+    return x;
+  }
 }
 
 /// Calls f(act) once, where act(x) == activate<a>(x) is a distinct inline

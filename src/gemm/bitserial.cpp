@@ -9,17 +9,10 @@
 #endif
 
 #include "core/errors.hpp"
-#include "core/thread_pool.hpp"
-#include "gemm/scratch.hpp"
 
 namespace tincy::gemm {
 
 namespace {
-
-/// Columns per epilogue block (bounds the per-thread accumulator tile).
-constexpr int64_t kMaxBlockColumns = 16;
-/// Popcount words below which a call runs on the calling thread alone.
-constexpr int64_t kMinWordsToShard = int64_t{1} << 17;
 
 /// Copies a Darknet-ordered row (bit c·taps + t) into channel-major
 /// order (bit t·C + c), filling `dst` word by word.
@@ -378,54 +371,6 @@ void patch_columns_impl(const uint64_t* const pix, int64_t pix_row0,
   }
 }
 
-/// im2col_bitplanes' two passes, sharded by rows.
-struct Im2colCtx {
-  const uint8_t* image;
-  const ConvGeometry* g;
-  int bits;
-  uint64_t* pix;
-  uint64_t* planes;
-};
-
-void pixel_plane_rows(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<Im2colCtx*>(p);
-  pixel_planes(ctx.image, *ctx.g, ctx.bits, lo, hi,
-               ctx.pix + pixel_plane_words(*ctx.g, ctx.bits, lo));
-}
-
-void patch_column_rows(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<Im2colCtx*>(p);
-  const ConvGeometry& g = *ctx.g;
-  const int64_t out_w = g.out_width();
-  patch_columns(ctx.pix, 0, g, ctx.bits, lo * out_w, hi * out_w,
-                ctx.planes + lo * out_w * ctx.bits *
-                                 bitplane_words(g.patch_size()));
-}
-
-struct GemmCtx {
-  BitSerialTileArgs args;
-  const uint64_t* planes;
-  int64_t n;
-  int64_t block;  ///< columns per epilogue block
-  BitSerialFn fn;
-  const BitSerialEpilogue* epilogue;
-};
-
-/// Runs column blocks [lo, hi) and hands each block to the epilogue.
-void gemm_blocks(int64_t lo, int64_t hi, void* p) {
-  const auto& ctx = *static_cast<GemmCtx*>(p);
-  const int64_t col_words = ctx.args.bits * ctx.args.words;
-  Arena& arena = thread_arena();
-  ScratchScope scope(arena);
-  int32_t* acc = arena.alloc<int32_t>(ctx.block * ctx.args.rows);
-  for (int64_t blk = lo; blk < hi; ++blk) {
-    const int64_t j0 = blk * ctx.block;
-    const int64_t count = std::min(ctx.block, ctx.n - j0);
-    ctx.fn(ctx.args, ctx.planes + j0 * col_words, count, acc);
-    (*ctx.epilogue)(j0, count, acc);
-  }
-}
-
 }  // namespace
 
 BitSerialWeights pack_bitserial(const quant::BinaryMatrix& m, int64_t kernel) {
@@ -496,23 +441,6 @@ void patch_columns(const uint64_t* pix, int64_t pix_row0,
                                         planes);
 }
 
-void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
-                      uint64_t* planes) {
-  TINCY_CHECK_MSG(bits >= 1 && bits <= 8, "bits " << bits);
-  Arena& arena = thread_arena();
-  ScratchScope scope(arena);
-  Im2colCtx ctx{image, &g, bits,
-                arena.alloc<uint64_t>(pixel_plane_words(g, bits, g.in_height)),
-                planes};
-  // Both passes are memory-bound and cheap per element; shard by rows
-  // only for maps worth the hand-off.
-  core::ThreadPool& pool = core::ThreadPool::shared();
-  const bool shard = g.in_channels * g.in_height * g.in_width >= (1 << 16);
-  const int64_t chunks = shard ? pool.threads() : 1;
-  pool.parallel_for(0, g.in_height, chunks, pixel_plane_rows, &ctx);
-  pool.parallel_for(0, g.out_height(), chunks, patch_column_rows, &ctx);
-}
-
 BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
                             int64_t* row_bias) {
   BitSerialTileArgs a;
@@ -549,38 +477,6 @@ BitSerialTileArgs slice_groups(const BitSerialTileArgs& a, int64_t g0,
   if (a.row_bias) s.row_bias += first;
   s.rows = std::min(a.rows, g1 * kBitSerialGroupRows) - first;
   return s;
-}
-
-void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,
-                    int64_t n, int bits, bool bipolar,
-                    const BitSerialEpilogue& epilogue,
-                    PopcountKernel kernel) {
-  TINCY_CHECK_MSG(bits >= 1 && bits <= 8, "bits " << bits);
-  TINCY_CHECK_MSG(!bipolar || (bits == 1 && !w.ternary()),
-                  "bipolar codes need 1-bit activations and binary weights");
-  if (n <= 0) return;
-  Arena& arena = thread_arena();
-  ScratchScope scope(arena);
-  const BitSerialTileArgs args = tile_args(
-      w, bits, bipolar,
-      bipolar ? arena.alloc<int64_t>(w.groups() * kBitSerialGroupRows)
-              : nullptr);
-  core::ThreadPool& pool = core::ThreadPool::shared();
-  const int64_t work = w.rows * n * bits * w.words * (w.ternary() ? 2 : 1);
-  const int64_t shards = work >= kMinWordsToShard ? pool.threads() : 1;
-  // Small n (a gang of a few frames) still splits into a few blocks per
-  // shard so every thread gets columns.
-  const int64_t block =
-      std::clamp<int64_t>((n + 4 * shards - 1) / (4 * shards), 1,
-                          kMaxBlockColumns);
-  GemmCtx ctx{args, planes, n, block,
-              bitserial_kernel(resolve_kernel(kernel)), &epilogue};
-  // A block of a shallow layer is about a microsecond of work (layer 1:
-  // 16 columns × 64 rows × 144 bits), so blocks are claimed in runs of
-  // blocks / (8 · shards): a claim takes the pool's mutex.
-  const int64_t blocks = (n + block - 1) / block;
-  pool.parallel_for(0, blocks, shards == 1 ? 1 : std::min(blocks, 8 * shards),
-                    gemm_blocks, &ctx);
 }
 
 void bitserial_gemm_reference(const int8_t* w, int64_t rows, int64_t cols,

@@ -35,12 +35,11 @@
 ///
 /// Im2col is two steps, each over a range: pixel_planes over input rows
 /// and patch_columns over output positions. The code-domain layer engine
-/// (gemm/code_layer.hpp) runs both per band of output rows, halo rows
-/// included, and hands the band's columns to the tile kernel block by
-/// block; im2col_bitplanes and bitserial_gemm are the whole-map forms.
+/// (gemm/code_layer.hpp), the one threaded driver, runs both per band of
+/// output rows, halo rows included, and hands the band's columns to the
+/// tile kernel block by block.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gemm/im2col.hpp"
@@ -107,16 +106,6 @@ void patch_columns(const uint64_t* pix, int64_t pix_row0,
                    const ConvGeometry& g, int bits, int64_t j0, int64_t j1,
                    uint64_t* planes);
 
-/// Both steps over a whole map: column j (row-major over the output
-/// positions) occupies planes[j·bits·words, (j+1)·bits·words).
-void im2col_bitplanes(const uint8_t* image, const ConvGeometry& g, int bits,
-                      uint64_t* planes);
-
-/// Receives the exact accumulators of columns [j0, j0 + count):
-/// acc[(j − j0)·rows + r]. Called concurrently for disjoint ranges.
-using BitSerialEpilogue =
-    std::function<void(int64_t j0, int64_t count, const int32_t* acc)>;
-
 /// The tile-kernel arguments of one call over `w` (the identities above
 /// in BitSerialTileArgs' linear form). Bipolar calls need `row_bias`
 /// storage for groups()·kBitSerialGroupRows entries; others ignore it.
@@ -127,15 +116,6 @@ BitSerialTileArgs tile_args(const BitSerialWeights& w, int bits, bool bipolar,
 /// acc[j·rows' + r − 8·g0] for the slice's live rows (rows' of them).
 BitSerialTileArgs slice_groups(const BitSerialTileArgs& a, int64_t g0,
                                int64_t g1);
-
-/// Dot products of every weight row with `n` packed columns, handed to
-/// `epilogue` in column blocks. `bipolar` selects ±1 activation codes
-/// (bits must be 1, weights binary). Sharded over core::ThreadPool::
-/// shared() when the call is large enough.
-void bitserial_gemm(const BitSerialWeights& w, const uint64_t* planes,
-                    int64_t n, int bits, bool bipolar,
-                    const BitSerialEpilogue& epilogue,
-                    PopcountKernel kernel = PopcountKernel::kAuto);
 
 /// Scalar oracle of the whole path, in Darknet order and with no bit
 /// tricks: acc[j·rows + r] = Σ_k w[r·cols + k] · x_j[k], where w ∈

@@ -1,6 +1,7 @@
 #include "nn/describe.hpp"
 
 #include <sstream>
+#include <string>
 
 #include "core/string_utils.hpp"
 #include "nn/connected_layer.hpp"
@@ -90,13 +91,21 @@ std::string summary(const Network& net) {
   for (int64_t i = 0; i < net.num_layers(); ++i) {
     const Layer& layer = net.layer(i);
     const auto* conv = dynamic_cast<const ConvLayer*>(&layer);
+    const LayerOpsRow& row = rows[static_cast<size_t>(i)];
+    std::string precision = row.precision.name();
+    std::string kernel = conv ? kernel_name(conv->config().kernel) : "-";
+    // A max pool after a code boundary (plan()) compares codes of that
+    // grid's bits; a pool its conv runs (fuses_pool()) names the conv.
+    if (!conv && row.precision.is_float() && i > 0 && net.plan()[i - 1]) {
+      precision = "A" + std::to_string(net.plan()[i - 1]->bits);
+      if (net.fuses_pool(i - 1)) kernel = "in L" + std::to_string(i - 1);
+    }
     char line[160];
     std::snprintf(line, sizeof line, "%5lld  %-14s  %-16s  %14s  %-9s  %s\n",
                   static_cast<long long>(i), layer.type_name().c_str(),
                   layer.output_shape().to_string().c_str(),
-                  with_commas(rows[static_cast<size_t>(i)].ops).c_str(),
-                  rows[static_cast<size_t>(i)].precision.name().c_str(),
-                  conv ? kernel_name(conv->config().kernel) : "-");
+                  with_commas(row.ops).c_str(), precision.c_str(),
+                  kernel.c_str());
     os << line;
   }
   os << "total ops/frame: " << with_commas(total_ops(net)) << "\n";

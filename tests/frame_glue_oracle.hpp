@@ -139,7 +139,8 @@ inline void maxpool(const Tensor& in, int64_t size, int64_t stride,
 
 /// Packed bit-plane columns of an HWC code map, one bit at a time: bit
 /// t·C + c of plane b of column (oh, ow) is bit b of channel c at kernel
-/// tap t = kh·K + kw, zero for padding taps (gemm::im2col_bitplanes).
+/// tap t = kh·K + kw, zero for padding taps (gemm::pixel_planes followed
+/// by gemm::patch_columns over the whole map).
 inline void im2col_bitplanes(const uint8_t* hwc, const gemm::ConvGeometry& g,
                              int bits, uint64_t* planes) {
   const int64_t words = gemm::bitplane_words(g.patch_size());
@@ -301,8 +302,9 @@ inline void lowp_conv(const nn::ConvLayer& layer, const Tensor& in,
 }
 
 /// The golden bit-serial conv with a fresh code tensor and plane buffer
-/// per call and a per-element threshold scan that tests the direction and
-/// the bipolar grid per element. `packed` is
+/// per call, the bit-by-bit im2col above, the tile kernel on one thread
+/// 16 columns at a time and a per-element threshold scan that tests the
+/// direction and the bipolar grid per element. `packed` is
 /// gemm::pack_bitserial(layer.binary_weights(), kernel).
 inline void golden_conv(const nn::ConvLayer& layer,
                         const gemm::BitSerialWeights& packed, const Tensor& in,
@@ -321,30 +323,40 @@ inline void golden_conv(const nn::ConvLayer& layer,
   }
   const int bits = cfg_.act_bits;
   const int64_t n = geom_.num_patches();
+  const int64_t col_words = bits * gemm::bitplane_words(geom_.patch_size());
   // The bit-plane im2col reads pixel-major (HWC) codes.
   TensorU8 hwc(in.shape());
   to_hwc(codes.data(), geom_.in_channels, geom_.in_height * geom_.in_width,
          hwc.data());
   const auto planes = std::make_unique_for_overwrite<uint64_t[]>(
-      static_cast<size_t>(n * bits * gemm::bitplane_words(geom_.patch_size())));
-  gemm::im2col_bitplanes(hwc.data(), geom_, bits, planes.get());
+      static_cast<size_t>(n * col_words));
+  im2col_bitplanes(hwc.data(), geom_, bits, planes.get());
 
   const auto& thresholds = layer.quant_thresholds();
   const int64_t filters = cfg_.filters;
   const quant::BipolarActQuant out_bq{cfg_.out_scale};
-  gemm::bitserial_gemm(
-      packed, planes.get(), n, bits, cfg_.bipolar,
-      [&](int64_t j0, int64_t count, const int32_t* acc) {
-        for (int64_t c = 0; c < filters; ++c) {
-          const auto& th = thresholds[static_cast<size_t>(c)];
-          float* row = out.data() + c * n + j0;
-          for (int64_t jj = 0; jj < count; ++jj) {
-            const uint8_t level = th.apply(acc[jj * filters + c]);
-            row[jj] = cfg_.bipolar ? out_bq.dequantize(level)
-                                   : cfg_.out_scale * static_cast<float>(level);
-          }
-        }
-      });
+  std::vector<int64_t> row_bias(
+      static_cast<size_t>(packed.groups() * gemm::kBitSerialGroupRows));
+  const gemm::BitSerialTileArgs args =
+      gemm::tile_args(packed, bits, cfg_.bipolar, row_bias.data());
+  const gemm::BitSerialFn fn = gemm::bitserial_kernel(
+      gemm::resolve_kernel(gemm::PopcountKernel::kAuto));
+  constexpr int64_t kBlock = 16;
+  std::vector<int32_t> acc(static_cast<size_t>(kBlock * filters));
+  for (int64_t j0 = 0; j0 < n; j0 += kBlock) {
+    const int64_t count = std::min(kBlock, n - j0);
+    fn(args, planes.get() + j0 * col_words, count, acc.data());
+    for (int64_t c = 0; c < filters; ++c) {
+      const auto& th = thresholds[static_cast<size_t>(c)];
+      float* row = out.data() + c * n + j0;
+      for (int64_t jj = 0; jj < count; ++jj) {
+        const uint8_t level =
+            th.apply(acc[static_cast<size_t>(jj * filters + c)]);
+        row[jj] = cfg_.bipolar ? out_bq.dequantize(level)
+                               : cfg_.out_scale * static_cast<float>(level);
+      }
+    }
+  }
 }
 
 }  // namespace tincy::oracle

@@ -3,12 +3,14 @@
 // POPCNT, AVX2, AVX-512 VPOPCNTDQ — whichever the machine runs) must
 // reproduce the scalar oracle bitserial_gemm_reference exactly, for
 // binary, ternary and bipolar weights, activation precisions A = 1…8,
-// dot-product depths that are not multiples of 64, batches of columns,
-// channel-major conv im2col at awkward geometries, and calls large
-// enough to be sharded across the thread pool. The tile kernels keep 8
-// rows per group and several columns per tile, so the edges get their
-// own sweep: partial row groups, 1–3-word and long depths, and column
-// counts that leave partial column tiles.
+// dot-product depths that are not multiples of 64 (up to Tincy's 4608),
+// batches of columns, and channel-major conv im2col at awkward
+// geometries. Columns are built by the band pieces the layer engine runs
+// (pixel_planes + patch_columns, here over whole maps) and fed to the
+// tile kernel 16 at a time, as gemm/code_layer.cpp's bands do. The tile
+// kernels keep 8 rows per group and several columns per tile, so the
+// edges get their own sweep: partial row groups, 1–3-word and long
+// depths, and column counts that leave partial column tiles.
 //
 // Rep count scales with TINCY_CONFORMANCE_REPS (default 40), like the
 // GEMM conformance suite; the tier2-conformance entry raises it.
@@ -22,6 +24,7 @@
 
 #include "core/rng.hpp"
 #include "gemm/bitserial.hpp"
+#include "gemm/code_layer.hpp"
 #include "gemm/im2col.hpp"
 
 namespace tincy::gemm {
@@ -97,6 +100,23 @@ std::vector<uint8_t> random_codes(Rng& rng, int64_t n, int bits) {
   return v;
 }
 
+/// Columns per tile-kernel call, as the layer engine's bands make them.
+constexpr int64_t kBlockColumns = 16;
+
+/// The packed columns of a whole HWC map, column j (row-major over the
+/// output positions) at j·bits·words: pixel_planes over every input row,
+/// then patch_columns over every output position.
+std::vector<uint64_t> map_columns(const uint8_t* hwc, const ConvGeometry& g,
+                                  int bits) {
+  std::vector<uint64_t> pix(
+      static_cast<size_t>(pixel_plane_words(g, bits, g.in_height)));
+  std::vector<uint64_t> planes(static_cast<size_t>(
+      g.num_patches() * bits * bitplane_words(g.patch_size())));
+  pixel_planes(hwc, g, bits, 0, g.in_height, pix.data());
+  patch_columns(pix.data(), 0, g, bits, 0, g.num_patches(), planes.data());
+  return planes;
+}
+
 /// Packs `n` Darknet-ordered columns as the MVTU does: each column is
 /// the single footprint of a K×K, C-channel image (c·K² + t, i.e. CHW),
 /// handed to the im2col pixel-major (t·C + c).
@@ -115,21 +135,40 @@ std::vector<uint64_t> pack_columns(const std::vector<uint8_t>& codes,
       for (int64_t t = 0; t < taps; ++t)
         hwc[static_cast<size_t>(t * g.in_channels + c)] =
             codes[static_cast<size_t>(j * cols + c * taps + t)];
-    im2col_bitplanes(hwc.data(), g, bits, planes.data() + j * col_words);
+    const std::vector<uint64_t> col = map_columns(hwc.data(), g, bits);
+    std::copy(col.begin(), col.end(), planes.begin() + j * col_words);
   }
   return planes;
 }
 
+/// Fill of the accumulator words a tile-kernel call must not write.
+constexpr int32_t kGuard = 0x5a5a5a5a;
+
+/// Every weight row against `n` packed columns through variant `k`'s tile
+/// kernel, kBlockColumns columns per call. Each call writes into a block
+/// buffer with a guard column after its `count` columns, which must keep
+/// its fill.
 std::vector<int32_t> run(const BitSerialWeights& w,
                          const std::vector<uint64_t>& planes, int64_t n,
                          int bits, bool bipolar, PopcountKernel k) {
+  std::vector<int64_t> row_bias(
+      static_cast<size_t>(w.groups() * kBitSerialGroupRows));
+  const BitSerialTileArgs args = tile_args(w, bits, bipolar, row_bias.data());
+  const BitSerialFn fn = bitserial_kernel(k);
+  const int64_t col_words = bits * w.words;
   std::vector<int32_t> acc(static_cast<size_t>(n * w.rows), INT32_MIN);
-  bitserial_gemm(
-      w, planes.data(), n, bits, bipolar,
-      [&](int64_t j0, int64_t count, const int32_t* block) {
-        std::copy(block, block + count * w.rows, acc.begin() + j0 * w.rows);
-      },
-      k);
+  std::vector<int32_t> block(static_cast<size_t>((kBlockColumns + 1) * w.rows));
+  for (int64_t j0 = 0; j0 < n; j0 += kBlockColumns) {
+    const int64_t count = std::min(kBlockColumns, n - j0);
+    std::fill(block.begin(), block.end(), kGuard);
+    fn(args, planes.data() + j0 * col_words, count, block.data());
+    EXPECT_TRUE(std::all_of(block.begin() + count * w.rows,
+                            block.begin() + (count + 1) * w.rows,
+                            [](int32_t v) { return v == kGuard; }))
+        << kernel_name(k) << " wrote past its " << count << " columns";
+    std::copy(block.begin(), block.begin() + count * w.rows,
+              acc.begin() + j0 * w.rows);
+  }
   return acc;
 }
 
@@ -199,11 +238,10 @@ TEST(BitSerialConformance, TileEdgesEveryVariant) {
 }
 
 TEST(BitSerialConformance, TileKernelWritesOnlyItsColumns) {
-  // The tile entry point called directly, as bitserial_gemm calls it per
-  // block: every output lands in acc[j·rows + r] for j < count and
-  // r < rows, and the words past the block keep their guard value.
+  // One tile-kernel call over all its columns: every output lands in
+  // acc[j·rows + r] for j < count and r < rows, and the words past the
+  // block keep their guard value.
   Rng rng(14);
-  constexpr int32_t kGuard = 0x5a5a5a5a;
   constexpr int64_t kGuardWords = 64;
   for (const int64_t rows : {9, 64})
     for (const int64_t n : {1, 3, 5, 17}) {
@@ -328,7 +366,7 @@ TEST(BitSerialConformance, ConvIm2colMatchesDarknetIm2col) {
       const std::vector<int32_t> expected =
           oracle(m, columns, frames * n, bipolar);
 
-      // im2col_bitplanes reads pixel-major (HWC) maps.
+      // The bit-plane im2col reads pixel-major (HWC) maps.
       const int64_t pixels = c.height * c.width;
       std::vector<uint8_t> hwc(images.size());
       for (int64_t f = 0; f < frames; ++f)
@@ -336,11 +374,12 @@ TEST(BitSerialConformance, ConvIm2colMatchesDarknetIm2col) {
           for (int64_t p = 0; p < pixels; ++p)
             hwc[static_cast<size_t>(f * image + p * c.channels + ch)] =
                 images[static_cast<size_t>(f * image + ch * pixels + p)];
-      const int64_t col_words = bits * bitplane_words(patch);
-      std::vector<uint64_t> planes(static_cast<size_t>(frames * n * col_words));
-      for (int64_t f = 0; f < frames; ++f)
-        im2col_bitplanes(hwc.data() + f * image, g, bits,
-                         planes.data() + f * n * col_words);
+      std::vector<uint64_t> planes;
+      for (int64_t f = 0; f < frames; ++f) {
+        const std::vector<uint64_t> frame =
+            map_columns(hwc.data() + f * image, g, bits);
+        planes.insert(planes.end(), frame.begin(), frame.end());
+      }
       for (const PopcountKernel k : dispatchable_popcount_kernels())
         ASSERT_EQ(run(m.packed, planes, frames * n, bits, bipolar, k),
                   expected)
@@ -350,24 +389,39 @@ TEST(BitSerialConformance, ConvIm2colMatchesDarknetIm2col) {
     }
 }
 
-TEST(BitSerialConformance, ShardedCallMatchesOracle) {
-  // Tincy layer-11 depth (512·9) and enough columns that the call is
-  // sharded over the shared pool's column blocks.
+TEST(BitSerialConformance, TincyDepthMatchesOracle) {
+  // Tincy layer-11 depth (512·9) over 40 columns: two full blocks of 16
+  // and a partial one.
   Rng rng(10);
   for (const Weights kind : {Weights::kBinary, Weights::kTernary})
     check_case(rng, 96, 4608, 3, 3, kind, 40);
 }
 
 TEST(BitSerialConformance, RejectsUnsupportedEncodings) {
+  // The engine refuses what the identities cannot express: bipolar codes
+  // of more than one bit or against ternary weights, and codes of more
+  // than 8 bits.
   Rng rng(11);
   const Matrix binary = make_matrix(rng, 2, 64, 1, Weights::kBinary);
   const Matrix ternary = make_matrix(rng, 2, 64, 1, Weights::kTernary);
-  const std::vector<uint64_t> planes(3 * 1, 0);
-  const BitSerialEpilogue ignore = [](int64_t, int64_t, const int32_t*) {};
-  const uint64_t* a = planes.data();
-  EXPECT_THROW(bitserial_gemm(binary.packed, a, 1, 3, true, ignore), Error);
-  EXPECT_THROW(bitserial_gemm(ternary.packed, a, 1, 1, true, ignore), Error);
-  EXPECT_THROW(bitserial_gemm(binary.packed, a, 1, 9, false, ignore), Error);
+  const std::vector<quant::ThresholdChannel> channels(2, {{0}, true});
+  const ThresholdTable table(channels);
+  CodeLayer layer;
+  layer.geom = ConvGeometry{64, 1, 1, 1, 1, 0};
+  layer.thresholds = &table;
+  const std::vector<uint8_t> in(64, 0);
+  std::vector<uint8_t> out(2);
+  const auto attempt = [&](const Matrix& m, int bits, bool bipolar) {
+    CodeLayer l = layer;
+    l.weights = &m.packed;
+    l.bits = bits;
+    l.bipolar = bipolar;
+    run_code_layer(l, in.data(), 1, out.data());
+  };
+  EXPECT_THROW(attempt(binary, 3, true), Error);
+  EXPECT_THROW(attempt(ternary, 1, true), Error);
+  EXPECT_THROW(attempt(binary, 9, false), Error);
+  EXPECT_NO_THROW(attempt(binary, 1, true));  // the layer is otherwise sound
   Tensor w(Shape{2, 10});
   EXPECT_THROW(pack_bitserial(quant::binarize(w), 3), Error);  // 10 % 9 != 0
 }

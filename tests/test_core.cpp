@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "core/activation.hpp"
 #include "core/rng.hpp"
 #include "core/shape.hpp"
 #include "core/string_utils.hpp"
@@ -40,6 +46,41 @@ TEST(Shape, OutOfRangeAxisThrows) {
 
 TEST(Shape, TooManyDimsThrows) {
   EXPECT_THROW(Shape({1, 2, 3, 4, 5}), Error);
+}
+
+TEST(Activation, LeakyIsTheBranchFormBitForBit) {
+  // activate<kLeaky> selects by mask instead of branching; every input
+  // class must give the bits of the plain conditional.
+  using Lim = std::numeric_limits<float>;
+  std::vector<float> xs{
+      0.0f, -0.0f, 1.0f, -1.0f, 1e-39f, -1e-39f,
+      Lim::denorm_min(), -Lim::denorm_min(),  // denormals
+      Lim::min() / 2, -Lim::min() / 2,
+      Lim::min(), -Lim::min(), Lim::max(), -Lim::max(),
+      Lim::infinity(), -Lim::infinity(),
+      Lim::quiet_NaN(), -Lim::quiet_NaN(),
+      std::bit_cast<float>(0x7fa00001u),  // NaNs with payloads
+      std::bit_cast<float>(0xffc12345u)};
+  Rng rng(5);
+  for (int i = 0; i < 4096; ++i)  // every bit pattern is a float
+    xs.push_back(std::bit_cast<float>(
+        static_cast<uint32_t>(rng.uniform_int(0, 0xffffffffLL))));
+  for (int i = 0; i < 4096; ++i) xs.push_back(rng.uniform(-10.0f, 10.0f));
+  while (xs.size() % 16 != 0) xs.push_back(-0.0f);
+  const auto bits = [](float v) { return std::bit_cast<uint32_t>(v); };
+  // Scalar calls, and 16-lane loops as the GEMM epilogues run them.
+  std::vector<float> lanes(xs.size());
+  with_activation(Activation::kLeaky, [&](auto act) {
+    for (size_t j0 = 0; j0 < xs.size(); j0 += 16)
+      for (size_t j = j0; j < j0 + 16; ++j) lanes[j] = act(xs[j]);
+  });
+  for (size_t i = 0; i < xs.size(); ++i) {
+    const float x = xs[i];
+    const float want = x > 0.0f ? x : 0.1f * x;
+    EXPECT_EQ(bits(activate<Activation::kLeaky>(x)), bits(want))
+        << "x bits " << std::hex << bits(x);
+    EXPECT_EQ(bits(lanes[i]), bits(want)) << "x bits " << std::hex << bits(x);
+  }
 }
 
 TEST(Tensor, ZeroInitialized) {
