@@ -10,7 +10,7 @@
 // pre-accumulation shift amount, the numeric error against the float
 // kernel and the rate of saturating (overflow-avoided) accumulations, on
 // real SynthVOC image content. At shift 4 the instrumented model must
-// equal the GEMM engine's kI16Shift4 oracle (gemm_lowp_i32_shift4)
+// equal the scalar 16-bit accumulator oracle (gemm_lowp_i32_shift4)
 // exactly; the program exits non-zero otherwise.
 
 #include <algorithm>
@@ -158,7 +158,7 @@ int main() {
       "documented 'small loss of detection accuracy' — which is why the\n"
       "float kernel remains available as a drop-in reference.\n");
 
-  // Cross-check against the GEMM engine's shift-4 oracle: the symmetric
+  // Cross-check against the shift-4 oracle gemm_lowp_i32_shift4: the symmetric
   // codes stored as u8 code+128 with lhs_zero=128 give the same centred
   // products, so the int16 accumulators (rescaled by 16) must match
   // exactly.

@@ -22,7 +22,7 @@
 //   L0 calibrate         the frame's min/max, sharded vs the serial scan;
 //   L0 quantise          the frame's affine codes, sharded vs serial;
 //   L0 im2col + GEMM     the driver with an identity epilogue vs dense
-//                        im2col + packed GEMM + dequantisation;
+//                        im2col + scalar gemm_lowp_i32 + dequantisation;
 //   L0 epilogue          the driver with BN, bias and activation in its
 //                        shards vs the driver then a separate post-pass;
 //   L0 emitting L1 codes L0's code sink vs L0's floats quantised onto
@@ -284,7 +284,8 @@ int main(int argc, char** argv) {
         "L0 im2col + GEMM", shape, kTrials,
         [&] {
           oracle::lowp_conv_raw(want_q.data(), conv.geometry(), params,
-                                packed, w_params, raw.data());
+                                wq.data(), conv.config().filters, w_params,
+                                raw.data());
         },
         [&] {
           gemm::fused_conv_lowp_f32out(want_q.data(), conv.geometry(), params,

@@ -3,15 +3,19 @@
 // underneath them. Absolute times are host times, not A53 times. The
 // paper's 620 -> 295 -> 160 -> 140 -> 120 ms ladder of specialized 16x27
 // kernels lives in the perf model (src/perf); the runtime keeps one float
-// oracle, one fused float path and one packed 8-bit path, timed here.
+// oracle, one fused float path and one 8-bit conv driver, timed here —
+// the driver also on L0 and L13 at their real geometry, against its
+// scalar reference and its own one-thread panel loop.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -20,6 +24,8 @@
 #include "gemm/gemm_packed.hpp"
 #include "gemm/gemm_ref.hpp"
 #include "gemm/gemm_simd.hpp"
+#include "gemm/kernels.hpp"
+#include "lowp_oracle.hpp"
 #include "quant/affine.hpp"
 
 using namespace tincy;
@@ -136,76 +142,147 @@ void BM_Gemm_Reference(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm_Reference);
 
-// --- Quantized GEMM engine (packed/tiled/threaded, gemm_packed.hpp) ---
+// --- The 8-bit conv driver on Tincy YOLO's L0 and L13 ------------------
+//
+// Three forms of the same conv, each checked bit for bit against the
+// first: naive (dense im2col + gemm_lowp_i32 + the epilogue expression),
+// the panel loop on one thread (im2col_panel_u8 + gemm_lowp_packed_panel
+// + the same epilogue, one row per micro-kernel variant), and the
+// threaded driver (fused_conv_lowp_f32out). The epilogue is a per-channel
+// bias with a linear activation.
 
-struct LowpGemmFixture {
-  static constexpr int64_t M = 128, N = 2704, K = 576;
-  std::vector<uint8_t> a, b;
-  std::vector<int32_t> c;
-  int32_t za = 7, zb = 131;
+struct LowpConvShape {
+  const char* name;
+  gemm::ConvGeometry g;
+  int64_t M;  ///< output channels
+};
+
+// L0: 3 → 16 channels, 3×3 stride 2 over the 416 frame (208 × 208 out);
+// L13: the 1×1 output conv, 512 → 125 channels over 13 × 13.
+constexpr LowpConvShape kLowpShapes[] = {
+    {"L0", {3, 416, 416, 3, 2, 1}, 16},
+    {"L13", {512, 13, 13, 1, 1, 0}, 125},
+};
+
+struct LowpConvFixture {
+  LowpConvShape s;
+  std::vector<uint8_t> A, image;
+  std::vector<float> bias, want, out;
+  std::vector<int32_t> acc;
+  quant::AffineParams in_params{0.02f, 131}, w_params{0.01f, 7};
   gemm::PackedLhs lhs;
-  LowpGemmFixture() : a(M * K), b(K * N), c(M * N) {
-    Rng rng(3);
-    for (auto& v : a) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    for (auto& v : b) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    lhs = gemm::pack_lhs(a.data(), M, K, za);
+
+  explicit LowpConvFixture(const LowpConvShape& shape)
+      : s(shape),
+        A(static_cast<size_t>(shape.M * shape.g.patch_size())),
+        image(static_cast<size_t>(shape.g.in_channels * shape.g.in_height *
+                                  shape.g.in_width)),
+        bias(static_cast<size_t>(shape.M)),
+        want(static_cast<size_t>(shape.M * shape.g.num_patches())),
+        out(want.size()),
+        acc(want.size()) {
+    Rng rng(42);
+    for (auto& v : A) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
+    for (auto& v : image) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
+    for (auto& v : bias) v = rng.normal();
+    lhs = gemm::pack_lhs(A.data(), s.M, s.g.patch_size(), w_params.zero_point);
+    naive(want.data());
+  }
+
+  double mflop() const {
+    return 2.0 * s.M * s.g.num_patches() * s.g.patch_size() / 1e6;
+  }
+
+  /// The epilogue expression over acc, as the driver runs it per lane.
+  void epilogue(float* y) const {
+    const int64_t n = s.g.num_patches();
+    const float real_scale = in_params.scale * w_params.scale;
+    for (int64_t m = 0; m < s.M; ++m)
+      for (int64_t j = 0; j < n; ++j)
+        y[m * n + j] =
+            oracle::lowp_bias_epilogue(real_scale, acc[m * n + j], bias[m]);
+  }
+
+  void naive(float* y) {
+    oracle::lowp_conv_naive(image.data(), s.g, A.data(), s.M,
+                            w_params.zero_point, in_params.zero_point,
+                            acc.data());
+    epilogue(y);
+  }
+
+  void panel_loop(gemm::Kernel k, float* y) {
+    oracle::lowp_panel_loop(image.data(), s.g, lhs, in_params.zero_point, k,
+                            acc.data());
+    epilogue(y);
+  }
+
+  void threaded(float* y) {
+    gemm::LowpEpilogue e;
+    e.bias = bias.data();
+    gemm::fused_conv_lowp_f32out(image.data(), s.g, in_params, lhs, w_params,
+                                 e, y);
+  }
+
+  bool bit_exact() const {
+    return std::memcmp(out.data(), want.data(),
+                       want.size() * sizeof(float)) == 0;
   }
 };
 
-LowpGemmFixture& lowp_fixture() {
-  static LowpGemmFixture f;
-  return f;
+LowpConvFixture& lowp_fixture(int64_t shape) {
+  static LowpConvFixture l0(kLowpShapes[0]), l13(kLowpShapes[1]);
+  return shape == 0 ? l0 : l13;
+}
+
+template <typename F>
+void run_lowp_row(benchmark::State& state, F&& form) {
+  auto& f = lowp_fixture(state.range(0));
+  std::fill(f.out.begin(), f.out.end(), -1.0f);
+  for (auto _ : state) {
+    form(f);
+    benchmark::DoNotOptimize(f.out.data());
+  }
+  state.SetLabel(f.s.name);
+  if (!f.bit_exact()) state.SkipWithError("output differs from naive");
 }
 
 void BM_GemmLowp_Naive(benchmark::State& state) {
-  auto& f = lowp_fixture();
-  for (auto _ : state) {
-    gemm::gemm_lowp_i32(f.M, f.N, f.K, f.a.data(), f.za, f.b.data(), f.zb,
-                        f.c.data());
-    benchmark::DoNotOptimize(f.c.data());
-  }
+  run_lowp_row(state, [](LowpConvFixture& f) { f.naive(f.out.data()); });
 }
-BENCHMARK(BM_GemmLowp_Naive);
+BENCHMARK(BM_GemmLowp_Naive)->Arg(0)->Arg(1);
 
-void BM_GemmLowp_Packed(benchmark::State& state) {
-  auto& f = lowp_fixture();
-  gemm::GemmOptions opts;
-  opts.allow_threads = false;
-  for (auto _ : state) {
-    gemm::gemm_lowp_packed(f.lhs, f.b.data(), f.zb, f.N, f.c.data(), opts);
-    benchmark::DoNotOptimize(f.c.data());
-  }
+void BM_GemmLowp_Threaded(benchmark::State& state) {
+  run_lowp_row(state, [](LowpConvFixture& f) { f.threaded(f.out.data()); });
 }
-BENCHMARK(BM_GemmLowp_Packed);
+BENCHMARK(BM_GemmLowp_Threaded)->Arg(0)->Arg(1);
 
-void BM_GemmLowp_PackedThreaded(benchmark::State& state) {
-  auto& f = lowp_fixture();
-  for (auto _ : state) {
-    gemm::gemm_lowp_packed(f.lhs, f.b.data(), f.zb, f.N, f.c.data(), {});
-    benchmark::DoNotOptimize(f.c.data());
+/// BM_GemmLowp_PanelLoop/<variant>/<shape>: the one-thread panel loop on
+/// one micro-kernel variant; registered per dispatchable variant in main.
+void register_panel_loop_rows() {
+  for (const gemm::Kernel k : gemm::dispatchable_kernels()) {
+    const std::string name =
+        std::string("BM_GemmLowp_PanelLoop/") + gemm::kernel_name(k);
+    benchmark::RegisterBenchmark(name.c_str(), [k](benchmark::State& state) {
+      run_lowp_row(state,
+                   [k](LowpConvFixture& f) { f.panel_loop(k, f.out.data()); });
+    })->Arg(0)->Arg(1);
   }
 }
-BENCHMARK(BM_GemmLowp_PackedThreaded);
 
 // --- Self-checking performance gate (tier2-gemm) ----------------------
 //
-// `gemm_kernels --gate [out.json]` times the packed engine against the
-// naive gemm_lowp_i32 oracle on the Tincy YOLO first/last CPU-layer
-// shapes, asserts bit-exact parity, enforces the speedup floors from
-// the issue (packed+threaded >= 3x, single-threaded pack+tile >= 1.5x),
-// and writes a baseline-vs-packed-vs-threaded report to BENCH_gemm.json.
-
-struct GateShape {
-  const char* name;
-  int64_t M, N, K;
-};
+// `gemm_kernels --gate [out.json]` times the three forms above on L0 and
+// L13, asserts that each is bit-identical to the naive one, enforces the
+// speedup floors (threaded driver >= 3x naive, the one-thread panel loop
+// on the dispatched tile >= 1.5x naive, that tile >= 1.5x the scalar one
+// in the same loop) and writes a naive-vs-loop-vs-driver report to
+// BENCH_gemm.json.
 
 template <typename F>
 double best_of_ms(int trials, F&& fn) {
-  // One untimed warmup run: the first packed call per shape faults in the
-  // panel scratch arenas and the LHS panel cache, a one-off cost that
-  // used to land on whichever variant happened to be timed first and
-  // skew the cross-variant comparison.
+  // One untimed warmup run: the first call per shape faults in the
+  // scratch arenas, a one-off cost that would otherwise land on whichever
+  // form happened to be timed first.
   fn();
   double best = 1e300;
   for (int t = 0; t < trials; ++t) {
@@ -220,27 +297,20 @@ double best_of_ms(int trials, F&& fn) {
 }
 
 int run_gate(const char* json_path) {
-  // Layer 0 runs at the reduced 104x104 benchmark resolution (same
-  // geometry ratio as 416x416, 16x faster to time); layer 15 is the
-  // exact Tincy YOLO output conv (125 filters over 13x13 at K=1024).
-  const GateShape shapes[] = {
-      {"layer0", 16, 104 * 104, 27},
-      {"layerlast", 125, 13 * 13, 1024},
-  };
   const int kTrials = 5;
   const double kMinThreadedSpeedup = 3.0;
   const double kMinSingleThreadSpeedup = 1.5;
-  // Micro-kernel floor: the kAuto-dispatched SIMD variant must beat the
-  // scalar packed path (same packing, same tiling, vectorization off) by
-  // this much on every gate shape — and kAuto must actually have picked
-  // a SIMD variant.
+  // Micro-kernel floor: the kAuto-dispatched SIMD tile must beat the
+  // scalar one (same loop, same panels, vectorization off) by this much
+  // on every gate shape — and kAuto must actually have picked a SIMD
+  // variant.
   const double kMinKernelSpeedup = 1.5;
   const int threads = core::ThreadPool::shared().threads();
   const gemm::Kernel dispatched = gemm::resolve_kernel(gemm::Kernel::kAuto);
 
   bool pass = true;
   std::ostringstream js;
-  js << "{\n  \"schema\": \"tincy-bench-gemm-v2\",\n"
+  js << "{\n  \"schema\": \"tincy-bench-gemm-v3\",\n"
      << "  \"threads\": " << threads << ",\n"
      << "  \"dispatched_kernel\": \"" << gemm::kernel_name(dispatched)
      << "\",\n"
@@ -249,124 +319,93 @@ int run_gate(const char* json_path) {
      << ",\n  \"min_speedup_kernel\": " << kMinKernelSpeedup
      << ",\n  \"shapes\": [";
 
-  bool first_shape = true;
-  for (const auto& s : shapes) {
-    Rng rng(42);
-    const int32_t za = 7, zb = 131;
-    std::vector<uint8_t> A(s.M * s.K), B(s.K * s.N);
-    for (auto& v : A) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    for (auto& v : B) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    std::vector<int32_t> ref(s.M * s.N), got(s.M * s.N);
+  for (int64_t si = 0; si < 2; ++si) {
+    LowpConvFixture& f = lowp_fixture(si);
+    const gemm::ConvGeometry& g = f.s.g;
+    const double naive_ms =
+        best_of_ms(kTrials, [&] { f.naive(f.out.data()); });
+    const bool parity_naive = f.bit_exact();
 
-    // Bit-exact parity: packed engine vs the naive i32 oracle, and the
-    // 16-bit shift-4 fast path vs its scalar oracle (both wrap/saturate
-    // identically, so parity holds for any zero points).
-    gemm::gemm_lowp_i32(s.M, s.N, s.K, A.data(), za, B.data(), zb, ref.data());
-    gemm::gemm_lowp_packed(s.M, s.N, s.K, A.data(), za, B.data(), zb,
-                           got.data(), {});
-    const bool parity_i32 = ref == got;
-
-    gemm::gemm_lowp_i32_shift4(s.M, s.N, s.K, A.data(), za, B.data(), zb,
-                               ref.data());
-    gemm::GemmOptions shift4_opts;
-    shift4_opts.acc = gemm::Accumulator::kI16Shift4;
-    gemm::gemm_lowp_packed(s.M, s.N, s.K, A.data(), za, B.data(), zb,
-                           got.data(), shift4_opts);
-    const bool parity_shift4 = ref == got;
-
-    const double naive_ms = best_of_ms(kTrials, [&] {
-      gemm::gemm_lowp_i32(s.M, s.N, s.K, A.data(), za, B.data(), zb,
-                          got.data());
-    });
-    // Single-threaded, per-call pack: isolates the pack+tile win.
-    gemm::GemmOptions st;
-    st.allow_threads = false;
-    const double packed_st_ms = best_of_ms(kTrials, [&] {
-      gemm::gemm_lowp_packed(s.M, s.N, s.K, A.data(), za, B.data(), zb,
-                             got.data(), st);
-    });
-    // Full engine: weights packed once (as the layer caches do), threads on.
-    const gemm::PackedLhs lhs = gemm::pack_lhs(A.data(), s.M, s.K, za);
-    const double threaded_ms = best_of_ms(kTrials, [&] {
-      gemm::gemm_lowp_packed(lhs, B.data(), zb, s.N, got.data(), {});
-    });
-
-    // Per-micro-kernel-variant rows: cached LHS, threads off, identical
-    // packing — the only difference between rows is the micro-kernel, so
-    // scalar vs kAuto isolates the SIMD win the tentpole claims.
     struct KernelRow {
       gemm::Kernel k;
       double ms = 0.0;
       bool parity = false;
     };
-    gemm::gemm_lowp_i32(s.M, s.N, s.K, A.data(), za, B.data(), zb, ref.data());
     std::vector<KernelRow> krows;
-    double scalar_ms = 0.0, auto_ms = 0.0;
-    bool kernel_parity = true;
+    double scalar_ms = 0.0, loop_ms = 0.0;
+    bool loop_parity = true;
     for (const gemm::Kernel k : gemm::dispatchable_kernels()) {
-      gemm::GemmOptions ko;
-      ko.allow_threads = false;
-      ko.kernel = k;
-      std::fill(got.begin(), got.end(), 0);
-      gemm::gemm_lowp_packed(lhs, B.data(), zb, s.N, got.data(), ko);
-      const bool kp = ref == got;
-      kernel_parity = kernel_parity && kp;
-      const double ms = best_of_ms(kTrials, [&] {
-        gemm::gemm_lowp_packed(lhs, B.data(), zb, s.N, got.data(), ko);
-      });
+      std::fill(f.out.begin(), f.out.end(), -1.0f);
+      const double ms =
+          best_of_ms(kTrials, [&] { f.panel_loop(k, f.out.data()); });
+      const bool kp = f.bit_exact();
+      loop_parity = loop_parity && kp;
       if (k == gemm::Kernel::kScalar) scalar_ms = ms;
-      if (k == dispatched) auto_ms = ms;
+      if (k == dispatched) loop_ms = ms;
       krows.push_back({k, ms, kp});
     }
-    const double speedup_kernel = auto_ms > 0.0 ? scalar_ms / auto_ms : 0.0;
-    const bool kernels_ok = kernel_parity &&
-                            dispatched != gemm::Kernel::kScalar &&
-                            speedup_kernel >= kMinKernelSpeedup;
 
-    const double mflop = 2.0 * s.M * s.N * s.K / 1e6;
-    const double speedup_st = naive_ms / packed_st_ms;
+    std::fill(f.out.begin(), f.out.end(), -1.0f);
+    const double threaded_ms =
+        best_of_ms(kTrials, [&] { f.threaded(f.out.data()); });
+    const bool parity_threaded = f.bit_exact();
+
+    const double mflop = f.mflop();
+    const double speedup_kernel = loop_ms > 0.0 ? scalar_ms / loop_ms : 0.0;
+    const double speedup_st = naive_ms / loop_ms;
     const double speedup_threaded = naive_ms / threaded_ms;
-    const bool shape_ok = parity_i32 && parity_shift4 && kernels_ok &&
+    const bool kernels_ok = dispatched != gemm::Kernel::kScalar &&
+                            speedup_kernel >= kMinKernelSpeedup;
+    const bool shape_ok = parity_naive && loop_parity && parity_threaded &&
+                          kernels_ok &&
                           speedup_st >= kMinSingleThreadSpeedup &&
                           speedup_threaded >= kMinThreadedSpeedup;
     pass = pass && shape_ok;
 
     std::printf(
-        "%-9s M=%-4lld N=%-6lld K=%-5lld parity(i32)=%s parity(shift4)=%s\n"
-        "          naive %8.3f ms (%7.0f MFLOP/s)\n"
-        "          packed-1t %8.3f ms (%7.0f MFLOP/s)  %.2fx  [floor %.1fx]\n"
-        "          threaded  %8.3f ms (%7.0f MFLOP/s)  %.2fx  [floor %.1fx]"
+        "%-4s C=%-4lld %lldx%lld k%lld s%lld  M=%-4lld N=%-6lld K=%-5lld "
+        "parity(loop)=%s parity(threaded)=%s\n"
+        "     naive      %8.3f ms (%7.0f MFLOP/s)\n"
+        "     panel-1t   %8.3f ms (%7.0f MFLOP/s)  %.2fx  [floor %.1fx]\n"
+        "     threaded   %8.3f ms (%7.0f MFLOP/s)  %.2fx  [floor %.1fx]"
         "  -> %s\n",
-        s.name, static_cast<long long>(s.M), static_cast<long long>(s.N),
-        static_cast<long long>(s.K), parity_i32 ? "ok" : "FAIL",
-        parity_shift4 ? "ok" : "FAIL", naive_ms, mflop / naive_ms * 1e3,
-        packed_st_ms, mflop / packed_st_ms * 1e3, speedup_st,
-        kMinSingleThreadSpeedup, threaded_ms, mflop / threaded_ms * 1e3,
-        speedup_threaded, kMinThreadedSpeedup, shape_ok ? "PASS" : "FAIL");
+        f.s.name, static_cast<long long>(g.in_channels),
+        static_cast<long long>(g.in_height),
+        static_cast<long long>(g.in_width), static_cast<long long>(g.kernel),
+        static_cast<long long>(g.stride), static_cast<long long>(f.s.M),
+        static_cast<long long>(g.num_patches()),
+        static_cast<long long>(g.patch_size()), loop_parity ? "ok" : "FAIL",
+        parity_threaded ? "ok" : "FAIL", naive_ms, mflop / naive_ms * 1e3,
+        loop_ms, mflop / loop_ms * 1e3, speedup_st, kMinSingleThreadSpeedup,
+        threaded_ms, mflop / threaded_ms * 1e3, speedup_threaded,
+        kMinThreadedSpeedup, shape_ok ? "PASS" : "FAIL");
     for (const KernelRow& r : krows) {
       std::printf(
-          "          kernel %-7s %8.3f ms (%7.0f MFLOP/s)  %.2fx vs scalar"
+          "     kernel %-7s %8.3f ms (%7.0f MFLOP/s)  %.2fx vs scalar"
           "  parity=%s%s\n",
           gemm::kernel_name(r.k), r.ms, mflop / r.ms * 1e3, scalar_ms / r.ms,
-          r.parity ? "ok" : "FAIL",
-          r.k == dispatched ? "  <- kAuto" : "");
+          r.parity ? "ok" : "FAIL", r.k == dispatched ? "  <- kAuto" : "");
     }
-    std::printf("          kernel gate %.2fx (floor %.1fx, dispatched=%s)\n",
+    std::printf("     kernel gate %.2fx (floor %.1fx, dispatched=%s)\n",
                 speedup_kernel, kMinKernelSpeedup,
                 gemm::kernel_name(dispatched));
 
-    js << (first_shape ? "" : ",") << "\n    {\"name\": \"" << s.name
-       << "\", \"M\": " << s.M << ", \"N\": " << s.N << ", \"K\": " << s.K
+    js << (si ? "," : "") << "\n    {\"name\": \"" << f.s.name
+       << "\", \"C\": " << g.in_channels << ", \"H\": " << g.in_height
+       << ", \"W\": " << g.in_width << ", \"kernel\": " << g.kernel
+       << ", \"stride\": " << g.stride << ", \"pad\": " << g.pad
+       << ", \"M\": " << f.s.M << ", \"N\": " << g.num_patches()
+       << ", \"K\": " << g.patch_size()
        << ",\n     \"naive_ms\": " << naive_ms
-       << ", \"packed_single_thread_ms\": " << packed_st_ms
-       << ", \"packed_threaded_ms\": " << threaded_ms
+       << ", \"panel_loop_single_thread_ms\": " << loop_ms
+       << ", \"driver_threaded_ms\": " << threaded_ms
        << ",\n     \"naive_mflops\": " << mflop / naive_ms * 1e3
-       << ", \"packed_single_thread_mflops\": " << mflop / packed_st_ms * 1e3
-       << ", \"packed_threaded_mflops\": " << mflop / threaded_ms * 1e3
+       << ", \"panel_loop_single_thread_mflops\": " << mflop / loop_ms * 1e3
+       << ", \"driver_threaded_mflops\": " << mflop / threaded_ms * 1e3
        << ",\n     \"speedup_single_thread\": " << speedup_st
        << ", \"speedup_threaded\": " << speedup_threaded
-       << ", \"parity_i32\": " << (parity_i32 ? "true" : "false")
-       << ", \"parity_shift4\": " << (parity_shift4 ? "true" : "false")
+       << ", \"parity_panel_loop\": " << (loop_parity ? "true" : "false")
+       << ", \"parity_driver\": " << (parity_threaded ? "true" : "false")
        << ",\n     \"dispatched_kernel\": \"" << gemm::kernel_name(dispatched)
        << "\", \"speedup_kernel\": " << speedup_kernel
        << ",\n     \"kernels\": [";
@@ -377,7 +416,6 @@ int run_gate(const char* json_path) {
          << ", \"parity\": " << (krows[i].parity ? "true" : "false") << "}";
     }
     js << "],\n     \"pass\": " << (shape_ok ? "true" : "false") << "}";
-    first_shape = false;
   }
   js << "\n  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
 
@@ -399,6 +437,7 @@ int run_gate(const char* json_path) {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--gate") == 0)
     return run_gate(argc > 2 ? argv[2] : "BENCH_gemm.json");
+  register_panel_loop_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -4,11 +4,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
+#include "lowp_oracle.hpp"
 #include "nn/zoo.hpp"
 #include "perf/stage_times.hpp"
 
@@ -33,39 +35,62 @@ double best_of_ms(int trials, F&& fn) {
   return best;
 }
 
-// Host-measured complement to the modeled table: the CPU-resident
-// input/output layer GEMMs, naive lowp vs the packed/tiled engine
-// (gemm_packed.hpp), with the one-time weight pack reported separately.
-void report_packed_engine() {
+// Host-measured complement to the modeled table: the CPU-resident input
+// and output layers (L0 and L13 of zoo:tincy-w1a3 at 416) through the
+// 8-bit conv driver against its naive form (dense im2col +
+// gemm_lowp_i32 + the same bias epilogue), checked bit for bit, with the
+// one-time weight pack reported separately.
+void report_lowp_driver() {
   const struct {
     const char* name;
-    int64_t M, N, K;
+    gemm::ConvGeometry g;
+    int64_t M;
   } shapes[] = {
-      {"Input Layer GEMM", 16, 104 * 104, 27},
-      {"Output Layer GEMM", 125, 13 * 13, 1024},
+      {"Input Layer", {3, 416, 416, 3, 2, 1}, 16},
+      {"Output Layer", {512, 13, 13, 1, 1, 0}, 125},
   };
   std::printf(
-      "\nHOST-MEASURED CPU GEMM (naive lowp vs packed engine, best of 5)\n");
-  std::printf("%-20s %10s %10s %9s %9s\n", "Stage", "Naive ms", "Packed ms",
-              "Pack ms", "Speedup");
+      "\nHOST-MEASURED CPU 8-BIT CONV (naive vs the conv driver, best of 5)\n");
+  std::printf("%-20s %10s %10s %9s %9s %10s\n", "Stage", "Naive ms",
+              "Driver ms", "Pack ms", "Speedup", "Bit-exact");
   for (const auto& s : shapes) {
+    const int64_t K = s.g.patch_size(), n = s.g.num_patches();
     Rng rng(7);
-    std::vector<uint8_t> a(s.M * s.K), b(s.K * s.N);
+    std::vector<uint8_t> a(s.M * K),
+        image(s.g.in_channels * s.g.in_height * s.g.in_width);
     for (auto& v : a) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    for (auto& v : b) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-    std::vector<int32_t> c(s.M * s.N);
-    const int32_t za = 7, zb = 131;
+    for (auto& v : image) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
+    std::vector<float> bias(s.M);
+    for (auto& v : bias) v = rng.normal();
+    const quant::AffineParams in_params{0.02f, 131}, w_params{0.01f, 7};
+    const float real_scale = in_params.scale * w_params.scale;
+    std::vector<int32_t> acc(s.M * n);
+    std::vector<float> want(s.M * n), got(s.M * n);
     const double naive_ms = best_of_ms(5, [&] {
-      gemm::gemm_lowp_i32(s.M, s.N, s.K, a.data(), za, b.data(), zb, c.data());
+      oracle::lowp_conv_naive(image.data(), s.g, a.data(), s.M,
+                              w_params.zero_point, in_params.zero_point,
+                              acc.data());
+      for (int64_t m = 0; m < s.M; ++m)
+        for (int64_t j = 0; j < n; ++j)
+          want[m * n + j] =
+              oracle::lowp_bias_epilogue(real_scale, acc[m * n + j], bias[m]);
     });
-    const double pack_ms = best_of_ms(
-        5, [&] { (void)gemm::pack_lhs(a.data(), s.M, s.K, za); });
-    const gemm::PackedLhs lhs = gemm::pack_lhs(a.data(), s.M, s.K, za);
-    const double packed_ms = best_of_ms(5, [&] {
-      gemm::gemm_lowp_packed(lhs, b.data(), zb, s.N, c.data(), {});
+    const double pack_ms = best_of_ms(5, [&] {
+      (void)gemm::pack_lhs(a.data(), s.M, K, w_params.zero_point);
     });
-    std::printf("%-20s %10.3f %10.3f %9.3f %8.2fx\n", s.name, naive_ms,
-                packed_ms, pack_ms, naive_ms / packed_ms);
+    const gemm::PackedLhs lhs =
+        gemm::pack_lhs(a.data(), s.M, K, w_params.zero_point);
+    gemm::LowpEpilogue epilogue;
+    epilogue.bias = bias.data();
+    const double driver_ms = best_of_ms(5, [&] {
+      gemm::fused_conv_lowp_f32out(image.data(), s.g, in_params, lhs,
+                                   w_params, epilogue, got.data());
+    });
+    const bool exact =
+        std::memcmp(want.data(), got.data(), want.size() * sizeof(float)) == 0;
+    std::printf("%-20s %10.3f %10.3f %9.3f %8.2fx %10s\n", s.name, naive_ms,
+                driver_ms, pack_ms, naive_ms / driver_ms,
+                exact ? "yes" : "NO");
   }
 }
 
@@ -103,6 +128,6 @@ int main() {
       "(The scalar-GEMM/im2col/pool rates are calibrated against this very\n"
       "table — see perf/platform.hpp and EXPERIMENTS.md; every other\n"
       "configuration in the ladder is then *predicted* from those rates.)\n");
-  report_packed_engine();
+  report_lowp_driver();
   return 0;
 }

@@ -7,6 +7,7 @@
 #include <emmintrin.h>
 #endif
 
+#include "core/thread_pool.hpp"
 #include "gemm/layout.hpp"
 #include "gemm/scratch.hpp"
 #include "telemetry/metrics.hpp"
@@ -28,18 +29,6 @@ void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
       C[i * N + j] = acc;
     }
   }
-}
-
-void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                  int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                  const quant::Requantizer& requant, uint8_t* C) {
-  // Accumulate through the packed engine (bit-identical to gemm_lowp_i32)
-  // into arena scratch: no heap allocation in steady state.
-  auto& arena = thread_arena();
-  ScratchScope scope(arena);
-  int32_t* acc = arena.alloc<int32_t>(M * N);
-  gemm_lowp_packed(M, N, K, A, lhs_zero, B, rhs_zero, acc);
-  for (int64_t i = 0; i < M * N; ++i) C[i] = requant.apply(acc[i]);
 }
 
 namespace {
@@ -232,19 +221,21 @@ struct CodeSink {
   }
 };
 
-/// parallel_for context of the driver: shards of column panels, each
-/// im2col'd, multiplied and run through the epilogue in the worker's own
-/// arena.
+/// parallel_for context of the driver. A work item is one row group of
+/// one column panel: the panel im2col'd (once per run of items on the
+/// same panel), the group's rows multiplied and run through the epilogue
+/// in the worker's own arena.
 template <typename Sink>
 struct LowpShardCtx {
   const uint8_t* qimage;
   const ConvGeometry* g;
-  PackedLhsView weights;
+  const PackedLhs* weights;
   int32_t input_zero;
   float real_scale;
   const LowpEpilogue* epilogue;
   Sink sink;
   int64_t n;
+  int64_t row_groups;
   Kernel kernel;
 };
 
@@ -252,22 +243,30 @@ template <typename Sink>
 void run_lowp_shard(int64_t lo, int64_t hi, void* p) {
   const auto& ctx = *static_cast<const LowpShardCtx<Sink>*>(p);
   const LowpEpilogue& epi = *ctx.epilogue;
-  const int64_t patch = ctx.weights.depth;
-  const int64_t out_channels = ctx.weights.rows;
+  const int64_t patch = ctx.weights->depth;
+  const int64_t out_channels = ctx.weights->rows;
+  const int64_t row_blocks = (out_channels + kMr - 1) / kMr;
   const auto pad = static_cast<uint8_t>(ctx.input_zero);
   auto& arena = thread_arena();
   ScratchScope scope(arena);
   uint8_t* panel = arena.alloc<uint8_t>(patch * kNr);
   int32_t* acc = arena.alloc<int32_t>(out_channels * kNr);
-  for (int64_t pi = lo; pi < hi; ++pi) {
+  int32_t col_sums[kNr];
+  for (int64_t item = lo, loaded = -1; item < hi; ++item) {
+    const int64_t pi = item / ctx.row_groups, rg = item % ctx.row_groups;
     const int64_t col0 = pi * kNr;
     const int64_t width = std::min<int64_t>(kNr, ctx.n - col0);
-    int32_t col_sums[kNr];
-    im2col_panel_u8(ctx.qimage, *ctx.g, col0, width, pad, panel, col_sums);
+    if (pi != loaded) {
+      im2col_panel_u8(ctx.qimage, *ctx.g, col0, width, pad, panel, col_sums);
+      loaded = pi;
+    }
+    const int64_t m0 = rg * row_blocks / ctx.row_groups * kMr;
+    const int64_t m1 = std::min<int64_t>(
+        out_channels, (rg + 1) * row_blocks / ctx.row_groups * kMr);
     // All kNr lanes (padding lanes too), so the chain runs full width.
-    gemm_lowp_packed_panel(ctx.weights, panel, col_sums, 0, kNr, kNr,
-                           ctx.input_zero, Accumulator::kI32, acc, ctx.kernel);
-    for (int64_t m = 0; m < out_channels; ++m) {
+    gemm_lowp_packed_panel(*ctx.weights, m0, m1, panel, col_sums,
+                           ctx.input_zero, acc, ctx.kernel);
+    for (int64_t m = m0; m < m1; ++m) {
       const float mul = epi.mul ? epi.mul[m] : 1.0f;
       const float add = epi.add ? epi.add[m] : 0.0f;
       const float bias = epi.bias ? epi.bias[m] : 0.0f;
@@ -293,12 +292,11 @@ void run_lowp_shard(int64_t lo, int64_t hi, void* p) {
 template <typename Sink>
 void run_lowp(const uint8_t* qimage, const ConvGeometry& g,
               const quant::AffineParams& input_params,
-              const PackedLhsView& weights,
+              const PackedLhs& weights,
               const quant::AffineParams& weight_params,
               const LowpEpilogue& epilogue, Sink sink) {
-  // A packed-engine driver: im2col, RHS packing, the micro-kernel and the
-  // epilogue are one span, attributed like gemm_lowp_packed's compute
-  // half.
+  // im2col straight into the RHS panels, the micro-kernel and the
+  // epilogue are one span.
   auto& registry = telemetry::MetricsRegistry::global();
   static telemetry::Histogram& packed_hist =
       registry.histogram("gemm.packed_ms");
@@ -310,18 +308,6 @@ void run_lowp(const uint8_t* qimage, const ConvGeometry& g,
 
   const int64_t patch = g.patch_size(), n = g.num_patches();
   const int64_t out_channels = weights.rows;
-  // The micro-kernel is resolved once per call, not per panel: resolving
-  // scans the environment for TINCY_GEMM_KERNEL, which costs a sixth of
-  // a skinny panel's tiles (L0's K = 27).
-  LowpShardCtx<Sink> ctx{qimage,
-                         &g,
-                         weights,
-                         input_params.zero_point,
-                         input_params.scale * weight_params.scale,
-                         &epilogue,
-                         sink,
-                         n,
-                         resolve_kernel(Kernel::kAuto)};
   core::ThreadPool& pool = core::ThreadPool::shared();
   const int64_t num_panels = (n + kNr - 1) / kNr;
   const int64_t total_ops = 2 * out_channels * n * patch;
@@ -329,17 +315,38 @@ void run_lowp(const uint8_t* qimage, const ConvGeometry& g,
   constexpr int64_t kMinOpsPerShard = int64_t{1} << 18;
   if (pool.threads() > 1 && total_ops >= 2 * kMinOpsPerShard)
     shards = std::min<int64_t>(pool.threads(), total_ops / kMinOpsPerShard);
+  // Fewer panels than shards (a connected layer's one column, a tiny
+  // map): each panel's row blocks are split into groups as well.
+  const int64_t row_groups =
+      num_panels >= shards
+          ? 1
+          : std::min((out_channels + kMr - 1) / kMr,
+                     (shards + num_panels - 1) / num_panels);
+  const int64_t items = num_panels * row_groups;
+  shards = std::min(shards, items);
   threads_gauge.set(static_cast<double>(shards));
-  const int64_t chunks =
-      shards == 1 ? 1 : std::min<int64_t>(num_panels, shards * 4);
-  pool.parallel_for(0, num_panels, chunks, run_lowp_shard<Sink>, &ctx);
+  // The micro-kernel is resolved once per call, not per panel: resolving
+  // scans the environment for TINCY_GEMM_KERNEL, which costs a sixth of
+  // a skinny panel's tiles (L0's K = 27).
+  LowpShardCtx<Sink> ctx{qimage,
+                         &g,
+                         &weights,
+                         input_params.zero_point,
+                         input_params.scale * weight_params.scale,
+                         &epilogue,
+                         sink,
+                         n,
+                         row_groups,
+                         resolve_kernel(Kernel::kAuto)};
+  const int64_t chunks = shards == 1 ? 1 : std::min(items, shards * 4);
+  pool.parallel_for(0, items, chunks, run_lowp_shard<Sink>, &ctx);
 }
 
 }  // namespace
 
 void fused_conv_lowp_f32out(const uint8_t* qimage, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
-                            const PackedLhsView& weights,
+                            const PackedLhs& weights,
                             const quant::AffineParams& weight_params,
                             const LowpEpilogue& epilogue, float* out) {
   run_lowp(qimage, g, input_params, weights, weight_params, epilogue,
@@ -348,7 +355,7 @@ void fused_conv_lowp_f32out(const uint8_t* qimage, const ConvGeometry& g,
 
 void fused_conv_lowp_codes(const uint8_t* qimage, const ConvGeometry& g,
                            const quant::AffineParams& input_params,
-                           const PackedLhsView& weights,
+                           const PackedLhs& weights,
                            const quant::AffineParams& weight_params,
                            const LowpEpilogue& epilogue,
                            const quant::CodeGrid& grid, uint8_t* out) {

@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file gemm_lowp.hpp
-/// Self-contained low-precision GEMM with the gemmlowp contract the paper's
-/// 8-bit NEON path builds on: uint8 operands with zero-point offsets,
-/// int32 accumulation, and an optional integer requantization pipeline
-/// producing uint8 output — plus the 8-bit conv driver built on it, whose
-/// epilogue writes either the layer's floats or the next layer's codes.
+/// The 8-bit conv driver, the one threaded path of every 8-bit layer: the
+/// gemmlowp contract the paper's 8-bit NEON path builds on (uint8 operands
+/// with zero-point offsets, exact int32 accumulation) on the packed tile
+/// of gemm_packed.hpp, with a float epilogue that writes either the
+/// layer's floats or the next layer's codes. gemm_lowp_i32 is its scalar
+/// oracle.
 
 #include <cstdint>
 #include <optional>
@@ -24,12 +25,6 @@ namespace tincy::gemm {
 void gemm_lowp_i32(int64_t M, int64_t N, int64_t K, const uint8_t* A,
                    int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
                    int32_t* C);
-
-/// Full quantized GEMM: int32 accumulation followed by the requantization
-/// pipeline into uint8 output codes.
-void gemm_lowp_u8(int64_t M, int64_t N, int64_t K, const uint8_t* A,
-                  int32_t lhs_zero, const uint8_t* B, int32_t rhs_zero,
-                  const quant::Requantizer& requant, uint8_t* C);
 
 /// The per-element float chain of an 8-bit conv's epilogue. For output
 /// channel c and its exact int32 accumulator acc,
@@ -89,12 +84,12 @@ quant::AffineParams quantize_code_frame(const quant::CodeGrid& g,
 /// heap allocations in steady state.
 void fused_conv_lowp_f32out(const uint8_t* qimage, const ConvGeometry& g,
                             const quant::AffineParams& input_params,
-                            const PackedLhsView& weights,
+                            const PackedLhs& weights,
                             const quant::AffineParams& weight_params,
                             const LowpEpilogue& epilogue, float* out);
 void fused_conv_lowp_codes(const uint8_t* qimage, const ConvGeometry& g,
                            const quant::AffineParams& input_params,
-                           const PackedLhsView& weights,
+                           const PackedLhs& weights,
                            const quant::AffineParams& weight_params,
                            const LowpEpilogue& epilogue,
                            const quant::CodeGrid& grid, uint8_t* out);

@@ -1,44 +1,39 @@
 #pragma once
 
 /// \file kernels.hpp
-/// Runtime-dispatched micro-kernel variants of the packed GEMM engine.
+/// Runtime-dispatched variants of the 8-bit conv driver's one
+/// micro-kernel, the exact-i32 4×16 tile of gemm_lowp_packed_panel.
 ///
 /// The paper's §III-D CPU kernels get their throughput from NEON widening
-/// i8 multiply-accumulates and saturating rounding narrows. This host is
-/// x86, so the engine ships the same micro-kernels at four width tiers
-/// and picks the widest one the machine can run:
+/// u8 multiply-accumulates. This host is x86, so the tile ships at four
+/// width tiers and the widest one the machine can run is picked:
 ///
 ///   kScalar — plain scalar loops with auto-vectorization disabled. The
-///             slowest variant and the micro-kernel-level baseline the
-///             bench gate measures speedups against; also the most
-///             trustworthy shoulder-check next to the gemm_lowp_i32 /
-///             gemm_lowp_i32_shift4 oracles.
+///             slowest variant and the baseline the bench gate measures
+///             speedups against; also the most trustworthy
+///             shoulder-check next to the gemm_lowp_i32 oracle.
 ///   kLanes  — the portable NEON lane model (simd/vec.hpp): fixed
-///             trip-count 16-lane loops over U32x16/I16x16 register
-///             blocks (VDUP + VMULL.U8 + VADDW per LHS byte) that
-///             compilers auto-vectorize to the host's baseline ISA (SSE2
-///             on x86-64).
-///   kAvx2   — AVX2 intrinsics. The exact-i32 tile runs over k-pairs:
-///             panel rows k and k+1 interleaved into s16 column pairs,
-///             the LHS pair (a[k][r], a[k+1][r]) broadcast as one i32,
-///             one VPMADDWD per 8 columns into i32 accumulators. The
-///             16-bit accumulator and GEMV kernels issue the lane model's
-///             arithmetic on 256-bit registers (VPMULLW + widening adds).
+///             trip-count 16-lane loops over U32x16 register blocks
+///             (VDUP + VMULL.U8 + VADDW per LHS byte) that compilers
+///             auto-vectorize to the host's baseline ISA (SSE2 on x86-64).
+///   kAvx2   — AVX2 intrinsics over k-pairs: panel rows k and k+1
+///             interleaved into s16 column pairs, the LHS pair
+///             (a[k][r], a[k+1][r]) broadcast as one i32, one VPMADDWD per
+///             8 columns into i32 accumulators.
 ///   kAvx512 — the same k-pair VPMADDWD tile on AVX-512BW, one zmm per
-///             LHS row holding all 16 columns × 2 k; its 16-bit
-///             accumulator and GEMV entries are kAvx2's.
+///             LHS row holding all 16 columns × 2 k.
 ///
 /// The x86 variants are compiled per-function with target attributes and
 /// selected at runtime via cpuid. Every variant computes bit-identical
 /// results for all inputs — the contract enforced by
 /// tests/test_gemm_conformance.cpp, which sweeps randomized shapes and
 /// saturation-boundary values across every dispatchable variant against
-/// the scalar oracles.
+/// the scalar oracle.
 ///
-/// Dispatch: GemmOptions::kernel defaults to Kernel::kAuto, which obeys
-/// the TINCY_GEMM_KERNEL environment override ("scalar", "lanes",
-/// "avx2", "avx512") when set and valid, else picks the widest supported
-/// variant. Requesting an unsupported variant falls back to the widest
+/// Dispatch: Kernel::kAuto obeys the TINCY_GEMM_KERNEL environment
+/// override ("scalar", "lanes", "avx2", "avx512") when set and valid, else
+/// picks the widest supported variant; the conv driver resolves it once
+/// per call. Requesting an unsupported variant falls back to the widest
 /// supported one rather than failing — the override is a testing/benching
 /// knob, not a correctness switch.
 
@@ -47,7 +42,7 @@
 
 namespace tincy::gemm {
 
-/// Micro-kernel variant of one packed GEMM call.
+/// Micro-kernel variant of one 8-bit conv call.
 enum class Kernel : int {
   kAuto = 0,  ///< TINCY_GEMM_KERNEL override, else widest supported
   kScalar,    ///< scalar loops, auto-vectorization disabled (baseline)
@@ -60,24 +55,12 @@ enum class Kernel : int {
 inline constexpr Kernel kConcreteKernels[] = {Kernel::kScalar, Kernel::kLanes,
                                               Kernel::kAvx2, Kernel::kAvx512};
 
-/// One variant's micro-kernel entry points. All operate on the packed
-/// panel layouts of gemm_packed.hpp (kMr-row LHS panels, kNr-wide RHS
-/// panels) and are bit-identical across variants by contract.
-struct MicroKernels {
-  /// 4×16 tile of the exact-i32 path: raw unsigned u8·u8 dot products
-  /// into u32 accumulators (modulo 2^32); zero-point corrections happen
-  /// on write-back.
-  void (*i32)(const uint8_t* a, const uint8_t* b, int64_t K, uint32_t* tile);
-  /// 4×16 tile of the paper's 16-bit accumulator path: centered products
-  /// rounding-right-shifted by 4, saturating-added, rescaled by 16.
-  void (*i16shift4)(const uint8_t* a, const uint8_t* b, int64_t K,
-                    int32_t lhs_zero, int32_t rhs_zero, int32_t* tile);
-  /// GEMV (N == 1) flat-dot kernel over one packed row block: `a` is the
-  /// K·kMr-byte packed block, `bexp` the RHS column replicated kMr times;
-  /// writes kMr raw (offset-uncorrected) dot products.
-  void (*gemv)(const uint8_t* a, const uint8_t* bexp, int64_t len,
-               int64_t* raw);
-};
+/// The exact-i32 4×16 tile over the packed panel layouts of
+/// gemm_packed.hpp (kMr-row LHS panels, kNr-wide RHS panels): raw
+/// unsigned u8·u8 dot products into u32 accumulators (modulo 2^32);
+/// zero-point corrections happen on write-back.
+using LowpTileFn = void (*)(const uint8_t* a, const uint8_t* b, int64_t K,
+                            uint32_t* tile);
 
 /// Human-readable variant name ("auto", "scalar", "lanes", "avx2",
 /// "avx512").
@@ -105,13 +88,13 @@ Kernel resolve_kernel(Kernel requested);
 /// the sweep list of the conformance harness and the bench gate.
 std::vector<Kernel> dispatchable_kernels();
 
-/// Entry points of a concrete (resolved) variant.
-const MicroKernels& micro_kernels(Kernel resolved);
+/// Tile of a concrete (resolved) variant.
+LowpTileFn lowp_kernel(Kernel resolved);
 
-/// Entry points of kAvx2 / kAvx512, or nullptr when the build or machine
-/// lacks the variant (or `k` is not an x86 one). Defined in
-/// kernels_avx2.cpp; exposed for the dispatch table only.
-const MicroKernels* x86_micro_kernels(Kernel k);
+/// Tile of kAvx2 / kAvx512, or nullptr when the build or machine lacks
+/// the variant (or `k` is not an x86 one). Defined in kernels_avx2.cpp;
+/// exposed for the dispatch table only.
+LowpTileFn x86_lowp_kernel(Kernel k);
 
 // --- Bit-serial popcount variants (gemm/bitserial.hpp) ------------------
 //

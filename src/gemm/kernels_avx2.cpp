@@ -1,6 +1,6 @@
 /// \file kernels_avx2.cpp
-/// x86 micro-kernels of the packed GEMM engine (Kernel::kAvx2 and
-/// Kernel::kAvx512).
+/// x86 variants of the 8-bit conv driver's exact-i32 tile (Kernel::kAvx2
+/// and Kernel::kAvx512).
 ///
 /// The exact-i32 tile runs over k-pairs with VPMADDWD: panel rows k and
 /// k+1 (16 u8 each) are interleaved byte by byte and zero-extended, so
@@ -11,18 +11,12 @@
 /// kAvx2 holds a row's 16 columns in two ymm, kAvx512 in one zmm; the
 /// packed panel layouts are those of gemm_packed.hpp, unchanged.
 ///
-/// The 16-bit accumulator and GEMV kernels issue the lane model's
-/// arithmetic on 256-bit registers (VPMULLW + widening adds); kAvx512
-/// reuses them. Each function carries its own target attribute so the TU
-/// builds without global ISA flags; the dispatcher probes cpuid once and
-/// only hands out what the machine executes. Bit-identity with the scalar
-/// oracles is by construction:
-///   * a u8·u8 pair sum is at most 2·255·255 = 130,050, exact in a
-///     VPMADDWD lane, and i32 adds wrap like the scalar u32 ones;
-///   * u8·u8 products are exact in the low 16 bits VPMULLW keeps;
-///   * the VRSHR rounding shift (x + 8) >> 4 is issued overflow-free as
-///     (x >> 4) + ((x >> 3) & 1), an identity for arithmetic shifts;
-///   * VQADD maps to VPADDSW.
+/// Each function carries its own target attribute so the TU builds
+/// without global ISA flags; the dispatcher probes cpuid once and only
+/// hands out what the machine executes. Bit-identity with the scalar
+/// oracle is by construction: a u8·u8 pair sum is at most
+/// 2·255·255 = 130,050, exact in a VPMADDWD lane, and i32 adds wrap like
+/// the scalar u32 ones.
 
 #include "gemm/kernels.hpp"
 
@@ -57,20 +51,6 @@ inline int64_t lhs_pair_bytes(const uint8_t* a, bool pair) {
 constexpr int kPairControl[4] = {
     static_cast<int>(0xFF04FF00), static_cast<int>(0xFF05FF01),
     static_cast<int>(0xFF06FF02), static_cast<int>(0xFF07FF03)};
-
-/// Zero-extends the 16 u8 lanes at p into one 16×u16 ymm (VPMOVZXBW).
-TINCY_AVX2 inline __m256i load_u8x16_as_u16(const uint8_t* p) {
-  return _mm256_cvtepu8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-/// Rounding arithmetic shift right by 4 on i16 lanes (VRSHR.S16 #4),
-/// overflow-free: (x + 8) >> 4 == (x >> 4) + ((x >> 3) & 1).
-TINCY_AVX2 inline __m256i rounding_shift_right4_i16(__m256i x) {
-  return _mm256_add_epi16(
-      _mm256_srai_epi16(x, 4),
-      _mm256_and_si256(_mm256_srai_epi16(x, 3), _mm256_set1_epi16(1)));
-}
 
 /// One k-pair (or, without `pair`, the last odd k) of the AVX2 tile:
 /// columns 0-7 in `lo`, 8-15 in `hi`, one ymm each per row.
@@ -111,58 +91,6 @@ TINCY_AVX2 void avx2_i32(const uint8_t* a, const uint8_t* b, int64_t K,
     _mm256_storeu_si256(out, lo[r]);
     _mm256_storeu_si256(out + 1, hi[r]);
   }
-}
-
-/// 4×16 tile of the 16-bit accumulator path: centered products (low-16
-/// wrap, exactly the scalar cast), VRSHR by 4, saturating add (VPADDSW),
-/// rescale by 16 on the widening store.
-TINCY_AVX2 void avx2_i16shift4(const uint8_t* a, const uint8_t* b, int64_t K,
-                               int32_t lhs_zero, int32_t rhs_zero,
-                               int32_t* tile) {
-  const __m256i vzb = _mm256_set1_epi16(static_cast<short>(rhs_zero));
-  __m256i acc[kMr];
-  for (int64_t r = 0; r < kMr; ++r) acc[r] = _mm256_setzero_si256();
-  for (int64_t k = 0; k < K; ++k) {
-    const __m256i bv = _mm256_sub_epi16(load_u8x16_as_u16(b + k * kNr), vzb);
-    const uint8_t* ak = a + k * kMr;
-    for (int64_t r = 0; r < kMr; ++r) {
-      const __m256i av = _mm256_set1_epi16(
-          static_cast<short>(static_cast<int32_t>(ak[r]) - lhs_zero));
-      acc[r] = _mm256_adds_epi16(
-          acc[r], rounding_shift_right4_i16(_mm256_mullo_epi16(av, bv)));
-    }
-  }
-  for (int64_t r = 0; r < kMr; ++r) {
-    const __m256i lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(acc[r]));
-    const __m256i hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(acc[r], 1));
-    __m256i* out = reinterpret_cast<__m256i*>(tile + r * kNr);
-    _mm256_storeu_si256(out, _mm256_slli_epi32(lo, 4));
-    _mm256_storeu_si256(out + 1, _mm256_slli_epi32(hi, 4));
-  }
-}
-
-/// GEMV flat dot: 16 u8 pairs per step, widened products accumulated in
-/// interleaved u32 lanes. Every interleaved group of 4 lanes stays
-/// congruent to its logical position mod kMr, so the fold by buffer
-/// index % kMr recovers exactly the lane-model row assignment.
-TINCY_AVX2 void avx2_gemv(const uint8_t* a, const uint8_t* bexp, int64_t len,
-                          int64_t* raw) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc_lo = zero, acc_hi = zero;
-  int64_t l = 0;
-  for (; l + 16 <= len; l += 16) {
-    const __m256i prod = _mm256_mullo_epi16(load_u8x16_as_u16(a + l),
-                                            load_u8x16_as_u16(bexp + l));
-    acc_lo = _mm256_add_epi32(acc_lo, _mm256_unpacklo_epi16(prod, zero));
-    acc_hi = _mm256_add_epi32(acc_hi, _mm256_unpackhi_epi16(prod, zero));
-  }
-  uint32_t buf[16];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(buf), acc_lo);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(buf + 8), acc_hi);
-  for (int64_t r = 0; r < kMr; ++r) raw[r] = 0;
-  for (int p = 0; p < 16; ++p) raw[p % kMr] += static_cast<int64_t>(buf[p]);
-  for (; l < len; ++l)
-    raw[l % kMr] += static_cast<int64_t>(a[l]) * bexp[l];
 }
 
 /// One k-pair (or the last odd k) of the AVX-512 tile: all 16 columns ×
@@ -211,17 +139,14 @@ TINCY_AVX512 void avx512_i32(const uint8_t* a, const uint8_t* b, int64_t K,
 #undef TINCY_AVX2
 #undef TINCY_AVX512
 
-constexpr MicroKernels kAvx2Kernels{avx2_i32, avx2_i16shift4, avx2_gemv};
-constexpr MicroKernels kAvx512Kernels{avx512_i32, avx2_i16shift4, avx2_gemv};
-
 }  // namespace
 
-const MicroKernels* x86_micro_kernels(Kernel k) {
+LowpTileFn x86_lowp_kernel(Kernel k) {
   static const bool avx2 = __builtin_cpu_supports("avx2");
   static const bool avx512 = avx2 && __builtin_cpu_supports("avx512f") &&
                              __builtin_cpu_supports("avx512bw");
-  if (k == Kernel::kAvx2 && avx2) return &kAvx2Kernels;
-  if (k == Kernel::kAvx512 && avx512) return &kAvx512Kernels;
+  if (k == Kernel::kAvx2 && avx2) return avx2_i32;
+  if (k == Kernel::kAvx512 && avx512) return avx512_i32;
   return nullptr;
 }
 
@@ -230,7 +155,7 @@ const MicroKernels* x86_micro_kernels(Kernel k) {
 #else  // non-x86 or non-GCC-compatible build: variant unavailable
 
 namespace tincy::gemm {
-const MicroKernels* x86_micro_kernels(Kernel) { return nullptr; }
+LowpTileFn x86_lowp_kernel(Kernel) { return nullptr; }
 }  // namespace tincy::gemm
 
 #endif

@@ -36,8 +36,9 @@ ConvKernel parse_kernel(const std::string& name) {
   throw Error("unknown conv kernel: " + name);
 }
 
-/// A geometry field that must be >= 1: a zero stride divides by zero and a
-/// negative size or filter count sizes a negative tensor.
+/// A field that must be >= 1: a zero stride divides by zero, a negative
+/// size or filter count sizes a negative tensor, and abits below 1 would
+/// shift a level count by a negative amount.
 int64_t positive_int(const Section& s, const std::string& key,
                      int64_t fallback) {
   const int64_t v = s.get_int(key, fallback);
@@ -86,7 +87,7 @@ LayerPtr make_conv(const Section& s, Shape in_shape) {
       parse_activation(s.get_string("activation", "leaky"));
   cfg.batch_normalize = s.get_int("batch_normalize", 0) != 0;
   cfg.binary_weights = s.get_int("binary", 0) != 0;
-  cfg.act_bits = static_cast<int>(s.get_int("abits", 32));
+  cfg.act_bits = static_cast<int>(positive_int(s, "abits", 32));
   cfg.in_scale = static_cast<float>(s.get_double("in_scale", 1.0));
   cfg.out_scale = static_cast<float>(s.get_double("out_scale", 1.0));
   cfg.bipolar = s.get_int("bipolar", 0) != 0;
@@ -107,7 +108,7 @@ LayerPtr make_connected(const Section& s, Shape in_shape) {
   check_elements(s, "weight tensor", {cfg.outputs, in_shape.numel()});
   cfg.activation = parse_activation(s.get_string("activation", "linear"));
   cfg.binary_weights = s.get_int("binary", 0) != 0;
-  cfg.act_bits = static_cast<int>(s.get_int("abits", 32));
+  cfg.act_bits = static_cast<int>(positive_int(s, "abits", 32));
   cfg.in_scale = static_cast<float>(s.get_double("in_scale", 1.0));
   cfg.out_scale = static_cast<float>(s.get_double("out_scale", 1.0));
   cfg.bipolar = s.get_int("bipolar", 0) != 0;

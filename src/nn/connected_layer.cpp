@@ -1,7 +1,6 @@
 #include "nn/connected_layer.hpp"
 
-#include <cmath>
-
+#include "gemm/gemm_lowp.hpp"
 #include "gemm/scratch.hpp"
 #include "nn/weights_io.hpp"
 #include "quant/thresholds.hpp"
@@ -37,19 +36,19 @@ void ConnectedLayer::forward_lowp(const Tensor& in, Tensor& out) const {
                                     lowp_params_->zero_point);
     }
   }
-  // Per-frame input calibration, as in the conv lowp path.
-  const auto [lo, hi] = quant::min_max(in);
-  const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
+  // The 8-bit conv driver on a 1×1 map of `inputs_` channels, with the
+  // frame calibrated per call as the conv lowp path does.
   auto& arena = gemm::thread_arena();
   gemm::ScratchScope scope(arena);
   uint8_t* x = arena.alloc<uint8_t>(inputs_);
-  for (int64_t i = 0; i < inputs_; ++i) x[i] = in_params.quantize(in[i]);
-  int32_t* acc = arena.alloc<int32_t>(cfg_.outputs);
-  gemm::gemm_lowp_packed(*packed_lowp_, x, in_params.zero_point, 1, acc);
-  const float real_scale = in_params.scale * lowp_params_->scale;
-  for (int64_t o = 0; o < cfg_.outputs; ++o)
-    out[o] = apply(cfg_.activation,
-                   real_scale * static_cast<float>(acc[o]) + biases_[o]);
+  const quant::AffineParams in_params =
+      gemm::quantize_frame(in.data(), inputs_, x);
+  gemm::LowpEpilogue epilogue;
+  epilogue.bias = biases_.data();
+  epilogue.act = cfg_.activation;
+  gemm::fused_conv_lowp_f32out(x, {inputs_, 1, 1, 1, 1, 0}, in_params,
+                               *packed_lowp_, *lowp_params_, epilogue,
+                               out.data());
 }
 
 void ConnectedLayer::forward(const Tensor& in, Tensor& out) const {

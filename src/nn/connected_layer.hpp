@@ -25,8 +25,8 @@ struct ConnectedConfig {
   float out_scale = 1.0f;
   /// ±scale activations (W1A1); requires act_bits == 1, linear activation.
   bool bipolar = false;
-  /// cfg `lowp=1`: run the forward pass through the 8-bit packed GEMM
-  /// engine (gemmlowp-style affine weights, per-frame input calibration)
+  /// cfg `lowp=1`: run the forward pass through the 8-bit conv driver on a
+  /// 1×1 map (gemmlowp-style affine weights, per-frame input calibration)
   /// instead of float dot products. Ignored for binary_weights layers.
   bool lowp = false;
 };
@@ -61,8 +61,8 @@ class ConnectedLayer final : public Layer {
   Tensor weights_;  // outputs × inputs
   Tensor biases_;   // outputs
 
-  // Lazy caches of the lowp path's derived weight forms (quantized codes
-  // and the GEMM engine's packed panels), built once per weight mutation,
+  // Lazy caches of the lowp path's derived weight forms (quantization
+  // params and the packed weight panels), built once per weight mutation,
   // under the lock.
   mutable std::mutex cache_mutex_;
   mutable std::optional<quant::AffineParams> lowp_params_;

@@ -22,8 +22,9 @@
 ///
 /// The paper's specialized 16×27 first-layer kernels are not runtime
 /// paths: their timing lives in the perf model (perf::FirstLayerImpl) and
-/// their rshift-4 arithmetic in the packed engine's kI16Shift4 and its
-/// scalar oracle gemm_lowp_i32_shift4.
+/// their rshift-4 arithmetic in the scalar oracle gemm_lowp_i32_shift4,
+/// which the accumulator ablation runs. Every kLowp conv runs the one
+/// 8-bit conv driver (gemm/gemm_lowp.hpp) on its exact-i32 tile.
 ///
 /// Batch normalization is applied inference-style from stored statistics;
 /// in the quantized path it folds into the activation thresholds just as

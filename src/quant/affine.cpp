@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/fixed_point.hpp"
 #include "core/thread_pool.hpp"
 
 namespace tincy::quant {
@@ -157,38 +156,6 @@ void quantize(const float* x, int64_t n, const AffineParams& params,
 Tensor dequantize(const TensorU8& t, const AffineParams& params) {
   Tensor r(t.shape());
   for (int64_t i = 0; i < t.numel(); ++i) r[i] = params.dequantize(t[i]);
-  return r;
-}
-
-uint8_t Requantizer::apply(int32_t acc) const {
-  const int32_t scaled =
-      multiply_by_quantized_multiplier(acc, multiplier, right_shift);
-  return saturate_cast<uint8_t>(static_cast<int64_t>(scaled) +
-                                output_zero_point);
-}
-
-Requantizer make_requantizer(float lhs_scale, float rhs_scale,
-                             const AffineParams& out) {
-  const double m = static_cast<double>(lhs_scale) * rhs_scale / out.scale;
-  TINCY_CHECK_MSG(m > 0.0 && m < 1.0, "real multiplier " << m);
-  // Normalize m into [0.5, 1) * 2^-shift, then express as Q0.31.
-  int shift = 0;
-  double frac = m;
-  while (frac < 0.5) {
-    frac *= 2.0;
-    ++shift;
-  }
-  Requantizer r;
-  const auto q31 = static_cast<int64_t>(std::lround(frac * (1ll << 31)));
-  // Rounding can push frac to exactly 2^31; fold back into the shift.
-  if (q31 == (1ll << 31)) {
-    r.multiplier = 1 << 30;
-    r.right_shift = shift - 1;
-  } else {
-    r.multiplier = static_cast<int32_t>(q31);
-    r.right_shift = shift;
-  }
-  r.output_zero_point = out.zero_point;
   return r;
 }
 

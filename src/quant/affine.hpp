@@ -72,22 +72,4 @@ void quantize(const float* x, int64_t n, const AffineParams& params,
 /// Dequantizes uint8 codes back to floats.
 Tensor dequantize(const TensorU8& t, const AffineParams& params);
 
-/// Computes the gemmlowp-style integer output pipeline constants for
-/// requantizing an int32 accumulator of (lhs-zl)*(rhs-zr) products into a
-/// uint8 output tensor: q_out = zo + sat(round(acc * M)) with the real
-/// multiplier M = (sl*sr/so) expressed as a Q0.31 multiplier and a right
-/// shift. M must be in (0, 1) which holds for all practical layer scales.
-struct Requantizer {
-  int32_t multiplier = 0;  ///< Q0.31 fixed-point multiplier in [2^30, 2^31).
-  int right_shift = 0;     ///< Post-multiply rounding right shift.
-  int32_t output_zero_point = 0;
-
-  /// Maps one accumulator value to a uint8 output code.
-  uint8_t apply(int32_t acc) const;
-};
-
-/// Builds a requantizer for M = lhs_scale*rhs_scale/out_scale (must be < 1).
-Requantizer make_requantizer(float lhs_scale, float rhs_scale,
-                             const AffineParams& out);
-
 }  // namespace tincy::quant

@@ -158,18 +158,6 @@ inline U32x16 widening_mla(U32x16 acc, U8x16 b, uint8_t s) {
   return acc;
 }
 
-/// Lane-wise widening multiply of two u8 register blocks straight to u32
-/// lanes: r[i] = u32(u16(a[i] * b[i])). Models the VMULL.U8 (u8→u16) +
-/// VMOVL.U16 widening pair per block half; exact for all inputs.
-inline U32x16 widening_mul_u16_to_u32(U8x16 a, U8x16 b) {
-  U32x16 r;
-  for (int i = 0; i < 16; ++i)
-    r.lane[i] = static_cast<uint32_t>(
-        static_cast<uint16_t>(static_cast<uint16_t>(a.lane[i]) *
-                              static_cast<uint16_t>(b.lane[i])));
-  return r;
-}
-
 /// Pairwise add-and-accumulate-long: acc_i32x4 += pairwise_sums(i16x8)
 /// (VPADAL.S16). The widening sum cannot overflow int32 for realistic
 /// kernel depths.

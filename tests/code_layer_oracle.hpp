@@ -70,13 +70,13 @@ inline void max_pool_codes(const gemm::PoolGeometry& spec, const uint8_t* in,
   }
 }
 
-/// One frame of the layer. `w` holds rows × C·K² weights in {−1, 0, +1}
-/// in Darknet order (c·K² + kh·K + kw); `in` one C×H×W code map. Returns
-/// the output codes (rows × out map, pooled when pool_size > 0).
-inline std::vector<uint8_t> code_layer(
-    const std::vector<int8_t>& w, int64_t rows, const gemm::ConvGeometry& g,
-    const std::vector<quant::ThresholdChannel>& thresholds, bool bipolar,
-    int64_t pool_size, int64_t pool_stride, const uint8_t* in) {
+/// One frame's raw accumulators: acc[j·rows + r] for output position j
+/// and row r. `w` holds rows × C·K² weights in {−1, 0, +1} in Darknet
+/// order (c·K² + kh·K + kw); `in` one C×H×W code map.
+inline std::vector<int32_t> accumulators(const std::vector<int8_t>& w,
+                                         int64_t rows,
+                                         const gemm::ConvGeometry& g,
+                                         bool bipolar, const uint8_t* in) {
   const int64_t cols = g.patch_size(), n = g.num_patches();
   const int64_t k2 = g.kernel * g.kernel;
   std::vector<uint8_t> columns(static_cast<size_t>(n * cols));
@@ -97,6 +97,17 @@ inline std::vector<uint8_t> code_layer(
   std::vector<int32_t> acc(static_cast<size_t>(n * rows));
   gemm::bitserial_gemm_reference(w.data(), rows, cols, columns.data(), n,
                                  bipolar, acc.data());
+  return acc;
+}
+
+/// One frame of the layer: accumulators() thresholded per row, then
+/// pooled when pool_size > 0. Returns the output codes (rows × out map).
+inline std::vector<uint8_t> code_layer(
+    const std::vector<int8_t>& w, int64_t rows, const gemm::ConvGeometry& g,
+    const std::vector<quant::ThresholdChannel>& thresholds, bool bipolar,
+    int64_t pool_size, int64_t pool_stride, const uint8_t* in) {
+  const int64_t n = g.num_patches();
+  const std::vector<int32_t> acc = accumulators(w, rows, g, bipolar, in);
   std::vector<uint8_t> conv(static_cast<size_t>(rows * n));
   for (int64_t r = 0; r < rows; ++r)
     for (int64_t j = 0; j < n; ++j)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "code_layer_oracle.hpp"
+#include "lowp_oracle.hpp"
 #include "core/tensor.hpp"
 #include "detect/box.hpp"
 #include "gemm/bitserial.hpp"
@@ -262,19 +263,16 @@ inline void im2col_panel_u8(const uint8_t* image, const gemm::ConvGeometry& g,
 }
 
 /// The 8-bit conv's raw output before its epilogue: dense im2col of the
-/// frame's codes (the zero point pads), the packed GEMM, then
-/// real_scale · acc + 0 per element.
+/// frame's codes (the zero point pads), the scalar gemm_lowp_i32 on the
+/// raw weight codes `wq` (filters × patch), then real_scale · acc + 0 per
+/// element.
 inline void lowp_conv_raw(const uint8_t* qimage, const gemm::ConvGeometry& g,
                           const quant::AffineParams& in_params,
-                          const gemm::PackedLhs& weights,
+                          const uint8_t* wq, int64_t filters,
                           const quant::AffineParams& w_params, float* out) {
-  const int64_t patch = g.patch_size(), n = g.num_patches();
-  std::vector<uint8_t> columns(static_cast<size_t>(patch * n));
-  gemm::im2col<uint8_t>(qimage, g, columns.data(),
-                        static_cast<uint8_t>(in_params.zero_point));
-  std::vector<int32_t> acc(static_cast<size_t>(weights.rows * n));
-  gemm::gemm_lowp_packed(weights, columns.data(), in_params.zero_point, n,
-                         acc.data());
+  std::vector<int32_t> acc(static_cast<size_t>(filters * g.num_patches()));
+  lowp_conv_naive(qimage, g, wq, filters, w_params.zero_point,
+                  in_params.zero_point, acc.data());
   const float real_scale = in_params.scale * w_params.scale;
   for (size_t i = 0; i < acc.size(); ++i)
     out[i] = real_scale * static_cast<float>(acc[i]) + 0.0f;
@@ -293,11 +291,8 @@ inline void lowp_conv(const nn::ConvLayer& layer, const Tensor& in,
   const auto [wlo, whi] = min_max(layer.weights());
   const quant::AffineParams w_params = quant::choose_affine_params(wlo, whi);
   const TensorU8 wq = quant::quantize(layer.weights(), w_params);
-  const gemm::PackedLhs packed =
-      gemm::pack_lhs(wq.data(), layer.config().filters,
-                     layer.geometry().patch_size(), w_params.zero_point);
-  lowp_conv_raw(qimage.data(), layer.geometry(), in_params, packed, w_params,
-                out.data());
+  lowp_conv_raw(qimage.data(), layer.geometry(), in_params, wq.data(),
+                layer.config().filters, w_params, out.data());
   apply_post(layer, out);
 }
 

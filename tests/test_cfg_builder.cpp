@@ -172,6 +172,29 @@ TEST(Builder, RejectsNonPositiveGeometry) {
   }
 }
 
+TEST(Builder, RejectsNonPositiveActivationBits) {
+  // abits <= 0 used to reach UniformActQuant::levels() as a negative shift
+  // count; abits >= 8 keeps meaning float activations.
+  const std::string net = "[net]\nwidth=8\nheight=8\nchannels=3\n\n";
+  for (const char* section : {"convolutional", "connected"}) {
+    for (const char* value : {"0", "-1", "-40"}) {
+      const std::string cfg =
+          net + "[" + section + "]\nabits=" + value + "\n";
+      try {
+        build_network_from_string(cfg);
+        ADD_FAILURE() << "accepted " << section << " abits=" << value;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("abits"), std::string::npos)
+            << e.what();
+      }
+    }
+    for (const char* value : {"1", "3", "8", "32"})
+      EXPECT_NO_THROW(build_network_from_string(
+          net + "[" + section + "]\nabits=" + value + "\n"))
+          << section << " abits=" << value;
+  }
+}
+
 TEST(Builder, RequiresNetFirst) {
   EXPECT_THROW(build_network_from_string("[convolutional]\nfilters=2\n"),
                Error);

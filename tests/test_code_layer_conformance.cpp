@@ -17,8 +17,11 @@
 // bands straddle pool windows (odd conv heights under a stride-2 pool,
 // the 3/2 pool's top and left padding, the 2/1 pool's repeated last row
 // and column), maps shorter than one band, and Tincy YOLO's L1 and L3 at
-// 416, whose bands shard across threads. The threshold step is pinned to
-// quant::ThresholdChannel::apply on both its int32 and int16 compares.
+// 416, whose bands shard across threads. One case puts every threshold
+// on (or one step outside) the oracle's own accumulators, so a kernel
+// that shifts one row's accumulators by any amount flips a code. The
+// threshold step is pinned to quant::ThresholdChannel::apply on both its
+// int32 and int16 compares.
 //
 // Rep count scales with TINCY_CONFORMANCE_REPS (default 1, one pass over
 // the sweep), like the GEMM and bit-serial conformance suites; the
@@ -76,15 +79,15 @@ std::vector<uint8_t> to_hwc_frames(const std::vector<uint8_t>& chw,
 
 constexpr uint8_t kSentinel = 0xA5;
 
-/// Runs `rig`'s layer on `batch` random frames through the engine (HWC)
-/// and the oracle (CHW), and checks every output byte; the engine must
-/// not write past its output.
-void expect_engine_matches_oracle(Rng& rng, const LayerRig& rig,
-                                  int64_t pool_size, int64_t pool_stride,
-                                  int64_t batch, const std::string& what) {
+/// Runs `rig`'s layer on the `batch` CHW frames `in` through the engine
+/// (HWC) and the oracle (CHW), and checks every output byte; the engine
+/// must not write past its output.
+void expect_engine_matches_oracle(const std::vector<uint8_t>& in,
+                                  const LayerRig& rig, int64_t pool_size,
+                                  int64_t pool_stride, int64_t batch,
+                                  const std::string& what) {
   const gemm::CodeLayer layer = rig.layer(pool_size, pool_stride);
   const gemm::ConvGeometry& g = rig.g;
-  const std::vector<uint8_t> in = rig.random_codes(rng, batch);
   const std::vector<uint8_t> in_hwc =
       to_hwc_frames(in, batch, g.in_channels, g.in_height * g.in_width);
   const Shape out_shape = layer.out_shape();
@@ -108,6 +111,14 @@ void expect_engine_matches_oracle(Rng& rng, const LayerRig& rig,
   }
   for (size_t i = static_cast<size_t>(batch * out_n); i < got.size(); ++i)
     ASSERT_EQ(got[i], kSentinel) << what << ": wrote past the output";
+}
+
+/// The same on `batch` random frames.
+void expect_engine_matches_oracle(Rng& rng, const LayerRig& rig,
+                                  int64_t pool_size, int64_t pool_stride,
+                                  int64_t batch, const std::string& what) {
+  expect_engine_matches_oracle(rig.random_codes(rng, batch), rig, pool_size,
+                               pool_stride, batch, what);
 }
 
 // --- The conversions on their own -------------------------------------------
@@ -359,6 +370,63 @@ TEST(CodeLayerConformance, TincyL1AndL3At416) {
   if (HasFatalFailure()) return;
   const LayerRig l3(rng, {64, 104, 104, 3, 1, 1}, 64, 3, Weights::kBinary);
   expect_engine_matches_oracle(rng, l3, 2, 2, 1, "L3 at 416");
+}
+
+TEST(CodeLayerConformance, ThresholdsAtOracleDotProducts) {
+  // Random thresholds flip a code only where an accumulator lies within a
+  // shift of one, so a kernel that moves one row's accumulators a little
+  // can pass every other case. Here each threshold of row r sits at the
+  // oracle's own accumulator of a sampled pixel: on it in one pass (a
+  // shift away from the threshold's side flips that pixel's code), one
+  // step outside it in the other (acc + 1 ascending, acc − 1 descending:
+  // a shift toward it flips the code). Any nonzero shift of any row fails
+  // one of the two passes, on every weight kind and group layout.
+  struct Case {
+    gemm::ConvGeometry g;
+    int64_t rows;
+    int bits;
+    Weights kind;
+  };
+  const Case cases[] = {
+      {{64, 9, 11, 3, 1, 1}, 40, 3, Weights::kBinary},
+      {{3, 10, 9, 3, 2, 0}, 19, 1, Weights::kBinary},
+      {{16, 8, 7, 3, 1, 1}, 24, 2, Weights::kTernary},
+      {{96, 6, 5, 3, 1, 1}, 33, 3, Weights::kTernary},
+      {{32, 7, 8, 3, 1, 0}, 37, 1, Weights::kBipolar},
+      {{64, 5, 6, 3, 2, 0}, 16, 1, Weights::kBipolar},
+  };
+  Rng rng(13);
+  for (const Case& c : cases) {
+    LayerRig rig(rng, c.g, c.rows, c.bits, c.kind);
+    const std::vector<uint8_t> in = rig.random_codes(rng, 1);
+    const std::vector<int32_t> acc =
+        oracle::accumulators(rig.w, rig.rows, rig.g, rig.bipolar, in.data());
+    const int64_t n = c.g.num_patches();
+    const int levels = rig.bipolar ? 1 : (1 << c.bits) - 1;
+    for (const int32_t outside : {0, 1}) {
+      for (int64_t r = 0; r < c.rows; ++r) {
+        quant::ThresholdChannel& ch = rig.thresholds[static_cast<size_t>(r)];
+        ch.ascending = rng.bernoulli(0.5);
+        ch.thresholds.clear();
+        for (int l = 0; l < levels; ++l) {
+          const int64_t j = rng.uniform_int(0, n - 1);
+          ch.thresholds.push_back(acc[static_cast<size_t>(j * c.rows + r)] +
+                                  (ch.ascending ? outside : -outside));
+        }
+        std::sort(ch.thresholds.begin(), ch.thresholds.end());
+        if (!ch.ascending)
+          std::reverse(ch.thresholds.begin(), ch.thresholds.end());
+      }
+      rig.table = gemm::ThresholdTable(rig.thresholds);
+      expect_engine_matches_oracle(
+          in, rig, 0, 0, 1,
+          std::string(weights_name(c.kind)) + " A" + std::to_string(c.bits) +
+              " C=" + std::to_string(c.g.in_channels) + " rows " +
+              std::to_string(c.rows) +
+              (outside ? ", thresholds one step outside" : ", thresholds on"));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(ThresholdConformance, BothComparesMatchApply) {

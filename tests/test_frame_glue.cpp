@@ -377,6 +377,8 @@ INSTANTIATE_TEST_SUITE_P(
         gemm::ConvGeometry{4, 16, 16, 1, 1, 0},   // 1×1 kernel
         gemm::ConvGeometry{8, 13, 13, 1, 1, 0},   // L13: 13-wide rows
         gemm::ConvGeometry{3, 9, 40, 1, 2, 0},    // 1×1 kernel, stride 2
+        gemm::ConvGeometry{5, 1, 21, 1, 1, 0},    // a 5 × 21 matrix as its
+                                                  // own im2col, 5-wide tail
         gemm::ConvGeometry{5, 1, 1, 1, 1, 0},     // 1×1 map
         gemm::ConvGeometry{2, 1, 1, 3, 1, 1}));   // 1×1 map, all padding
 

@@ -57,22 +57,6 @@ TEST(GemmLowp, ApproximatesFloatWithinQuantError) {
                 expected[i], bound);
 }
 
-TEST(GemmLowp, U8OutputPipeline) {
-  Rng rng(47);
-  const int64_t M = 4, N = 9, K = 12;
-  std::vector<uint8_t> a(static_cast<size_t>(M * K)), b(static_cast<size_t>(K * N));
-  for (auto& v : a) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-  for (auto& v : b) v = static_cast<uint8_t>(rng.uniform_int(0, 255));
-  const auto out_params = quant::choose_affine_params(-8.0f, 8.0f);
-  const auto rq = quant::make_requantizer(0.02f, 0.03f, out_params);
-  std::vector<uint8_t> c(static_cast<size_t>(M * N));
-  gemm_lowp_u8(M, N, K, a.data(), 128, b.data(), 128, rq, c.data());
-  std::vector<int32_t> acc(static_cast<size_t>(M * N));
-  gemm_lowp_i32(M, N, K, a.data(), 128, b.data(), 128, acc.data());
-  for (int64_t i = 0; i < M * N; ++i)
-    EXPECT_EQ(c[static_cast<size_t>(i)], rq.apply(acc[static_cast<size_t>(i)]));
-}
-
 class ConvKernelProperty
     : public ::testing::TestWithParam<std::tuple<int64_t, int64_t, int64_t>> {
   // (channels, image size, stride)
@@ -104,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(Geometries, ConvKernelProperty,
                                            std::tuple{5, 7, 1},
                                            std::tuple{2, 16, 2}));
 
-// ---- The kI16Shift4 accumulator step (paper §III-D) ----
+// ---- The 16-bit accumulator step of the shift-4 oracle (paper §III-D) ----
 
 TEST(Acc16Step, RoundsThenSaturates) {
   EXPECT_EQ(acc16_step(0, 15), 1);        // 15 >> 4 rounds to 1

@@ -1,16 +1,19 @@
-// Differential conformance harness of the packed GEMM micro-kernel
-// variants (gemm/kernels.hpp): every dispatchable variant (scalar
-// baseline, portable lane model, AVX2 and AVX-512 when the machine has
-// them) must be *bit-identical* to the scalar reference oracles
-// gemm_lowp_i32 and gemm_lowp_i32_shift4 — on randomized shapes, on skinny-K/skinny-N
-// shapes, on saturation-boundary inputs, at zero-point extremes, on the
-// GEMV fast path, and under forced thread sharding (the panel-chunking
-// path the TSan preset audits).
+// Differential conformance harness of the 8-bit tile variants
+// (gemm/kernels.hpp): every dispatchable variant (scalar baseline,
+// portable lane model, AVX2 and AVX-512 when the machine has them) of
+// gemm_lowp_packed_panel must be *bit-identical* to the scalar reference
+// oracle gemm_lowp_i32 — on randomized shapes, on skinny-K/skinny-N
+// shapes (N = 1 included), on saturation-boundary inputs and at
+// zero-point extremes. Each case runs the panel loop of lowp_oracle.hpp:
+// pack_lhs, im2col_panel_u8 over the pointwise geometry, then the tile,
+// kNr columns at a time. The conv driver itself, sharded over the shared
+// pool, is checked against the same oracle (the path the TSan preset
+// audits), with the TINCY_GEMM_KERNEL override steering its tile.
 //
 // This suite is the contract that lets future kernel work (new ISA
-// variants, multi-engine scale-out, new topologies) land without parity
-// regressions: a vectorized quantized kernel that drifts by one ulp of
-// rounding fails here before it ever reaches a network test.
+// variants, new topologies) land without parity regressions: a
+// vectorized quantized kernel that drifts by one bit fails here before it
+// ever reaches a network test.
 //
 // Rep count scales with TINCY_CONFORMANCE_REPS (default 40); the
 // tier2-conformance ctest entry raises it and the sanitizer presets
@@ -19,15 +22,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/rng.hpp"
-#include "core/thread_pool.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "gemm/gemm_packed.hpp"
 #include "gemm/kernels.hpp"
+#include "lowp_oracle.hpp"
 
 namespace tincy::gemm {
 namespace {
@@ -63,41 +67,51 @@ struct Shape {
 };
 
 /// Runs one (shape, zero-point) case through every dispatchable kernel
-/// variant on both accumulator paths and asserts bit-identity with the
-/// scalar oracles. `opts_base` lets callers force sharding.
+/// variant's panel loop and asserts bit-identity with the scalar oracle.
 void expect_all_variants_conform(const Shape& s, int32_t za, int32_t zb,
                                  const std::vector<uint8_t>& a,
-                                 const std::vector<uint8_t>& b,
-                                 const GemmOptions& opts_base = [] {
-                                   GemmOptions o;
-                                   o.allow_threads = false;
-                                   return o;
-                                 }()) {
-  std::vector<int32_t> oracle_i32(s.M * s.N), oracle_s4(s.M * s.N);
-  gemm_lowp_i32(s.M, s.N, s.K, a.data(), za, b.data(), zb, oracle_i32.data());
-  gemm_lowp_i32_shift4(s.M, s.N, s.K, a.data(), za, b.data(), zb,
-                       oracle_s4.data());
+                                 const std::vector<uint8_t>& b) {
+  std::vector<int32_t> want(s.M * s.N);
+  gemm_lowp_i32(s.M, s.N, s.K, a.data(), za, b.data(), zb, want.data());
+  const PackedLhs lhs = pack_lhs(a.data(), s.M, s.K, za);
   std::vector<int32_t> got(s.M * s.N);
   for (Kernel k : dispatchable_kernels()) {
-    GemmOptions opts = opts_base;
-    opts.kernel = k;
-
-    opts.acc = Accumulator::kI32;
     std::fill(got.begin(), got.end(), -1);
-    gemm_lowp_packed(s.M, s.N, s.K, a.data(), za, b.data(), zb, got.data(),
-                     opts);
-    ASSERT_EQ(oracle_i32, got)
-        << "i32 kernel=" << kernel_name(k) << " M=" << s.M << " N=" << s.N
-        << " K=" << s.K << " za=" << za << " zb=" << zb;
-
-    opts.acc = Accumulator::kI16Shift4;
-    std::fill(got.begin(), got.end(), -1);
-    gemm_lowp_packed(s.M, s.N, s.K, a.data(), za, b.data(), zb, got.data(),
-                     opts);
-    ASSERT_EQ(oracle_s4, got)
-        << "shift4 kernel=" << kernel_name(k) << " M=" << s.M << " N=" << s.N
+    oracle::lowp_panel_loop(b.data(), oracle::pointwise(s.K, s.N), lhs, zb, k,
+                            got.data());
+    ASSERT_EQ(want, got)
+        << "kernel=" << kernel_name(k) << " M=" << s.M << " N=" << s.N
         << " K=" << s.K << " za=" << za << " zb=" << zb;
   }
+}
+
+/// The 8-bit conv driver (fused_conv_lowp_f32out, sharded over the shared
+/// pool when the call is big enough) with a bias-only epilogue against
+/// dense im2col + gemm_lowp_i32 and the same epilogue, bit for bit.
+void expect_driver_matches_oracle(const ConvGeometry& g, int64_t M,
+                                  int32_t za, int32_t zb,
+                                  const std::vector<uint8_t>& a,
+                                  const std::vector<uint8_t>& image,
+                                  const std::vector<float>& bias,
+                                  const std::string& what) {
+  const int64_t n = g.num_patches();
+  std::vector<int32_t> acc(M * n);
+  oracle::lowp_conv_naive(image.data(), g, a.data(), M, za, zb, acc.data());
+  const quant::AffineParams in_params{0.03f, zb}, w_params{0.011f, za};
+  const float real_scale = in_params.scale * w_params.scale;
+  std::vector<float> want(M * n), got(M * n, -1.0f);
+  for (int64_t m = 0; m < M; ++m)
+    for (int64_t j = 0; j < n; ++j)
+      want[m * n + j] =
+          oracle::lowp_bias_epilogue(real_scale, acc[m * n + j], bias[m]);
+  const PackedLhs lhs = pack_lhs(a.data(), M, g.patch_size(), za);
+  LowpEpilogue epilogue;
+  epilogue.bias = bias.data();
+  fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params, epilogue,
+                         got.data());
+  ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0)
+      << what;
 }
 
 // --- Randomized differential sweep -------------------------------------
@@ -122,7 +136,7 @@ TEST(GemmConformance, RandomizedShapeSweep) {
 
 TEST(GemmConformance, SkinnyAndAwkwardShapes) {
   // The fixed shapes every kernel change must survive: single tiles,
-  // nothing-divides-anything, GEMV (N=1), K=1, and the layer-0-like
+  // nothing-divides-anything, one column (N=1), K=1, and the layer-0-like
   // skinny-K wide-N shape that caught the threaded gate miss. The x86
   // i32 tiles step over k-pairs, so K = 1, 2, 3, 27 and 28 against a
   // ragged N end on a single k (zero partner) or a whole pair.
@@ -142,9 +156,8 @@ TEST(GemmConformance, SkinnyAndAwkwardShapes) {
 
 TEST(GemmConformance, SaturationBoundaryInputs) {
   // All-corner operands at zero-point extremes: centered products hit
-  // ±255·255, the shift4 path wraps its i16 product cast and rides the
-  // saturating accumulator rails. Conformance must hold bit for bit even
-  // in the wrapped/saturated regime (the oracles wrap identically).
+  // ±255·255 and the tile's raw u32 dots and zero-point terms wrap.
+  // Conformance must hold bit for bit in every such regime.
   const Shape s{9, 21, 48};
   for (const auto& [za, zb] : kZeroPoints) {
     Rng rng(3000 + za * 7 + zb);
@@ -166,28 +179,38 @@ TEST(GemmConformance, LargestAllMaxDotFitsTheAccumulator) {
 }
 
 TEST(GemmConformance, ThreadedPanelChunkingConforms) {
-  // Forced sharding over a private pool: the panel-chunked (and GEMV
-  // row-block) parallel paths must agree with the oracles for every
-  // variant. This is the TSan-preset target of the tier2-conformance
-  // label — parallel shards writing disjoint C regions.
-  core::ThreadPool pool(4);
-  GemmOptions forced;
-  forced.pool = &pool;
-  forced.min_ops_per_shard = 1;
-  forced.min_ops_to_thread = 1;
+  // The conv driver on calls big enough to shard their column panels over
+  // the shared pool: a pointwise GEMM (N = 1700, 107 panels), L0-like
+  // 3×3 convs, and a two-panel pointwise GEMM whose row blocks the driver
+  // splits as well (fewer panels than shards). This is the TSan-preset target of the
+  // tier2-conformance label — parallel shards writing disjoint columns.
+  // The ctests pin TINCY_GEMM_THREADS=4, so every call must shard on any
+  // host.
   Rng rng(2020);
-  const Shape shapes[] = {{24, 170, 40}, {16, 1000, 27}, {21, 1, 128}};
-  for (const Shape& s : shapes) {
-    const auto a = edge_biased_codes(rng, s.M * s.K);
-    const auto b = edge_biased_codes(rng, s.K * s.N);
-    expect_all_variants_conform(s, 128, 128, a, b, forced);
+  const struct {
+    ConvGeometry g;
+    int64_t M;
+  } cases[] = {{oracle::pointwise(40, 1700), 24},
+               {{3, 64, 61, 3, 1, 1}, 16},
+               {{16, 29, 33, 3, 2, 1}, 21},
+               {oracle::pointwise(512, 20), 125}};
+  for (const auto& c : cases) {
+    ASSERT_GE(2 * c.M * c.g.num_patches() * c.g.patch_size(), 1 << 20);
+    const auto a = edge_biased_codes(rng, c.M * c.g.patch_size());
+    const auto image = edge_biased_codes(
+        rng, c.g.in_channels * c.g.in_height * c.g.in_width);
+    std::vector<float> bias(c.M);
+    for (auto& v : bias) v = rng.normal();
+    expect_driver_matches_oracle(c.g, c.M, 128, 128, a, image, bias,
+                                 "M=" + std::to_string(c.M));
     if (HasFatalFailure()) return;
+    EXPECT_GT(oracle::last_driver_shards(), 1) << "M=" << c.M;
   }
 }
 
-TEST(GemmConformance, GemvFastPathTailHandling) {
-  // N == 1 takes the flat-dot fast path; K·kMr lengths that are not
-  // multiples of the 16-lane step exercise every variant's scalar tail.
+TEST(GemmConformance, SingleColumnTailHandling) {
+  // N == 1: one live lane in a kNr-wide panel, fifteen padding lanes that
+  // must accumulate to 0, at depths on and off the tiles' k steps.
   Rng rng(2021);
   for (int64_t K : {1, 2, 3, 4, 5, 7, 16, 33, 100}) {
     const Shape s{13, 1, K};
@@ -233,21 +256,23 @@ TEST(KernelDispatch, AutoSelectsWidestSupported) {
 }
 
 TEST(KernelDispatch, EnvOverrideSteersAutoAndEndToEnd) {
-  const Shape s{6, 40, 24};
+  // The conv driver resolves kAuto once per call: with the override set,
+  // a call big enough to shard must run the named tile on every shard
+  // and match the oracle.
+  const ConvGeometry g = oracle::pointwise(32, 1000);
+  const int64_t M = 24;
   Rng rng(2022);
-  const auto a = edge_biased_codes(rng, s.M * s.K);
-  const auto b = edge_biased_codes(rng, s.K * s.N);
-  std::vector<int32_t> oracle(s.M * s.N), got(s.M * s.N);
-  gemm_lowp_i32(s.M, s.N, s.K, a.data(), 7, b.data(), 131, oracle.data());
+  const auto a = edge_biased_codes(rng, M * g.patch_size());
+  const auto b = edge_biased_codes(rng, g.patch_size() * g.num_patches());
+  std::vector<float> bias(M);
+  for (auto& v : bias) v = rng.normal();
   for (Kernel k : dispatchable_kernels()) {
     setenv("TINCY_GEMM_KERNEL", kernel_name(k), 1);
     EXPECT_EQ(resolve_kernel(Kernel::kAuto), k);
-    GemmOptions opts;  // kernel = kAuto: must route through the override
-    opts.allow_threads = false;
-    std::fill(got.begin(), got.end(), -1);
-    gemm_lowp_packed(s.M, s.N, s.K, a.data(), 7, b.data(), 131, got.data(),
-                     opts);
-    EXPECT_EQ(oracle, got) << "env override " << kernel_name(k);
+    expect_driver_matches_oracle(g, M, 7, 131, a, b, bias,
+                                 std::string("env override ") +
+                                     kernel_name(k));
+    EXPECT_GT(oracle::last_driver_shards(), 1) << kernel_name(k);
   }
   // An unsupported or garbage override falls back to auto selection.
   setenv("TINCY_GEMM_KERNEL", "bogus", 1);

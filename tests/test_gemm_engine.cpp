@@ -1,9 +1,10 @@
-// Tests of the packed/tiled/threaded low-precision GEMM engine
-// (gemm_packed.hpp): bit-exact parity with the scalar oracles across
-// awkward shapes, the pack layout contract, accumulator auto-selection,
-// the incremental im2col panel, the lowp conv pinned bit for bit to its
-// scalar oracle, the zero-allocation steady state of the hot paths, and
-// thread-pool correctness under concurrent load (the latter is the
+// Tests of the 8-bit conv driver and its packed tile (gemm_lowp.hpp,
+// gemm_packed.hpp): bit-exact parity of the tile's panel loop with the
+// scalar oracle across awkward shapes, the pack layout contract, the
+// incremental im2col panel, the lowp conv pinned bit for bit to its scalar
+// oracle (alone, sharded, and from concurrent callers), the
+// zero-allocation steady state of the hot paths, and thread-pool
+// correctness under concurrent load (the latter is the
 // TINCY_SANITIZE=thread target).
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "gemm/gemm_packed.hpp"
 #include "gemm/im2col.hpp"
 #include "gemm/scratch.hpp"
+#include "lowp_oracle.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/maxpool_layer.hpp"
@@ -83,7 +85,7 @@ std::vector<uint8_t> random_codes(Rng& rng, int64_t n) {
   return v;
 }
 
-// --- Parity vs the scalar oracles across awkward shapes ---------------
+// --- Parity vs the scalar oracle across awkward shapes ----------------
 
 using Dims = std::tuple<int64_t, int64_t, int64_t>;
 
@@ -97,84 +99,79 @@ TEST_P(PackedGemmParity, I32BitExact) {
   const int32_t za = 7, zb = 131;
   std::vector<int32_t> ref(M * N), got(M * N, -1);
   gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), {});
+  const PackedLhs lhs = pack_lhs(a.data(), M, K, za);
+  oracle::lowp_panel_loop(b.data(), oracle::pointwise(K, N), lhs, zb,
+                          Kernel::kAuto, got.data());
   EXPECT_EQ(ref, got);
 }
 
 TEST_P(PackedGemmParity, I32CachedPackBitExact) {
+  // One pack_lhs (as a layer caches it) serves every variant's loop.
   const auto [M, N, K] = GetParam();
   Rng rng(92);
   const auto a = random_codes(rng, M * K);
   const auto b = random_codes(rng, K * N);
   const int32_t za = 200, zb = 3;
-  std::vector<int32_t> ref(M * N), got(M * N, -1);
+  std::vector<int32_t> ref(M * N), got(M * N);
   gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
   const PackedLhs lhs = pack_lhs(a.data(), M, K, za);
-  gemm_lowp_packed(lhs, b.data(), zb, N, got.data(), {});
-  EXPECT_EQ(ref, got);
+  for (const Kernel k : dispatchable_kernels()) {
+    std::fill(got.begin(), got.end(), -1);
+    oracle::lowp_panel_loop(b.data(), oracle::pointwise(K, N), lhs, zb, k,
+                            got.data());
+    EXPECT_EQ(ref, got) << kernel_name(k);
+  }
 }
 
-TEST_P(PackedGemmParity, Shift4BitExact) {
-  const auto [M, N, K] = GetParam();
-  Rng rng(93);
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  // Extreme zero points wrap/saturate the 16-bit path; the kernel must
-  // still match the scalar oracle bit for bit.
-  const int32_t za = 5, zb = 250;
-  std::vector<int32_t> ref(M * N), got(M * N, -1);
-  gemm_lowp_i32_shift4(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  GemmOptions opts;
-  opts.acc = Accumulator::kI16Shift4;
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), opts);
-  EXPECT_EQ(ref, got);
+/// The driver's float output for a bias-only epilogue, computed from
+/// dense im2col + gemm_lowp_i32.
+std::vector<float> driver_oracle(const std::vector<uint8_t>& image,
+                                 const ConvGeometry& g,
+                                 const std::vector<uint8_t>& a, int64_t M,
+                                 const quant::AffineParams& in_params,
+                                 const quant::AffineParams& w_params,
+                                 const std::vector<float>& bias) {
+  const int64_t n = g.num_patches();
+  std::vector<int32_t> acc(M * n);
+  oracle::lowp_conv_naive(image.data(), g, a.data(), M, w_params.zero_point,
+                          in_params.zero_point, acc.data());
+  std::vector<float> out(M * n);
+  for (int64_t m = 0; m < M; ++m)
+    for (int64_t j = 0; j < n; ++j)
+      out[m * n + j] = oracle::lowp_bias_epilogue(
+          in_params.scale * w_params.scale, acc[m * n + j], bias[m]);
+  return out;
 }
 
 TEST_P(PackedGemmParity, ForcedShardingBitExact) {
-  const auto [M, N, K] = GetParam();
+  // The shape as a pointwise conv, widened by whole panels (the ragged
+  // tail stays) until the driver shards it over the shared pool, run by
+  // two callers at once.
+  const auto [M, N0, K] = GetParam();
+  int64_t N = N0;
+  while (2 * M * N * K < (int64_t{1} << 20)) N += kNr;
+  const ConvGeometry g = oracle::pointwise(K, N);
   Rng rng(94);
   const auto a = random_codes(rng, M * K);
   const auto b = random_codes(rng, K * N);
-  const int32_t za = 128, zb = 128;
-  std::vector<int32_t> ref(M * N), got(M * N, -1);
-  gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  core::ThreadPool pool(4);
-  GemmOptions opts;
-  opts.pool = &pool;
-  opts.min_ops_per_shard = 1;  // shard even tiny problems
-  opts.min_ops_to_thread = 1;
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), opts);
-  EXPECT_EQ(ref, got);
-}
-
-TEST(ThreadingHeuristic, SkinnyShapesDeclineThreads) {
-  // The layer0 shape (M=16, K=27) runs in well under a millisecond single
-  // threaded; fanning it out loses more to worker wake-up than the
-  // parallel section saves (the 2.97x < 3x gate miss). The whole-call
-  // floor must keep such calls on one thread even with a big pool.
-  const int64_t M = 16, N = 1000, K = 27;
-  Rng rng(95);
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  const int32_t za = 7, zb = 131;
-  std::vector<int32_t> ref(M * N), got(M * N);
-  gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  core::ThreadPool pool(4);
-  GemmOptions opts;
-  opts.pool = &pool;
-  ASSERT_LT(2 * M * N * K, opts.min_ops_to_thread);
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), opts);
-  EXPECT_EQ(ref, got);
-  auto& registry = telemetry::MetricsRegistry::global();
-  EXPECT_EQ(registry.snapshot().gauge_value("gemm.threads"), 1.0);
-
-  // A deep-K shape above the floor still fans out on the same pool.
-  const int64_t K2 = 1 << 13;
-  const auto a2 = random_codes(rng, M * K2);
-  const auto b2 = random_codes(rng, K2 * N);
-  std::vector<int32_t> got2(M * N);
-  gemm_lowp_packed(M, N, K2, a2.data(), za, b2.data(), zb, got2.data(), opts);
-  EXPECT_GT(registry.snapshot().gauge_value("gemm.threads"), 1.0);
+  std::vector<float> bias(M);
+  for (auto& v : bias) v = rng.normal();
+  const quant::AffineParams in_params{0.02f, 128}, w_params{0.05f, 128};
+  const std::vector<float> want =
+      driver_oracle(b, g, a, M, in_params, w_params, bias);
+  const PackedLhs lhs = pack_lhs(a.data(), M, K, w_params.zero_point);
+  LowpEpilogue epilogue;
+  epilogue.bias = bias.data();
+  std::vector<std::vector<float>> outs(2, std::vector<float>(M * N, -1.0f));
+  std::vector<std::thread> callers;
+  for (auto& out : outs)
+    callers.emplace_back([&] {
+      fused_conv_lowp_f32out(b.data(), g, in_params, lhs, w_params, epilogue,
+                             out.data());
+    });
+  for (auto& t : callers) t.join();
+  EXPECT_GT(oracle::last_driver_shards(), 1);
+  for (const auto& out : outs) EXPECT_EQ(out, want);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,52 +179,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Dims{4, 16, 8},     // exactly one tile
                       Dims{7, 13, 33},    // nothing divides the tile
                       Dims{1, 50, 9},     // M=1 (single row block)
-                      Dims{5, 1, 64},     // N=1 (GEMV fast path)
+                      Dims{5, 1, 64},     // N=1 (one live lane)
                       Dims{3, 17, 1},     // K=1
                       Dims{16, 1000, 27},   // layer-0-like, N % 16 != 0
                       Dims{33, 31, 130}));  // partial everything
-
-// --- Accumulator policy ------------------------------------------------
-
-TEST(Acc16Policy, SafePredicate) {
-  // Centered codes span +-128 at zero point 128: products max 16384 and
-  // small depths keep the shifted sum within int16.
-  EXPECT_TRUE(acc16_safe(16, 128, 128));
-  // Depth large enough to saturate the shifted sum.
-  EXPECT_FALSE(acc16_safe(1024, 128, 128));
-  // Asymmetric zero points push single products past int16 (253*131).
-  EXPECT_FALSE(acc16_safe(4, 2, 131));
-}
-
-TEST(Acc16Policy, AutoSelectsShift4WhenSafe) {
-  const int64_t M = 6, N = 33, K = 16;
-  Rng rng(95);
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  const int32_t za = 128, zb = 128;
-  ASSERT_TRUE(acc16_safe(K, za, zb));
-  std::vector<int32_t> oracle(M * N), got(M * N);
-  gemm_lowp_i32_shift4(M, N, K, a.data(), za, b.data(), zb, oracle.data());
-  GemmOptions opts;
-  opts.acc = Accumulator::kAuto;
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), opts);
-  EXPECT_EQ(oracle, got);
-}
-
-TEST(Acc16Policy, AutoFallsBackToI32WhenUnsafe) {
-  const int64_t M = 6, N = 33, K = 200;
-  Rng rng(96);
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  const int32_t za = 7, zb = 131;
-  ASSERT_FALSE(acc16_safe(K, za, zb));
-  std::vector<int32_t> oracle(M * N), got(M * N);
-  gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, oracle.data());
-  GemmOptions opts;
-  opts.acc = Accumulator::kAuto;
-  gemm_lowp_packed(M, N, K, a.data(), za, b.data(), zb, got.data(), opts);
-  EXPECT_EQ(oracle, got);
-}
 
 // --- Pack layout contract ---------------------------------------------
 
@@ -257,29 +212,6 @@ TEST(PackLhs, PanelLayoutAndRowSums) {
   for (int64_t r = rows; r < 8; ++r)
     for (int64_t k = 0; k < depth; ++k)
       EXPECT_EQ(p.data[(r / kMr) * kMr * depth + k * kMr + r % kMr], zero);
-}
-
-TEST(PackRhsPanel, PadsTailLanesWithZeroPoint) {
-  const int64_t depth = 5, cols = 21;
-  Rng rng(97);
-  const auto b = random_codes(rng, depth * cols);
-  const int32_t zero = 77;
-  std::vector<uint8_t> panel(depth * kNr);
-  std::vector<int32_t> col_sums(kNr);
-  const int64_t col0 = 16, width = cols - col0;  // 5-wide tail panel
-  pack_rhs_panel(b.data(), depth, cols, col0, width, zero, panel.data(),
-                 col_sums.data());
-  for (int64_t k = 0; k < depth; ++k)
-    for (int64_t j = 0; j < kNr; ++j) {
-      const uint8_t want =
-          j < width ? b[k * cols + col0 + j] : static_cast<uint8_t>(zero);
-      EXPECT_EQ(panel[k * kNr + j], want) << "k=" << k << " j=" << j;
-    }
-  for (int64_t j = 0; j < width; ++j) {
-    int32_t sum = 0;
-    for (int64_t k = 0; k < depth; ++k) sum += b[k * cols + col0 + j];
-    EXPECT_EQ(col_sums[j], sum) << j;
-  }
 }
 
 // --- Incremental im2col panel vs the dense reference -------------------
@@ -419,7 +351,6 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
   std::vector<float> image(g.in_channels * g.in_height * g.in_width);
   for (auto& v : image) v = rng.uniform(0.0f, 1.0f);
   std::vector<float> bias(out_channels, 0.1f);
-  const auto in_params = quant::choose_affine_params(0.0f, 1.0f);
   const auto w_params = quant::choose_affine_params(-2.0f, 2.0f);
   const auto wq = random_codes(rng, out_channels * g.patch_size());
   const PackedLhs lhs =
@@ -459,14 +390,6 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
       "activation=relu\nbinary=1\nabits=3\nkernel=quant_reference\n");
   nn::zoo::randomize(*head, rng);
   nn::FrameState head_state;
-
-  const int64_t M = 24, N = 96, K = 64;
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  const auto out_params = quant::choose_affine_params(-4.0f, 4.0f);
-  const quant::Requantizer rq =
-      quant::make_requantizer(in_params.scale, w_params.scale, out_params);
-  std::vector<uint8_t> cq(M * N);
 
   // A W1A3 golden conv followed by a max pool, as on the frame path. It is
   // small enough to run on this thread: a pool worker's arena is sized on
@@ -578,8 +501,6 @@ TEST(ZeroAllocation, WarmHotPathsDoNotTouchTheHeap) {
     head->layer_output(0);
     head->forward(lowp_in, head_state);
     head->layer_output(0, head_state);
-    gemm_lowp_u8(M, N, K, a.data(), in_params.zero_point, b.data(),
-                 w_params.zero_point, rq, cq.data());
     golden.forward(codes_in, golden_out);
     pool.forward(golden_out, pooled);
     golden.forward(nn::LayerIn{nullptr, hwc_in.data(), grid_1},
@@ -663,35 +584,41 @@ TEST(ThreadPool, NestedCallsRunInline) {
 }
 
 TEST(ThreadPool, ConcurrentGemmCallersStaySane) {
-  // Several caller threads drive sharded GEMMs through one pool at once —
-  // the shape of pipeline workers sharing the process pool. Run under
-  // TINCY_SANITIZE=thread for the data-race audit.
-  core::ThreadPool pool(4);
-  const int64_t M = 31, N = 130, K = 70;
+  // Several caller threads drive sharded 8-bit convs through the shared
+  // pool at once — the shape of pipeline workers sharing the process
+  // pool. Run under TINCY_SANITIZE=thread for the data-race audit; the
+  // ctests pin TINCY_GEMM_THREADS=4, so the calls shard on any host.
+  const ConvGeometry g{5, 40, 37, 3, 1, 1};
+  const int64_t M = 31;
+  ASSERT_GE(2 * M * g.num_patches() * g.patch_size(), int64_t{1} << 20);
   Rng rng(102);
-  const auto a = random_codes(rng, M * K);
-  const auto b = random_codes(rng, K * N);
-  const int32_t za = 9, zb = 201;
-  std::vector<int32_t> ref(M * N);
-  gemm_lowp_i32(M, N, K, a.data(), za, b.data(), zb, ref.data());
-  const PackedLhs lhs = pack_lhs(a.data(), M, K, za);
+  const auto a = random_codes(rng, M * g.patch_size());
+  const auto image =
+      random_codes(rng, g.in_channels * g.in_height * g.in_width);
+  std::vector<float> bias(M);
+  for (auto& v : bias) v = rng.normal();
+  const quant::AffineParams in_params{0.01f, 201}, w_params{0.03f, 9};
+  const std::vector<float> ref =
+      driver_oracle(image, g, a, M, in_params, w_params, bias);
+  const PackedLhs lhs =
+      pack_lhs(a.data(), M, g.patch_size(), w_params.zero_point);
+  LowpEpilogue epilogue;
+  epilogue.bias = bias.data();
 
   constexpr int kCallers = 4, kReps = 8;
-  std::vector<std::vector<int32_t>> outs(kCallers,
-                                         std::vector<int32_t>(M * N));
+  std::vector<std::vector<float>> outs(kCallers,
+                                       std::vector<float>(M * g.num_patches()));
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      GemmOptions opts;
-      opts.pool = &pool;
-      opts.min_ops_per_shard = 1;
-      opts.min_ops_to_thread = 1;
       for (int rep = 0; rep < kReps; ++rep)
-        gemm_lowp_packed(lhs, b.data(), zb, N, outs[t].data(), opts);
+        fused_conv_lowp_f32out(image.data(), g, in_params, lhs, w_params,
+                               epilogue, outs[t].data());
     });
   }
   for (auto& th : callers) th.join();
+  EXPECT_GT(oracle::last_driver_shards(), 1);
   for (int t = 0; t < kCallers; ++t) EXPECT_EQ(outs[t], ref) << t;
 }
 

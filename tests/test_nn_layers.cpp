@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "gemm/gemm_lowp.hpp"
 #include "nn/activation.hpp"
 #include "nn/builder.hpp"
@@ -18,6 +21,9 @@
 #include "nn/region_layer.hpp"
 #include "nn/weights_io.hpp"
 #include "nn/zoo.hpp"
+#include "quant/affine.hpp"
+#include "quant/thresholds.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace tincy::nn {
 namespace {
@@ -221,6 +227,92 @@ TEST(Connected, ForwardMatchesNaive) {
     float acc = layer.biases()[o];
     for (int64_t i = 0; i < 12; ++i) acc += layer.weights().at2(o, i) * in[i];
     EXPECT_NEAR(out[o], apply(Activation::kRelu, acc), 1e-5f);
+  }
+}
+
+/// A `lowp=1` connected layer one element at a time: serial calibration
+/// of the frame, per-element quantise, gemm_lowp_i32 on the weight codes,
+/// real_scale · acc + bias, the activation, then the layer's snap.
+std::vector<float> connected_lowp_oracle(const ConnectedLayer& layer,
+                                         const Tensor& in) {
+  const ConnectedConfig& cfg = layer.config();
+  const int64_t outputs = cfg.outputs, inputs = layer.inputs();
+  const auto [lo, hi] = quant::min_max(in);
+  const quant::AffineParams in_params = quant::choose_affine_params(lo, hi);
+  std::vector<uint8_t> x(static_cast<size_t>(inputs));
+  for (int64_t i = 0; i < inputs; ++i)
+    x[static_cast<size_t>(i)] = in_params.quantize(in[i]);
+  const auto [wlo, whi] = quant::min_max(layer.weights());
+  const quant::AffineParams w_params = quant::choose_affine_params(wlo, whi);
+  const TensorU8 wq = quant::quantize(layer.weights(), w_params);
+  std::vector<int32_t> acc(static_cast<size_t>(outputs));
+  gemm::gemm_lowp_i32(outputs, 1, inputs, wq.data(), w_params.zero_point,
+                      x.data(), in_params.zero_point, acc.data());
+  const float real_scale = in_params.scale * w_params.scale;
+  const quant::CodeGrid grid{cfg.act_bits, cfg.out_scale, cfg.bipolar};
+  std::vector<float> out(static_cast<size_t>(outputs));
+  for (int64_t o = 0; o < outputs; ++o) {
+    const float a = static_cast<float>(acc[static_cast<size_t>(o)]);
+    float y = apply(cfg.activation, real_scale * a + layer.biases()[o]);
+    if (cfg.act_bits < 8) y = grid.snap(y);
+    out[static_cast<size_t>(o)] = y;
+  }
+  return out;
+}
+
+TEST(Connected, LowpMatchesScalarOracleBitForBit) {
+  // 37 × 60 runs as one shard; 257 × 2048 is big enough to shard, so the
+  // driver splits its single column panel's row blocks across the pool.
+  const struct {
+    std::string net_head;
+    Shape in;
+    int64_t outputs;
+    int expected_shards;
+  } shapes[] = {
+      {"[net]\nwidth=4\nheight=3\nchannels=5\n\n", Shape{5, 3, 4}, 37, 1},
+      {"[net]\nwidth=16\nheight=8\nchannels=16\n\n", Shape{16, 8, 16}, 257,
+       std::min(core::ThreadPool::shared().threads(), 4)}};
+  const std::string layers[] = {"activation=linear\nlowp=1\n",
+                                "activation=relu\nlowp=1\n",
+                                "activation=relu\nabits=3\nout_scale=0.25\n"
+                                "lowp=1\n"};
+  Rng rng(29);
+  for (const auto& s : shapes) {
+    for (const std::string& section : layers) {
+      const std::string cfg = s.net_head + "[connected]\noutput=" +
+                              std::to_string(s.outputs) + "\n" + section;
+      const auto net = build_network_from_string(cfg);
+      auto& layer = dynamic_cast<ConnectedLayer&>(net->layer(0));
+      ASSERT_TRUE(layer.config().lowp);
+      ASSERT_EQ(layer.precision(), kW8A8);
+      layer.weights() =
+          random_tensor(rng, Shape{s.outputs, s.in.numel()}, -1.5f, 0.7f);
+      layer.biases() = random_tensor(rng, Shape{s.outputs});
+      layer.invalidate_cached_quantization();
+
+      Tensor mixed = random_tensor(rng, s.in, -2.0f, 3.0f);
+      mixed[0] = -0.0f;
+      mixed[7] = 0.0f;
+      mixed[31] = -0.0f;
+      const Tensor frames[] = {mixed, Tensor(s.in, 0.75f), Tensor(s.in, -0.0f),
+                               random_tensor(rng, s.in, 0.0f, 1.0f)};
+      for (const Tensor& in : frames) {
+        const std::vector<float> want = connected_lowp_oracle(layer, in);
+        Tensor got(Shape{s.outputs}, -1.0f);
+        layer.forward(in, got);
+        EXPECT_EQ(telemetry::MetricsRegistry::global().snapshot().gauge_value(
+                      "gemm.threads"),
+                  s.expected_shards)
+            << cfg;
+        for (int64_t o = 0; o < s.outputs; ++o) {
+          uint32_t g = 0, w = 0;
+          std::memcpy(&g, &got[o], sizeof g);
+          std::memcpy(&w, &want[static_cast<size_t>(o)], sizeof w);
+          ASSERT_EQ(g, w) << cfg << "output " << o << ": " << got[o] << " vs "
+                          << want[static_cast<size_t>(o)];
+        }
+      }
+    }
   }
 }
 
